@@ -615,7 +615,7 @@ def _run_continuity(cfg: RunConfig, out: Path) -> int:
             "within_bounds": report.within_bounds,
         },
     )
-    return 0 if report.within_bounds else 1
+    return 0 if all(report.within_bounds) else 1
 
 
 def _run_picard(cfg: RunConfig, out: Path) -> int:

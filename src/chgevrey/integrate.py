@@ -70,23 +70,30 @@ class Trajectory:
 
 def _symmetrize(u: SpectralField) -> SpectralField:
     """Average with the conjugate mirror; idempotent on real fields."""
-    n = u.grid.n_points
-    mirror = np.conj(u.coeffs[(-u.grid.modes) % n])
-    return u.with_coeffs(0.5 * (u.coeffs + mirror))
+    return u.with_coeffs(0.5 * (u.coeffs + np.conj(u.coeffs[u.grid.mirror])))
 
 
 def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) -> SpectralField:
     """One classical Runge-Kutta step of u_t = F(u); re-enforces Hermitian
-    symmetry afterwards.  Raises BlowUpError (time=dt) on non-finite output."""
+    symmetry afterwards.  Raises BlowUpError (time=dt) on non-finite output.
+
+    The stage states are not revalidated: a non-finite stage propagates into
+    the combined state, whose construction is the one check of the step.
+    """
+    grid, c = u.grid, u.coeffs
+
+    def f(stage: np.ndarray) -> np.ndarray:
+        return rhs(SpectralField.trusted(grid, stage), p, dealias).coeffs
+
+    k1 = f(c)
+    k2 = f(c + (0.5 * dt) * k1)
+    k3 = f(c + (0.5 * dt) * k2)
+    k4 = f(c + dt * k3)
+    out = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     try:
-        k1 = rhs(u, p, dealias)
-        k2 = rhs(u + (0.5 * dt) * k1, p, dealias)
-        k3 = rhs(u + (0.5 * dt) * k2, p, dealias)
-        k4 = rhs(u + dt * k3, p, dealias)
-        out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return _symmetrize(SpectralField.trusted(grid, out))
     except NonFiniteError:
         raise BlowUpError(dt) from None
-    return _symmetrize(out)
 
 
 def _advisory_dt_bound(u0: SpectralField, p: ModelParams) -> float:
@@ -95,9 +102,24 @@ def _advisory_dt_bound(u0: SpectralField, p: ModelParams) -> float:
     return 1.0 / (k_max * (u_max + abs(p.Gamma_coef)) + p.lam)
 
 
+def _step_count(t_end: float, dt: float) -> tuple:
+    """(steps, shortened last step or None) that end the march at t_end.
+
+    A horizon that is a whole number of steps up to rounding keeps that many
+    full steps; otherwise the last step is shortened to land on t_end.
+    """
+    ratio = t_end / dt
+    whole = round(ratio)
+    if math.isclose(ratio, whole, rel_tol=1e-9):
+        return whole, None
+    n_steps = math.ceil(ratio)
+    return n_steps, t_end - (n_steps - 1) * dt
+
+
 def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajectory:
     """March u0 to cfg.t_end, recording every cfg.record_every steps (plus the
-    initial and final states).
+    initial and final states).  When t_end is not a whole number of steps the
+    last step is shortened, so the final recorded time is t_end.
 
     Raises BlowUpError -- with the partial trajectory attached -- if the state
     goes non-finite or the monitored Sobolev norm exceeds 1e6.
@@ -109,14 +131,17 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
             "(k_max*(|u|+|Gamma|)+lambda)",
             stacklevel=2,
         )
-    n_steps = max(0, int(round(cfg.t_end / cfg.dt)))
+    n_steps, last_dt = _step_count(cfg.t_end, cfg.dt)
     times = [0.0]
     states = [u0]
     u = u0
     for i in range(n_steps):
-        t_next = (i + 1) * cfg.dt
+        dt = cfg.dt
+        t_next = (i + 1) * dt
+        if i + 1 == n_steps and last_dt is not None:
+            dt, t_next = last_dt, cfg.t_end
         try:
-            u = step_rk4(u, p, cfg.dt, cfg.dealias)
+            u = step_rk4(u, p, dt, cfg.dealias)
             norm = sobolev_norm(u, cfg.s_monitor)
         except (BlowUpError, OverflowError):
             raise BlowUpError(t_next, Trajectory(np.array(times), states)) from None
@@ -191,24 +216,29 @@ def picard_iterate(
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 
     iterates = [base]
+    prev_coeffs = np.broadcast_to(u0.coeffs, (n_nodes, u0.grid.n_points))
     diffs: list = []
     ratios: list = []
     converged_at = None
     diverged_at = None
     for it in range(1, n_iters + 1):
-        prev = iterates[-1]
         try:
-            f_stack = np.stack([rhs(v, p, dealias).coeffs for v in prev])
-            integral = cumulative_trapezoid(f_stack, times, axis=0, initial=0.0)
-            family = [u0.with_coeffs(u0.coeffs + integral[j]) for j in range(n_nodes)]
-        except (NonFiniteError, FloatingPointError):
+            # an overflowing node turns NaN downstream; diverged_at reports it
+            with np.errstate(invalid="ignore"):
+                f_stack = np.stack([rhs(v, p, dealias).coeffs for v in iterates[-1]])
+                integral = cumulative_trapezoid(f_stack, times, axis=0, initial=0.0)
+        except FloatingPointError:
             diverged_at = it
             break
-        if not all(np.all(np.isfinite(v.coeffs)) for v in family):
+        # one finite check per iterate stands for the check of each node's field
+        coeffs = u0.coeffs + integral
+        if not np.all(np.isfinite(coeffs)):
             diverged_at = it
             break
-        iterates.append(family)
-        d = ea_norm(times, [a - b for a, b in zip(family, prev)], T, sigma, s)
+        iterates.append([SpectralField.trusted(u0.grid, c) for c in coeffs])
+        steps = [SpectralField.trusted(u0.grid, c) for c in coeffs - prev_coeffs]
+        d = ea_norm(times, steps, T, sigma, s)
+        prev_coeffs = coeffs
         diffs.append(d)
         if converged_at is None and d <= floor:
             converged_at = it

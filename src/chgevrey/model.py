@@ -84,7 +84,12 @@ class StateFunctionals:
 
 
 def h_of_u(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
-    """(alpha + Gamma) u + (beta/3) u^3 + (gamma/4) u^4, de-aliased powers."""
+    """(alpha + Gamma) u + (beta/3) u^3 + (gamma/4) u^4, de-aliased powers.
+
+    Each power goes through product() and is truncated to the stored band
+    before the next factor; with nonlocal_source this is the product-based
+    reference that the fused rhs is tested against.
+    """
     out = (p.alpha + p.Gamma_coef) * u
     if p.beta != 0.0 or p.gamma != 0.0:
         pad = _QUARTIC_PAD if dealias else 1.0
@@ -106,11 +111,50 @@ def nonlocal_source(u: SpectralField, p: ModelParams, dealias: bool = True) -> S
 
 
 def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
-    """F(u) = -(u+Gamma) u_x - lambda u + Q(u)."""
-    pad = 1.5 if dealias else 1.0
-    ux = derivative(u)
-    advection = product(u, ux, pad) + p.Gamma_coef * ux
-    return -1.0 * advection - p.lam * u + nonlocal_source(u, p, dealias)
+    """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
+
+    u is read as a real field from its modes 0..n/2; the Nyquist coefficient c
+    is split as c/2 at +-n/2.  One irfft gives u and u_x on the padded grid,
+    u u_x and u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise
+    (no truncation between the powers), one rfft brings both back, and the
+    linear terms are applied per mode.  With dealias the stored modes are the
+    true convolution coefficients, +n/2 included, as in product(); negative
+    modes mirror the positive ones.  The result is not revalidated: an
+    overflow shows up as a non-finite coefficient at the caller's next check.
+    """
+    grid = u.grid
+    n = grid.n_points
+    half = n // 2
+    k = grid.wavenumbers[:half]
+    c = u.coeffs[: half + 1]
+    quartic = p.beta != 0.0 or p.gamma != 0.0
+    # pad 5/2 keeps quartic powers alias-free on the stored band, 3/2 the
+    # quadratic terms (Orszag's rule); pad 1 lets the products wrap
+    pad = (_QUARTIC_PAD if quartic else 1.5) if dealias else 1.0
+    fine = math.ceil(pad * n)
+    fine += fine % 2
+    spec = np.zeros((2, fine // 2 + 1), dtype=np.complex128)
+    spec[0, : half + 1] = c
+    if fine > n:  # at pad 1, slot n/2 is irfft's own Nyquist bin, counted once
+        spec[0, half] *= 0.5
+    ik_c = 1j * k * c[:half]  # u_x; its unpaired Nyquist slot is zero, as in derivative()
+    spec[1, :half] = ik_c
+    # 1/n normalization: irfft carries 1/fine and rfft is unnormalized
+    w, wx = np.fft.irfft(spec, fine, axis=-1) * fine
+    w2 = w * w
+    inner = w2 + 0.5 * wx * wx
+    if quartic:
+        inner -= w2 * w * (p.beta / 3.0 + (p.gamma / 4.0) * w)
+    fused = np.fft.rfft(np.stack((w * wx, inner)), axis=-1)[:, : half + 1] / fine
+    advection, inner_hat = fused
+    inner_hat -= (p.alpha + p.Gamma_coef) * c
+    half_out = -advection - p.lam * c
+    # Q = -(1 - d_xx)^{-1} d_x inner; d_x zeroes the Nyquist slot
+    half_out[:half] -= ik_c * p.Gamma_coef + (1j * k / (1.0 + k * k)) * inner_hat[:half]
+    out = np.empty(n, dtype=np.complex128)
+    out[: half + 1] = half_out
+    out[half + 1 :] = np.conj(half_out[half - 1 : 0 : -1])
+    return SpectralField.trusted(grid, out)
 
 
 def functional_H(u: SpectralField, p: ModelParams, s: float) -> float:

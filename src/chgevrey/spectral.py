@@ -93,17 +93,28 @@ class TorusGrid:
             raise ValueError(f"n_points must be even and >= 8, got {self.n_points}")
         if not (self.period > 0.0) or not math.isfinite(self.period):
             raise ValueError(f"period must be positive and finite, got {self.period}")
+        # the symbols are computed once per grid and shared read-only by every caller
+        m = np.fft.fftfreq(self.n_points, 1.0 / self.n_points).astype(np.int64)
+        m[self.n_points // 2] = self.n_points // 2
+        k = 2.0 * math.pi * m / self.period
+        mirror = (-m) % self.n_points
+        for name, arr in (("_modes", m), ("_wavenumbers", k), ("_mirror", mirror)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def modes(self) -> np.ndarray:
         """Integer mode numbers in storage (FFT) order; the Nyquist slot is +n/2."""
-        m = np.fft.fftfreq(self.n_points, 1.0 / self.n_points).astype(np.int64)
-        m[self.n_points // 2] = self.n_points // 2
-        return m
+        return self._modes
 
     @property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * math.pi * self.modes / self.period
+        return self._wavenumbers
+
+    @property
+    def mirror(self) -> np.ndarray:
+        """Storage index of mode -m for each slot m (the Nyquist slot maps to itself)."""
+        return self._mirror
 
     @property
     def x(self) -> np.ndarray:
@@ -134,13 +145,22 @@ class SpectralField:
             raise NonFiniteError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
+    @classmethod
+    def trusted(cls, grid: TorusGrid, coeffs: np.ndarray) -> "SpectralField":
+        """Wrap a complex array of the grid's shape without the copy and the
+        finite check; for hot paths that validate once per step instead."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "coeffs", coeffs)
+        return field
+
     def coeff(self, mode: int) -> complex:
         return complex(self.coeffs[self.grid.index_of(mode)])
 
     def hermitian_defect(self) -> float:
         """max |c_{-m} - conj(c_m)| over the paired band (0 for a real field)."""
         c = self.coeffs
-        mirrored = np.conj(c[(-self.grid.modes) % self.grid.n_points])
+        mirrored = np.conj(c[self.grid.mirror])
         return float(np.max(np.abs(c - mirrored)))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":

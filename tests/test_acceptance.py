@@ -275,7 +275,7 @@ def test_criterion_10_continuity_of_the_data_map():
     bounds = [2.0 * gevrey_norm(b, index) + 1e-6 for b in bumps]
     monotone = all(a > b for a, b in zip(report.distances, report.distances[1:]))
     within = all(d <= b for d, b in zip(report.distances, bounds))
-    ok = monotone and within and report.within_bounds
+    ok = monotone and within and all(report.within_bounds)
     pairs = ", ".join(
         f"{d:.3e}<={b:.3e}" for d, b in zip(report.distances, bounds)
     )

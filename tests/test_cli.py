@@ -283,6 +283,20 @@ def test_verify_against_tampered_pins_exits_one(tmp_path, capsys):
     assert report["interpolation"]["violations"] == 0  # exact suites unaffected
 
 
+def test_continuity_exits_one_when_any_bound_breaks(tmp_path, monkeypatch):
+    import chgevrey.cli as cli
+    from chgevrey.analyticity import ContinuityReport
+
+    def one_bound_broken(sequence, *args, **kwargs):
+        return ContinuityReport(T=1e-5, distances=(1e-3, 1.0), bounds=(1e-2, 1e-2), budget=1e-6)
+
+    monkeypatch.setattr(cli, "continuity_experiment", one_bound_broken)
+    cfg = write_config(tmp_path, grid={"n_points": 16}, continuity={"amplitudes": [0.1, 0.01]})
+    out = tmp_path / "run"
+    assert main(["continuity", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["within_bounds"] == [True, False]
+
+
 def test_seed_override_lands_in_metadata(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -93,6 +93,23 @@ def test_recording_schedule():
     assert traj.states[0] is u0
 
 
+def test_horizon_off_the_step_grid_ends_at_t_end():
+    # 1.0 is not a whole number of 0.3 steps: the last step shrinks to 0.1
+    u0 = field_from_modes(TorusGrid(8), {0: 0.1})
+    p = ModelParams(alpha=0.3, beta=2.0, gamma=1.0, lam=0.9)
+    traj = integrate(u0, p, SolverConfig(dt=0.3, t_end=1.0))
+    assert list(traj.times) == [0.0, 0.3, 2 * 0.3, 3 * 0.3, 1.0]
+    expected = 0.1 * rk4_poly(-0.3 * p.lam) ** 3 * rk4_poly(-0.1 * p.lam)
+    assert abs(traj.states[-1].coeff(0).real - expected) <= 1e-14
+
+
+def test_whole_step_horizon_keeps_its_step_times():
+    # 0.07/0.01 evaluates to 7.000000000000001; the march still takes 7 full steps
+    u0 = field_from_modes(TorusGrid(8), {0: 0.1})
+    traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.07))
+    assert list(traj.times) == [j * 0.01 for j in range(8)]
+
+
 def test_zero_horizon_records_only_the_datum():
     u0 = cos_field()
     traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.0))

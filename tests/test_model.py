@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chgevrey.integrate import _symmetrize
 from chgevrey.model import (
     ModelParams,
     StateFunctionals,
@@ -26,8 +29,10 @@ from chgevrey.spectral import (
     GevreyIndex,
     SpectralField,
     TorusGrid,
+    derivative,
     field_from_modes,
     gevrey_norm,
+    product,
     product_direct,
     random_field,
     to_physical,
@@ -160,6 +165,116 @@ def test_rhs_matches_direct_convolution_oracle():
         slow = brute_rhs(u, p)
         scale = max(1.0, float(np.max(np.abs(slow.coeffs))))
         assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-12 * scale
+
+
+# --- fused kernel against the product-based references --------------------
+
+coefficient = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+rate = st.floats(min_value=0.1, max_value=2.0)
+model_params = st.builds(
+    ModelParams,
+    alpha=coefficient,
+    beta=coefficient,
+    gamma=coefficient,
+    Gamma_coef=coefficient,
+    lam=rate,
+)
+quadratic_params = st.builds(ModelParams, alpha=coefficient, Gamma_coef=coefficient, lam=rate)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def composed_rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
+    """F assembled from padded product() calls, h_of_u and nonlocal_source."""
+    pad = 1.5 if dealias else 1.0
+    ux = derivative(u)
+    advection = product(u, ux, pad) + p.Gamma_coef * ux
+    return -1.0 * advection - p.lam * u + nonlocal_source(u, p, dealias)
+
+
+def full_band_field(grid: TorusGrid, seed: int, decay: float) -> SpectralField:
+    """Random real field on the whole band, with a real Nyquist coefficient."""
+    rng = np.random.default_rng(seed)
+    half = grid.n_points // 2
+    u = random_field(grid, rng, band=half - 1, decay=decay)
+    c = u.coeffs.copy()
+    c[half] = rng.standard_normal() * half ** (-decay)
+    return u.with_coeffs(c)
+
+
+def convolution_rhs(u: SpectralField, p: ModelParams) -> np.ndarray:
+    """F by np.convolve over modes -n/2..n/2 (Nyquist split as c/2 at both
+    ends), powers formed without truncation, projected onto the stored band."""
+    g = u.grid
+    n, half = g.n_points, g.n_points // 2
+    band = np.arange(-half, half + 1)
+    c = u.coeffs[band % n].copy()
+    c[0] = c[-1] = 0.5 * u.coeffs[half]
+    k = 2.0 * math.pi * band / g.period
+    cx = 1j * k * c
+    cx[0] = cx[-1] = 0.0
+    u2 = np.convolve(c, c)
+    u3 = np.convolve(u2, c)
+    u4 = np.convolve(u3, c)
+
+    def stored(full):  # modes -n/2+1..n/2 of a centred convolution, in FFT order
+        mid = (len(full) - 1) // 2
+        out = np.empty(n, dtype=np.complex128)
+        out[band[1:] % n] = full[mid - half + 1 : mid + half + 1]
+        return out
+
+    inner = (
+        stored(u2)
+        + 0.5 * stored(np.convolve(cx, cx))
+        - (p.beta / 3.0) * stored(u3)
+        - (p.gamma / 4.0) * stored(u4)
+        - (p.alpha + p.Gamma_coef) * u.coeffs
+    )
+    ik = 1j * g.wavenumbers
+    ik[half] = 0.0
+    advection = stored(np.convolve(c, cx)) + p.Gamma_coef * ik * u.coeffs
+    return -advection - p.lam * u.coeffs - ik / (1.0 + g.wavenumbers**2) * inner
+
+
+def assert_close(fast: np.ndarray, reference: np.ndarray, rel: float) -> None:
+    scale = float(np.max(np.abs(reference)))
+    assert np.max(np.abs(fast - reference)) <= rel * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 64, 256]), seeds, model_params, st.booleans())
+def test_fused_rhs_matches_composition_on_band_limited_data(n, seed, p, dealias):
+    grid = TorusGrid(n)
+    u = random_field(grid, np.random.default_rng(seed), band=n // 8, decay=1.0)
+    assert_close(rhs(u, p, dealias).coeffs, composed_rhs(u, p, dealias).coeffs, 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 64]), seeds, quadratic_params, st.booleans())
+def test_fused_rhs_matches_composition_on_full_band_quadratic_data(n, seed, p, dealias):
+    # the Nyquist split reproduces product()'s corner convention once symmetrized
+    u = full_band_field(TorusGrid(n), seed, decay=1.0)
+    fast = _symmetrize(rhs(u, p, dealias)).coeffs
+    assert_close(fast, _symmetrize(composed_rhs(u, p, dealias)).coeffs, 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 64]), seeds, model_params)
+def test_aliased_fused_rhs_matches_composition_on_full_band_quartic_data(n, seed, p):
+    # with no padding the product() chain wraps instead of truncating, so the
+    # two agree on any datum
+    u = full_band_field(TorusGrid(n), seed, decay=1.0)
+    fast = _symmetrize(rhs(u, p, dealias=False)).coeffs
+    assert_close(fast, _symmetrize(composed_rhs(u, p, dealias=False)).coeffs, 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([16, 64]), seeds, model_params)
+def test_fused_rhs_matches_untruncated_convolution_oracle(n, seed, p):
+    # the fused kernel keeps u^3 and u^4 whole; the product() chain would
+    # truncate u^2 and u^3 to the band and differ on this full-band datum
+    u = full_band_field(TorusGrid(n), seed, decay=1.0)
+    oracle = _symmetrize(u.with_coeffs(convolution_rhs(u, p))).coeffs
+    assert_close(_symmetrize(rhs(u, p)).coeffs, oracle, 1e-14)
 
 
 # --- smallness functional -------------------------------------------------

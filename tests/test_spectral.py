@@ -67,6 +67,16 @@ def test_grid_mode_layout():
     assert gp.wavenumbers[1] == pytest.approx(0.5)
 
 
+def test_grid_symbols_are_cached_read_only():
+    g = TorusGrid(8)
+    for arr in (g.modes, g.wavenumbers, g.mirror):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert g.wavenumbers is g.wavenumbers
+    assert list(g.mirror) == [0, 7, 6, 5, 4, 3, 2, 1]
+
+
 # --- transforms -----------------------------------------------------------
 
 
