@@ -44,7 +44,6 @@ __all__ = [
     "lifespan_bounds",
     "delta_of_tau",
     "delta_of_tau_window",
-    "delta_of_tau_in_range",
     "ea_norm",
     "radius_ode_init",
     "radius_ode_advance",
@@ -230,12 +229,6 @@ def delta_of_tau(tau: float, delta: float, sigma: float, a: float) -> float:
     inv_sigma = 1.0 / sigma
     bracket = root_arg**inv_sigma - (pow_gap + (2.0 ** (sigma + 1.0) - 1.0) * tau / a) ** inv_sigma
     return 0.5 * (1.0 + delta) + 0.5 ** (2.0 + inv_sigma) * bracket
-
-
-def delta_of_tau_in_range(tau: float, delta: float, sigma: float, a: float) -> bool:
-    """Whether the schedule value stays strictly between delta and 1."""
-    value = delta_of_tau(tau, delta, sigma, a)
-    return delta < value < 1.0
 
 
 # --- weighted sup norm over (time, width) -------------------------------------
@@ -439,21 +432,22 @@ def calibrate_radius_constant(
 
     Larger multipliers only lower the theory curve, so the doubling search is
     monotone.  The t=0 comparison is multiplier-independent (theory starts at
-    delta0); if it already fails, no multiplier can help.
+    delta0); if it already fails, no multiplier can help.  Records whose fit
+    is NaN are skipped; when no record up to t_max has a finite fit there is
+    nothing to calibrate against, and CalibrationError is raised.
     """
     for j in range(max_doublings + 1):
         c_cal = c_algebra * 2.0**j
         records = track_radius(traj, p, sigma, s, delta0, c_cal, attach=False)
-        ok = True
-        for r in records:
-            if r.t > t_max or math.isnan(r.delta_fit):
-                continue
-            if r.delta_theory > r.delta_fit * (1.0 + 1e-12):
-                ok = False
-                break
-        if ok:
+        comparable = [r for r in records if r.t <= t_max and not math.isnan(r.delta_fit)]
+        if not comparable:
+            raise CalibrationError(
+                f"no record up to t = {t_max:g} has a finite decay fit; "
+                "nothing to calibrate against"
+            )
+        if all(r.delta_theory <= r.delta_fit * (1.0 + 1e-12) for r in comparable):
             return c_cal
-        if records and not math.isnan(records[0].delta_fit) and records[0].delta_fit < delta0:
+        if not math.isnan(records[0].delta_fit) and records[0].delta_fit < delta0:
             raise CalibrationError(
                 f"measured rate {records[0].delta_fit:.4g} at t=0 is below "
                 f"delta0 = {delta0}; no multiplier can fix the start"

@@ -23,8 +23,10 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from . import __version__
 from .analyticity import (
     CalibrationError,
     ExperimentError,
+    RadiusRecord,
+    WindowError,
     calibrate_radius_constant,
     continuity_experiment,
     lifespan_bounds,
@@ -62,49 +66,7 @@ GENERATORS = ("cosine", "gaussian_bump", "exp_decay_modes", "coeff_file")
 
 
 class ConfigError(ValueError):
-    """Invalid or ill-typed configuration; the message names the field."""
-
-
-# --- config ingestion -----------------------------------------------------------
-
-
-def _require_dict(blob, field: str) -> dict:
-    value = blob.get(field, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{field}: expected an object, got {type(value).__name__}")
-    return dict(value)
-
-
-def _label(field: str, key: str) -> str:
-    return f"{field}.{key}" if field else key
-
-
-def _pop_number(section: dict, field: str, key: str, default: float) -> float:
-    value = section.pop(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{_label(field, key)}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{_label(field, key)}: must be finite, got {value!r}")
-    return float(value)
-
-
-def _pop_int(section: dict, field: str, key: str, default: int) -> int:
-    value = section.pop(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{_label(field, key)}: expected an integer, got {value!r}")
-    return value
-
-
-def _pop_bool(section: dict, field: str, key: str, default: bool) -> bool:
-    value = section.pop(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{_label(field, key)}: expected true/false, got {value!r}")
-    return value
-
-
-def _warn_unknown(section: dict, field: str) -> None:
-    for key in section:
-        warnings.warn(f"unknown config key {_label(field, key)} ignored", stacklevel=3)
+    """Invalid or ill-typed configuration; the message starts with the dotted key."""
 
 
 @dataclass(frozen=True)
@@ -147,10 +109,7 @@ class InitialDataSpec:
             return field_from_modes(grid, amps)
         if self.name == "coeff_file":
             return self._from_file(grid)
-        raise ConfigError(
-            f"initial_data.name: unknown generator {self.name!r}; "
-            f"choose one of {', '.join(GENERATORS)}"
-        )
+        raise ConfigError(f"initial_data.name: unknown generator {self.name!r}")
 
     def _from_file(self, grid: TorusGrid) -> SpectralField:
         amps: dict[int, complex] = {}
@@ -183,6 +142,110 @@ class InitialDataSpec:
         return field_from_modes(grid, amps)
 
 
+# --- config ingestion -----------------------------------------------------------
+# One reader per kind of value: each takes the dotted key and the raw JSON value
+# and returns the typed value or raises ConfigError naming the key.
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    return number
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected true/false, got {value!r}")
+    return value
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
+def _numbers(key: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{key}: expected a non-empty list, got {value!r}")
+    return tuple(_number(key, v) for v in value)
+
+
+# range checks: (predicate, what the value must be)
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+
+
+def _at_least(bound) -> tuple:
+    return (lambda v: v >= bound, f"must be at least {bound}")
+
+
+def _one_of(choices) -> tuple:
+    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
+
+
+class _Field(NamedTuple):
+    """One config key, the RunConfig attribute it fills (``section.field`` for a
+    field of a section dataclass), its reader, its default (None: optional,
+    MISSING: required) and an optional range check."""
+
+    key: str
+    attr: str
+    read: Callable
+    default: object = MISSING
+    check: tuple | None = None
+
+
+# the one description of the config: parse_config reads it, _config_blob
+# writes it back, and the README example lists exactly these keys
+FIELDS = (
+    _Field("subcommand", "subcommand", _text, "simulate", _one_of(SUBCOMMANDS)),
+    _Field("model.alpha", "model.alpha", _number, 0.0),
+    _Field("model.beta", "model.beta", _number, 0.0),
+    _Field("model.gamma", "model.gamma", _number, 0.0),
+    _Field("model.Gamma", "model.Gamma_coef", _number, 0.0),
+    _Field("model.lambda", "model.lam", _number, 1.0, _POSITIVE),
+    _Field("model.epsilon", "model.epsilon", _number, 0.1, _POSITIVE),
+    _Field("grid.n_points", "grid.n_points", _integer, 256),
+    _Field("grid.period", "grid.period", _number, 2.0 * math.pi),
+    _Field("gevrey.sigma", "gevrey.sigma", _number, 1.0, _at_least(1)),
+    _Field("gevrey.delta", "gevrey.delta", _number, 0.5),
+    _Field("gevrey.s", "gevrey.s", _number, 2.0),
+    _Field("solver.dt", "solver.dt", _number, 0.01),
+    _Field("solver.t_end", "solver.t_end", _number, 1.0),
+    _Field("solver.record_every", "solver.record_every", _integer, 1),
+    _Field("solver.dealias", "solver.dealias", _flag, True),
+    _Field("solver.s_monitor", "solver.s_monitor", _number, None),  # None: gevrey.s
+    _Field("initial_data.name", "initial_data.name", _text, MISSING, _one_of(GENERATORS)),
+    _Field("initial_data.amplitude", "initial_data.amplitude", _number, 1.0),
+    _Field("initial_data.mode", "initial_data.mode", _integer, 1),
+    _Field("initial_data.rate", "initial_data.rate", _number, 1.0),
+    _Field("initial_data.width", "initial_data.width", _number, 0.5),
+    _Field("initial_data.center", "initial_data.center", _number, None),
+    _Field("initial_data.path", "initial_data.path", _text, None),
+    _Field("output_dir", "output_dir", _text, "."),
+    _Field("seed", "seed", _integer, 42),
+    _Field("c_prime", "c_prime", _number, 1.0, _POSITIVE),
+    _Field("picard.n_iters", "picard_iters", _integer, 8),
+    _Field("picard.n_nodes", "picard_nodes", _integer, 129, _at_least(2)),
+    _Field("picard.horizon", "picard_horizon", _number, None, _POSITIVE),
+    _Field("continuity.mode", "continuity_mode", _integer, 2),
+    _Field("continuity.amplitudes", "continuity_amplitudes", _numbers, (0.1, 0.01, 0.001, 0.0001)),
+    _Field("continuity.budget", "continuity_budget", _number, 1e-6),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run description (defaults applied, ranges checked)."""
@@ -194,18 +257,24 @@ class RunConfig:
     gevrey: GevreyIndex
     initial_data: InitialDataSpec
     output_dir: Path
-    seed: int = 42
-    c_prime: float = 1.0
-    picard_iters: int = 8
-    picard_nodes: int = 129
-    picard_horizon: float | None = None
-    continuity_mode: int = 2
-    continuity_amplitudes: tuple = (0.1, 0.01, 0.001, 0.0001)
-    continuity_budget: float = 1e-6
+    seed: int
+    c_prime: float
+    picard_iters: int
+    picard_nodes: int
+    picard_horizon: float | None
+    continuity_mode: int
+    continuity_amplitudes: tuple
+    continuity_budget: float
+
+
+# each config section is built as the dataclass that RunConfig declares for it
+_SECTION_TYPES = get_type_hints(RunConfig)
+# the trajectory.csv columns are RadiusRecord's fields, in order
+_CSV_ROW = attrgetter(*(f.name for f in fields(RadiusRecord)))
 
 
 def parse_config(path) -> RunConfig:
-    """Read a JSON config, fill defaults, and validate every field.
+    """Read a JSON config, fill defaults, and validate every key in FIELDS.
 
     Missing or ill-typed fields raise ConfigError naming the field; unknown
     keys only warn, so configs stay forward compatible.
@@ -219,242 +288,86 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(blob, dict):
         raise ConfigError("config must be a JSON object")
-    blob = dict(blob)
 
-    subcommand = blob.pop("subcommand", "simulate")
-    if subcommand not in SUBCOMMANDS:
-        raise ConfigError(
-            f"subcommand: {subcommand!r} is not one of {', '.join(SUBCOMMANDS)}"
-        )
-
-    model_sec = _require_dict(blob, "model")
-    blob.pop("model", None)
-    lam = _pop_number(model_sec, "model", "lambda", 1.0)
-    if lam <= 0.0:
-        raise ConfigError("model.lambda: the dissipation rate must be positive")
-    epsilon = _pop_number(model_sec, "model", "epsilon", 0.1)
-    if epsilon <= 0.0:
-        raise ConfigError("model.epsilon: the smallness threshold must be positive")
-    model = ModelParams(
-        alpha=_pop_number(model_sec, "model", "alpha", 0.0),
-        beta=_pop_number(model_sec, "model", "beta", 0.0),
-        gamma=_pop_number(model_sec, "model", "gamma", 0.0),
-        Gamma_coef=_pop_number(model_sec, "model", "Gamma", 0.0),
-        lam=lam,
-        epsilon=epsilon,
-    )
-    _warn_unknown(model_sec, "model")
-
-    grid_sec = _require_dict(blob, "grid")
-    blob.pop("grid", None)
-    n_points = _pop_int(grid_sec, "grid", "n_points", 256)
-    period = _pop_number(grid_sec, "grid", "period", 2.0 * math.pi)
-    _warn_unknown(grid_sec, "grid")
-    try:
-        grid = TorusGrid(n_points, period)
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
-
-    gevrey_sec = _require_dict(blob, "gevrey")
-    blob.pop("gevrey", None)
-    sigma = _pop_number(gevrey_sec, "gevrey", "sigma", 1.0)
-    if sigma < 1.0:
-        raise ConfigError("gevrey.sigma: the Gevrey exponent must be at least 1")
-    delta = _pop_number(gevrey_sec, "gevrey", "delta", 0.5)
-    s = _pop_number(gevrey_sec, "gevrey", "s", 2.0)
-    _warn_unknown(gevrey_sec, "gevrey")
-    try:
-        gevrey = GevreyIndex(sigma, delta, s)
-    except ValueError as err:
-        raise ConfigError(f"gevrey: {err}") from err
-
-    solver_sec = _require_dict(blob, "solver")
-    blob.pop("solver", None)
-    try:
-        solver = SolverConfig(
-            dt=_pop_number(solver_sec, "solver", "dt", 0.01),
-            t_end=_pop_number(solver_sec, "solver", "t_end", 1.0),
-            record_every=_pop_int(solver_sec, "solver", "record_every", 1),
-            dealias=_pop_bool(solver_sec, "solver", "dealias", True),
-            s_monitor=_pop_number(solver_sec, "solver", "s_monitor", gevrey.s),
-        )
-    except ValueError as err:
-        raise ConfigError(f"solver: {err}") from err
-    _warn_unknown(solver_sec, "solver")
-
-    data_sec = _require_dict(blob, "initial_data")
-    if "initial_data" not in blob:
-        raise ConfigError("initial_data: required section is missing")
-    blob.pop("initial_data", None)
-    name = data_sec.pop("name", None)
-    if not isinstance(name, str):
-        raise ConfigError("initial_data.name: expected a generator name string")
-    data_path = data_sec.pop("path", None)
-    if name == "coeff_file":
-        if not isinstance(data_path, str):
-            raise ConfigError("initial_data.path: coeff_file needs a file path")
-        if not Path(data_path).is_file():
-            raise ConfigError(f"initial_data.path: no such file: {data_path}")
-    center = data_sec.pop("center", None)
-    if center is not None and (isinstance(center, bool) or not isinstance(center, (int, float))):
-        raise ConfigError(f"initial_data.center: expected a number, got {center!r}")
-    initial_data = InitialDataSpec(
-        name=name,
-        amplitude=_pop_number(data_sec, "initial_data", "amplitude", 1.0),
-        mode=_pop_int(data_sec, "initial_data", "mode", 1),
-        rate=_pop_number(data_sec, "initial_data", "rate", 1.0),
-        width=_pop_number(data_sec, "initial_data", "width", 0.5),
-        center=None if center is None else float(center),
-        path=data_path,
-    )
-    if name not in GENERATORS:
-        raise ConfigError(
-            f"initial_data.name: unknown generator {name!r}; "
-            f"choose one of {', '.join(GENERATORS)}"
-        )
-    _warn_unknown(data_sec, "initial_data")
-
-    output_dir = blob.pop("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a path string, got {output_dir!r}")
-    seed = _pop_int(blob, "", "seed", 42)
-    c_prime = _pop_number(blob, "", "c_prime", 1.0)
-    if c_prime <= 0.0:
-        raise ConfigError("c_prime: must be positive")
-
-    picard_sec = _require_dict(blob, "picard")
-    blob.pop("picard", None)
-    picard_iters = _pop_int(picard_sec, "picard", "n_iters", 8)
-    picard_nodes = _pop_int(picard_sec, "picard", "n_nodes", 129)
-    horizon = picard_sec.pop("horizon", None)
-    if horizon is not None:
-        if isinstance(horizon, bool) or not isinstance(horizon, (int, float)):
-            raise ConfigError(f"picard.horizon: expected a number, got {horizon!r}")
-        if not horizon > 0.0:
-            raise ConfigError("picard.horizon: must be positive")
-    _warn_unknown(picard_sec, "picard")
-
-    cont_sec = _require_dict(blob, "continuity")
-    blob.pop("continuity", None)
-    cont_mode = _pop_int(cont_sec, "continuity", "mode", 2)
-    cont_budget = _pop_number(cont_sec, "continuity", "budget", 1e-6)
-    amps = cont_sec.pop("amplitudes", [0.1, 0.01, 0.001, 0.0001])
-    if not isinstance(amps, list) or not amps:
-        raise ConfigError("continuity.amplitudes: expected a non-empty list")
-    for a in amps:
-        if isinstance(a, bool) or not isinstance(a, (int, float)):
-            raise ConfigError(f"continuity.amplitudes: expected numbers, got {a!r}")
-    _warn_unknown(cont_sec, "continuity")
-
-    _warn_unknown(blob, "config")
-    return RunConfig(
-        subcommand=subcommand,
-        model=model,
-        grid=grid,
-        solver=solver,
-        gevrey=gevrey,
-        initial_data=initial_data,
-        output_dir=Path(output_dir),
-        seed=seed,
-        c_prime=c_prime,
-        picard_iters=picard_iters,
-        picard_nodes=picard_nodes,
-        picard_horizon=None if horizon is None else float(horizon),
-        continuity_mode=cont_mode,
-        continuity_amplitudes=tuple(float(a) for a in amps),
-        continuity_budget=cont_budget,
-    )
+    unread = {"": dict(blob)}  # per section, the keys no row has read yet
+    top, parts = {}, {}
+    for f in FIELDS:
+        name, _, key = f.key.rpartition(".")
+        if name not in unread:
+            section = unread[""].pop(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
+            unread[name] = dict(section)
+        value = unread[name].pop(key, f.default)
+        if value is MISSING:
+            raise ConfigError(f"{f.key}: required key is missing")
+        if value is not None or f.default is not None:  # None keeps an optional key unset
+            value = f.read(f.key, value)
+            if f.check is not None and not f.check[0](value):
+                raise ConfigError(f"{f.key}: {f.check[1]}, got {value!r}")
+        head, _, attr = f.attr.rpartition(".")
+        (parts.setdefault(head, {}) if head else top)[attr] = value
+    for name, section in unread.items():
+        for key in section:
+            dotted = f"{name}.{key}" if name else key
+            warnings.warn(f"unknown config key {dotted} ignored", stacklevel=2)
+    if parts["solver"]["s_monitor"] is None:
+        parts["solver"]["s_monitor"] = parts["gevrey"]["s"]
+    data_path = parts["initial_data"]["path"]
+    if parts["initial_data"]["name"] == "coeff_file" and not Path(data_path or "").is_file():
+        raise ConfigError(f"initial_data.path: no coefficient file at {data_path!r}")
+    for head, kwargs in parts.items():
+        try:
+            top[head] = _SECTION_TYPES[head](**kwargs)
+        except ValueError as err:
+            raise ConfigError(f"{head}: {err}") from err
+    top["output_dir"] = Path(top["output_dir"])
+    return RunConfig(**top)
 
 
 # --- artifact writers -----------------------------------------------------------
 
 
 def _config_blob(cfg: RunConfig) -> dict:
-    return {
-        "subcommand": cfg.subcommand,
-        "model": {
-            "alpha": cfg.model.alpha,
-            "beta": cfg.model.beta,
-            "gamma": cfg.model.gamma,
-            "Gamma": cfg.model.Gamma_coef,
-            "lambda": cfg.model.lam,
-            "epsilon": cfg.model.epsilon,
-        },
-        "grid": {"n_points": cfg.grid.n_points, "period": cfg.grid.period},
-        "solver": {
-            "dt": cfg.solver.dt,
-            "t_end": cfg.solver.t_end,
-            "record_every": cfg.solver.record_every,
-            "dealias": cfg.solver.dealias,
-            "s_monitor": cfg.solver.s_monitor,
-        },
-        "gevrey": {
-            "sigma": cfg.gevrey.sigma,
-            "delta": cfg.gevrey.delta,
-            "s": cfg.gevrey.s,
-        },
-        "initial_data": {
-            "name": cfg.initial_data.name,
-            "amplitude": cfg.initial_data.amplitude,
-            "mode": cfg.initial_data.mode,
-            "rate": cfg.initial_data.rate,
-            "width": cfg.initial_data.width,
-            "center": cfg.initial_data.center,
-            "path": cfg.initial_data.path,
-        },
-        "output_dir": str(cfg.output_dir),
-        "seed": cfg.seed,
-        "c_prime": cfg.c_prime,
-        "picard": {
-            "n_iters": cfg.picard_iters,
-            "n_nodes": cfg.picard_nodes,
-            "horizon": cfg.picard_horizon,
-        },
-        "continuity": {
-            "mode": cfg.continuity_mode,
-            "amplitudes": list(cfg.continuity_amplitudes),
-            "budget": cfg.continuity_budget,
-        },
-    }
+    """The resolved config as nested JSON sections, read back through FIELDS."""
+    blob: dict = {}
+    for f in FIELDS:
+        value = attrgetter(f.attr)(cfg)
+        name, _, key = f.key.rpartition(".")
+        section = blob.setdefault(name, {}) if name else blob
+        section[key] = str(value) if isinstance(value, Path) else value
+    return blob
+
+
+def _strict(value):
+    """Non-finite floats become null, so every artifact parses as strict JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _write_json(path: Path, blob: dict) -> None:
-    path.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(_strict(blob), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
-def _write_metadata(
-    out: Path, cfg: RunConfig, pins: EmpiricalConstants, **extra
-) -> None:
+def _write_metadata(out: Path, cfg: RunConfig, pins: EmpiricalConstants, **extra) -> None:
     blob = {
         "version": __version__,
         "config": _config_blob(cfg),
-        "pinned_constants": {
-            "C_s_algebra": pins.C_s_algebra,
-            "C_bar_s": pins.C_bar_s,
-            "C_sym_lemma": pins.C_sym_lemma,
-            "C_commutator": pins.C_commutator,
-            "pin_date_metadata": pins.pin_date_metadata,
-        },
+        "pinned_constants": pins.as_dict(),
         "blowup_time": None,
+        **extra,
     }
-    blob.update(extra)
     _write_json(out / "metadata.json", blob)
 
 
 def _write_trajectory_csv(path: Path, records) -> None:
-    lines = [CSV_HEADER]
-    for r in records:
-        row = (
-            r.t,
-            r.sobolev_s,
-            r.gevrey_at_delta_theory,
-            r.delta_fit,
-            r.delta_theory,
-            r.f_val,
-            r.b_val,
-            r.H_val,
-        )
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines = [CSV_HEADER] + [",".join(f"{v:.17g}" for v in _CSV_ROW(r)) for r in records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -490,7 +403,6 @@ def _run_simulate(cfg: RunConfig, out: Path, pins) -> int:
             # blow-up itself is already recorded, so emit an empty table
             if blowup_time is None:
                 raise
-            records = []
     _write_trajectory_csv(out / "trajectory.csv", records)
     if blowup_time is not None:
         print(f"blow-up at t = {blowup_time:.6g}; partial trajectory written")
@@ -582,10 +494,13 @@ def _run_radius(cfg: RunConfig, out: Path, pins) -> int:
 
 def _run_continuity(cfg: RunConfig, out: Path) -> int:
     limit = cfg.initial_data.build(cfg.grid)
-    bumps = [
-        field_from_modes(cfg.grid, {cfg.continuity_mode: amp / 2.0})
-        for amp in cfg.continuity_amplitudes
-    ]
+    try:
+        bumps = [
+            field_from_modes(cfg.grid, {cfg.continuity_mode: amp / 2.0})
+            for amp in cfg.continuity_amplitudes
+        ]
+    except ValueError as err:
+        raise ConfigError(f"continuity.mode: {err}") from err
     sequence = [limit + bump for bump in bumps]
     try:
         report = continuity_experiment(
@@ -628,17 +543,20 @@ def _run_picard(cfg: RunConfig, out: Path) -> int:
             2.0**sigma - 1.0
         )
         horizon = window / 2.0
-    result = picard_iterate(
-        u0,
-        cfg.model,
-        sigma,
-        s,
-        horizon,
-        cfg.picard_iters,
-        n_nodes=cfg.picard_nodes,
-        c_prime=cfg.c_prime,
-        dealias=cfg.solver.dealias,
-    )
+    try:
+        result = picard_iterate(
+            u0,
+            cfg.model,
+            sigma,
+            s,
+            horizon,
+            cfg.picard_iters,
+            n_nodes=cfg.picard_nodes,
+            c_prime=cfg.c_prime,
+            dealias=cfg.solver.dealias,
+        )
+    except WindowError as err:
+        raise ConfigError(f"picard.horizon: {err}") from err
     print("differences:", " ".join(f"{d:.3e}" for d in result.diffs))
     print("ratios:     ", " ".join(f"{r:.4f}" for r in result.ratios))
     if result.converged_at is not None:

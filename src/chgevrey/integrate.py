@@ -191,10 +191,11 @@ def picard_iterate(
 
     The zeroth iterate is the constant-in-time datum; integrals use composite
     trapezoid on ``n_nodes`` uniform nodes.  ``T`` must sit inside the
-    fixed-point existence window computed from the datum (disable with
-    ``enforce_window=False`` to study divergence).
+    fixed-point existence window computed from the datum, else WindowError is
+    raised (disable with ``enforce_window=False`` to study divergence).
     """
-    from .analyticity import ea_norm, lifespan_bounds  # deferred: avoids an import cycle
+    # deferred: avoids an import cycle
+    from .analyticity import WindowError, ea_norm, lifespan_bounds
     from .spectral import GevreyIndex, gevrey_norm
 
     if n_nodes < 2:
@@ -205,7 +206,7 @@ def picard_iterate(
         norm0 = gevrey_norm(u0, GevreyIndex(sigma, 1.0, s))
         window = lifespan_bounds(norm0, sigma, c_prime).T0_closed_form / (2.0**sigma - 1.0)
         if T > window:
-            raise ValueError(
+            raise WindowError(
                 f"horizon {T:.3g} exceeds the existence window {window:.3g}; "
                 "pass enforce_window=False to study divergence"
             )

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    GevreyIndex,
     SpectralField,
     derivative,
-    gevrey_norm,
     helmholtz,
     helmholtz_inv,
     product,
@@ -32,14 +30,12 @@ from .spectral import (
 
 __all__ = [
     "ModelParams",
-    "StateFunctionals",
     "h_of_u",
     "nonlocal_source",
     "rhs",
     "functional_H",
     "small_data_check",
     "formulation_residual",
-    "lipschitz_ratio",
 ]
 
 # padding that keeps quartic powers alias-free on the stored band
@@ -66,21 +62,6 @@ class ModelParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if not (self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class StateFunctionals:
-    """Smallness functional at t=0 and at a later time, for monotonicity checks."""
-
-    H0: float
-    H_t: float
-    s: float
-
-    def __post_init__(self):
-        if not (self.s > 1.5):
-            raise ValueError(f"s must exceed 3/2, got {self.s}")
-        if self.H0 < 0.0 or self.H_t < 0.0:
-            raise ValueError("functional values must be nonnegative")
 
 
 def h_of_u(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
@@ -211,25 +192,3 @@ def formulation_residual(u: SpectralField, p: ModelParams) -> float:
     diff = lifted - local
     return float(np.max(np.abs(to_physical(diff, imag_tol=np.inf))))
 
-
-def lipschitz_ratio(
-    u: SpectralField,
-    v: SpectralField,
-    p: ModelParams,
-    sigma: float,
-    delta_wide: float,
-    delta_narrow: float,
-    s: float,
-) -> float:
-    """||F(u)-F(v)||_{G^{delta_narrow}} / ||u-v||_{G^{delta_wide}} for one pair.
-
-    The narrower index must lose width (delta_narrow < delta_wide); the ratio
-    is what the fixed-point argument bounds by L/(delta_wide-delta_narrow)^sigma.
-    """
-    if not (delta_narrow < delta_wide):
-        raise ValueError("need delta_narrow < delta_wide")
-    num = gevrey_norm(rhs(u, p) - rhs(v, p), GevreyIndex(sigma, delta_narrow, s))
-    den = gevrey_norm(u - v, GevreyIndex(sigma, delta_wide, s))
-    if den == 0.0:
-        raise ValueError("u and v coincide; ratio undefined")
-    return num / den

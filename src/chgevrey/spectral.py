@@ -32,7 +32,6 @@ __all__ = [
     "GridMismatchError",
     "SymmetryError",
     "NonFiniteError",
-    "ModeOverflowError",
     "NormOverflowError",
     "to_spectral",
     "to_physical",
@@ -41,7 +40,6 @@ __all__ = [
     "derivative",
     "helmholtz",
     "helmholtz_inv",
-    "gevrey_multiplier",
     "sobolev_norm",
     "gevrey_norm",
     "gevrey_norm_bar",
@@ -60,14 +58,6 @@ class SymmetryError(ValueError):
 
 class NonFiniteError(ValueError):
     """Coefficients or samples contain NaN/inf."""
-
-
-class ModeOverflowError(OverflowError):
-    """An exponential weight overflowed at a specific mode."""
-
-    def __init__(self, mode: int, message: str | None = None):
-        self.mode = mode
-        super().__init__(message or f"weighted coefficient overflowed at mode {mode}")
 
 
 class NormOverflowError(OverflowError):
@@ -297,30 +287,6 @@ def helmholtz(field: SpectralField) -> SpectralField:
 def helmholtz_inv(field: SpectralField) -> SpectralField:
     """(1 - d^2/dx^2)^{-1}: divide by (1 + k^2)."""
     return field.with_coeffs(field.coeffs / (1.0 + field.grid.wavenumbers**2))
-
-
-def gevrey_multiplier(field: SpectralField, delta: float, sigma: float) -> SpectralField:
-    """Apply exp(delta*(1+k^2)^(1/(2*sigma))) mode by mode, in log space.
-
-    ``delta`` may be negative (smoothing direction).  A non-finite weighted
-    coefficient raises ModeOverflowError naming the first offending mode.
-    """
-    if not (sigma >= 1.0):
-        raise ValueError(f"sigma must be >= 1, got {sigma}")
-    if delta == 0.0:
-        return field.with_coeffs(field.coeffs.copy())
-    k2 = field.grid.wavenumbers**2
-    log_weight = delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
-    mag = np.abs(field.coeffs)
-    out = np.zeros_like(field.coeffs)
-    nz = mag > 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(log_weight[nz] + np.log(mag[nz]))
-        out[nz] = scale * (field.coeffs[nz] / mag[nz])
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise ModeOverflowError(int(field.grid.modes[bad]))
-    return field.with_coeffs(out)
 
 
 # --- norms --------------------------------------------------------------------

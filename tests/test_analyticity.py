@@ -26,7 +26,6 @@ from chgevrey import (
     calibrate_radius_constant,
     continuity_experiment,
     delta_of_tau,
-    delta_of_tau_in_range,
     delta_of_tau_window,
     ea_norm,
     estimate_radius,
@@ -187,7 +186,7 @@ def test_schedule_stays_between_delta_and_one(sigma, delta, a, frac):
     value = delta_of_tau(tau, delta, sigma, a)
     assert delta - 1e-12 <= value <= (1.0 + delta) / 2.0 + 1e-12
     if frac < 0.999:
-        assert delta_of_tau_in_range(tau, delta, sigma, a)
+        assert delta < value < 1.0
 
 
 # --- weighted sup norm ----------------------------------------------------------

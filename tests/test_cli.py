@@ -2,19 +2,31 @@
 
 import json
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chgevrey import TorusGrid, to_physical
+from chgevrey import ModelParams, TorusGrid, Trajectory, field_from_modes, to_physical
 from chgevrey.cli import (
     CSV_HEADER,
+    FIELDS,
+    GENERATORS,
+    SUBCOMMANDS,
     ConfigError,
     InitialDataSpec,
+    _config_blob,
+    _write_json,
     main,
     parse_config,
 )
-from chgevrey.verify import EmpiricalConstants, save_pins
+from chgevrey.verify import EmpiricalConstants, save_pins, verify_H_monotone
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -97,6 +109,176 @@ def test_unknown_generator_rejected(tmp_path):
     path = write_config(tmp_path, initial_data={"name": "sawtooth"})
     with pytest.raises(ConfigError, match="initial_data.name"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.key)
+def test_every_key_rejects_an_illtyped_value_naming_itself(tmp_path, field):
+    blob = {"initial_data": {"name": "cosine"}}
+    section, _, key = field.key.rpartition(".")
+    (blob.setdefault(section, {}) if section else blob)[key] = {"not": "a value"}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value).startswith(f"{field.key}: ")
+
+
+def _readme_config() -> dict:
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S)
+    return json.loads(block.group(1))
+
+
+def test_readme_example_lists_every_key_and_parses_cleanly(tmp_path):
+    blob = _readme_config()
+    keys = set()
+    for name, value in blob.items():
+        keys |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
+    assert keys == {f.key for f in FIELDS}
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(path)
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+CONFIGS = st.fixed_dictionaries(
+    {
+        "subcommand": st.sampled_from(SUBCOMMANDS),
+        "model": st.fixed_dictionaries(
+            {},
+            optional={
+                "alpha": finite, "beta": finite, "gamma": finite, "Gamma": finite,
+                "lambda": positive, "epsilon": positive,
+            },
+        ),
+        "grid": st.fixed_dictionaries(
+            {}, optional={"n_points": st.integers(4, 32).map(lambda h: 2 * h), "period": positive}
+        ),
+        "gevrey": st.fixed_dictionaries(
+            {},
+            optional={
+                "sigma": st.floats(1.0, 5.0),
+                "delta": st.floats(0.0, 10.0),
+                "s": finite,
+            },
+        ),
+        "solver": st.fixed_dictionaries(
+            {},
+            optional={
+                "dt": positive,
+                "t_end": st.floats(0.0, 1e6),
+                "record_every": st.integers(1, 1000),
+                "dealias": st.booleans(),
+                "s_monitor": finite,
+            },
+        ),
+        "initial_data": st.fixed_dictionaries(
+            {"name": st.sampled_from([g for g in GENERATORS if g != "coeff_file"])},
+            optional={
+                "amplitude": finite,
+                "mode": st.integers(-100, 100),
+                "rate": finite,
+                "width": finite,
+                "center": st.none() | finite,
+                "path": st.none() | st.text("abc/._-", max_size=8),
+            },
+        ),
+        "picard": st.fixed_dictionaries(
+            {},
+            optional={
+                "n_iters": st.integers(0, 50),
+                "n_nodes": st.integers(2, 1000),
+                "horizon": st.none() | positive,
+            },
+        ),
+        "continuity": st.fixed_dictionaries(
+            {},
+            optional={
+                "mode": st.integers(-100, 100),
+                "amplitudes": st.lists(finite, min_size=1, max_size=5),
+                "budget": finite,
+            },
+        ),
+    },
+    optional={
+        "output_dir": st.text("abc/._-", max_size=8),
+        "seed": st.integers(-(2**40), 2**40),
+        "c_prime": positive,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=CONFIGS)
+def test_config_blob_round_trips_through_parse_config(tmp_path_factory, blob):
+    directory = tmp_path_factory.mktemp("round_trip")
+    path = directory / "in.json"
+    path.write_text(json.dumps(blob))
+    cfg = parse_config(path)
+    again = directory / "again.json"
+    again.write_text(json.dumps(_config_blob(cfg)))
+    assert parse_config(again) == cfg
+
+
+def _inf_config(tmp_path, blob) -> Path:
+    # a JSON number literal past the float range: Python reads 1e999 as inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob).replace('"INF"', "1e999"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides, key",
+    [
+        ("picard", {"picard": {"horizon": "INF"}}, "picard.horizon"),
+        (
+            "continuity",
+            {"continuity": {"amplitudes": ["INF"]}, "grid": {"n_points": 16}},
+            "continuity.amplitudes",
+        ),
+        (
+            "lifespan",
+            {"initial_data": {"name": "cosine", "amplitude": 0.0, "center": "INF"}},
+            "initial_data.center",
+        ),
+        ("picard", {"picard": {"n_nodes": 1}}, "picard.n_nodes"),
+        ("continuity", {"continuity": {"mode": 999}}, "continuity.mode"),
+        ("picard", {"picard": {"horizon": 1.0}}, "picard.horizon"),
+    ],
+    ids=[
+        "infinite-horizon",
+        "infinite-amplitude",
+        "infinite-center",
+        "one-node",
+        "mode-outside-band",
+        "horizon-past-window",
+    ],
+)
+def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, subcommand, overrides, key):
+    blob = {"initial_data": {"name": "cosine", "amplitude": 0.01}, **overrides}
+    path = _inf_config(tmp_path, blob)
+    code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+def test_write_json_is_strict_and_writes_nan_as_null(tmp_path):
+    # a datum far above the small-data threshold makes H_monotone skip with a NaN ratio
+    big = field_from_modes(TorusGrid(16), {1: 10.0})
+    report = verify_H_monotone(Trajectory(np.array([0.0]), [big]), ModelParams())
+    assert math.isnan(report.worst_ratio)
+    path = tmp_path / "report.json"
+    _write_json(path, {"H_monotone": report.as_dict(), "ends": (math.inf, 1.5, -math.inf)})
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    blob = json.loads(path.read_text(), parse_constant=reject)
+    assert blob["H_monotone"]["worst_ratio"] is None
+    assert blob["H_monotone"]["status"] == "skip"
+    assert blob["ends"] == [None, 1.5, None]
 
 
 # --- generators -----------------------------------------------------------------
@@ -295,6 +477,20 @@ def test_continuity_exits_one_when_any_bound_breaks(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["continuity", "--config", str(cfg), "--out", str(out)]) == 1
     assert json.loads((out / "report.json").read_text())["within_bounds"] == [True, False]
+
+
+def test_radius_without_a_finite_fit_fails_calibration(tmp_path, capsys):
+    # cos 2x keeps its odd modes at rounding level, so no record has a decay fit
+    cfg = write_config(
+        tmp_path,
+        grid={"n_points": 64},
+        solver={"dt": 0.01, "t_end": 0.5},
+        initial_data={"name": "cosine", "amplitude": 0.5, "mode": 2},
+    )
+    out = tmp_path / "run"
+    assert main(["radius", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "calibration failed: no record" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_seed_override_lands_in_metadata(tmp_path):

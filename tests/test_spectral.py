@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 from chgevrey.spectral import (
     GevreyIndex,
     GridMismatchError,
-    ModeOverflowError,
     NormOverflowError,
     SpectralField,
     SymmetryError,
     TorusGrid,
     derivative,
     field_from_modes,
-    gevrey_multiplier,
     gevrey_norm,
     gevrey_norm_bar,
     helmholtz,
@@ -153,29 +151,6 @@ def test_helmholtz_inverse_pair():
     g = random_field(GRID, rng)
     round_trip = helmholtz(helmholtz_inv(g))
     assert np.max(np.abs(round_trip.coeffs - g.coeffs)) < 1e-12
-
-
-def test_gevrey_multiplier_single_mode():
-    raw = field_from_modes(GRID, {2: 1.0}, hermitian=False)
-    out = gevrey_multiplier(raw, 1.0, 1.0)
-    assert out.coeff(2) == pytest.approx(math.exp(math.sqrt(5.0)))
-
-
-def test_gevrey_multiplier_identity_and_inverse():
-    rng = np.random.default_rng(11)
-    f = random_field(GRID, rng)
-    same = gevrey_multiplier(f, 0.0, 1.0)
-    assert np.max(np.abs(same.coeffs - f.coeffs)) == 0.0
-    there = gevrey_multiplier(f, 0.5, 1.0)
-    back = gevrey_multiplier(there, -0.5, 1.0)
-    assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-10 * np.max(np.abs(f.coeffs))
-
-
-def test_gevrey_multiplier_overflow_names_mode():
-    f = cos_field(31)
-    with pytest.raises(ModeOverflowError) as err:
-        gevrey_multiplier(f, 1e4, 1.0)
-    assert abs(err.value.mode) == 31
 
 
 # --- norms ----------------------------------------------------------------
@@ -318,7 +293,7 @@ def test_product_preserves_hermitian_symmetry():
     # slot has no conjugate partner to mirror into
     f = random_field(GRID, rng, band=GRID.n_points // 8)
     g = random_field(GRID, rng, band=GRID.n_points // 8)
-    for op_out in (product(f, g), derivative(f), helmholtz_inv(f), gevrey_multiplier(f, 0.3, 1.0)):
+    for op_out in (product(f, g), derivative(f), helmholtz_inv(f)):
         assert op_out.hermitian_defect() < 1e-12
 
 
