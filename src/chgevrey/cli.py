@@ -91,6 +91,8 @@ class InitialDataSpec:
             except ValueError as err:
                 raise ConfigError(f"initial_data.mode: {err}") from err
         if self.name == "gaussian_bump":
+            if not self.width > 0.0:  # here, not in FIELDS: other generators ignore width
+                raise ConfigError(f"initial_data.width: must be positive, got {self.width}")
             center = self.center if self.center is not None else grid.period / 2.0
             x = grid.x
             samples = np.zeros_like(x)
@@ -237,7 +239,7 @@ FIELDS = (
     _Field("output_dir", "output_dir", _text, "."),
     _Field("seed", "seed", _integer, 42),
     _Field("c_prime", "c_prime", _number, 1.0, _POSITIVE),
-    _Field("picard.n_iters", "picard_iters", _integer, 8),
+    _Field("picard.n_iters", "picard_iters", _integer, 8, _at_least(1)),
     _Field("picard.n_nodes", "picard_nodes", _integer, 129, _at_least(2)),
     _Field("picard.horizon", "picard_horizon", _number, None, _POSITIVE),
     _Field("continuity.mode", "continuity_mode", _integer, 2),

@@ -200,6 +200,8 @@ def picard_iterate(
 
     if n_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
+    if n_iters < 1:
+        raise ValueError(f"need at least 1 iterate, got {n_iters}")
     if not (T > 0.0):
         raise ValueError(f"horizon must be positive, got {T}")
     if enforce_window:

@@ -14,6 +14,11 @@ Conventions
 * Exponential weights ``exp(delta*(1+k^2)^(1/(2*sigma)))`` are evaluated in
   log space per mode so that heavy weights on tiny coefficients do not
   overflow prematurely.
+* A batch of fields is one ``SpectralField`` with ``(N, n)`` coefficients.
+  The norms, ``product``, ``derivative`` and ``helmholtz_inv`` act on the last
+  axis, so row ``i`` of a batched result equals the call on field ``i`` alone.
+  A single-field norm returns a float and raises ``NormOverflowError``; a
+  batched norm returns an array with ``inf`` in the rows that overflowed.
 """
 
 from __future__ import annotations
@@ -120,16 +125,18 @@ class TorusGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A field stored as its full symmetric band of Fourier coefficients."""
+    """A field stored as its full symmetric band of Fourier coefficients, or a
+    batch of fields with one row of coefficients each."""
 
     grid: TorusGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n_points,):
+        n = self.grid.n_points
+        if c.ndim not in (1, 2) or c.shape[-1] != n:
             raise ValueError(
-                f"coefficient array has shape {c.shape}, expected ({self.grid.n_points},)"
+                f"coefficient array has shape {c.shape}, expected ({n},) or (N, {n})"
             )
         if not np.all(np.isfinite(c)):
             raise NonFiniteError("coefficients must be finite")
@@ -150,7 +157,7 @@ class SpectralField:
     def hermitian_defect(self) -> float:
         """max |c_{-m} - conj(c_m)| over the paired band (0 for a real field)."""
         c = self.coeffs
-        mirrored = np.conj(c[self.grid.mirror])
+        mirrored = np.conj(c[..., self.grid.mirror])
         return float(np.max(np.abs(c - mirrored)))
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
@@ -217,14 +224,17 @@ def to_spectral(samples, grid: TorusGrid) -> SpectralField:
 def to_physical(field: SpectralField, imag_tol: float = 1e-10) -> np.ndarray:
     """Inverse transform to real samples.
 
-    Raises SymmetryError if the imaginary residue exceeds ``imag_tol`` in max
-    norm, which signals a broken Hermitian symmetry upstream.
+    Raises SymmetryError if the imaginary residue exceeds ``imag_tol`` times
+    ``max(1, max |real samples|)`` in max norm, which signals a broken
+    Hermitian symmetry upstream; the relative scale keeps rounding on large
+    samples from tripping it.
     """
     z = np.fft.ifft(field.coeffs) * field.grid.n_points
     residue = float(np.max(np.abs(z.imag)))
-    if residue > imag_tol:
+    limit = imag_tol * max(1.0, float(np.max(np.abs(z.real))))
+    if residue > limit:
         raise SymmetryError(
-            f"imaginary residue {residue:.3e} exceeds {imag_tol:.1e}; "
+            f"imaginary residue {residue:.3e} exceeds {limit:.1e}; "
             "field is not a real signal"
         )
     return z.real.copy()
@@ -256,12 +266,15 @@ def random_field(
     if band is None:
         band = grid.n_points // 4
     band = min(band, grid.n_points // 2 - 1)
+    # draws c_0, re_1, im_1, re_2, ...; (re/sqrt 2) * m**-decay with Python's pow
+    # rounds exactly as the per-mode construction this replaced
+    draws = rng.standard_normal(1 + 2 * band)
+    scale = np.array([m ** (-decay) for m in range(1, band + 1)])
     c = np.zeros(grid.n_points, dtype=np.complex128)
-    c[0] = rng.standard_normal()
-    for m in range(1, band + 1):
-        z = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
-        c[grid.index_of(m)] = z * m ** (-decay)
-        c[grid.index_of(-m)] = np.conj(c[grid.index_of(m)])
+    c[0] = draws[0]
+    c.real[1 : band + 1] = draws[1::2] / math.sqrt(2.0) * scale
+    c.imag[1 : band + 1] = draws[2::2] / math.sqrt(2.0) * scale
+    c[grid.n_points - band :] = np.conj(c[band:0:-1])
     return SpectralField(grid, c)
 
 
@@ -275,7 +288,7 @@ def derivative(field: SpectralField) -> SpectralField:
     coefficient, and i*k*c there has no Hermitian partner.
     """
     c = 1j * field.grid.wavenumbers * field.coeffs
-    c[field.grid.n_points // 2] = 0.0
+    c[..., field.grid.n_points // 2] = 0.0
     return field.with_coeffs(c)
 
 
@@ -292,76 +305,64 @@ def helmholtz_inv(field: SpectralField) -> SpectralField:
 # --- norms --------------------------------------------------------------------
 
 
-def sobolev_norm(field: SpectralField, s: float) -> float:
-    """H^s mode sum: sqrt(sum (1+k^2)^s |c_m|^2)."""
+def sobolev_norm(field: SpectralField, s: float) -> float | np.ndarray:
+    """H^s mode sum: sqrt(sum (1+k^2)^s |c_m|^2); one value per row of a batch."""
     k2 = field.grid.wavenumbers**2
-    with np.errstate(over="ignore"):
-        total = float(np.sum((1.0 + k2) ** s * np.abs(field.coeffs) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum((1.0 + k2) ** s * np.abs(field.coeffs) ** 2, axis=-1)
+    if total.ndim:
+        return np.sqrt(total)
     if not math.isfinite(total):
         raise NormOverflowError(f"H^{s} norm accumulation overflowed")
     return math.sqrt(total)
 
-def _log_mode_terms(field: SpectralField, s: float, log_weight2: np.ndarray) -> np.ndarray:
-    # log of (1+k^2)^s * w^2 * |c|^2 per mode; -inf where the coefficient vanishes
+
+def _sqrt_exp(total: float) -> float:
+    # math.exp per value: np.exp rounds differently on a few percent of inputs
+    try:
+        return math.exp(0.5 * total)
+    except OverflowError:
+        return math.inf
+
+
+def _weighted_norm(
+    field: SpectralField, s: float, log_weight2: np.ndarray, what: str
+) -> float | np.ndarray:
+    """sqrt(sum (1+k^2)^s w^2 |c|^2) with the sum taken in log space."""
     k2 = field.grid.wavenumbers**2
-    mag = np.abs(field.coeffs)
     with np.errstate(divide="ignore"):
-        log_mag2 = 2.0 * np.log(mag)
-    return s * np.log1p(k2) + log_weight2 + log_mag2
-
-
-def _norm_from_log_terms(terms: np.ndarray, what: str) -> float:
-    total = logsumexp(terms)
-    if total == -np.inf:
-        return 0.0
-    with np.errstate(over="ignore"):
-        value = math.exp(0.5 * total) if total < 1420.0 else math.inf
+        log_mag2 = 2.0 * np.log(np.abs(field.coeffs))  # -inf where c vanishes
+    total = logsumexp(s * np.log1p(k2) + log_weight2 + log_mag2, axis=-1)
+    if total.ndim:
+        return np.array([_sqrt_exp(t) for t in total.tolist()])
+    value = _sqrt_exp(float(total))
     if not math.isfinite(value):
         raise NormOverflowError(f"{what} accumulated to a non-finite value")
     return value
 
 
-def gevrey_norm(field: SpectralField, index: GevreyIndex) -> float:
+def gevrey_norm(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """sqrt(sum (1+k^2)^s exp(2*delta*(1+k^2)^(1/(2*sigma))) |c_m|^2)."""
     k2 = field.grid.wavenumbers**2
     lw2 = 2.0 * index.delta * (1.0 + k2) ** (1.0 / (2.0 * index.sigma))
-    terms = _log_mode_terms(field, index.s, lw2)
-    return _norm_from_log_terms(terms, f"Gevrey norm {index}")
+    return _weighted_norm(field, index.s, lw2, f"Gevrey norm {index}")
 
 
-def gevrey_norm_bar(field: SpectralField, index: GevreyIndex) -> float:
+def gevrey_norm_bar(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """Bar variant: weight exp(2*delta*|k|^(1/sigma)) in place of the smooth one."""
     k = np.abs(field.grid.wavenumbers)
     lw2 = 2.0 * index.delta * k ** (1.0 / index.sigma)
-    terms = _log_mode_terms(field, index.s, lw2)
-    return _norm_from_log_terms(terms, f"bar Gevrey norm {index}")
+    return _weighted_norm(field, index.s, lw2, f"bar Gevrey norm {index}")
 
 
 # --- products -----------------------------------------------------------------
 
 
-def _pad_coeffs(field: SpectralField, n_fine: int) -> np.ndarray:
-    """Embed the stored band [-n/2+1, n/2] into a finer FFT-order array.
-
-    Each stored mode keeps its label, including the unpaired +n/2 slot, which
-    matches the band convention of product_direct.
-    """
-    n = field.grid.n_points
-    half = n // 2
-    fine = np.zeros(n_fine, dtype=np.complex128)
-    fine[: half + 1] = field.coeffs[: half + 1]      # modes 0 .. n/2
-    fine[-(half - 1):] = field.coeffs[-(half - 1):]  # modes -n/2+1 .. -1
+def _pad_coeffs(c: np.ndarray, slots: np.ndarray, n_fine: int) -> np.ndarray:
+    """Embed stored coefficients into a finer FFT-order array at ``slots``."""
+    fine = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
+    fine[..., slots] = c
     return fine
-
-
-def _truncate_coeffs(fine: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Project a finer FFT-order array onto the stored band (drop the rest)."""
-    n = grid.n_points
-    half = n // 2
-    out = np.empty(n, dtype=np.complex128)
-    out[: half + 1] = fine[: half + 1]
-    out[-(half - 1):] = fine[-(half - 1):]
-    return out
 
 
 def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> SpectralField:
@@ -385,12 +386,15 @@ def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spec
     if n_fine == n:
         fg = np.fft.fft(np.fft.ifft(f.coeffs) * np.fft.ifft(g.coeffs) * n)
         return f.with_coeffs(fg)
-    cf = _pad_coeffs(f, n_fine)
-    cg = _pad_coeffs(g, n_fine)
+    # the stored band [-n/2+1, n/2] keeps its labels on the fine grid, the
+    # unpaired +n/2 slot included, as in product_direct; the rest is dropped
+    half = n // 2
+    slots = np.r_[0 : half + 1, n_fine - half + 1 : n_fine]
+    cf = _pad_coeffs(f.coeffs, slots, n_fine)
+    cg = _pad_coeffs(g.coeffs, slots, n_fine)
     # 1/n normalization: ifft carries 1/n_fine, one factor of n_fine restores scale
     samples = np.fft.ifft(cf) * np.fft.ifft(cg) * n_fine
-    fine = np.fft.fft(samples)
-    return f.with_coeffs(_truncate_coeffs(fine, f.grid))
+    return f.with_coeffs(np.fft.fft(samples)[..., slots])
 
 
 _DIRECT_MAX_POINTS = 512

@@ -188,7 +188,7 @@ CONFIGS = st.fixed_dictionaries(
         "picard": st.fixed_dictionaries(
             {},
             optional={
-                "n_iters": st.integers(0, 50),
+                "n_iters": st.integers(1, 50),
                 "n_nodes": st.integers(2, 1000),
                 "horizon": st.none() | positive,
             },
@@ -246,6 +246,12 @@ def _inf_config(tmp_path, blob) -> Path:
         ("picard", {"picard": {"n_nodes": 1}}, "picard.n_nodes"),
         ("continuity", {"continuity": {"mode": 999}}, "continuity.mode"),
         ("picard", {"picard": {"horizon": 1.0}}, "picard.horizon"),
+        ("picard", {"picard": {"n_iters": 0}}, "picard.n_iters"),
+        (
+            "lifespan",
+            {"initial_data": {"name": "gaussian_bump", "width": 0.0}, "grid": {"n_points": 16}},
+            "initial_data.width",
+        ),
     ],
     ids=[
         "infinite-horizon",
@@ -254,6 +260,8 @@ def _inf_config(tmp_path, blob) -> Path:
         "one-node",
         "mode-outside-band",
         "horizon-past-window",
+        "no-iterate",
+        "zero-width-bump",
     ],
 )
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, subcommand, overrides, key):

@@ -209,6 +209,13 @@ def test_picard_argument_validation():
         picard_iterate(small_datum(), P, 1.0, 2.0, T=1e-6, n_iters=2, n_nodes=1)
 
 
+@pytest.mark.parametrize("n_iters", [0, -1])
+def test_picard_needs_at_least_one_iterate(n_iters):
+    # zero iterates used to return empty diffs and ratios: a silent non-run
+    with pytest.raises(ValueError, match="at least 1 iterate"):
+        picard_iterate(small_datum(), P, 1.0, 2.0, T=1e-6, n_iters=n_iters)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0, t_end=1.0)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chgevrey.spectral import (
@@ -114,6 +114,19 @@ def test_to_physical_rejects_broken_symmetry():
         to_physical(f)
 
 
+def test_to_physical_tolerance_is_relative_to_the_samples():
+    # samples of size ~1e17 carry imaginary rounding of ~10 after the product,
+    # a relative error near 1e-16; an absolute tolerance rejected them
+    u = field_from_modes(GRID, {3: 1e8, 5: 2e8})
+    x = GRID.x
+    direct = (2e8 * np.cos(3 * x) + 4e8 * np.cos(5 * x)) ** 2
+    samples = to_physical(product(u, u))
+    assert np.max(np.abs(samples - direct)) <= 1e-14 * np.max(np.abs(direct))
+    # a genuinely complex field is still rejected at that scale
+    with pytest.raises(SymmetryError):
+        to_physical(field_from_modes(GRID, {2: 1e8}, hermitian=False))
+
+
 def test_hermitian_defect():
     good = cos_field(3)
     assert good.hermitian_defect() < 1e-15
@@ -216,6 +229,15 @@ def test_norm_overflow_raises():
         gevrey_norm(f, GevreyIndex(1.0, 100.0, 0.0))
 
 
+def test_norm_just_past_the_float_range_raises_norm_overflow():
+    # log of the squared sum 1419.8: below the old 1420 guard, but its square
+    # root e^709.9 is past the float range, where math.exp raised a bare
+    # OverflowError that callers catching NormOverflowError missed
+    one = field_from_modes(GRID, {0: 1.0})
+    with pytest.raises(NormOverflowError):
+        gevrey_norm(one, GevreyIndex(1.0, 709.9, 0.0))
+
+
 def test_parseval_mean_square():
     rng = np.random.default_rng(13)
     samples = rng.standard_normal(GRID.n_points)
@@ -305,3 +327,95 @@ def test_field_arithmetic():
     assert h.coeff(2) == pytest.approx(0.5)
     with pytest.raises(TypeError):
         f * g  # field*field must go through product()
+
+
+# --- batch axis -----------------------------------------------------------
+
+
+def _old_random_field(grid, rng, band=None, decay=2.0):
+    # the per-mode construction random_field replaced, kept as its reference
+    if band is None:
+        band = grid.n_points // 4
+    band = min(band, grid.n_points // 2 - 1)
+    c = np.zeros(grid.n_points, dtype=np.complex128)
+    c[0] = rng.standard_normal()
+    for m in range(1, band + 1):
+        z = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
+        c[grid.index_of(m)] = z * m ** (-decay)
+        c[grid.index_of(-m)] = np.conj(c[grid.index_of(m)])
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 64, 128]),
+    band=st.none() | st.integers(0, 80),
+    decay=st.floats(-1.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, band=31, decay=2.0, seed=0)  # band n/2 - 1, the default decay
+@example(n=64, band=None, decay=1.37, seed=3)
+def test_random_field_matches_the_per_mode_loop(n, band, decay, seed):
+    grid = TorusGrid(n)
+    new = random_field(grid, np.random.default_rng(seed), band=band, decay=decay)
+    old = _old_random_field(grid, np.random.default_rng(seed), band=band, decay=decay)
+    assert new.coeffs.tobytes() == old.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 64]),
+    rows=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.floats(1.0, 3.0),
+    delta=st.floats(0.0, 4.0),
+    s=st.floats(-1.0, 4.0),
+    pad=st.sampled_from([1.0, 1.5, 2.5]),
+)
+def test_batched_rows_equal_single_calls_bit_for_bit(n, rows, seed, sigma, delta, s, pad):
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(seed)
+    singles = [random_field(grid, rng, band=int(rng.integers(0, n // 2))) for _ in range(2 * rows)]
+    f = SpectralField(grid, np.array([u.coeffs for u in singles[:rows]]))
+    g = SpectralField(grid, np.array([u.coeffs for u in singles[rows:]]))
+    index = GevreyIndex(sigma, delta, s)
+    for norm in (
+        lambda u: gevrey_norm(u, index),
+        lambda u: gevrey_norm_bar(u, index),
+        lambda u: sobolev_norm(u, s),
+    ):
+        batched = norm(f)
+        assert batched.shape == (rows,)
+        assert batched.tolist() == [norm(u) for u in singles[:rows]]
+    for op, batched in (
+        (lambda u, v: product(u, v, pad_factor=pad), product(f, g, pad_factor=pad)),
+        (lambda u, v: derivative(u), derivative(f)),
+        (lambda u, v: helmholtz_inv(u), helmholtz_inv(f)),
+    ):
+        for i in range(rows):
+            single = op(singles[i], singles[rows + i])
+            assert batched.coeffs[i].tobytes() == single.coeffs.tobytes()
+
+
+def test_batched_overflow_reads_inf_where_the_single_call_raises():
+    f = SpectralField(GRID, np.array([cos_field(31).coeffs, cos_field(1).coeffs]))
+    index = GevreyIndex(1.0, 100.0, 0.0)
+    for norm in (gevrey_norm, gevrey_norm_bar):
+        batched = norm(f, index)
+        assert batched[0] == math.inf
+        assert batched[1] == norm(cos_field(1), index)
+        with pytest.raises(NormOverflowError):
+            norm(cos_field(31), index)
+    # the H^s sum is not taken in log space: huge coefficients overflow it
+    big = field_from_modes(GRID, {1: 1e200})
+    batched = sobolev_norm(SpectralField(GRID, np.array([big.coeffs, cos_field(1).coeffs])), 2.0)
+    assert batched.tolist() == [math.inf, sobolev_norm(cos_field(1), 2.0)]
+    with pytest.raises(NormOverflowError):
+        sobolev_norm(big, 2.0)
+
+
+def test_field_accepts_one_row_or_a_batch_of_rows():
+    assert SpectralField(GRID, np.zeros((3, 64))).coeffs.shape == (3, 64)
+    for shape in ((63,), (3, 63), (2, 3, 64), ()):
+        with pytest.raises(ValueError):
+            SpectralField(GRID, np.zeros(shape))

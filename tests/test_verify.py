@@ -18,12 +18,15 @@ from chgevrey import (
     product_direct,
     sobolev_norm,
 )
+from chgevrey import verify
 from chgevrey.verify import (
+    PIN_FILE,
     EmpiricalConstants,
     derivative_constant_bound,
     load_pins,
     reference_trajectory,
     run_all_suites,
+    save_pins,
     sharp_derivative_constant,
     verify_H_monotone,
     verify_algebra,
@@ -269,3 +272,76 @@ def test_reports_serialize_and_print():
     assert blob["suite"] == "embedding"
     assert "violations" in blob and "worst_ratio" in blob
     assert "embedding" in report.line()
+
+
+# seed-42 reports with the packaged pins, worst_ratio as float.hex: the batched
+# suites must reproduce the per-field loops bit for bit
+GOLDEN_SEED_42 = (
+    ("embedding", 500, 0, 0, "pass", "0x1.607814f4466a4p-1"),
+    ("derivative_bound", 408, 0, 0, "pass", "0x1.0000000000000p+0"),
+    ("algebra", 1600, 0, 0, "pass", "0x1.419bf20974d30p+0"),
+    ("norm_equivalence", 300, 0, 0, "pass", "0x1.f706ac8b87fa3p-1"),
+    ("symbol_lemma", 66564, 0, 0, "pass", "0x1.ac4a18944826ap+89"),
+    ("commutator", 660, 0, 220, "pass", "0x1.0000000000002p+0"),
+    ("interpolation", 2400, 0, 0, "pass", "0x1.2c71668e8ed7dp-1"),
+    ("ea_integral", 20, 0, 0, "pass", "0x1.c8c68db82af93p-6"),
+    ("H_monotone", 11, 0, 0, "pass", "0x1.0000000000000p+0"),
+)
+
+
+def test_run_all_suites_seed_42_golden(pins):
+    got = tuple(
+        (r.suite, r.cases, r.violations, r.skipped, r.status, r.worst_ratio.hex())
+        for r in run_all_suites(seed=42, pins=pins)
+    )
+    assert got == GOLDEN_SEED_42
+
+
+def test_save_pins_rewrites_the_packaged_file(tmp_path):
+    from importlib import resources
+
+    path = tmp_path / "pins.json"
+    save_pins(load_pins(), path)
+    packaged = resources.files("chgevrey").joinpath(PIN_FILE).read_text()
+    assert path.read_text() == packaged
+
+
+# --- the ratio-to-report helper -------------------------------------------------
+
+
+def test_ratio_marks_zero_over_zero_nan_and_x_over_zero_inf():
+    r = verify._ratio([0.0, 1.0, 2.0], np.array([0.0, 0.0, 4.0]))
+    assert math.isnan(r[0]) and r[1] == math.inf and r[2] == 0.5
+
+
+def test_report_counts_degenerate_cases_but_never_compares_them():
+    report = verify._report("x", 0.0, ([math.nan, 0.5, math.nan], 0.1))
+    assert (report.cases, report.violations, report.worst_ratio) == (3, 1, 0.5)
+    assert report.status == "fail"
+    # all cases degenerate: worst stays at its 0.0 start, nothing is violated
+    empty = verify._report("x", 0.0, ([math.nan, math.nan], 0.1))
+    assert (empty.cases, empty.violations, empty.worst_ratio) == (2, 0, 0.0)
+    assert empty.status == "pass"
+
+
+def test_report_infinite_ratio_is_the_worst_and_a_violation():
+    report = verify._report("x", 0.0, (verify._ratio([1.0, 0.2], np.array([0.0, 1.0])), 2.0))
+    assert report.worst_ratio == math.inf
+    assert report.violations == 1
+
+
+def test_report_groups_limits_checks_and_skips():
+    report = verify._report(
+        "x",
+        1e-12,
+        ([0.5, 1.5], 1.0),
+        ([[3.0, 0.1]], None),  # no limit: cases and worst only
+        skipped=4,
+        failed=([True, False, False],),
+    )
+    assert report.cases == 2 + 2 + 4 + 3  # skips count inside cases
+    assert report.skipped == 4
+    assert report.violations == 1 + 1
+    assert report.worst_ratio == 3.0  # the checks carry no ratio
+    assert report.tolerance == 1e-12
+    assert verify._report("x", 0.0).worst_ratio == 0.0
