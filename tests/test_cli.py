@@ -1,5 +1,6 @@
 """Config parsing, generator construction, artifact layout, and exit codes."""
 
+import hashlib
 import json
 import math
 import re
@@ -522,3 +523,81 @@ def test_cli_subcommand_overrides_config(tmp_path, capsys):
         code = main(["lifespan", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 0
     assert "T0" in capsys.readouterr().out
+
+
+# --- golden artifacts -------------------------------------------------------------
+
+_QUARTIC = {"alpha": 0.1, "beta": 0.3, "gamma": 0.2, "Gamma": 0.05, "lambda": 1.0}
+
+# small runs of the subcommands that march, fit and iterate; continuity is
+# acceptance criterion 10's config
+GOLDEN_CONFIGS = {
+    "simulate": {
+        "model": _QUARTIC,
+        "grid": {"n_points": 32},
+        "solver": {"dt": 0.01, "t_end": 0.5, "record_every": 10},
+        "initial_data": {"name": "exp_decay_modes", "amplitude": 0.05, "rate": 0.8},
+    },
+    "radius": {
+        "grid": {"n_points": 64},
+        "solver": {"dt": 0.01, "t_end": 0.3, "record_every": 5},
+        "initial_data": {"name": "exp_decay_modes", "amplitude": 0.01, "rate": 0.8},
+    },
+    "picard": {
+        "model": _QUARTIC,
+        "grid": {"n_points": 32},
+        "picard": {"n_iters": 8, "n_nodes": 129},
+    },
+    "continuity": {
+        "grid": {"n_points": 32},
+        "solver": {"dt": 1e-3, "t_end": 1.0},
+        "continuity": {"mode": 2, "amplitudes": [0.1, 0.01, 0.001, 0.0001], "budget": 1e-6},
+    },
+}
+
+# exit code and sha256 of each artifact: the artifacts are byte-identical for a
+# fixed config, so any change in what a subcommand computes or writes shows here
+GOLDEN_ARTIFACTS = {
+    "simulate": (
+        0,
+        {
+            "report.json": None,
+            "trajectory.csv": "2e7d95e9df2a55227bcda6150d11f2208c4b2efc87548c21343572b5334fa1fa",
+        },
+    ),
+    "radius": (
+        0,
+        {
+            "report.json": "a93263e956ad0bfe4923d14bcc4662d8bbc063d8bb3b2a226c2e1c35e3c0bbb6",
+            "trajectory.csv": "bd4510422b043541e554b9bbe55a278e0ab4bd1e36252d39891671d5d85a4701",
+        },
+    ),
+    "picard": (
+        0,
+        {
+            "report.json": "1b27c0d24a2ee978ddc554122d19e1ba438ad48e571a649d9b4212459046377e",
+            "trajectory.csv": None,
+        },
+    ),
+    "continuity": (
+        0,
+        {
+            "report.json": "54007e942dddd2eb3d78dde0ede03129d6e1731fa29e52cb695de8e94337e0b1",
+            "trajectory.csv": None,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(GOLDEN_CONFIGS))
+def test_cli_artifacts_match_golden(tmp_path, capsys, subcommand):
+    cfg = write_config(tmp_path, **GOLDEN_CONFIGS[subcommand])
+    out = tmp_path / "run"
+    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        if (out / name).exists()
+        else None
+        for name in ("report.json", "trajectory.csv")
+    }
+    assert (code, digests) == GOLDEN_ARTIFACTS[subcommand]
