@@ -1,153 +1,19 @@
 """Pseudo-spectral simulator and Gevrey-regularity toolkit for a weakly
 dissipative Camassa-Holm equation on the torus."""
 
-from .analyticity import (
-    CalibrationError,
-    ContinuityReport,
-    ExperimentError,
-    InsufficientDecayError,
-    LifespanBounds,
-    RadiusEstimate,
-    RadiusODEState,
-    RadiusRecord,
-    WindowError,
-    calibrate_radius_constant,
-    continuity_experiment,
-    delta_of_tau,
-    delta_of_tau_window,
-    ea_norm,
-    estimate_radius,
-    lifespan_bounds,
-    radius_ode_advance,
-    radius_ode_init,
-    track_radius,
-)
-from .integrate import (
-    BlowUpError,
-    PicardResult,
-    SolverConfig,
-    Trajectory,
-    integrate,
-    picard_iterate,
-    step_rk4,
-)
-from .model import (
-    ModelParams,
-    formulation_residual,
-    functional_H,
-    h_of_u,
-    nonlocal_source,
-    rhs,
-    small_data_check,
-)
-from .spectral import (
-    GevreyIndex,
-    GridMismatchError,
-    NonFiniteError,
-    NormOverflowError,
-    SpectralField,
-    SymmetryError,
-    TorusGrid,
-    derivative,
-    field_from_modes,
-    gevrey_norm,
-    gevrey_norm_bar,
-    helmholtz,
-    helmholtz_inv,
-    product,
-    product_direct,
-    random_field,
-    sobolev_norm,
-    to_physical,
-    to_spectral,
-)
-from .verify import (
-    EmpiricalConstants,
-    VerificationReport,
-    compute_pins,
-    load_pins,
-    run_all_suites,
-    save_pins,
-    verify_H_monotone,
-    verify_algebra,
-    verify_commutator_estimate,
-    verify_derivative_bound,
-    verify_ea_integral,
-    verify_embedding,
-    verify_interpolation,
-    verify_norm_equivalence,
-    verify_symbol_lemma,
-)
+import sys as _sys
+
+from .analyticity import *  # noqa: F403
+from .integrate import *  # noqa: F403
+from .model import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowUpError",
-    "CalibrationError",
-    "ContinuityReport",
-    "EmpiricalConstants",
-    "ExperimentError",
-    "GevreyIndex",
-    "GridMismatchError",
-    "InsufficientDecayError",
-    "LifespanBounds",
-    "ModelParams",
-    "NonFiniteError",
-    "NormOverflowError",
-    "PicardResult",
-    "RadiusEstimate",
-    "RadiusODEState",
-    "RadiusRecord",
-    "SolverConfig",
-    "SpectralField",
-    "SymmetryError",
-    "TorusGrid",
-    "Trajectory",
-    "VerificationReport",
-    "WindowError",
-    "calibrate_radius_constant",
-    "compute_pins",
-    "continuity_experiment",
-    "delta_of_tau",
-    "delta_of_tau_window",
-    "derivative",
-    "ea_norm",
-    "estimate_radius",
-    "field_from_modes",
-    "formulation_residual",
-    "functional_H",
-    "gevrey_norm",
-    "gevrey_norm_bar",
-    "h_of_u",
-    "helmholtz",
-    "helmholtz_inv",
-    "integrate",
-    "lifespan_bounds",
-    "load_pins",
-    "nonlocal_source",
-    "picard_iterate",
-    "product",
-    "product_direct",
-    "radius_ode_advance",
-    "radius_ode_init",
-    "random_field",
-    "rhs",
-    "run_all_suites",
-    "save_pins",
-    "sobolev_norm",
-    "small_data_check",
-    "step_rk4",
-    "to_physical",
-    "to_spectral",
-    "track_radius",
-    "verify_H_monotone",
-    "verify_algebra",
-    "verify_commutator_estimate",
-    "verify_derivative_bound",
-    "verify_ea_integral",
-    "verify_embedding",
-    "verify_interpolation",
-    "verify_norm_equivalence",
-    "verify_symbol_lemma",
-    "__version__",
+# the package exports what its modules list in their __all__, and nothing else
+__all__ = ["__version__"] + [
+    name
+    for module in ("analyticity", "integrate", "model", "spectral", "verify")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
 ]

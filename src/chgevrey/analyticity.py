@@ -24,6 +24,7 @@ from .integrate import BlowUpError, SolverConfig, Trajectory, integrate
 from .model import ModelParams, functional_H
 from .spectral import (
     GevreyIndex,
+    GridMismatchError,
     NormOverflowError,
     SpectralField,
     gevrey_norm,
@@ -42,6 +43,7 @@ __all__ = [
     "ExperimentError",
     "estimate_radius",
     "lifespan_bounds",
+    "existence_window",
     "delta_of_tau",
     "delta_of_tau_window",
     "ea_norm",
@@ -188,6 +190,14 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
     )
 
 
+def existence_window(u0: SpectralField, sigma: float, s: float, c_prime: float = 1.0) -> float:
+    """Fixed-point existence window of the datum, which a Picard horizon must
+    not exceed: the closed-form lifespan bound of its width-1 Gevrey norm over
+    2^sigma - 1."""
+    norm0 = gevrey_norm(u0, GevreyIndex(sigma, 1.0, s))
+    return lifespan_bounds(norm0, sigma, c_prime).T0_closed_form / (2.0**sigma - 1.0)
+
+
 # --- shrinking-width schedule -------------------------------------------------
 
 
@@ -236,7 +246,7 @@ def delta_of_tau(tau: float, delta: float, sigma: float, a: float) -> float:
 
 def ea_norm(
     times,
-    fields,
+    fields: SpectralField,
     a: float,
     sigma: float,
     s: float,
@@ -245,6 +255,7 @@ def ea_norm(
     """sup over the width grid and admissible times of
     ||u(t)||_{G^delta} (1-delta)^sigma sqrt(1 - |t|/(a(1-delta)^sigma)),
     with times admissible when |t| < a(1-delta)^sigma/(2^sigma - 1).
+    ``fields`` is a (T, n) batch, one row per time.
 
     Evaluated in log space so heavy Gevrey weights cannot overflow.
     Raises WindowError when no (time, width) pair is admissible.
@@ -254,16 +265,15 @@ def ea_norm(
     if not (sigma >= 1.0):
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     t_arr = np.abs(np.asarray(times, dtype=float))
-    if t_arr.ndim != 1 or len(fields) != t_arr.shape[0]:
-        raise ValueError("times and fields must be parallel 1-d sequences")
+    if t_arr.ndim != 1 or fields.coeffs.shape[:-1] != t_arr.shape:
+        raise ValueError("times and the rows of fields must be parallel")
     if t_arr.shape[0] == 0:
         raise WindowError("empty trajectory")
     if delta_grid is None:
         delta_grid = EA_DELTA_GRID
-    grid = fields[0].grid
-    k2 = grid.wavenumbers**2
+    k2 = fields.grid.wavenumbers**2
     with np.errstate(divide="ignore"):
-        log_mag2 = 2.0 * np.log(np.abs(np.stack([f.coeffs for f in fields])))
+        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs))
     best = -np.inf
     admissible = False
     for delta in delta_grid:
@@ -285,7 +295,10 @@ def ea_norm(
         raise WindowError("no admissible (time, width) pair on the grid")
     if best == -np.inf:
         return 0.0
-    value = math.exp(best) if best < 709.0 else math.inf
+    try:
+        value = math.exp(best)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise NormOverflowError("weighted sup norm overflowed")
     return value
@@ -382,16 +395,20 @@ def track_radius(
 ) -> list:
     """Walk a recorded trajectory, marching the width ODE on the recorded b
     samples and fitting the measured decay rate at each time."""
-    if len(traj.states) != len(traj.times):
+    states = traj.states
+    if states.coeffs.shape[0] != len(traj.times):
         raise ValueError("trajectory times/states out of step")
-    u0 = traj.states[0]
-    norm0 = gevrey_norm(u0, GevreyIndex(sigma, delta0, s))
+    norm0 = gevrey_norm(states[0], GevreyIndex(sigma, delta0, s))
     state = radius_ode_init(norm0, c_cal, delta0)
+    b_col = 1.0 + sobolev_norm(states, s)
+    if not np.all(np.isfinite(b_col)):  # as the single-field norm raises
+        raise NormOverflowError(f"H^{s} norm accumulation overflowed")
+    h_col = functional_H(states, p, s)
     records = []
     prev_t = None
-    for t, u in zip(traj.times, traj.states):
-        b = 1.0 + sobolev_norm(u, s)
-        dt = 0.0 if prev_t is None else float(t) - prev_t
+    for j, t in enumerate(map(float, traj.times)):
+        u, b = states[j], float(b_col[j])
+        dt = 0.0 if prev_t is None else t - prev_t
         state = radius_ode_advance(state, b, dt)
         try:
             fit = estimate_radius(u, sigma).delta_fit
@@ -399,7 +416,7 @@ def track_radius(
             fit = math.nan
         records.append(
             RadiusRecord(
-                t=float(t),
+                t=t,
                 sobolev_s=b - 1.0,
                 gevrey_at_delta_theory=gevrey_norm(
                     u, GevreyIndex(sigma, state.delta_theory, s)
@@ -408,10 +425,10 @@ def track_radius(
                 delta_theory=state.delta_theory,
                 f_val=math.sqrt(state.f_sq),
                 b_val=b,
-                H_val=functional_H(u, p, s),
+                H_val=float(h_col[j]),
             )
         )
-        prev_t = float(t)
+        prev_t = t
     if attach:
         traj.diagnostics = records
     return records
@@ -426,9 +443,10 @@ def calibrate_radius_constant(
     c_algebra: float,
     t_max: float = 1.0,
     max_doublings: int = 60,
-) -> float:
-    """Smallest power-of-two multiple of the pinned algebra constant whose
-    width ODE stays below the measured decay rate up to t_max.
+) -> tuple:
+    """(c_cal, records): the smallest power-of-two multiple of the pinned
+    algebra constant whose width ODE stays below the measured decay rate up
+    to t_max, and the track_radius records it gives.
 
     Larger multipliers only lower the theory curve, so the doubling search is
     monotone.  The t=0 comparison is multiplier-independent (theory starts at
@@ -446,7 +464,7 @@ def calibrate_radius_constant(
                 "nothing to calibrate against"
             )
         if all(r.delta_theory <= r.delta_fit * (1.0 + 1e-12) for r in comparable):
-            return c_cal
+            return c_cal, records
         if not math.isnan(records[0].delta_fit) and records[0].delta_fit < delta0:
             raise CalibrationError(
                 f"measured rate {records[0].delta_fit:.4g} at t=0 is below "
@@ -482,37 +500,39 @@ def continuity_experiment(
     c_prime: float = 1.0,
     budget: float = 1e-6,
 ) -> ContinuityReport:
-    """Integrate each perturbed datum and the limit datum to the common
+    """Integrate the perturbed data and the limit datum to the common
     existence horizon and compare weighted-norm distances against twice the
     initial-datum distance plus a solver budget.
 
-    The horizon uses the largest datum norm so one window serves all runs.
-    A blow-up in any run raises ExperimentError naming it.
+    ``u0_sequence`` holds the K perturbed data, as a (K, n) batch or a
+    sequence of fields.  The limit and the perturbed data march as one
+    (K+1, n) batch; the horizon uses the largest datum norm so one window
+    serves all runs.  A blow-up raises ExperimentError naming the runs that
+    crossed the limit at the earliest failing step.
     """
+    grid = u0_limit.grid
+    if any(u.grid != grid for u in u0_sequence):
+        raise GridMismatchError("perturbed data and the limit datum need one grid")
+    # row 0 is the limit, row i + 1 the perturbed datum #i
+    data = SpectralField(grid, np.vstack([u0_limit.coeffs, *(u.coeffs for u in u0_sequence)]))
     index = GevreyIndex(sigma, 1.0, s)
-    norms = [gevrey_norm(u, index) for u in u0_sequence]
-    norm_limit = gevrey_norm(u0_limit, index)
+    worst = float(np.max(gevrey_norm(data, index)))
+    if not math.isfinite(worst):
+        raise NormOverflowError(f"Gevrey norm {index} of a datum overflowed")
     base = c_prime * (math.exp(-sigma) * sigma**sigma + 2.0)
-    worst = max(norms + [norm_limit])
     T = 1.0 / (2.0 ** (2 * sigma + 8) * base * (2.0 + worst) ** 4)
     dt = min(cfg.dt, T / 64.0)
     run_cfg = SolverConfig(
         dt=dt, t_end=T, record_every=1, dealias=cfg.dealias, s_monitor=cfg.s_monitor
     )
-
-    def run(u0, label):
-        try:
-            return integrate(u0, p, run_cfg)
-        except BlowUpError as err:
-            raise ExperimentError(f"run {label} blew up at t = {err.time:.4g}") from err
-
-    limit_traj = run(u0_limit, "limit")
-    distances, bounds = [], []
-    for i, u0 in enumerate(u0_sequence):
-        traj = run(u0, f"#{i}")
-        diffs = [a - b for a, b in zip(traj.states, limit_traj.states)]
-        distances.append(ea_norm(traj.times, diffs, T, sigma, s))
-        bounds.append(2.0 * gevrey_norm(u0 - u0_limit, index) + budget)
-    return ContinuityReport(
-        T=T, distances=tuple(distances), bounds=tuple(bounds), budget=budget
-    )
+    try:
+        traj = integrate(data, p, run_cfg)
+    except BlowUpError as err:
+        names = ", ".join("limit" if r == 0 else f"#{r - 1}" for r in err.rows)
+        raise ExperimentError(f"run {names} blew up at t = {err.time:.4g}") from err
+    runs = traj.states.coeffs  # (T, K+1, n)
+    diff = SpectralField.trusted(grid, runs[:, 1:] - runs[:, :1])
+    k = runs.shape[1] - 1
+    distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(k))
+    bounds = 2.0 * gevrey_norm(data[1:] - data[0], index) + budget
+    return ContinuityReport(T=T, distances=distances, bounds=tuple(bounds.tolist()), budget=budget)

@@ -38,6 +38,7 @@ from .analyticity import (
     WindowError,
     calibrate_radius_constant,
     continuity_experiment,
+    existence_window,
     lifespan_bounds,
     track_radius,
 )
@@ -390,21 +391,20 @@ def _integrate_with_forensics(cfg: RunConfig, out: Path, pins) -> tuple:
 def _run_simulate(cfg: RunConfig, out: Path, pins) -> int:
     traj, blowup_time = _integrate_with_forensics(cfg, out, pins)
     records = []
-    if traj is not None and traj.states:
-        try:
-            records = track_radius(
-                traj,
-                cfg.model,
-                cfg.gevrey.sigma,
-                cfg.gevrey.s,
-                delta0=cfg.gevrey.delta,
-                c_cal=1.0,
-            )
-        except NormOverflowError:
-            # a nearly blown-up state can overflow the weighted norms; the
-            # blow-up itself is already recorded, so emit an empty table
-            if blowup_time is None:
-                raise
+    try:
+        records = track_radius(
+            traj,
+            cfg.model,
+            cfg.gevrey.sigma,
+            cfg.gevrey.s,
+            delta0=cfg.gevrey.delta,
+            c_cal=1.0,
+        )
+    except NormOverflowError:
+        # a nearly blown-up state can overflow the weighted norms; the
+        # blow-up itself is already recorded, so emit an empty table
+        if blowup_time is None:
+            raise
     _write_trajectory_csv(out / "trajectory.csv", records)
     if blowup_time is not None:
         print(f"blow-up at t = {blowup_time:.6g}; partial trajectory written")
@@ -463,18 +463,14 @@ def _run_lifespan(cfg: RunConfig, out: Path) -> int:
 
 def _run_radius(cfg: RunConfig, out: Path, pins) -> int:
     traj, blowup_time = _integrate_with_forensics(cfg, out, pins)
-    if traj is None or not traj.states:
-        print("blow-up before the first record; nothing to track", file=sys.stderr)
-        return 1
     sigma, s, delta0 = cfg.gevrey.sigma, cfg.gevrey.s, cfg.gevrey.delta
     try:
-        c_cal = calibrate_radius_constant(
+        c_cal, records = calibrate_radius_constant(
             traj, cfg.model, sigma, s, delta0, c_algebra=pins.C_s_algebra
         )
     except CalibrationError as err:
         print(f"calibration failed: {err}", file=sys.stderr)
         return 1
-    records = track_radius(traj, cfg.model, sigma, s, delta0, c_cal)
     _write_trajectory_csv(out / "trajectory.csv", records)
     final = records[-1]
     _write_json(
@@ -497,16 +493,18 @@ def _run_radius(cfg: RunConfig, out: Path, pins) -> int:
 def _run_continuity(cfg: RunConfig, out: Path) -> int:
     limit = cfg.initial_data.build(cfg.grid)
     try:
-        bumps = [
-            field_from_modes(cfg.grid, {cfg.continuity_mode: amp / 2.0})
-            for amp in cfg.continuity_amplitudes
-        ]
+        bumps = SpectralField(
+            cfg.grid,
+            [
+                field_from_modes(cfg.grid, {cfg.continuity_mode: amp / 2.0}).coeffs
+                for amp in cfg.continuity_amplitudes
+            ],
+        )
     except ValueError as err:
         raise ConfigError(f"continuity.mode: {err}") from err
-    sequence = [limit + bump for bump in bumps]
     try:
         report = continuity_experiment(
-            sequence,
+            limit + bumps,
             limit,
             cfg.model,
             cfg.gevrey.sigma,
@@ -540,11 +538,7 @@ def _run_picard(cfg: RunConfig, out: Path) -> int:
     sigma, s = cfg.gevrey.sigma, cfg.gevrey.s
     horizon = cfg.picard_horizon
     if horizon is None:
-        norm0 = gevrey_norm(u0, GevreyIndex(sigma, 1.0, s))
-        window = lifespan_bounds(norm0, sigma, cfg.c_prime).T0_closed_form / (
-            2.0**sigma - 1.0
-        )
-        horizon = window / 2.0
+        horizon = existence_window(u0, sigma, s, cfg.c_prime) / 2.0
     try:
         result = picard_iterate(
             u0,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .model import ModelParams, rhs
-from .spectral import NonFiniteError, SpectralField, sobolev_norm, to_physical
+from .spectral import SpectralField, sobolev_norm, to_physical
 
 __all__ = [
     "SolverConfig",
@@ -30,13 +30,19 @@ BLOWUP_NORM = 1e6
 
 
 class BlowUpError(RuntimeError):
-    """The state left the resolvable regime; carries the failure time and the
-    trajectory recorded up to that point."""
+    """The state left the resolvable regime; carries the failure time, the
+    trajectory recorded up to that point and, for a batch, the rows that
+    crossed the limit at that step."""
 
-    def __init__(self, time: float, trajectory: "Trajectory | None" = None):
-        self.time = time
-        self.trajectory = trajectory
-        super().__init__(f"solution blew up at t = {time:.6g}")
+    def __init__(self, time: float, trajectory: "Trajectory | None" = None, rows: tuple = ()):
+        self.time, self.trajectory, self.rows = time, trajectory, rows
+        where = f" in batch rows {', '.join(map(str, rows))}" if rows else ""
+        super().__init__(f"solution blew up at t = {time:.6g}{where}")
+
+
+def _rows(bad) -> tuple:
+    """Batch rows flagged in ``bad``; () for the scalar flag of a single field."""
+    return tuple(np.flatnonzero(bad).tolist()) if np.ndim(bad) else ()
 
 
 @dataclass(frozen=True)
@@ -60,25 +66,29 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded times/states plus per-time diagnostic records (attached after
-    the march by the analyticity tracker)."""
+    """Recorded times and states plus per-time diagnostic records (attached
+    after the march by the analyticity tracker).  ``states`` stacks the
+    recorded states as one field of shape (T, n), or (T, K, n) for a batch."""
 
     times: np.ndarray
-    states: list
+    states: SpectralField
     diagnostics: list = dataclass_field(default_factory=list)
 
 
 def _symmetrize(u: SpectralField) -> SpectralField:
-    """Average with the conjugate mirror; idempotent on real fields."""
-    return u.with_coeffs(0.5 * (u.coeffs + np.conj(u.coeffs[u.grid.mirror])))
+    """Average with the conjugate mirror; idempotent on real fields.  The
+    result is not revalidated."""
+    c = u.coeffs
+    return SpectralField.trusted(u.grid, 0.5 * (c + np.conj(c.take(u.grid.mirror, axis=-1))))
 
 
 def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) -> SpectralField:
     """One classical Runge-Kutta step of u_t = F(u); re-enforces Hermitian
-    symmetry afterwards.  Raises BlowUpError (time=dt) on non-finite output.
+    symmetry afterwards.  A batch steps row by row.  Raises BlowUpError
+    (time=dt, with the offending batch rows) on non-finite output.
 
     The stage states are not revalidated: a non-finite stage propagates into
-    the combined state, whose construction is the one check of the step.
+    the combined state, whose finite check is the one check of the step.
     """
     grid, c = u.grid, u.coeffs
 
@@ -90,10 +100,11 @@ def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) 
     k3 = f(c + (0.5 * dt) * k2)
     k4 = f(c + dt * k3)
     out = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    try:
-        return _symmetrize(SpectralField.trusted(grid, out))
-    except NonFiniteError:
-        raise BlowUpError(dt) from None
+    out = _symmetrize(SpectralField.trusted(grid, out))
+    finite = np.isfinite(out.coeffs)
+    if not finite.all():
+        raise BlowUpError(dt, rows=_rows(~finite.all(axis=-1)))
+    return out
 
 
 def _advisory_dt_bound(u0: SpectralField, p: ModelParams) -> float:
@@ -117,12 +128,13 @@ def _step_count(t_end: float, dt: float) -> tuple:
 
 
 def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajectory:
-    """March u0 to cfg.t_end, recording every cfg.record_every steps (plus the
-    initial and final states).  When t_end is not a whole number of steps the
-    last step is shortened, so the final recorded time is t_end.
+    """March u0 (a field or a batch) to cfg.t_end, recording every
+    cfg.record_every steps (plus the initial and final states).  When t_end is
+    not a whole number of steps the last step is shortened to end at t_end.
 
-    Raises BlowUpError -- with the partial trajectory attached -- if the state
-    goes non-finite or the monitored Sobolev norm exceeds 1e6.
+    Raises BlowUpError -- with the partial trajectory and the crossing batch
+    rows -- if the state goes non-finite or the monitored Sobolev norm
+    exceeds 1e6.
     """
     bound = _advisory_dt_bound(u0, p)
     if cfg.dt > bound:
@@ -133,7 +145,11 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
         )
     n_steps, last_dt = _step_count(cfg.t_end, cfg.dt)
     times = [0.0]
-    states = [u0]
+    states = [u0.coeffs]
+
+    def recorded() -> Trajectory:
+        return Trajectory(np.array(times), SpectralField.trusted(u0.grid, np.stack(states)))
+
     u = u0
     for i in range(n_steps):
         dt = cfg.dt
@@ -143,14 +159,17 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
         try:
             u = step_rk4(u, p, dt, cfg.dealias)
             norm = sobolev_norm(u, cfg.s_monitor)
-        except (BlowUpError, OverflowError):
-            raise BlowUpError(t_next, Trajectory(np.array(times), states)) from None
-        if not math.isfinite(norm) or norm > BLOWUP_NORM:
-            raise BlowUpError(t_next, Trajectory(np.array(times), states))
+        except BlowUpError as err:
+            raise BlowUpError(t_next, recorded(), err.rows) from None
+        except OverflowError:
+            raise BlowUpError(t_next, recorded()) from None
+        below = np.less_equal(norm, BLOWUP_NORM)  # a NaN norm is not below
+        if not below.all():
+            raise BlowUpError(t_next, recorded(), _rows(~below))
         if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
             times.append(t_next)
-            states.append(u)
-    return Trajectory(np.array(times), states)
+            states.append(u.coeffs)
+    return recorded()
 
 
 # --- integral-equation iteration ----------------------------------------------
@@ -158,7 +177,7 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
 
 @dataclass
 class PicardResult:
-    """Iterate families on a fixed node grid plus the contraction report.
+    """The last finite iterate as an (n_nodes, n) batch, plus the contraction report.
 
     ``ratios[k]`` is d_{k+2}/d_{k+1} with d_j the weighted-norm distance
     between iterates j and j-1.  Ratios stop being reported once distances
@@ -167,7 +186,7 @@ class PicardResult:
     """
 
     times: np.ndarray
-    iterates: list
+    final: SpectralField
     diffs: list
     ratios: list
     floor: float
@@ -190,13 +209,13 @@ def picard_iterate(
     """Iterate u_{n+1}(t) = u0 + int_0^t F(u_n) dtau on [0, T].
 
     The zeroth iterate is the constant-in-time datum; integrals use composite
-    trapezoid on ``n_nodes`` uniform nodes.  ``T`` must sit inside the
-    fixed-point existence window computed from the datum, else WindowError is
-    raised (disable with ``enforce_window=False`` to study divergence).
+    trapezoid on ``n_nodes`` uniform nodes, and F is evaluated on all nodes
+    as one batch.  ``T`` must sit inside the fixed-point existence window
+    computed from the datum, else WindowError is raised (disable with
+    ``enforce_window=False`` to study divergence).
     """
     # deferred: avoids an import cycle
-    from .analyticity import WindowError, ea_norm, lifespan_bounds
-    from .spectral import GevreyIndex, gevrey_norm
+    from .analyticity import WindowError, ea_norm, existence_window
 
     if n_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
@@ -205,8 +224,7 @@ def picard_iterate(
     if not (T > 0.0):
         raise ValueError(f"horizon must be positive, got {T}")
     if enforce_window:
-        norm0 = gevrey_norm(u0, GevreyIndex(sigma, 1.0, s))
-        window = lifespan_bounds(norm0, sigma, c_prime).T0_closed_form / (2.0**sigma - 1.0)
+        window = existence_window(u0, sigma, s, c_prime)
         if T > window:
             raise WindowError(
                 f"horizon {T:.3g} exceeds the existence window {window:.3g}; "
@@ -214,12 +232,11 @@ def picard_iterate(
             )
 
     times = np.linspace(0.0, T, n_nodes)
-    base = [u0] * n_nodes
-    scale = ea_norm(times, base, T, sigma, s)
+    grid = u0.grid
+    final = SpectralField.trusted(grid, np.broadcast_to(u0.coeffs, (n_nodes, grid.n_points)))
+    scale = ea_norm(times, final, T, sigma, s)
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 
-    iterates = [base]
-    prev_coeffs = np.broadcast_to(u0.coeffs, (n_nodes, u0.grid.n_points))
     diffs: list = []
     ratios: list = []
     converged_at = None
@@ -228,8 +245,8 @@ def picard_iterate(
         try:
             # an overflowing node turns NaN downstream; diverged_at reports it
             with np.errstate(invalid="ignore"):
-                f_stack = np.stack([rhs(v, p, dealias).coeffs for v in iterates[-1]])
-                integral = cumulative_trapezoid(f_stack, times, axis=0, initial=0.0)
+                f_nodes = rhs(final, p, dealias).coeffs
+                integral = cumulative_trapezoid(f_nodes, times, axis=0, initial=0.0)
         except FloatingPointError:
             diverged_at = it
             break
@@ -238,10 +255,8 @@ def picard_iterate(
         if not np.all(np.isfinite(coeffs)):
             diverged_at = it
             break
-        iterates.append([SpectralField.trusted(u0.grid, c) for c in coeffs])
-        steps = [SpectralField.trusted(u0.grid, c) for c in coeffs - prev_coeffs]
-        d = ea_norm(times, steps, T, sigma, s)
-        prev_coeffs = coeffs
+        d = ea_norm(times, SpectralField.trusted(grid, coeffs - final.coeffs), T, sigma, s)
+        final = SpectralField.trusted(grid, coeffs)
         diffs.append(d)
         if converged_at is None and d <= floor:
             converged_at = it
@@ -251,7 +266,7 @@ def picard_iterate(
         ratios.append(diffs[k + 1] / diffs[k])
     return PicardResult(
         times=times,
-        iterates=iterates,
+        final=final,
         diffs=diffs,
         ratios=ratios,
         floor=floor,

@@ -100,56 +100,56 @@ def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField
     (no truncation between the powers), one rfft brings both back, and the
     linear terms are applied per mode.  With dealias the stored modes are the
     true convolution coefficients, +n/2 included, as in product(); negative
-    modes mirror the positive ones.  The result is not revalidated: an
-    overflow shows up as a non-finite coefficient at the caller's next check.
+    modes mirror the positive ones.  A batch is evaluated row by row on the
+    last axis.  The result is not revalidated: an overflow shows up as a
+    non-finite coefficient at the caller's next check.
     """
     grid = u.grid
     n = grid.n_points
     half = n // 2
     k = grid.wavenumbers[:half]
-    c = u.coeffs[: half + 1]
+    c = u.coeffs[..., : half + 1]
     quartic = p.beta != 0.0 or p.gamma != 0.0
     # pad 5/2 keeps quartic powers alias-free on the stored band, 3/2 the
     # quadratic terms (Orszag's rule); pad 1 lets the products wrap
     pad = (_QUARTIC_PAD if quartic else 1.5) if dealias else 1.0
     fine = math.ceil(pad * n)
     fine += fine % 2
-    spec = np.zeros((2, fine // 2 + 1), dtype=np.complex128)
-    spec[0, : half + 1] = c
+    spec = np.zeros(c.shape[:-1] + (2, fine // 2 + 1), dtype=np.complex128)
+    spec[..., 0, : half + 1] = c
     if fine > n:  # at pad 1, slot n/2 is irfft's own Nyquist bin, counted once
-        spec[0, half] *= 0.5
-    ik_c = 1j * k * c[:half]  # u_x; its unpaired Nyquist slot is zero, as in derivative()
-    spec[1, :half] = ik_c
+        spec[..., 0, half] *= 0.5
+    ik_c = 1j * k * c[..., :half]  # u_x; its unpaired Nyquist slot is zero, as in derivative()
+    spec[..., 1, :half] = ik_c
     # 1/n normalization: irfft carries 1/fine and rfft is unnormalized
-    w, wx = np.fft.irfft(spec, fine, axis=-1) * fine
+    samples = np.fft.irfft(spec, fine, axis=-1) * fine
+    w, wx = samples[..., 0, :], samples[..., 1, :]
     w2 = w * w
     inner = w2 + 0.5 * wx * wx
     if quartic:
         inner -= w2 * w * (p.beta / 3.0 + (p.gamma / 4.0) * w)
-    fused = np.fft.rfft(np.stack((w * wx, inner)), axis=-1)[:, : half + 1] / fine
-    advection, inner_hat = fused
+    fused = np.fft.rfft(np.stack((w * wx, inner), axis=-2), axis=-1)[..., : half + 1] / fine
+    advection, inner_hat = fused[..., 0, :], fused[..., 1, :]
     inner_hat -= (p.alpha + p.Gamma_coef) * c
     half_out = -advection - p.lam * c
     # Q = -(1 - d_xx)^{-1} d_x inner; d_x zeroes the Nyquist slot
-    half_out[:half] -= ik_c * p.Gamma_coef + (1j * k / (1.0 + k * k)) * inner_hat[:half]
-    out = np.empty(n, dtype=np.complex128)
-    out[: half + 1] = half_out
-    out[half + 1 :] = np.conj(half_out[half - 1 : 0 : -1])
+    half_out[..., :half] -= ik_c * p.Gamma_coef + (1j * k / (1.0 + k * k)) * inner_hat[..., :half]
+    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : half + 1] = half_out
+    out[..., half + 1 :] = np.conj(half_out[..., half - 1 : 0 : -1])
     return SpectralField.trusted(grid, out)
 
 
-def functional_H(u: SpectralField, p: ModelParams, s: float) -> float:
-    """|alpha| + |Gamma| + n + (|beta|/3) n^2 + (|gamma|/4) n^3 with n = H^s norm."""
+def functional_H(u: SpectralField, p: ModelParams, s: float) -> float | np.ndarray:
+    """|alpha| + |Gamma| + n + (|beta|/3) n^2 + (|gamma|/4) n^3 with n = H^s norm;
+    one value per row of a batch."""
     if not (s > 1.5):
         raise ValueError(f"the smallness functional needs s > 3/2, got {s}")
-    n = sobolev_norm(u, s)
-    return (
-        abs(p.alpha)
-        + abs(p.Gamma_coef)
-        + n
-        + (abs(p.beta) / 3.0) * n**2
-        + (abs(p.gamma) / 4.0) * n**3
-    )
+    norms = sobolev_norm(u, s)
+    a0, b3, g4 = abs(p.alpha) + abs(p.Gamma_coef), abs(p.beta) / 3.0, abs(p.gamma) / 4.0
+    # Python float powers per value: numpy's n**2 and n**3 round differently
+    h = [a0 + n + b3 * n**2 + g4 * n**3 for n in np.atleast_1d(norms).tolist()]
+    return np.array(h) if np.ndim(norms) else h[0]
 
 
 def small_data_check(u0: SpectralField, p: ModelParams, s: float) -> bool:

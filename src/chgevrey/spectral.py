@@ -14,9 +14,11 @@ Conventions
 * Exponential weights ``exp(delta*(1+k^2)^(1/(2*sigma)))`` are evaluated in
   log space per mode so that heavy weights on tiny coefficients do not
   overflow prematurely.
-* A batch of fields is one ``SpectralField`` with ``(N, n)`` coefficients.
-  The norms, ``product``, ``derivative`` and ``helmholtz_inv`` act on the last
-  axis, so row ``i`` of a batched result equals the call on field ``i`` alone.
+* A batch of fields is one ``SpectralField`` with ``(N, n)`` coefficients;
+  ``batch[i]`` is row ``i``.  The norms, ``product``, ``derivative`` and
+  ``helmholtz_inv`` act on the last axis, so row ``i`` of a batched result
+  equals the call on field ``i`` alone.  A trajectory of a batch stacks its
+  recorded states as ``(T, N, n)``.
   A single-field norm returns a float and raises ``NormOverflowError``; a
   batched norm returns an array with ``inf`` in the rows that overflowed.
 """
@@ -150,6 +152,13 @@ class SpectralField:
         object.__setattr__(field, "grid", grid)
         object.__setattr__(field, "coeffs", coeffs)
         return field
+
+    def __getitem__(self, index) -> "SpectralField":
+        """Row access on a batch: ``batch[i]`` is a view of field i; a single
+        field has no rows and raises TypeError."""
+        if self.coeffs.ndim == 1:
+            raise TypeError("a single SpectralField has no rows to index")
+        return SpectralField.trusted(self.grid, self.coeffs[index])
 
     def coeff(self, mode: int) -> complex:
         return complex(self.coeffs[self.grid.index_of(mode)])

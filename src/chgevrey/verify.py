@@ -321,10 +321,12 @@ def verify_ea_integral(
     for delta in delta_list:
         shrink = a * (1.0 - delta) ** sigma
         window = shrink * min(1.0, d_sigma / (2.0**sigma - 1.0))
-        kept = times[times < window]
-        states = [u for t, u in zip(times, traj.states) if t < window]
+        rows = np.flatnonzero(times < window)
+        kept = times[rows]
         widths = np.array([delta_of_tau(t, delta, sigma, a) for t in kept])
-        norms = np.array([gevrey_norm(u, GevreyIndex(sigma, w, s)) for u, w in zip(states, widths)])
+        norms = np.array(
+            [gevrey_norm(traj.states[j], GevreyIndex(sigma, w, s)) for j, w in zip(rows, widths)]
+        )
         integrand = norms / (widths - delta) ** sigma
         # one trapezoid per endpoint: a cumulative sum rounds differently
         lhs = [trapezoid(integrand[: j + 1], kept[: j + 1]) for j in range(1, len(kept))]
@@ -343,7 +345,7 @@ def verify_H_monotone(
     small-data check; precondition failure yields a skipped suite."""
     if not small_data_check(traj.states[0], p, s):
         return VerificationReport("H_monotone", 0, 0, math.nan, slack, skipped=1, status="skip")
-    h = np.array([functional_H(u, p, s) for u in traj.states])
+    h = functional_H(traj.states, p, s)
     return _report("H_monotone", slack, (_ratio(h, h[0]), 1.0 + slack))
 
 

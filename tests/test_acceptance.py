@@ -212,7 +212,7 @@ def test_criterion_08_radius_tracking():
         u0, SMALL_DATA, SolverConfig(dt=0.01, t_end=10.0, record_every=100)
     )
     pins = load_pins()
-    c_cal = calibrate_radius_constant(
+    c_cal, _ = calibrate_radius_constant(
         traj, SMALL_DATA, 1.0, 2.0, 0.5, c_algebra=pins.C_s_algebra, t_max=10.0
     )
     records = track_radius(traj, SMALL_DATA, 1.0, 2.0, 0.5, c_cal)

@@ -20,7 +20,9 @@ from chgevrey import (
     GevreyIndex,
     InsufficientDecayError,
     ModelParams,
+    NormOverflowError,
     SolverConfig,
+    SpectralField,
     TorusGrid,
     WindowError,
     calibrate_radius_constant,
@@ -192,9 +194,14 @@ def test_schedule_stays_between_delta_and_one(sigma, delta, a, frac):
 # --- weighted sup norm ----------------------------------------------------------
 
 
+def rows(*fields):
+    """The fields stacked as one batch, one row per time."""
+    return SpectralField(fields[0].grid, np.stack([f.coeffs for f in fields]))
+
+
 def test_single_time_family_reduces_to_a_grid_max():
     u = field_from_modes(GRID, {1: 0.5})  # cos x
-    got = ea_norm([0.0], [u], a=1.0, sigma=1.0, s=0.0)
+    got = ea_norm([0.0], rows(u), a=1.0, sigma=1.0, s=0.0)
     expected = max(
         math.sqrt(2.0 * math.exp(2.0 * d * math.sqrt(2.0)) * 0.25) * (1.0 - d)
         for d in np.linspace(0.05, 0.95, 19)
@@ -205,28 +212,39 @@ def test_single_time_family_reduces_to_a_grid_max():
 def test_sup_norm_is_homogeneous():
     u = field_from_modes(GRID, {1: 0.5, 3: 0.1})
     times = [0.0, 0.2, 0.4]
-    fields = [u, 0.5 * u, 0.25 * u]
+    fields = rows(u, 0.5 * u, 0.25 * u)
     one = ea_norm(times, fields, a=1.0, sigma=1.0, s=2.0)
-    three = ea_norm(times, [3.0 * f for f in fields], a=1.0, sigma=1.0, s=2.0)
+    three = ea_norm(times, 3.0 * fields, a=1.0, sigma=1.0, s=2.0)
     assert abs(three - 3.0 * one) <= 1e-12 * three
 
 
 def test_sup_norm_ignores_inadmissible_times():
     u = field_from_modes(GRID, {1: 0.5})
-    alone = ea_norm([0.0], [u], a=1.0, sigma=1.0, s=0.0)
-    padded = ea_norm([0.0, 0.96], [u, 1000.0 * u], a=1.0, sigma=1.0, s=0.0)
+    alone = ea_norm([0.0], rows(u), a=1.0, sigma=1.0, s=0.0)
+    padded = ea_norm([0.0, 0.96], rows(u, 1000.0 * u), a=1.0, sigma=1.0, s=0.0)
     assert padded == alone
 
 
 def test_sup_norm_window_and_validation_errors():
     u = field_from_modes(GRID, {1: 0.5})
     with pytest.raises(WindowError):
-        ea_norm([0.96], [u], a=1.0, sigma=1.0, s=0.0)
+        ea_norm([0.96], rows(u), a=1.0, sigma=1.0, s=0.0)
     with pytest.raises(WindowError):
-        ea_norm([], [], a=1.0, sigma=1.0, s=0.0)
+        ea_norm([], SpectralField(GRID, np.zeros((0, GRID.n_points))), a=1.0, sigma=1.0, s=0.0)
     with pytest.raises(ValueError):
-        ea_norm([0.0, 0.1], [u], a=1.0, sigma=1.0, s=0.0)
-    assert ea_norm([0.0], [0.0 * u], a=1.0, sigma=1.0, s=0.0) == 0.0
+        ea_norm([0.0, 0.1], rows(u), a=1.0, sigma=1.0, s=0.0)
+    assert ea_norm([0.0], rows(0.0 * u), a=1.0, sigma=1.0, s=0.0) == 0.0
+
+
+def test_sup_norm_is_finite_up_to_the_float_range():
+    # a constant e^709.3 peaks at width 0.05: e^709.35 * 0.95 ~ 1.1e308 is a
+    # double, though its log lies past the old cutoff of 709
+    u = field_from_modes(TorusGrid(8), {0: math.exp(709.3)})
+    got = ea_norm([0.0], rows(u), a=1.0, sigma=1.0, s=0.0)
+    assert got == pytest.approx(math.exp(709.35 + math.log(0.95)), rel=1e-12)
+    past = field_from_modes(TorusGrid(8), {3: 1e307})
+    with pytest.raises(NormOverflowError):
+        ea_norm([0.0], rows(past), a=1.0, sigma=1.0, s=2.0)
 
 
 # --- width lower-bound ODE ------------------------------------------------------
@@ -337,10 +355,13 @@ def test_track_radius_fills_diagnostics(analytic_trajectory):
 
 
 def test_calibration_accepts_the_unit_constant(analytic_trajectory):
-    c = calibrate_radius_constant(
+    c, records = calibrate_radius_constant(
         analytic_trajectory, P, sigma=1.0, s=2.0, delta0=0.5, c_algebra=1.0
     )
     assert c == 1.0
+    # the accepted records are the ones track_radius gives for that constant
+    again = track_radius(analytic_trajectory, P, 1.0, 2.0, 0.5, c, attach=False)
+    assert records == again
 
 
 def test_calibration_fails_when_the_datum_is_too_rough():
@@ -377,6 +398,20 @@ def test_continuity_names_the_failing_run():
         field_from_modes(grid, {1: 1e8}),
     ]
     with pytest.raises(ExperimentError, match="#1"):
+        continuity_experiment(
+            seq, limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
+        )
+
+
+def test_continuity_names_every_run_that_crosses_at_the_earliest_step():
+    # the limit and run #1 cross together; run #0 stays small
+    grid = TorusGrid(32)
+    limit = field_from_modes(grid, {1: 1e8})
+    seq = [
+        field_from_modes(grid, {1: 0.005, 2: 5e-4}),
+        field_from_modes(grid, {1: 1e8, 2: 1.0}),
+    ]
+    with pytest.raises(ExperimentError, match=r"run limit, #1 blew up"):
         continuity_experiment(
             seq, limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
         )

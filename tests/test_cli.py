@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgevrey import ModelParams, TorusGrid, Trajectory, field_from_modes, to_physical
+from chgevrey import (
+    ModelParams,
+    SpectralField,
+    TorusGrid,
+    Trajectory,
+    existence_window,
+    field_from_modes,
+    to_physical,
+)
 from chgevrey.cli import (
     CSV_HEADER,
     FIELDS,
@@ -140,6 +148,14 @@ def test_readme_example_lists_every_key_and_parses_cleanly(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parse_config(path)
+
+
+def test_readme_library_example_runs(capsys):
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(block.group(1), {})
+    norm, rate = (float(line) for line in capsys.readouterr().out.split())
+    assert norm > 0.0
+    assert 0.7 < rate < 0.8  # the datum decays at rate 0.8; the width shrinks in time
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -276,7 +292,8 @@ def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, subcommand, overri
 def test_write_json_is_strict_and_writes_nan_as_null(tmp_path):
     # a datum far above the small-data threshold makes H_monotone skip with a NaN ratio
     big = field_from_modes(TorusGrid(16), {1: 10.0})
-    report = verify_H_monotone(Trajectory(np.array([0.0]), [big]), ModelParams())
+    states = SpectralField(big.grid, big.coeffs[None])
+    report = verify_H_monotone(Trajectory(np.array([0.0]), states), ModelParams())
     assert math.isnan(report.worst_ratio)
     path = tmp_path / "report.json"
     _write_json(path, {"H_monotone": report.as_dict(), "ends": (math.inf, 1.5, -math.inf)})
@@ -523,6 +540,15 @@ def test_cli_subcommand_overrides_config(tmp_path, capsys):
         code = main(["lifespan", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 0
     assert "T0" in capsys.readouterr().out
+
+
+def test_default_picard_horizon_is_half_the_existence_window(tmp_path):
+    cfg = write_config(tmp_path, grid={"n_points": 16}, picard={"n_iters": 1, "n_nodes": 3})
+    out = tmp_path / "run"
+    assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
+    u0 = InitialDataSpec("cosine", amplitude=0.01).build(TorusGrid(16))
+    horizon = json.loads((out / "report.json").read_text())["horizon"]
+    assert horizon == existence_window(u0, sigma=1.0, s=2.0, c_prime=1.0) / 2.0
 
 
 # --- golden artifacts -------------------------------------------------------------

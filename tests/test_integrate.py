@@ -15,6 +15,7 @@ from chgevrey import (
     BlowUpError,
     ModelParams,
     SolverConfig,
+    SpectralField,
     TorusGrid,
     field_from_modes,
     integrate,
@@ -89,8 +90,8 @@ def test_recording_schedule():
     u0 = cos_field()
     traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.1, record_every=3))
     assert np.allclose(traj.times, [0.0, 0.03, 0.06, 0.09, 0.1])
-    assert len(traj.states) == len(traj.times)
-    assert traj.states[0] is u0
+    assert traj.states.coeffs.shape == (len(traj.times), u0.grid.n_points)
+    assert traj.states[0].coeffs.tobytes() == u0.coeffs.tobytes()
 
 
 def test_horizon_off_the_step_grid_ends_at_t_end():
@@ -114,7 +115,7 @@ def test_zero_horizon_records_only_the_datum():
     u0 = cos_field()
     traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.0))
     assert list(traj.times) == [0.0]
-    assert len(traj.states) == 1
+    assert traj.states.coeffs.shape[0] == 1
 
 
 def test_unstable_step_raises_blowup_with_partial_trajectory():
@@ -126,7 +127,7 @@ def test_unstable_step_raises_blowup_with_partial_trajectory():
     err = excinfo.value
     assert 0.0 < err.time <= 5.0
     assert err.trajectory is not None
-    assert len(err.trajectory.states) >= 1
+    assert err.trajectory.states.coeffs.shape[0] >= 1
     assert err.trajectory.times[-1] < err.time
 
 
@@ -139,6 +140,36 @@ def test_norm_monitor_triggers_before_nonfinite():
     with pytest.warns(UserWarning):
         with pytest.raises(BlowUpError):
             integrate(u0, p, SolverConfig(dt=0.2, t_end=10.0))
+
+
+def test_a_batch_marches_each_row_as_it_marches_alone():
+    rng = np.random.default_rng(8)
+    singles = [0.1 * random_field(GRID, rng, band=12) for _ in range(3)]
+    batch = SpectralField(GRID, np.array([u.coeffs for u in singles]))
+    cfg = SolverConfig(dt=0.01, t_end=0.1, record_every=3)
+    traj = integrate(batch, P, cfg)
+    assert traj.states.coeffs.shape == (len(traj.times), 3, GRID.n_points)
+    for i, u in enumerate(singles):
+        alone = integrate(u, P, cfg)
+        assert list(alone.times) == list(traj.times)
+        assert traj.states[:, i].coeffs.tobytes() == alone.states.coeffs.tobytes()
+
+
+def test_blowup_names_the_batch_rows_that_crossed():
+    grid = TorusGrid(16)
+    p = ModelParams(lam=1e-8, epsilon=1.0)
+    amps = (0.01, 2000.0, 0.02, 2000.0)
+    batch = SpectralField(grid, np.array([cos_field(grid, a, mode=2).coeffs for a in amps]))
+    cfg = SolverConfig(dt=0.2, t_end=10.0)
+    with pytest.warns(UserWarning):
+        with pytest.raises(BlowUpError, match="rows 1, 3") as batched:
+            integrate(batch, p, cfg)
+        with pytest.raises(BlowUpError) as alone:
+            integrate(cos_field(grid, 2000.0, mode=2), p, cfg)
+    assert batched.value.rows == (1, 3)
+    assert alone.value.rows == ()
+    assert batched.value.time == alone.value.time
+    assert batched.value.trajectory.states.coeffs.shape[1:] == (4, 16)
 
 
 def test_dealias_toggle_changes_high_band_content():
@@ -183,7 +214,7 @@ def test_picard_final_iterate_matches_rk4():
         small_datum(), P, sigma=1.0, s=2.0, T=T, n_iters=8, n_nodes=129
     )
     traj = integrate(small_datum(), P, SolverConfig(dt=T / 64, t_end=T))
-    gap = float(np.max(np.abs((res.iterates[-1][-1] - traj.states[-1]).coeffs)))
+    gap = float(np.max(np.abs((res.final[-1] - traj.states[-1]).coeffs)))
     assert gap <= 1e-11
 
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chgevrey.integrate import step_rk4
+from chgevrey.model import ModelParams, functional_H, rhs
 from chgevrey.spectral import (
     GevreyIndex,
     GridMismatchError,
@@ -362,6 +364,14 @@ def test_random_field_matches_the_per_mode_loop(n, band, decay, seed):
     assert new.coeffs.tobytes() == old.tobytes()
 
 
+# the model and dealias flag that make rhs pad by 1 (wrapped), 3/2 and 5/2
+_RHS_AT_PAD = {
+    1.0: (ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05), False),
+    1.5: (ModelParams(alpha=0.1, Gamma_coef=0.05, lam=0.7), True),
+    2.5: (ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05), True),
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([8, 16, 64]),
@@ -379,6 +389,7 @@ def test_batched_rows_equal_single_calls_bit_for_bit(n, rows, seed, sigma, delta
     f = SpectralField(grid, np.array([u.coeffs for u in singles[:rows]]))
     g = SpectralField(grid, np.array([u.coeffs for u in singles[rows:]]))
     index = GevreyIndex(sigma, delta, s)
+    p, dealias = _RHS_AT_PAD[pad]
     for norm in (
         lambda u: gevrey_norm(u, index),
         lambda u: gevrey_norm_bar(u, index),
@@ -391,10 +402,14 @@ def test_batched_rows_equal_single_calls_bit_for_bit(n, rows, seed, sigma, delta
         (lambda u, v: product(u, v, pad_factor=pad), product(f, g, pad_factor=pad)),
         (lambda u, v: derivative(u), derivative(f)),
         (lambda u, v: helmholtz_inv(u), helmholtz_inv(f)),
+        (lambda u, v: rhs(u, p, dealias), rhs(f, p, dealias)),
+        (lambda u, v: step_rk4(u, p, 0.01, dealias), step_rk4(f, p, 0.01, dealias)),
     ):
         for i in range(rows):
             single = op(singles[i], singles[rows + i])
-            assert batched.coeffs[i].tobytes() == single.coeffs.tobytes()
+            assert batched[i].coeffs.tobytes() == single.coeffs.tobytes()
+    if s > 1.5:
+        assert functional_H(f, p, s).tolist() == [functional_H(u, p, s) for u in singles[:rows]]
 
 
 def test_batched_overflow_reads_inf_where_the_single_call_raises():
@@ -419,3 +434,16 @@ def test_field_accepts_one_row_or_a_batch_of_rows():
     for shape in ((63,), (3, 63), (2, 3, 64), ()):
         with pytest.raises(ValueError):
             SpectralField(GRID, np.zeros(shape))
+
+
+def test_row_access_on_a_batch():
+    rows = np.array([cos_field(1).coeffs, cos_field(2).coeffs, cos_field(3).coeffs])
+    batch = SpectralField(GRID, rows)
+    assert batch[1].coeffs.tobytes() == cos_field(2).coeffs.tobytes()
+    assert batch[-1].coeffs.tobytes() == cos_field(3).coeffs.tobytes()
+    assert batch[1:].coeffs.shape == (2, 64)
+    assert [u.coeff(2) for u in batch] == [0.0, 0.5, 0.0]  # iteration stops at the last row
+    single = cos_field(1)
+    with pytest.raises(TypeError):
+        single[0]
+    assert bool(single)  # no __len__: a single field stays truthy
