@@ -3,18 +3,25 @@ r"""Radius-of-analyticity measurement and the quantitative existence bounds.
 Three ingredients live here:
 
 * ``estimate_radius`` reads the exponential decay rate of Fourier
-  coefficients off a least-squares fit of log|c_m| against |k_m|^(1/sigma).
+  coefficients off a least-squares fit of log|c_m| against |k_m|^(1/sigma),
+  for a field or each row of a (T, n) batch.  The fit copies the arithmetic
+  of ``Polynomial.fit(...).convert()``, one ``lstsq`` per row, so a batched
+  row equals the single-field call bit for bit.
 * ``lifespan_bounds`` / ``delta_of_tau`` / ``ea_norm`` render the fixed-point
   existence window, the shrinking-width schedule, and the weighted sup norm
   over (time, width) pairs at desk scale.
 * ``radius_ode_advance`` marches the lower-bound ODE for the width
   (f^2' = 2*C*b^5, delta' = -8*C*delta*f^3) and ``track_radius`` attaches the
-  measured-vs-theory diagnostics to a trajectory.
+  measured-vs-theory diagnostics to a trajectory: one decay fit of the (T, n)
+  batch, the scalar ODE on the b column, then batched Gevrey norms at the
+  theory widths.  ``calibrate_radius_constant`` fits once and re-marches
+  only the ODE and the norms for each multiplier it tries.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +34,7 @@ from .spectral import (
     GridMismatchError,
     NormOverflowError,
     SpectralField,
+    _weighted_norm,
     gevrey_norm,
     sobolev_norm,
 )
@@ -56,6 +64,7 @@ __all__ = [
 
 EA_DELTA_GRID = np.linspace(0.05, 0.95, 19)
 DELTA_CLAMP = 1e-300
+NORM_BLOCK = 8192  # coefficients per batched Gevrey norm in track_radius
 
 
 class InsufficientDecayError(ValueError):
@@ -79,7 +88,8 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadiusEstimate:
-    """Fitted decay rate: log|c_m| ~ intercept - delta_fit * |k_m|^(1/sigma)."""
+    """Fitted decay rate: log|c_m| ~ intercept - delta_fit * |k_m|^(1/sigma);
+    arrays with one entry per row for a batch."""
 
     delta_fit: float
     intercept: float
@@ -97,43 +107,68 @@ def estimate_radius(
     noise_floor: float = 1e-14,
     min_modes: int = 8,
 ) -> RadiusEstimate:
-    """Least-squares decay fit over positive modes m >= 2.
+    """Least-squares decay fit over positive modes m >= 2, one per row of a batch.
 
     Modes 0 and 1 are excluded (they pollute the intercept); the scan walks
     upward and stops at the first coefficient below ``noise_floor`` relative
-    to the largest one.  Fewer than ``min_modes`` usable modes raises
-    InsufficientDecayError.
+    to the largest one.  Fewer than ``min_modes`` usable modes, or a zero
+    field, raises InsufficientDecayError.  On a (T, n) batch every field of
+    the estimate is an array with one entry per row (``modes_used`` a pair of
+    float arrays), and a row that would raise is NaN throughout.
     """
     if not (sigma >= 1.0):
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     grid = field.grid
-    mags = np.abs(field.coeffs)
-    floor = noise_floor * float(np.max(mags))
-    if floor == 0.0:
-        raise InsufficientDecayError("field is identically zero")
-    ms, xs, ys = [], [], []
-    for m in range(2, grid.n_points // 2 + 1):
-        c = mags[grid.index_of(m)]
-        if c < floor:
-            break
-        ms.append(m)
-        k = abs(2.0 * math.pi * m / grid.period)
-        xs.append(k ** (1.0 / sigma))
-        ys.append(math.log(c))
-    if len(ms) < min_modes:
-        raise InsufficientDecayError(
-            f"only {len(ms)} modes above the noise floor; need {min_modes}"
-        )
-    line = np.polynomial.polynomial.Polynomial.fit(xs, ys, 1)
-    intercept, slope = line.convert().coef
-    fitted = intercept + slope * np.asarray(xs)
-    residual = float(np.sqrt(np.mean((fitted - np.asarray(ys)) ** 2)))
-    return RadiusEstimate(
-        delta_fit=-float(slope),
-        intercept=float(intercept),
-        residual=residual,
-        modes_used=(ms[0], ms[-1]),
+    half = grid.n_points // 2
+    # modes 2..n/2 sit in storage slots 2..n/2
+    mags = np.abs(np.atleast_2d(field.coeffs))
+    floor = noise_floor * np.max(mags, axis=-1)
+    below = mags[:, 2 : half + 1] < floor[:, None]
+    counts = np.where(below.any(axis=-1), below.argmax(axis=-1), half - 1)
+    xs = np.array(
+        [abs(2.0 * math.pi * m / grid.period) ** (1.0 / sigma) for m in range(2, half + 1)]
     )
+    rows = np.full((len(counts), 3), math.nan)  # delta_fit, intercept, residual
+    fitted = (floor != 0.0) & (counts >= min_modes)
+    for row in np.flatnonzero(fitted):
+        count = counts[row]
+        ys = np.array([math.log(c) for c in mags[row, 2 : 2 + count].tolist()])
+        rows[row] = _fit_decay_line(xs[:count], ys)
+    if field.coeffs.ndim == 2:
+        modes_used = (np.where(fitted, 2.0, math.nan), np.where(fitted, counts + 1.0, math.nan))
+        return RadiusEstimate(rows[:, 0], rows[:, 1], rows[:, 2], modes_used)
+    if floor[0] == 0.0:
+        raise InsufficientDecayError("field is identically zero")
+    if counts[0] < min_modes:
+        raise InsufficientDecayError(
+            f"only {counts[0]} modes above the noise floor; need {min_modes}"
+        )
+    delta_fit, intercept, residual = rows[0].tolist()
+    return RadiusEstimate(delta_fit, intercept, residual, (2, int(counts[0]) + 1))
+
+
+def _fit_decay_line(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(delta_fit, intercept, residual) of the line through (x, y), rounded as
+    ``Polynomial.fit(x, y, 1).convert()`` rounds it: x is mapped onto
+    [-1, 1], the column-scaled Vandermonde system goes to ``lstsq``, and the
+    coefficients are mapped back."""
+    lo, hi = x.min(), x.max()
+    if lo == hi:
+        lo, hi = lo - 1.0, hi + 1.0
+    off = (-hi - lo) / (hi - lo)
+    scl = 2.0 / (hi - lo)
+    lhs = np.polynomial.polynomial.polyvander(off + scl * x, 1).T
+    col = np.sqrt(np.square(lhs).sum(1))
+    col[col == 0] = 1.0
+    c, _, rank, _ = np.linalg.lstsq(lhs.T / col, y, len(x) * np.finfo(float).eps)
+    if rank != 2:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)
+    c0, c1 = c / col
+    # convert() evaluates the fit at the identity line off + scl*t
+    intercept = c0 + c1 * (off + scl * 0.0)
+    slope = c1 * (scl * 1.0)
+    residual = np.sqrt(np.mean((intercept + slope * x - y) ** 2))
+    return -slope, intercept, residual
 
 
 # --- existence window ---------------------------------------------------------
@@ -393,8 +428,19 @@ def track_radius(
     c_cal: float,
     attach: bool = True,
 ) -> list:
-    """Walk a recorded trajectory, marching the width ODE on the recorded b
-    samples and fitting the measured decay rate at each time."""
+    """Diagnostics of a recorded trajectory: the width ODE marched on the
+    recorded b samples, set against the measured decay rate at each time."""
+    records = _radius_records(traj, sigma, s, *_radius_columns(traj, p, sigma, s, delta0, c_cal))
+    if attach:
+        traj.diagnostics = records
+    return records
+
+
+def _radius_columns(
+    traj: Trajectory, p: ModelParams, sigma: float, s: float, delta0: float, c_cal: float
+) -> tuple:
+    """What track_radius needs besides the multiplier's own march: the initial
+    width state and the b, H and decay-fit columns, one entry per time."""
     states = traj.states
     if states.coeffs.shape[0] != len(traj.times):
         raise ValueError("trajectory times/states out of step")
@@ -404,34 +450,39 @@ def track_radius(
     if not np.all(np.isfinite(b_col)):  # as the single-field norm raises
         raise NormOverflowError(f"H^{s} norm accumulation overflowed")
     h_col = functional_H(states, p, s)
-    records = []
-    prev_t = None
-    for j, t in enumerate(map(float, traj.times)):
-        u, b = states[j], float(b_col[j])
-        dt = 0.0 if prev_t is None else t - prev_t
-        state = radius_ode_advance(state, b, dt)
-        try:
-            fit = estimate_radius(u, sigma).delta_fit
-        except InsufficientDecayError:
-            fit = math.nan
-        records.append(
-            RadiusRecord(
-                t=t,
-                sobolev_s=b - 1.0,
-                gevrey_at_delta_theory=gevrey_norm(
-                    u, GevreyIndex(sigma, state.delta_theory, s)
-                ),
-                delta_fit=fit,
-                delta_theory=state.delta_theory,
-                f_val=math.sqrt(state.f_sq),
-                b_val=b,
-                H_val=float(h_col[j]),
-            )
+    fits = estimate_radius(states, sigma).delta_fit
+    return state, b_col, h_col, fits
+
+
+def _radius_records(traj, sigma, s, state, b_col, h_col, fits) -> list:
+    """March the width ODE from ``state`` over the b column, then take every
+    state's Gevrey norm at its theory width, with gevrey_norm's rounding."""
+    times = [float(t) for t in traj.times]
+    thetas, f_vals = [], []
+    for j, (t, b) in enumerate(zip(times, b_col.tolist())):
+        state = radius_ode_advance(state, b, 0.0 if j == 0 else t - times[j - 1])
+        thetas.append(state.delta_theory)
+        f_vals.append(math.sqrt(state.f_sq))
+    states, widths, what = traj.states, 2.0 * np.array(thetas), "Gevrey norm at delta_theory"
+    weight = (1.0 + states.grid.wavenumbers**2) ** (1.0 / (2.0 * sigma))
+    # row blocks of NORM_BLOCK coefficients: logsumexp holds ~5 copies of its input
+    rows = max(1, NORM_BLOCK // weight.size)
+    gevrey = np.concatenate(
+        [
+            _weighted_norm(states[i : i + rows], s, widths[i : i + rows, None] * weight, what)
+            for i in range(0, len(times), rows)
+        ]
+    )
+    if not np.all(np.isfinite(gevrey)):
+        raise NormOverflowError(f"{what} accumulated to a non-finite value")
+    # one NaN object, as the per-state walk stored it, so equal records compare equal
+    fits = [math.nan if math.isnan(fit) else fit for fit in fits.tolist()]
+    return [
+        RadiusRecord(t, b - 1.0, g, fit, theta, f, b, h)
+        for t, b, g, fit, theta, f, h in zip(
+            times, b_col.tolist(), gevrey.tolist(), fits, thetas, f_vals, h_col.tolist()
         )
-        prev_t = t
-    if attach:
-        traj.diagnostics = records
-    return records
+    ]
 
 
 def calibrate_radius_constant(
@@ -452,11 +503,13 @@ def calibrate_radius_constant(
     monotone.  The t=0 comparison is multiplier-independent (theory starts at
     delta0); if it already fails, no multiplier can help.  Records whose fit
     is NaN are skipped; when no record up to t_max has a finite fit there is
-    nothing to calibrate against, and CalibrationError is raised.
+    nothing to calibrate against, and CalibrationError is raised.  The fits,
+    b and H are computed once; each doubling re-marches only the width ODE.
     """
+    state, *columns = _radius_columns(traj, p, sigma, s, delta0, c_algebra)
     for j in range(max_doublings + 1):
         c_cal = c_algebra * 2.0**j
-        records = track_radius(traj, p, sigma, s, delta0, c_cal, attach=False)
+        records = _radius_records(traj, sigma, s, replace(state, C_cal=c_cal), *columns)
         comparable = [r for r in records if r.t <= t_max and not math.isnan(r.delta_fit)]
         if not comparable:
             raise CalibrationError(

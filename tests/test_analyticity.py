@@ -7,16 +7,20 @@ an explicit straight line; a single-time family reduces the weighted sup norm
 to a finite max computable with plain floats.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chgevrey import analyticity
 from chgevrey import (
     CalibrationError,
     ExperimentError,
+    Trajectory,
     GevreyIndex,
     InsufficientDecayError,
     ModelParams,
@@ -32,9 +36,11 @@ from chgevrey import (
     ea_norm,
     estimate_radius,
     field_from_modes,
+    functional_H,
     gevrey_norm,
     integrate,
     lifespan_bounds,
+    random_field,
     radius_ode_advance,
     radius_ode_init,
     sobolev_norm,
@@ -92,6 +98,106 @@ def test_fit_rejects_single_mode_and_zero_fields():
         estimate_radius(field_from_modes(GRID, {1: 0.5}), sigma=1.0)
     with pytest.raises(InsufficientDecayError):
         estimate_radius(field_from_modes(GRID, {}), sigma=1.0)
+
+
+def _first_fit(field, sigma):
+    """The original per-field walk: a Python scan of modes 2..n/2, then
+    Polynomial.fit(...).convert() on lists of Python floats."""
+    grid = field.grid
+    mags = np.abs(field.coeffs)
+    floor = 1e-14 * float(np.max(mags))
+    ms, xs, ys = [], [], []
+    for m in range(2, grid.n_points // 2 + 1):
+        c = mags[grid.index_of(m)]
+        if c < floor:
+            break
+        ms.append(m)
+        xs.append(abs(2.0 * math.pi * m / grid.period) ** (1.0 / sigma))
+        ys.append(math.log(c))
+    intercept, slope = np.polynomial.Polynomial.fit(xs, ys, 1).convert().coef
+    residual = np.sqrt(np.mean((intercept + slope * np.asarray(xs) - np.asarray(ys)) ** 2))
+    return -float(slope), float(intercept), float(residual), (ms[0], ms[-1])
+
+
+def _hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+def _fit_rows(grid):
+    """One field per case the batched scan must reproduce row by row."""
+    half = grid.n_points // 2
+    rng = np.random.default_rng(11)
+    rows = [
+        # stops at the noise floor after mode 10
+        {**{m: 0.01 * math.exp(-0.5 * m) for m in range(11)}, **{m: 1e-30 for m in range(11, 25)}},
+        # no mode below the floor: the scan reaches the Nyquist mode n/2
+        {m: math.exp(-0.05 * m) for m in range(half + 1)},
+        # 7 modes (2..8) above the floor: too few to fit
+        {m: math.exp(-0.4 * m) for m in range(9)},
+        # identically zero
+        {},
+    ]
+    fields = [field_from_modes(grid, amps) for amps in rows]
+    for rate in (0.3, 0.8, 1.7):  # random phases and a rough floor of noise
+        amps = {m: math.exp(-rate * m) * np.exp(2j * math.pi * rng.random()) for m in range(half)}
+        noise = 1e-17 * random_field(grid, rng, band=half - 1)
+        fields.append(field_from_modes(grid, amps) + noise)
+    return fields
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("period", [2.0 * math.pi, 3.0])
+def test_batched_fit_rows_equal_single_field_calls(sigma, period):
+    grid = TorusGrid(64, period)
+    fields = _fit_rows(grid)
+    batch = estimate_radius(SpectralField(grid, np.stack([f.coeffs for f in fields])), sigma)
+    assert batch.delta_fit.shape == (len(fields),)
+    seen = set()
+    for i, field in enumerate(fields):
+        row = (
+            batch.delta_fit[i], batch.intercept[i], batch.residual[i],
+            batch.modes_used[0][i], batch.modes_used[1][i],
+        )
+        try:
+            est = estimate_radius(field, sigma)
+        except InsufficientDecayError:
+            assert all(math.isnan(v) for v in row)
+            seen.add("raised")
+            continue
+        assert _hexes(*row) == _hexes(est.delta_fit, est.intercept, est.residual, *est.modes_used)
+        seen.add(est.modes_used[1])
+    # the floor stop, the Nyquist end and the raising rows were all exercised
+    assert {10, grid.n_points // 2, "raised"} <= seen
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_fit_copies_polynomial_fit_bit_for_bit(sigma):
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        for n, period in ((64, 2.0 * math.pi), (128, 2.0 * math.pi), (128, 0.7)):
+            grid = TorusGrid(n, period)
+            for _ in range(40):
+                rate = rng.uniform(0.05, 2.5)
+                amps = {
+                    m: math.exp(-rate * m) * np.exp(2j * math.pi * rng.random())
+                    for m in range(n // 2)
+                }
+                field = field_from_modes(grid, amps) + 1e-16 * random_field(grid, rng)
+                est = estimate_radius(field, sigma)
+                got = _hexes(est.delta_fit, est.intercept, est.residual) + [est.modes_used]
+                want = _first_fit(field, sigma)
+                assert got == _hexes(*want[:3]) + [want[3]]
+
+
+def test_a_one_mode_fit_keeps_the_rank_warning():
+    # with two or more distinct abscissae mapped onto [-1, 1] the scaled
+    # columns stay independent; one mode leaves the slope column empty
+    one_mode = field_from_modes(GRID, {0: 1.0, 1: 0.5, 2: 0.1})
+    with pytest.warns(np.exceptions.RankWarning):
+        est = estimate_radius(one_mode, sigma=1.0, min_modes=1)
+    assert est.modes_used == (2, 2)
+    assert est.intercept == math.log(0.1)
 
 
 # --- existence-window constants ------------------------------------------------
@@ -369,6 +475,76 @@ def test_calibration_fails_when_the_datum_is_too_rough():
     traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.05, record_every=5))
     with pytest.raises(CalibrationError, match="delta0"):
         calibrate_radius_constant(traj, P, sigma=1.0, s=2.0, delta0=0.5, c_algebra=1.0)
+
+
+def _walk_states(traj, p, sigma, s, delta0, c_cal):
+    """The original per-state walk of track_radius: one decay fit, one Gevrey
+    norm and one width-ODE step per recorded state."""
+    states = traj.states
+    state = radius_ode_init(gevrey_norm(states[0], GevreyIndex(sigma, delta0, s)), c_cal, delta0)
+    h_col = functional_H(states, p, s)
+    records, prev_t = [], None
+    for j, t in enumerate(map(float, traj.times)):
+        u = states[j]
+        b = 1.0 + sobolev_norm(u, s)
+        state = radius_ode_advance(state, b, 0.0 if prev_t is None else t - prev_t)
+        try:
+            fit = estimate_radius(u, sigma).delta_fit
+        except InsufficientDecayError:
+            fit = math.nan
+        gevrey = gevrey_norm(u, GevreyIndex(sigma, state.delta_theory, s))
+        theta, f = state.delta_theory, math.sqrt(state.f_sq)
+        records.append((t, b - 1.0, gevrey, fit, theta, f, b, float(h_col[j])))
+        prev_t = t
+    return records
+
+
+def test_track_radius_matches_the_per_state_walk():
+    # a steep datum: the first records have too few modes above the floor to
+    # fit (NaN), the later ones have widened enough to fit
+    u0 = field_from_modes(GRID, {m: math.exp(-3.8 * m) for m in range(33)})
+    traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.5, record_every=5))
+    records = track_radius(traj, P, sigma=2.0, s=2.0, delta0=0.5, c_cal=0.3, attach=False)
+    fits = [r.delta_fit for r in records]
+    assert any(math.isnan(f) for f in fits) and any(math.isfinite(f) for f in fits)
+    want = _walk_states(traj, P, 2.0, 2.0, 0.5, 0.3)
+    assert [_hexes(*dataclasses.astuple(r)) for r in records] == [_hexes(*w) for w in want]
+
+
+def test_track_radius_raises_when_a_later_norm_overflows():
+    # row 0 has a finite norm at delta0; row 1 carries 1e-10 at mode 1000,
+    # where exp(2 * 0.9 * 1000) overflows the sum of squares
+    grid = TorusGrid(2048)
+    calm = field_from_modes(grid, {1: 0.1})
+    rough = field_from_modes(grid, {1: 0.1, 1000: 1e-10})
+    traj = Trajectory(
+        times=np.array([0.0, 1e-9]), states=SpectralField(grid, [calm.coeffs, rough.coeffs])
+    )
+    with pytest.raises(NormOverflowError):
+        _walk_states(traj, P, 1.0, 2.0, 0.9, 1e-12)
+    with pytest.raises(NormOverflowError):
+        track_radius(traj, P, sigma=1.0, s=2.0, delta0=0.9, c_cal=1e-12)
+
+
+def test_calibration_fits_once_and_re_marches_the_width(monkeypatch):
+    u0 = field_from_modes(GRID, {m: math.exp(-0.9 * m) for m in range(33)})
+    traj = integrate(u0, P, SolverConfig(dt=0.005, t_end=0.3, record_every=10))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].coeffs.shape)
+        return estimate_radius(*args, **kwargs)
+
+    monkeypatch.setattr(analyticity, "estimate_radius", counted)
+    c_cal, records = calibrate_radius_constant(
+        traj, P, sigma=1.0, s=2.0, delta0=0.55, c_algebra=1e-6
+    )
+    assert calls == [traj.states.coeffs.shape]
+    assert c_cal >= 4e-6  # two doublings or more
+    again = track_radius(traj, P, 1.0, 2.0, 0.55, c_cal, attach=False)
+    assert [_hexes(*dataclasses.astuple(r)) for r in records] == [
+        _hexes(*dataclasses.astuple(r)) for r in again
+    ]
 
 
 # --- continuity in the datum ----------------------------------------------------

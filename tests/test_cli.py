@@ -444,6 +444,27 @@ def test_blowup_is_a_valid_outcome(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_blowup_with_an_overflowing_norm_writes_the_empty_table(tmp_path, capsys):
+    # the bump's rounding noise fills the band, and at n = 2048 the width-0.9
+    # Gevrey weight exp(0.9 * 1024) overflows its norm: the partial
+    # trajectory gets no diagnostics, and the blow-up is still reported
+    cfg = write_config(
+        tmp_path,
+        grid={"n_points": 2048},
+        gevrey={"delta": 0.9},
+        solver={"dt": 0.01, "t_end": 10.0},
+        initial_data={"name": "gaussian_bump", "amplitude": 40.0, "width": 0.5},
+    )
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert (out / "trajectory.csv").read_text() == CSV_HEADER + "\n"
+    assert "blow-up at t = 0.02; partial trajectory written" in capsys.readouterr().out
+    assert json.loads((out / "metadata.json").read_text())["blowup_time"] == 0.02
+
+
 def test_metadata_written_before_datum_failure(tmp_path):
     # mode 100 does not fit the n=16 band: the run fails with exit 2, but
     # metadata must already be on disk for forensics
