@@ -25,8 +25,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._numerics import logsumexp
 from .integrate import BlowUpError, SolverConfig, Trajectory, integrate
 from .model import ModelParams, functional_H
 from .spectral import (
@@ -319,7 +319,7 @@ def ea_norm(
             continue
         admissible = True
         log_w = s * np.log1p(k2) + 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
-        log_norm2 = logsumexp(log_mag2[mask] + log_w[None, :], axis=1)
+        log_norm2 = logsumexp(log_mag2[mask] + log_w[None, :])
         score = (
             0.5 * log_norm2
             + sigma * math.log(1.0 - delta)
@@ -366,12 +366,13 @@ def radius_ode_init(u0_norm_at_delta0: float, C_cal: float, delta0: float) -> Ra
         raise ValueError(f"C_cal must be positive, got {C_cal}")
     if not (u0_norm_at_delta0 >= 0.0):
         raise ValueError("norm must be nonnegative")
-    return RadiusODEState(
-        delta_theory=delta0,
-        f_sq=2.0 * (1.0 + u0_norm_at_delta0) ** 2,
-        C_cal=C_cal,
-        delta0=delta0,
-    )
+    try:
+        f_sq = 2.0 * (1.0 + u0_norm_at_delta0) ** 2
+    except OverflowError:  # a float power raises where the norm itself was finite
+        raise NormOverflowError(
+            f"width ODE start from norm {u0_norm_at_delta0:.3g} overflowed"
+        ) from None
+    return RadiusODEState(delta_theory=delta0, f_sq=f_sq, C_cal=C_cal, delta0=delta0)
 
 
 def radius_ode_advance(state: RadiusODEState, b_now: float, dt: float) -> RadiusODEState:
@@ -383,10 +384,11 @@ def radius_ode_advance(state: RadiusODEState, b_now: float, dt: float) -> Radius
     if dt == 0.0:
         return replace(state, b_prev=b_now)
     b_old = state.b_prev if state.b_prev is not None else b_now
-    f_sq_new = state.f_sq + state.C_cal * dt * (b_old**5 + b_now**5)
-    decay = math.exp(
-        -4.0 * state.C_cal * dt * (state.f_sq**1.5 + f_sq_new**1.5)
-    )
+    try:
+        f_sq_new = state.f_sq + state.C_cal * dt * (b_old**5 + b_now**5)
+        decay = math.exp(-4.0 * state.C_cal * dt * (state.f_sq**1.5 + f_sq_new**1.5))
+    except OverflowError:
+        raise NormOverflowError(f"width ODE step from b = {b_now:.3g} overflowed") from None
     delta_new = state.delta_theory * decay
     clamped = state.clamped
     if delta_new < DELTA_CLAMP:
@@ -465,7 +467,9 @@ def _radius_records(traj, sigma, s, state, b_col, h_col, fits) -> list:
         f_vals.append(math.sqrt(state.f_sq))
     states, widths, what = traj.states, 2.0 * np.array(thetas), "Gevrey norm at delta_theory"
     weight = (1.0 + states.grid.wavenumbers**2) ** (1.0 / (2.0 * sigma))
-    # row blocks of NORM_BLOCK coefficients: logsumexp holds ~5 copies of its input
+    # row blocks of NORM_BLOCK coefficients: the norm and its log-sum-exp hold
+    # about five float copies of their input, and one (401, 128) call would
+    # lift the tracemalloc peak of track_radius from 0.9 to 2.2 MB
     rows = max(1, NORM_BLOCK // weight.size)
     gevrey = np.concatenate(
         [

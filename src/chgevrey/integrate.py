@@ -11,8 +11,8 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
+from ._numerics import cumulative_trapezoid
 from .model import ModelParams, rhs
 from .spectral import SpectralField, sobolev_norm, to_physical
 
@@ -246,7 +246,7 @@ def picard_iterate(
             # an overflowing node turns NaN downstream; diverged_at reports it
             with np.errstate(invalid="ignore"):
                 f_nodes = rhs(final, p, dealias).coeffs
-                integral = cumulative_trapezoid(f_nodes, times, axis=0, initial=0.0)
+                integral = cumulative_trapezoid(f_nodes, times)
         except FloatingPointError:
             diverged_at = it
             break

@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import logsumexp
+
+from ._numerics import logsumexp
 
 __all__ = [
     "TorusGrid",
@@ -341,7 +342,7 @@ def _weighted_norm(
     k2 = field.grid.wavenumbers**2
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(field.coeffs))  # -inf where c vanishes
-    total = logsumexp(s * np.log1p(k2) + log_weight2 + log_mag2, axis=-1)
+    total = logsumexp(s * np.log1p(k2) + log_weight2 + log_mag2)
     if total.ndim:
         return np.array([_sqrt_exp(t) for t in total.tolist()])
     value = _sqrt_exp(float(total))

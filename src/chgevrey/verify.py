@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
-from scipy.integrate import trapezoid
 
+from ._numerics import trapezoid
 from .analyticity import delta_of_tau, ea_norm
 from .integrate import SolverConfig, Trajectory, integrate
 from .model import ModelParams, functional_H, small_data_check

@@ -407,6 +407,17 @@ def test_ode_validation():
         radius_ode_advance(state, 2.0, -0.1)
 
 
+def test_ode_overflow_raises_the_norm_error():
+    # finite inputs whose float powers overflow: 2(1 + 1e200)^2, b^5, f_sq^1.5
+    with pytest.raises(NormOverflowError):
+        radius_ode_init(1e200, 1.0, 0.5)
+    state = radius_ode_init(0.0, C_cal=1.0, delta0=0.5)
+    with pytest.raises(NormOverflowError):
+        radius_ode_advance(state, 1e100, 0.1)
+    with pytest.raises(NormOverflowError):
+        radius_ode_advance(dataclasses.replace(state, f_sq=1e250), 2.0, 0.1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from chgevrey.cli import (
 from chgevrey.verify import EmpiricalConstants, save_pins, verify_H_monotone
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -463,6 +467,39 @@ def test_blowup_with_an_overflowing_norm_writes_the_empty_table(tmp_path, capsys
     assert (out / "trajectory.csv").read_text() == CSV_HEADER + "\n"
     assert "blow-up at t = 0.02; partial trajectory written" in capsys.readouterr().out
     assert json.loads((out / "metadata.json").read_text())["blowup_time"] == 0.02
+
+
+def test_blowup_with_an_overflowing_width_ode_writes_the_empty_table(tmp_path, capsys):
+    # at n = 1024 the Gevrey norm of the bump's rounding noise is finite but
+    # above 1e154, so the width ODE's start 2(1 + norm)^2 overflows instead
+    cfg = write_config(
+        tmp_path,
+        grid={"n_points": 1024},
+        gevrey={"delta": 0.9},
+        solver={"dt": 0.01, "t_end": 10.0},
+        initial_data={"name": "gaussian_bump", "amplitude": 40.0, "width": 0.5},
+    )
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert (out / "trajectory.csv").read_text() == CSV_HEADER + "\n"
+    assert "partial trajectory written" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, chgevrey.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_metadata_written_before_datum_failure(tmp_path):

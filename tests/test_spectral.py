@@ -447,3 +447,49 @@ def test_row_access_on_a_batch():
     with pytest.raises(TypeError):
         single[0]
     assert bool(single)  # no __len__: a single field stays truthy
+
+
+def _hex(values):
+    flat = np.asarray(values)
+    flat = flat.view(float) if np.iscomplexobj(flat) else flat.astype(float)
+    return [float.hex(v) for v in flat.ravel().tolist()]
+
+
+def test_logsumexp_port_equals_scipy_bit_for_bit():
+    pytest.importorskip("scipy", minversion="1.17")
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    from chgevrey._numerics import logsumexp
+
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(300):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 300)))
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-2, 3), shape)
+        a[rng.random(shape) < 0.05] = -np.inf  # vanishing coefficients
+        cases += [a, a[0]]
+        ties = rng.integers(-3, 2, shape).astype(float)  # tied maxima in most rows
+        cases += [ties, ties[-1]]
+    edge = np.array([[-np.inf] * 4, [0.0, np.inf, 1.0, -np.inf], [5.0, 5.0, 5.0, 5.0]])
+    cases += [edge, edge[0], edge[1], np.array([2.5]), np.array([[-np.inf], [3.0]])]
+    for a in cases:
+        ours, theirs = logsumexp(a), scipy_logsumexp(a, axis=-1)
+        assert np.ndim(ours) == a.ndim - 1
+        assert _hex(ours) == _hex(theirs)
+    assert logsumexp(edge).tolist()[:2] == [-np.inf, np.inf]
+
+
+def test_trapezoid_ports_equal_scipy_bit_for_bit():
+    pytest.importorskip("scipy", minversion="1.17")
+    from scipy import integrate
+
+    from chgevrey._numerics import cumulative_trapezoid, trapezoid
+
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        nodes = int(rng.integers(2, 60))
+        x = np.cumsum(rng.uniform(0.0, 0.3, nodes))
+        y = rng.normal(size=(nodes, 17)) + 1j * rng.normal(size=(nodes, 17))
+        expected = integrate.cumulative_trapezoid(y, x, axis=0, initial=0.0)
+        assert _hex(cumulative_trapezoid(y, x)) == _hex(expected)
+        assert _hex(trapezoid(y[:, 0].real, x)) == _hex(integrate.trapezoid(y[:, 0].real, x))
