@@ -10,19 +10,20 @@ Three ingredients live here:
 * ``lifespan_bounds`` / ``delta_of_tau`` / ``ea_norm`` render the fixed-point
   existence window, the shrinking-width schedule, and the weighted sup norm
   over (time, width) pairs at desk scale.
-* ``radius_ode_advance`` marches the lower-bound ODE for the width
-  (f^2' = 2*C*b^5, delta' = -8*C*delta*f^3) and ``track_radius`` attaches the
-  measured-vs-theory diagnostics to a trajectory: one decay fit of the (T, n)
-  batch, the scalar ODE on the b column, then batched Gevrey norms at the
-  theory widths.  ``calibrate_radius_constant`` fits once and re-marches
-  only the ODE and the norms for each multiplier it tries.
+* ``width_bound`` marches the lower-bound ODE for the width
+  (f^2' = 2*C*b^5, delta' = -8*C*delta*f^3) over a column of recorded times,
+  and ``track_radius`` sets it against the measured decay rate along a
+  trajectory: one decay fit of the (T, n) batch, the width bound on the b
+  column, then batched Gevrey norms at the theory widths.
+  ``calibrate_radius_constant`` fits once, re-marches only the width bound for
+  each multiplier it tries, and takes the norms for the one it accepts.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .spectral import (
 __all__ = [
     "RadiusEstimate",
     "LifespanBounds",
-    "RadiusODEState",
     "RadiusRecord",
     "ContinuityReport",
     "InsufficientDecayError",
@@ -55,8 +55,7 @@ __all__ = [
     "delta_of_tau",
     "delta_of_tau_window",
     "ea_norm",
-    "radius_ode_init",
-    "radius_ode_advance",
+    "width_bound",
     "track_radius",
     "calibrate_radius_constant",
     "continuity_experiment",
@@ -65,6 +64,7 @@ __all__ = [
 EA_DELTA_GRID = np.linspace(0.05, 0.95, 19)
 DELTA_CLAMP = 1e-300
 NORM_BLOCK = 8192  # coefficients per batched Gevrey norm in track_radius
+MAX_DOUBLINGS = 60  # calibrate_radius_constant tries c_algebra * 2^0 .. 2^60
 
 
 class InsufficientDecayError(ValueError):
@@ -202,17 +202,18 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     if not (c_prime > 0.0):
         raise ValueError(f"c_prime must be positive, got {c_prime}")
-    base = c_prime * (math.exp(-sigma) * sigma**sigma + 2.0)
     R = 1.0 + u0_norm
-    L = 2.0**4 * base * R**4
-    M = 0.5 * base * u0_norm * R**4
+    base, r4, t0_closed = _closed_window(R, sigma, c_prime)
+    L = 2.0**4 * base * r4
+    M = 0.5 * base * u0_norm * r4
     D_sigma = 1.0 / (2.0**sigma - 2.0 + 2.0 ** -(sigma + 1.0))
     two_sig = 2.0**sigma - 1.0
     t0_min = min(
         1.0 / (2.0 ** (2 * sigma + 4) * L),
         two_sig * R / (two_sig * 2.0 ** (2 * sigma + 3) * L * R + M * D_sigma),
     )
-    t0_closed = 1.0 / (2.0 ** (2 * sigma + 8) * base * R**4)
+    if not t0_min > 0.0:  # L*R or M overflowed where the closed form did not
+        raise NormOverflowError(f"existence-window constants at norm {u0_norm:.3g} overflowed")
     assert t0_closed <= t0_min * (1.0 + 1e-9), "closed form must not beat the min"
     return LifespanBounds(
         L=L,
@@ -223,6 +224,21 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
         T0_closed_form=t0_closed,
         C_prime=c_prime,
     )
+
+
+def _closed_window(R: float, sigma: float, c_prime: float) -> tuple:
+    """(base, R^4, T0) of the closed-form window T0 = 1/(2^(2sigma+8) base R^4),
+    base = C'(e^-sigma sigma^sigma + 2); NormOverflowError where a power
+    leaves the float range or the window underflows to zero."""
+    try:
+        base = c_prime * (math.exp(-sigma) * sigma**sigma + 2.0)
+        r4 = R**4
+        t0 = 1.0 / (2.0 ** (2 * sigma + 8) * base * r4)
+    except OverflowError:  # a float power raises where its inputs were finite
+        t0 = 0.0
+    if not t0 > 0.0:
+        raise NormOverflowError(f"existence window at R = {R:.3g} overflowed")
+    return base, r4, t0
 
 
 def existence_window(u0: SpectralField, sigma: float, s: float, c_prime: float = 1.0) -> float:
@@ -285,7 +301,6 @@ def ea_norm(
     a: float,
     sigma: float,
     s: float,
-    delta_grid=None,
 ) -> float:
     """sup over the width grid and admissible times of
     ||u(t)||_{G^delta} (1-delta)^sigma sqrt(1 - |t|/(a(1-delta)^sigma)),
@@ -304,14 +319,12 @@ def ea_norm(
         raise ValueError("times and the rows of fields must be parallel")
     if t_arr.shape[0] == 0:
         raise WindowError("empty trajectory")
-    if delta_grid is None:
-        delta_grid = EA_DELTA_GRID
     k2 = fields.grid.wavenumbers**2
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(fields.coeffs))
     best = -np.inf
     admissible = False
-    for delta in delta_grid:
+    for delta in EA_DELTA_GRID:
         shrink = a * (1.0 - delta) ** sigma
         window = shrink / (2.0**sigma - 1.0)
         mask = t_arr < window
@@ -342,65 +355,39 @@ def ea_norm(
 # --- width lower-bound ODE ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadiusODEState:
-    """State of the width lower-bound march.
+def width_bound(times, b, norm0: float, c_cal: float, delta0: float) -> tuple:
+    """(delta_theory, f): the width lower bound marched over a column of
+    recorded times and the b = 1 + ||u||_{H^s} samples taken there.
 
-    f_sq integrates 2*C*b^5 from 2(1+||u0||_{G^{delta0}})^2; delta_theory
-    decays by exp(-8*C*f^3 dt).  b_prev remembers the last b sample so both
-    updates are trapezoidal; clamped flags the 1e-300 underflow guard.
+    f^2 starts at 2(1 + norm0)^2, norm0 = ||u0||_{G^{delta0}}, and integrates
+    2*C*b^5; delta_theory starts at delta0 and decays by exp(-8*C*f^3 dt).
+    Both updates are trapezoidal in consecutive samples, and the width is
+    held at 1e-300 once it underflows.  Returns two lists, one entry per time.
     """
-
-    delta_theory: float
-    f_sq: float
-    C_cal: float
-    delta0: float
-    b_prev: float | None = None
-    clamped: bool = False
-
-
-def radius_ode_init(u0_norm_at_delta0: float, C_cal: float, delta0: float) -> RadiusODEState:
     if not (0.0 < delta0 < 1.0):
         raise ValueError(f"delta0 must lie in (0,1), got {delta0}")
-    if not (C_cal > 0.0):
-        raise ValueError(f"C_cal must be positive, got {C_cal}")
-    if not (u0_norm_at_delta0 >= 0.0):
-        raise ValueError("norm must be nonnegative")
+    if not (c_cal > 0.0):
+        raise ValueError(f"c_cal must be positive, got {c_cal}")
+    if not (norm0 >= 0.0):
+        raise ValueError(f"norm must be nonnegative, got {norm0}")
+    t_col, b_col = np.asarray(times, dtype=float), np.asarray(b, dtype=float)
+    if t_col.ndim != 1 or t_col.shape != b_col.shape or t_col.size == 0:
+        raise ValueError("times and b must be parallel non-empty columns")
+    if not np.all(b_col >= 1.0 - 1e-12):
+        raise ValueError(f"b = 1 + Sobolev norm must be >= 1, got {b_col.min()}")
+    dts = np.diff(t_col)
+    if not np.all(dts >= 0.0):
+        raise ValueError("times must be non-decreasing")
+    bs = b_col.tolist()
     try:
-        f_sq = 2.0 * (1.0 + u0_norm_at_delta0) ** 2
-    except OverflowError:  # a float power raises where the norm itself was finite
-        raise NormOverflowError(
-            f"width ODE start from norm {u0_norm_at_delta0:.3g} overflowed"
-        ) from None
-    return RadiusODEState(delta_theory=delta0, f_sq=f_sq, C_cal=C_cal, delta0=delta0)
-
-
-def radius_ode_advance(state: RadiusODEState, b_now: float, dt: float) -> RadiusODEState:
-    """One trapezoidal step of the width lower bound; dt = 0 only re-arms b_prev."""
-    if not (b_now >= 1.0 - 1e-12):
-        raise ValueError(f"b = 1 + Sobolev norm must be >= 1, got {b_now}")
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if dt == 0.0:
-        return replace(state, b_prev=b_now)
-    b_old = state.b_prev if state.b_prev is not None else b_now
-    try:
-        f_sq_new = state.f_sq + state.C_cal * dt * (b_old**5 + b_now**5)
-        decay = math.exp(-4.0 * state.C_cal * dt * (state.f_sq**1.5 + f_sq_new**1.5))
-    except OverflowError:
-        raise NormOverflowError(f"width ODE step from b = {b_now:.3g} overflowed") from None
-    delta_new = state.delta_theory * decay
-    clamped = state.clamped
-    if delta_new < DELTA_CLAMP:
-        delta_new = DELTA_CLAMP
-        clamped = True
-    return replace(
-        state,
-        delta_theory=delta_new,
-        f_sq=f_sq_new,
-        b_prev=b_now,
-        clamped=clamped,
-    )
+        f_sq, thetas = [2.0 * (1.0 + norm0) ** 2], [delta0]
+        for dt, b_old, b_now in zip(dts.tolist(), bs, bs[1:]):
+            f_sq.append(f_sq[-1] + c_cal * dt * (b_old**5 + b_now**5))
+            decay = math.exp(-4.0 * c_cal * dt * (f_sq[-2] ** 1.5 + f_sq[-1] ** 1.5))
+            thetas.append(max(thetas[-1] * decay, DELTA_CLAMP))
+    except OverflowError:  # a float power raises where its inputs were finite
+        raise NormOverflowError(f"width bound from norm {norm0:.3g} overflowed") from None
+    return thetas, [math.sqrt(x) for x in f_sq]
 
 
 # --- trajectory diagnostics ---------------------------------------------------
@@ -422,49 +409,37 @@ class RadiusRecord:
 
 
 def track_radius(
-    traj: Trajectory,
-    p: ModelParams,
-    sigma: float,
-    s: float,
-    delta0: float,
-    c_cal: float,
-    attach: bool = True,
-) -> list:
-    """Diagnostics of a recorded trajectory: the width ODE marched on the
-    recorded b samples, set against the measured decay rate at each time."""
-    records = _radius_records(traj, sigma, s, *_radius_columns(traj, p, sigma, s, delta0, c_cal))
-    if attach:
-        traj.diagnostics = records
-    return records
-
-
-def _radius_columns(
     traj: Trajectory, p: ModelParams, sigma: float, s: float, delta0: float, c_cal: float
-) -> tuple:
-    """What track_radius needs besides the multiplier's own march: the initial
-    width state and the b, H and decay-fit columns, one entry per time."""
+) -> list:
+    """Diagnostics of a recorded trajectory: the width bound marched on the
+    recorded b samples, set against the measured decay rate at each time."""
+    norm0, b_col, h_col, fits = _radius_columns(traj, p, sigma, s, delta0)
+    thetas, f_vals = width_bound(traj.times, b_col, norm0, c_cal, delta0)
+    return _radius_records(traj, sigma, s, thetas, f_vals, b_col, h_col, fits)
+
+
+def _radius_columns(traj, p, sigma, s, delta0) -> tuple:
+    """What track_radius needs besides the multiplier's own width bound: the
+    datum's Gevrey norm at delta0 and the b, H and decay-fit columns, one
+    entry per time."""
     states = traj.states
     if states.coeffs.shape[0] != len(traj.times):
         raise ValueError("trajectory times/states out of step")
     norm0 = gevrey_norm(states[0], GevreyIndex(sigma, delta0, s))
-    state = radius_ode_init(norm0, c_cal, delta0)
     b_col = 1.0 + sobolev_norm(states, s)
     if not np.all(np.isfinite(b_col)):  # as the single-field norm raises
         raise NormOverflowError(f"H^{s} norm accumulation overflowed")
     h_col = functional_H(states, p, s)
-    fits = estimate_radius(states, sigma).delta_fit
-    return state, b_col, h_col, fits
+    fits = estimate_radius(states, sigma).delta_fit.tolist()
+    # one NaN object, as the per-state walk stored it, so equal records compare equal
+    fits = [math.nan if math.isnan(fit) else fit for fit in fits]
+    return norm0, b_col, h_col, fits
 
 
-def _radius_records(traj, sigma, s, state, b_col, h_col, fits) -> list:
-    """March the width ODE from ``state`` over the b column, then take every
-    state's Gevrey norm at its theory width, with gevrey_norm's rounding."""
+def _radius_records(traj, sigma, s, thetas, f_vals, b_col, h_col, fits) -> list:
+    """Every state's Gevrey norm at its theory width, with gevrey_norm's
+    rounding, and the records of all columns."""
     times = [float(t) for t in traj.times]
-    thetas, f_vals = [], []
-    for j, (t, b) in enumerate(zip(times, b_col.tolist())):
-        state = radius_ode_advance(state, b, 0.0 if j == 0 else t - times[j - 1])
-        thetas.append(state.delta_theory)
-        f_vals.append(math.sqrt(state.f_sq))
     states, widths, what = traj.states, 2.0 * np.array(thetas), "Gevrey norm at delta_theory"
     weight = (1.0 + states.grid.wavenumbers**2) ** (1.0 / (2.0 * sigma))
     # row blocks of NORM_BLOCK coefficients: the norm and its log-sum-exp hold
@@ -479,8 +454,6 @@ def _radius_records(traj, sigma, s, state, b_col, h_col, fits) -> list:
     )
     if not np.all(np.isfinite(gevrey)):
         raise NormOverflowError(f"{what} accumulated to a non-finite value")
-    # one NaN object, as the per-state walk stored it, so equal records compare equal
-    fits = [math.nan if math.isnan(fit) else fit for fit in fits.tolist()]
     return [
         RadiusRecord(t, b - 1.0, g, fit, theta, f, b, h)
         for t, b, g, fit, theta, f, h in zip(
@@ -497,10 +470,9 @@ def calibrate_radius_constant(
     delta0: float,
     c_algebra: float,
     t_max: float = 1.0,
-    max_doublings: int = 60,
 ) -> tuple:
     """(c_cal, records): the smallest power-of-two multiple of the pinned
-    algebra constant whose width ODE stays below the measured decay rate up
+    algebra constant whose width bound stays below the measured decay rate up
     to t_max, and the track_radius records it gives.
 
     Larger multipliers only lower the theory curve, so the doubling search is
@@ -508,26 +480,26 @@ def calibrate_radius_constant(
     delta0); if it already fails, no multiplier can help.  Records whose fit
     is NaN are skipped; when no record up to t_max has a finite fit there is
     nothing to calibrate against, and CalibrationError is raised.  The fits,
-    b and H are computed once; each doubling re-marches only the width ODE.
+    b and H are computed once; each doubling re-marches only the width bound,
+    and the Gevrey norms are taken for the accepted multiplier alone.
     """
-    state, *columns = _radius_columns(traj, p, sigma, s, delta0, c_algebra)
-    for j in range(max_doublings + 1):
+    norm0, b_col, h_col, fits = _radius_columns(traj, p, sigma, s, delta0)
+    compared = [j for j, t in enumerate(traj.times) if t <= t_max and not math.isnan(fits[j])]
+    if not compared:
+        raise CalibrationError(
+            f"no record up to t = {t_max:g} has a finite decay fit; nothing to calibrate against"
+        )
+    for j in range(MAX_DOUBLINGS + 1):
         c_cal = c_algebra * 2.0**j
-        records = _radius_records(traj, sigma, s, replace(state, C_cal=c_cal), *columns)
-        comparable = [r for r in records if r.t <= t_max and not math.isnan(r.delta_fit)]
-        if not comparable:
+        thetas, f_vals = width_bound(traj.times, b_col, norm0, c_cal, delta0)
+        if all(thetas[i] <= fits[i] * (1.0 + 1e-12) for i in compared):
+            return c_cal, _radius_records(traj, sigma, s, thetas, f_vals, b_col, h_col, fits)
+        if fits[0] < delta0:  # False for a NaN fit
             raise CalibrationError(
-                f"no record up to t = {t_max:g} has a finite decay fit; "
-                "nothing to calibrate against"
-            )
-        if all(r.delta_theory <= r.delta_fit * (1.0 + 1e-12) for r in comparable):
-            return c_cal, records
-        if not math.isnan(records[0].delta_fit) and records[0].delta_fit < delta0:
-            raise CalibrationError(
-                f"measured rate {records[0].delta_fit:.4g} at t=0 is below "
+                f"measured rate {fits[0]:.4g} at t=0 is below "
                 f"delta0 = {delta0}; no multiplier can fix the start"
             )
-    raise CalibrationError(f"no multiplier up to 2^{max_doublings} works")
+    raise CalibrationError(f"no multiplier up to 2^{MAX_DOUBLINGS} works")
 
 
 # --- continuity in the initial data -------------------------------------------
@@ -576,8 +548,7 @@ def continuity_experiment(
     worst = float(np.max(gevrey_norm(data, index)))
     if not math.isfinite(worst):
         raise NormOverflowError(f"Gevrey norm {index} of a datum overflowed")
-    base = c_prime * (math.exp(-sigma) * sigma**sigma + 2.0)
-    T = 1.0 / (2.0 ** (2 * sigma + 8) * base * (2.0 + worst) ** 4)
+    T = _closed_window(2.0 + worst, sigma, c_prime)[2]
     dt = min(cfg.dt, T / 64.0)
     run_cfg = SolverConfig(
         dt=dt, t_end=T, record_every=1, dealias=cfg.dealias, s_monitor=cfg.s_monitor

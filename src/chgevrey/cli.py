@@ -13,7 +13,7 @@ Every run resolves its configuration, writes ``metadata.json`` first (crash
 forensics), then dispatches.  ``trajectory.csv`` and ``report.json`` are
 deterministic for a fixed config and seed.  Exit codes: 0 success (including
 blow-up, which is a valid outcome and lands in the metadata), 1 violated
-assertion, 2 bad input.
+assertion, 2 bad input (including a datum whose norms leave the float range).
 """
 
 from __future__ import annotations
@@ -377,35 +377,31 @@ def _write_trajectory_csv(path: Path, records) -> None:
 # --- subcommands ----------------------------------------------------------------
 
 
-def _integrate_with_forensics(cfg: RunConfig, out: Path, pins) -> tuple:
-    """Run the solver; on blow-up keep the partial trajectory and stamp the
-    blow-up time into the metadata.  Returns (trajectory, blowup_time)."""
+def _march(cfg: RunConfig, out: Path, pins, diagnose: Callable) -> tuple:
+    """Run the solver and ``diagnose`` the recorded trajectory.  On blow-up
+    keep the partial trajectory and stamp the blow-up time into the metadata;
+    a nearly blown-up state can overflow the weighted norms, and then the
+    diagnostics are None.  Returns (diagnostics, blowup_time)."""
     u0 = cfg.initial_data.build(cfg.grid)
     try:
-        return integrate(u0, cfg.model, cfg.solver), None
+        traj, blowup_time = integrate(u0, cfg.model, cfg.solver), None
     except BlowUpError as err:
         _write_metadata(out, cfg, pins, blowup_time=err.time)
-        return err.trajectory, err.time
+        traj, blowup_time = err.trajectory, err.time
+    try:
+        return diagnose(traj), blowup_time
+    except NormOverflowError:
+        if blowup_time is None:
+            raise
+        return None, blowup_time
 
 
 def _run_simulate(cfg: RunConfig, out: Path, pins) -> int:
-    traj, blowup_time = _integrate_with_forensics(cfg, out, pins)
-    records = []
-    try:
-        records = track_radius(
-            traj,
-            cfg.model,
-            cfg.gevrey.sigma,
-            cfg.gevrey.s,
-            delta0=cfg.gevrey.delta,
-            c_cal=1.0,
-        )
-    except NormOverflowError:
-        # a nearly blown-up state can overflow the weighted norms; the
-        # blow-up itself is already recorded, so emit an empty table
-        if blowup_time is None:
-            raise
-    _write_trajectory_csv(out / "trajectory.csv", records)
+    sigma, s, delta0 = cfg.gevrey.sigma, cfg.gevrey.s, cfg.gevrey.delta
+    records, blowup_time = _march(
+        cfg, out, pins, lambda traj: track_radius(traj, cfg.model, sigma, s, delta0, c_cal=1.0)
+    )
+    _write_trajectory_csv(out / "trajectory.csv", records or [])
     if blowup_time is not None:
         print(f"blow-up at t = {blowup_time:.6g}; partial trajectory written")
     else:
@@ -462,27 +458,35 @@ def _run_lifespan(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_radius(cfg: RunConfig, out: Path, pins) -> int:
-    traj, blowup_time = _integrate_with_forensics(cfg, out, pins)
     sigma, s, delta0 = cfg.gevrey.sigma, cfg.gevrey.s, cfg.gevrey.delta
     try:
-        c_cal, records = calibrate_radius_constant(
-            traj, cfg.model, sigma, s, delta0, c_algebra=pins.C_s_algebra
+        result, blowup_time = _march(
+            cfg,
+            out,
+            pins,
+            lambda traj: calibrate_radius_constant(
+                traj, cfg.model, sigma, s, delta0, c_algebra=pins.C_s_algebra
+            ),
         )
     except CalibrationError as err:
         print(f"calibration failed: {err}", file=sys.stderr)
         return 1
+    c_cal, records = result or (None, [])
+    final = records[-1] if records else None
     _write_trajectory_csv(out / "trajectory.csv", records)
-    final = records[-1]
     _write_json(
         out / "report.json",
         {
             "c_cal": c_cal,
             "delta0": delta0,
-            "final_delta_fit": final.delta_fit,
-            "final_delta_theory": final.delta_theory,
+            "final_delta_fit": final.delta_fit if final else None,
+            "final_delta_theory": final.delta_theory if final else None,
             "blowup_time": blowup_time,
         },
     )
+    if final is None:
+        print(f"blow-up at t = {blowup_time:.6g}; the norms overflowed, nothing to calibrate")
+        return 0
     print(
         f"c_cal = {c_cal:.6g}; at t = {final.t:.6g}: "
         f"delta_fit = {final.delta_fit:.6g}, delta_theory = {final.delta_theory:.6g}"
@@ -653,6 +657,9 @@ def main(argv=None) -> int:
         return run(cfg, pins=pins)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except NormOverflowError as err:  # the datum is too large for the float range
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

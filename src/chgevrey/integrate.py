@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,13 +66,11 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded times and states plus per-time diagnostic records (attached
-    after the march by the analyticity tracker).  ``states`` stacks the
-    recorded states as one field of shape (T, n), or (T, K, n) for a batch."""
+    """Recorded times and states.  ``states`` stacks the recorded states as
+    one field of shape (T, n), or (T, K, n) for a batch."""
 
     times: np.ndarray
     states: SpectralField
-    diagnostics: list = dataclass_field(default_factory=list)
 
 
 def _symmetrize(u: SpectralField) -> SpectralField:

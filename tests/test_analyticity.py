@@ -41,10 +41,9 @@ from chgevrey import (
     integrate,
     lifespan_bounds,
     random_field,
-    radius_ode_advance,
-    radius_ode_init,
     sobolev_norm,
     track_radius,
+    width_bound,
 )
 
 GRID = TorusGrid(64)
@@ -248,6 +247,16 @@ def test_lifespan_validation():
         lifespan_bounds(1.0, 1.0, c_prime=0.0)
 
 
+def test_lifespan_overflow_raises_the_norm_error():
+    # R^4 past the float range; R^4 finite but M = (base/2)||u0|| R^4 not;
+    # sigma^sigma past the float range
+    for norm, sigma in ((1e100, 1.0), (1e70, 1.0), (1.0, 200.0)):
+        with pytest.raises(NormOverflowError):
+            lifespan_bounds(norm, sigma)
+    lb = lifespan_bounds(1e60, 1.0)  # the largest norms stay finite and positive
+    assert 0.0 < lb.T0_closed_form <= lb.T0_min_formula * (1.0 + 1e-9)
+
+
 # --- width schedule -------------------------------------------------------------
 
 
@@ -356,66 +365,64 @@ def test_sup_norm_is_finite_up_to_the_float_range():
 # --- width lower-bound ODE ------------------------------------------------------
 
 
-def test_ode_init_state():
-    state = radius_ode_init(3.0, C_cal=2.0, delta0=0.5)
-    assert state.f_sq == 2.0 * 16.0
-    assert state.delta_theory == 0.5
-    assert state.b_prev is None and not state.clamped
+def test_ode_starts_at_delta0():
+    thetas, fs = width_bound([0.0], [1.0], 3.0, c_cal=2.0, delta0=0.5)
+    assert thetas == [0.5]
+    assert fs == [math.sqrt(2.0 * 16.0)]
 
 
 def test_ode_with_constant_b_matches_the_exact_solution():
     # b = 1, C = 1: f^2 = 2 + 2t exactly (trapezoid is exact on linear data);
     # delta = 0.5*exp(-(8/5)[(2+2t)^{5/2} - 2^{5/2}])
-    state = radius_ode_init(0.0, C_cal=1.0, delta0=0.5)
     h, steps = 1e-3, 100
-    for _ in range(steps):
-        state = radius_ode_advance(state, 1.0, h)
-    t = h * steps
-    assert abs(state.f_sq - (2.0 + 2.0 * t)) <= 1e-13
+    times = [h * j for j in range(steps + 1)]
+    thetas, fs = width_bound(times, [1.0] * len(times), 0.0, c_cal=1.0, delta0=0.5)
+    t = times[-1]
+    assert abs(fs[-1] ** 2 - (2.0 + 2.0 * t)) <= 1e-13
     exact = 0.5 * math.exp(-(8.0 / 5.0) * ((2.0 + 2.0 * t) ** 2.5 - 2.0**2.5))
-    assert abs(state.delta_theory - exact) <= 1e-6 * exact
-    assert not state.clamped
+    assert abs(thetas[-1] - exact) <= 1e-6 * exact
+    assert len(thetas) == len(fs) == steps + 1
 
 
 def test_ode_trapezoid_uses_the_previous_sample():
-    state = radius_ode_init(0.0, C_cal=1.0, delta0=0.5)
-    state = radius_ode_advance(state, 2.0, 0.0)  # re-arm only
-    assert state.b_prev == 2.0
-    assert state.f_sq == 2.0 and state.delta_theory == 0.5
-    stepped = radius_ode_advance(state, 4.0, 0.1)
-    assert abs(stepped.f_sq - (2.0 + 0.1 * (2.0**5 + 4.0**5))) <= 1e-12
+    # a repeated time is a zero step; the next step averages b over 2 and 4
+    thetas, fs = width_bound([0.0, 0.0, 0.1], [1.0, 2.0, 4.0], 0.0, c_cal=1.0, delta0=0.5)
+    assert thetas[:2] == [0.5, 0.5] and fs[:2] == [math.sqrt(2.0)] * 2
+    f_sq = 2.0 + 0.1 * (2.0**5 + 4.0**5)
+    assert abs(fs[2] ** 2 - f_sq) <= 1e-12
+    assert thetas[2] == pytest.approx(0.5 * math.exp(-0.4 * (2.0**1.5 + f_sq**1.5)), rel=1e-12)
 
 
-def test_ode_underflow_clamps_and_flags():
-    state = radius_ode_init(0.0, C_cal=1.0, delta0=0.5)
-    state = radius_ode_advance(state, 100.0, 1.0)
-    assert state.clamped
-    assert state.delta_theory == 1e-300
-    again = radius_ode_advance(state, 100.0, 1.0)
-    assert again.delta_theory == 1e-300
+def test_ode_underflow_clamps():
+    thetas, _ = width_bound([0.0, 1.0, 2.0], [100.0] * 3, 0.0, c_cal=1.0, delta0=0.5)
+    assert thetas == [0.5, 1e-300, 1e-300]
 
 
 def test_ode_validation():
-    with pytest.raises(ValueError):
-        radius_ode_init(1.0, C_cal=0.0, delta0=0.5)
-    with pytest.raises(ValueError):
-        radius_ode_init(1.0, C_cal=1.0, delta0=1.5)
-    state = radius_ode_init(0.0, C_cal=1.0, delta0=0.5)
-    with pytest.raises(ValueError):
-        radius_ode_advance(state, 0.5, 0.1)  # b >= 1 required
-    with pytest.raises(ValueError):
-        radius_ode_advance(state, 2.0, -0.1)
+    with pytest.raises(ValueError, match="c_cal"):
+        width_bound([0.0], [1.0], 1.0, c_cal=0.0, delta0=0.5)
+    with pytest.raises(ValueError, match="delta0"):
+        width_bound([0.0], [1.0], 1.0, c_cal=1.0, delta0=1.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        width_bound([0.0], [1.0], -1.0, c_cal=1.0, delta0=0.5)
+    with pytest.raises(ValueError, match=">= 1"):
+        width_bound([0.0, 0.1], [1.0, 0.5], 0.0, c_cal=1.0, delta0=0.5)  # b >= 1 required
+    with pytest.raises(ValueError, match="non-decreasing"):
+        width_bound([0.0, 0.2, 0.1], [2.0] * 3, 0.0, c_cal=1.0, delta0=0.5)
+    with pytest.raises(ValueError, match="parallel"):
+        width_bound([0.0, 0.1], [2.0], 0.0, c_cal=1.0, delta0=0.5)
+    with pytest.raises(ValueError, match="parallel"):
+        width_bound([], [], 0.0, c_cal=1.0, delta0=0.5)
 
 
 def test_ode_overflow_raises_the_norm_error():
     # finite inputs whose float powers overflow: 2(1 + 1e200)^2, b^5, f_sq^1.5
     with pytest.raises(NormOverflowError):
-        radius_ode_init(1e200, 1.0, 0.5)
-    state = radius_ode_init(0.0, C_cal=1.0, delta0=0.5)
+        width_bound([0.0], [1.0], 1e200, c_cal=1.0, delta0=0.5)
     with pytest.raises(NormOverflowError):
-        radius_ode_advance(state, 1e100, 0.1)
+        width_bound([0.0, 0.1], [1.0, 1e100], 0.0, c_cal=1.0, delta0=0.5)
     with pytest.raises(NormOverflowError):
-        radius_ode_advance(dataclasses.replace(state, f_sq=1e250), 2.0, 0.1)
+        width_bound([0.0, 0.1], [2.0, 2.0], 1e125, c_cal=1.0, delta0=0.5)
 
 
 @settings(max_examples=100, deadline=None)
@@ -430,13 +437,14 @@ def test_ode_overflow_raises_the_norm_error():
     )
 )
 def test_ode_width_never_increases(steps):
-    state = radius_ode_init(1.0, C_cal=0.5, delta0=0.7)
-    last = state.delta_theory
+    times, bs = [0.0], [steps[0][0]]
     for b, dt in steps:
-        state = radius_ode_advance(state, b, dt)
-        assert state.delta_theory <= last
-        assert state.delta_theory >= 1e-300
-        last = state.delta_theory
+        times.append(times[-1] + dt)
+        bs.append(b)
+    thetas, _ = width_bound(times, bs, 1.0, c_cal=0.5, delta0=0.7)
+    assert thetas[0] == 0.7
+    assert all(new <= old for old, new in zip(thetas, thetas[1:]))
+    assert min(thetas) >= 1e-300
 
 
 # --- trajectory diagnostics -----------------------------------------------------
@@ -451,7 +459,6 @@ def analytic_trajectory():
 def test_track_radius_fills_diagnostics(analytic_trajectory):
     traj = analytic_trajectory
     records = track_radius(traj, P, sigma=1.0, s=2.0, delta0=0.5, c_cal=1.0)
-    assert traj.diagnostics is records
     assert len(records) == len(traj.times)
     r0 = records[0]
     assert r0.t == 0.0
@@ -477,7 +484,7 @@ def test_calibration_accepts_the_unit_constant(analytic_trajectory):
     )
     assert c == 1.0
     # the accepted records are the ones track_radius gives for that constant
-    again = track_radius(analytic_trajectory, P, 1.0, 2.0, 0.5, c, attach=False)
+    again = track_radius(analytic_trajectory, P, 1.0, 2.0, 0.5, c)
     assert records == again
 
 
@@ -490,23 +497,28 @@ def test_calibration_fails_when_the_datum_is_too_rough():
 
 def _walk_states(traj, p, sigma, s, delta0, c_cal):
     """The original per-state walk of track_radius: one decay fit, one Gevrey
-    norm and one width-ODE step per recorded state."""
+    norm and one trapezoidal width step per recorded state, the step written
+    out here so the walk stays an independent reference."""
     states = traj.states
-    state = radius_ode_init(gevrey_norm(states[0], GevreyIndex(sigma, delta0, s)), c_cal, delta0)
+    f_sq = 2.0 * (1.0 + gevrey_norm(states[0], GevreyIndex(sigma, delta0, s))) ** 2
+    theta = delta0
     h_col = functional_H(states, p, s)
-    records, prev_t = [], None
+    records, prev = [], None
     for j, t in enumerate(map(float, traj.times)):
         u = states[j]
         b = 1.0 + sobolev_norm(u, s)
-        state = radius_ode_advance(state, b, 0.0 if prev_t is None else t - prev_t)
+        if prev is not None:
+            dt, b_old = t - prev[0], prev[1]
+            f_sq_new = f_sq + c_cal * dt * (b_old**5 + b**5)
+            theta *= math.exp(-4.0 * c_cal * dt * (f_sq**1.5 + f_sq_new**1.5))
+            theta, f_sq = max(theta, 1e-300), f_sq_new
         try:
             fit = estimate_radius(u, sigma).delta_fit
         except InsufficientDecayError:
             fit = math.nan
-        gevrey = gevrey_norm(u, GevreyIndex(sigma, state.delta_theory, s))
-        theta, f = state.delta_theory, math.sqrt(state.f_sq)
-        records.append((t, b - 1.0, gevrey, fit, theta, f, b, float(h_col[j])))
-        prev_t = t
+        gevrey = gevrey_norm(u, GevreyIndex(sigma, theta, s))
+        records.append((t, b - 1.0, gevrey, fit, theta, math.sqrt(f_sq), b, float(h_col[j])))
+        prev = (t, b)
     return records
 
 
@@ -515,7 +527,7 @@ def test_track_radius_matches_the_per_state_walk():
     # fit (NaN), the later ones have widened enough to fit
     u0 = field_from_modes(GRID, {m: math.exp(-3.8 * m) for m in range(33)})
     traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.5, record_every=5))
-    records = track_radius(traj, P, sigma=2.0, s=2.0, delta0=0.5, c_cal=0.3, attach=False)
+    records = track_radius(traj, P, sigma=2.0, s=2.0, delta0=0.5, c_cal=0.3)
     fits = [r.delta_fit for r in records]
     assert any(math.isnan(f) for f in fits) and any(math.isfinite(f) for f in fits)
     want = _walk_states(traj, P, 2.0, 2.0, 0.5, 0.3)
@@ -540,19 +552,33 @@ def test_track_radius_raises_when_a_later_norm_overflows():
 def test_calibration_fits_once_and_re_marches_the_width(monkeypatch):
     u0 = field_from_modes(GRID, {m: math.exp(-0.9 * m) for m in range(33)})
     traj = integrate(u0, P, SolverConfig(dt=0.005, t_end=0.3, record_every=10))
-    calls = []
+    calls, marches, norms = [], [], []
 
     def counted(*args, **kwargs):
         calls.append(args[0].coeffs.shape)
         return estimate_radius(*args, **kwargs)
 
+    def marched(*args, **kwargs):
+        marches.append(args[3])
+        return width_bound(*args, **kwargs)
+
+    def normed(*args, **kwargs):
+        norms.append(args[0].coeffs.shape[0])
+        return weighted_norm(*args, **kwargs)
+
+    weighted_norm = analyticity._weighted_norm
     monkeypatch.setattr(analyticity, "estimate_radius", counted)
+    monkeypatch.setattr(analyticity, "width_bound", marched)
+    monkeypatch.setattr(analyticity, "_weighted_norm", normed)
     c_cal, records = calibrate_radius_constant(
         traj, P, sigma=1.0, s=2.0, delta0=0.55, c_algebra=1e-6
     )
     assert calls == [traj.states.coeffs.shape]
     assert c_cal >= 4e-6  # two doublings or more
-    again = track_radius(traj, P, 1.0, 2.0, 0.55, c_cal, attach=False)
+    # one width march per multiplier tried, the norms for the accepted one only
+    assert marches == [1e-6 * 2.0**j for j in range(len(marches))] and marches[-1] == c_cal
+    assert sum(norms) == len(traj.times)
+    again = track_radius(traj, P, 1.0, 2.0, 0.55, c_cal)
     assert [_hexes(*dataclasses.astuple(r)) for r in records] == [
         _hexes(*dataclasses.astuple(r)) for r in again
     ]

@@ -488,6 +488,47 @@ def test_blowup_with_an_overflowing_width_ode_writes_the_empty_table(tmp_path, c
     assert "partial trajectory written" in capsys.readouterr().out
 
 
+# the bump's rounding noise fills the band: at n = 1024 its Gevrey norms are
+# finite but above 1e154, so every fourth power and the width bound overflow
+OVERFLOWING_BUMP = {
+    "grid": {"n_points": 1024},
+    "gevrey": {"delta": 0.9},
+    "solver": {"dt": 0.01, "t_end": 10.0},
+    "initial_data": {"name": "gaussian_bump", "amplitude": 40.0, "width": 0.5},
+}
+
+
+def test_radius_blowup_with_an_overflowing_width_bound_is_a_valid_outcome(tmp_path, capsys):
+    cfg = write_config(tmp_path, **OVERFLOWING_BUMP)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = main(["radius", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert (out / "trajectory.csv").read_text() == CSV_HEADER + "\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report == {
+        "blowup_time": 0.03,
+        "c_cal": None,
+        "delta0": 0.9,
+        "final_delta_fit": None,
+        "final_delta_theory": None,
+    }
+    assert json.loads((out / "metadata.json").read_text())["blowup_time"] == 0.03
+    printed = capsys.readouterr()
+    assert "blow-up at t = 0.03" in printed.out and printed.err == ""
+
+
+@pytest.mark.parametrize("subcommand", ["lifespan", "picard", "continuity"])
+def test_an_overflowing_existence_window_exits_two(tmp_path, capsys, subcommand):
+    cfg = write_config(tmp_path, **OVERFLOWING_BUMP)
+    code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: existence window") and "Traceback" not in err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_cli_import_loads_no_scipy():
     probe = "import sys, chgevrey.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

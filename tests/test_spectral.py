@@ -17,6 +17,7 @@ from chgevrey.model import ModelParams, functional_H, rhs
 from chgevrey.spectral import (
     GevreyIndex,
     GridMismatchError,
+    NonFiniteError,
     NormOverflowError,
     SpectralField,
     SymmetryError,
@@ -127,6 +128,21 @@ def test_to_physical_tolerance_is_relative_to_the_samples():
     # a genuinely complex field is still rejected at that scale
     with pytest.raises(SymmetryError):
         to_physical(field_from_modes(GRID, {2: 1e8}, hermitian=False))
+
+
+def test_non_finite_input_raises_the_non_finite_error():
+    coeffs = cos_field(3).coeffs.copy()
+    coeffs[3] = math.nan
+    with pytest.raises(NonFiniteError, match="coefficients"):
+        SpectralField(GRID, coeffs)
+    batch = np.stack([cos_field(1).coeffs, cos_field(2).coeffs])
+    batch[1, 5] = math.inf  # one bad row rejects the whole batch
+    with pytest.raises(NonFiniteError, match="coefficients"):
+        SpectralField(GRID, batch)
+    samples = np.ones(GRID.n_points)
+    samples[7] = -math.inf
+    with pytest.raises(NonFiniteError, match="samples"):
+        to_spectral(samples, GRID)
 
 
 def test_hermitian_defect():
