@@ -52,6 +52,7 @@ __all__ = [
     "estimate_radius",
     "lifespan_bounds",
     "existence_window",
+    "window_norm",
     "delta_of_tau",
     "delta_of_tau_window",
     "ea_norm",
@@ -65,6 +66,7 @@ EA_DELTA_GRID = np.linspace(0.05, 0.95, 19)
 DELTA_CLAMP = 1e-300
 NORM_BLOCK = 8192  # coefficients per batched Gevrey norm in track_radius
 MAX_DOUBLINGS = 60  # calibrate_radius_constant tries c_algebra * 2^0 .. 2^60
+NOISE_FLOOR = 1e-14  # estimate_radius fits coefficients above this share of the largest
 
 
 class InsufficientDecayError(ValueError):
@@ -104,13 +106,12 @@ class RadiusEstimate:
 def estimate_radius(
     field: SpectralField,
     sigma: float = 1.0,
-    noise_floor: float = 1e-14,
     min_modes: int = 8,
 ) -> RadiusEstimate:
     """Least-squares decay fit over positive modes m >= 2, one per row of a batch.
 
     Modes 0 and 1 are excluded (they pollute the intercept); the scan walks
-    upward and stops at the first coefficient below ``noise_floor`` relative
+    upward and stops at the first coefficient below ``NOISE_FLOOR`` relative
     to the largest one.  Fewer than ``min_modes`` usable modes, or a zero
     field, raises InsufficientDecayError.  On a (T, n) batch every field of
     the estimate is an array with one entry per row (``modes_used`` a pair of
@@ -122,7 +123,7 @@ def estimate_radius(
     half = grid.n_points // 2
     # modes 2..n/2 sit in storage slots 2..n/2
     mags = np.abs(np.atleast_2d(field.coeffs))
-    floor = noise_floor * np.max(mags, axis=-1)
+    floor = NOISE_FLOOR * np.max(mags, axis=-1)
     below = mags[:, 2 : half + 1] < floor[:, None]
     counts = np.where(below.any(axis=-1), below.argmax(axis=-1), half - 1)
     xs = np.array(
@@ -188,7 +189,7 @@ class LifespanBounds:
 
 
 def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> LifespanBounds:
-    """Existence-window constants from the width-1 Gevrey norm of the datum.
+    """Existence-window constants from the datum's ``window_norm``.
 
     R = 1 + ||u0||;  base = C'(e^-sigma sigma^sigma + 2);
     L = 2^4 base R^4;  M = (base/2)||u0|| R^4;
@@ -241,11 +242,17 @@ def _closed_window(R: float, sigma: float, c_prime: float) -> tuple:
     return base, r4, t0
 
 
+def window_norm(u: SpectralField, sigma: float, s: float) -> float | np.ndarray:
+    """Gevrey norm at width 1, the norm the existence window is stated in;
+    one value per row of a batch."""
+    return gevrey_norm(u, GevreyIndex(sigma, 1.0, s))
+
+
 def existence_window(u0: SpectralField, sigma: float, s: float, c_prime: float = 1.0) -> float:
     """Fixed-point existence window of the datum, which a Picard horizon must
-    not exceed: the closed-form lifespan bound of its width-1 Gevrey norm over
+    not exceed: the closed-form lifespan bound of its ``window_norm`` over
     2^sigma - 1."""
-    norm0 = gevrey_norm(u0, GevreyIndex(sigma, 1.0, s))
+    norm0 = window_norm(u0, sigma, s)
     return lifespan_bounds(norm0, sigma, c_prime).T0_closed_form / (2.0**sigma - 1.0)
 
 
@@ -544,10 +551,9 @@ def continuity_experiment(
         raise GridMismatchError("perturbed data and the limit datum need one grid")
     # row 0 is the limit, row i + 1 the perturbed datum #i
     data = SpectralField(grid, np.vstack([u0_limit.coeffs, *(u.coeffs for u in u0_sequence)]))
-    index = GevreyIndex(sigma, 1.0, s)
-    worst = float(np.max(gevrey_norm(data, index)))
+    worst = float(np.max(window_norm(data, sigma, s)))
     if not math.isfinite(worst):
-        raise NormOverflowError(f"Gevrey norm {index} of a datum overflowed")
+        raise NormOverflowError(f"window norm of a datum overflowed (sigma={sigma}, s={s})")
     T = _closed_window(2.0 + worst, sigma, c_prime)[2]
     dt = min(cfg.dt, T / 64.0)
     run_cfg = SolverConfig(
@@ -562,5 +568,5 @@ def continuity_experiment(
     diff = SpectralField.trusted(grid, runs[:, 1:] - runs[:, :1])
     k = runs.shape[1] - 1
     distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(k))
-    bounds = 2.0 * gevrey_norm(data[1:] - data[0], index) + budget
+    bounds = 2.0 * window_norm(data[1:] - data[0], sigma, s) + budget
     return ContinuityReport(T=T, distances=distances, bounds=tuple(bounds.tolist()), budget=budget)

@@ -41,6 +41,7 @@ from .analyticity import (
     existence_window,
     lifespan_bounds,
     track_radius,
+    window_norm,
 )
 from .integrate import BlowUpError, SolverConfig, integrate, picard_iterate
 from .model import ModelParams
@@ -50,7 +51,6 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     field_from_modes,
-    gevrey_norm,
     to_spectral,
 )
 from .verify import (
@@ -431,7 +431,7 @@ def _run_verify(cfg: RunConfig, out: Path, pins) -> int:
 
 def _run_lifespan(cfg: RunConfig, out: Path) -> int:
     u0 = cfg.initial_data.build(cfg.grid)
-    norm = gevrey_norm(u0, cfg.gevrey)
+    norm = window_norm(u0, cfg.gevrey.sigma, cfg.gevrey.s)
     bounds = lifespan_bounds(norm, cfg.gevrey.sigma, cfg.c_prime)
     print(f"datum norm        = {norm:.6e}")
     print(f"T0 (closed form)  = {bounds.T0_closed_form:.6e}")
@@ -623,6 +623,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.update_pins and args.subcommand != "verify":
+        print(f"config error: --update-pins is for verify, not {args.subcommand}", file=sys.stderr)
+        return 2
     try:
         cfg = parse_config(args.config)
     except ConfigError as err:

@@ -387,6 +387,16 @@ def test_lifespan_prints_the_zero_datum_window(tmp_path, capsys):
     assert report["D_sigma"] == 4.0
 
 
+def test_lifespan_evaluates_the_window_of_the_width_one_norm(tmp_path):
+    # gevrey.delta (default 0.5) is not the width the window is stated at
+    cfg = write_config(tmp_path, grid={"n_points": 16})
+    assert main(["lifespan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    u0 = InitialDataSpec("cosine", amplitude=0.01).build(TorusGrid(16))
+    window = existence_window(u0, sigma=1.0, s=2.0, c_prime=1.0)
+    assert report["T0_closed_form"] / (2.0 ** report["sigma"] - 1.0) == window
+
+
 def test_simulate_constant_datum_decays_exponentially(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -588,6 +598,17 @@ def test_verify_against_tampered_pins_exits_one(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["algebra"]["violations"] > 0
     assert report["interpolation"]["violations"] == 0  # exact suites unaffected
+
+
+@pytest.mark.parametrize("subcommand", [c for c in SUBCOMMANDS if c != "verify"])
+def test_update_pins_is_rejected_outside_verify(tmp_path, capsys, subcommand):
+    cfg = write_config(tmp_path)
+    pins_path = tmp_path / "p.json"
+    argv = [subcommand, "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main([*argv, "--pins", str(pins_path), "--update-pins"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not pins_path.exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_continuity_exits_one_when_any_bound_breaks(tmp_path, monkeypatch):

@@ -30,3 +30,26 @@ def test_every_traced_name_still_resolves():
     assert callable(SpectralField.__dict__.get("__post_init__"))
     assert isinstance(TorusGrid.__dict__.get("wavenumbers"), property)
     assert all(callable(getattr(np.fft, name, None)) for name in tracer.FFT_FUNCTIONS)
+
+
+def test_the_tracer_sees_each_suite_of_run_all_suites_once():
+    # install() finds chgevrey.cli in sys.modules, so it must be imported first
+    import chgevrey.cli  # noqa: F401
+    from chgevrey import verify
+
+    module = _load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        try:
+            reports = verify.run_all_suites(seed=42)
+        finally:
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    layers = [span[0] for span in tracer.spans if span[4] == 0]
+    assert {suite: layers.count(f"verify.{suite}") for suite in module.SUITES} == {
+        suite: 1 for suite in module.SUITES
+    }
+    assert tracer.layer_metrics(0)["verify.cases"] == sum(r.cases for r in reports) == 72463

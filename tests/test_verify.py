@@ -117,7 +117,7 @@ def test_interpolation_pointwise_scalar_inequality():
 
 def test_ea_integral_suite_clean():
     traj, _ = reference_trajectory()
-    report = verify_ea_integral(traj, a=1.0, sigma=1.0)
+    report = verify_ea_integral(traj, sigma=1.0)
     assert report.violations == 0
     assert report.cases > 0
     assert report.worst_ratio < 1.0
@@ -125,7 +125,7 @@ def test_ea_integral_suite_clean():
 
 def test_ea_integral_sigma_two_window():
     traj, _ = reference_trajectory()
-    report = verify_ea_integral(traj, a=1.0, sigma=2.0, delta_list=(0.25,))
+    report = verify_ea_integral(traj, sigma=2.0, delta_list=(0.25,))
     assert report.violations == 0
 
 
@@ -181,11 +181,6 @@ def test_algebra_cosine_ratio_oracle():
     den = sobolev_norm(f, 1.0) ** 2
     assert abs(den - 1.0) <= 1e-14
     assert abs(num / den - math.sqrt(7.0 / 8.0)) <= 1e-12
-
-
-def test_algebra_rejects_low_s():
-    with pytest.raises(ValueError):
-        verify_algebra(ensemble_size=1, s_list=(0.25,))
 
 
 def test_symbol_lemma_regression_and_blowup_direction(pins):
