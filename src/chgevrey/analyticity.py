@@ -22,7 +22,6 @@ Three ingredients live here:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,6 @@ __all__ = [
     "existence_window",
     "window_norm",
     "delta_of_tau",
-    "delta_of_tau_window",
     "ea_norm",
     "width_bound",
     "track_radius",
@@ -67,6 +65,7 @@ DELTA_CLAMP = 1e-300
 NORM_BLOCK = 8192  # coefficients per batched Gevrey norm in track_radius
 MAX_DOUBLINGS = 60  # calibrate_radius_constant tries c_algebra * 2^0 .. 2^60
 NOISE_FLOOR = 1e-14  # estimate_radius fits coefficients above this share of the largest
+MIN_MODES = 8  # and needs at least this many of them
 
 
 class InsufficientDecayError(ValueError):
@@ -103,16 +102,12 @@ class RadiusEstimate:
         return self.modes_used[1] - self.modes_used[0] + 1
 
 
-def estimate_radius(
-    field: SpectralField,
-    sigma: float = 1.0,
-    min_modes: int = 8,
-) -> RadiusEstimate:
+def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
     """Least-squares decay fit over positive modes m >= 2, one per row of a batch.
 
     Modes 0 and 1 are excluded (they pollute the intercept); the scan walks
     upward and stops at the first coefficient below ``NOISE_FLOOR`` relative
-    to the largest one.  Fewer than ``min_modes`` usable modes, or a zero
+    to the largest one.  Fewer than ``MIN_MODES`` usable modes, or a zero
     field, raises InsufficientDecayError.  On a (T, n) batch every field of
     the estimate is an array with one entry per row (``modes_used`` a pair of
     float arrays), and a row that would raise is NaN throughout.
@@ -130,7 +125,7 @@ def estimate_radius(
         [abs(2.0 * math.pi * m / grid.period) ** (1.0 / sigma) for m in range(2, half + 1)]
     )
     rows = np.full((len(counts), 3), math.nan)  # delta_fit, intercept, residual
-    fitted = (floor != 0.0) & (counts >= min_modes)
+    fitted = (floor != 0.0) & (counts >= MIN_MODES)
     for row in np.flatnonzero(fitted):
         count = counts[row]
         ys = np.array([math.log(c) for c in mags[row, 2 : 2 + count].tolist()])
@@ -140,9 +135,9 @@ def estimate_radius(
         return RadiusEstimate(rows[:, 0], rows[:, 1], rows[:, 2], modes_used)
     if floor[0] == 0.0:
         raise InsufficientDecayError("field is identically zero")
-    if counts[0] < min_modes:
+    if counts[0] < MIN_MODES:
         raise InsufficientDecayError(
-            f"only {counts[0]} modes above the noise floor; need {min_modes}"
+            f"only {counts[0]} modes above the noise floor; need {MIN_MODES}"
         )
     delta_fit, intercept, residual = rows[0].tolist()
     return RadiusEstimate(delta_fit, intercept, residual, (2, int(counts[0]) + 1))
@@ -152,18 +147,14 @@ def _fit_decay_line(x: np.ndarray, y: np.ndarray) -> tuple:
     """(delta_fit, intercept, residual) of the line through (x, y), rounded as
     ``Polynomial.fit(x, y, 1).convert()`` rounds it: x is mapped onto
     [-1, 1], the column-scaled Vandermonde system goes to ``lstsq``, and the
-    coefficients are mapped back."""
+    coefficients are mapped back.  Its one-point-domain, zero-column and
+    rank-warning branches never fire on MIN_MODES distinct abscissae."""
     lo, hi = x.min(), x.max()
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
     off = (-hi - lo) / (hi - lo)
     scl = 2.0 / (hi - lo)
     lhs = np.polynomial.polynomial.polyvander(off + scl * x, 1).T
     col = np.sqrt(np.square(lhs).sum(1))
-    col[col == 0] = 1.0
-    c, _, rank, _ = np.linalg.lstsq(lhs.T / col, y, len(x) * np.finfo(float).eps)
-    if rank != 2:
-        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=3)
+    c = np.linalg.lstsq(lhs.T / col, y, len(x) * np.finfo(float).eps)[0]
     c0, c1 = c / col
     # convert() evaluates the fit at the identity line off + scl*t
     intercept = c0 + c1 * (off + scl * 0.0)
@@ -185,7 +176,6 @@ class LifespanBounds:
     D_sigma: float
     T0_min_formula: float
     T0_closed_form: float
-    C_prime: float
 
 
 def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> LifespanBounds:
@@ -223,7 +213,6 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
         D_sigma=D_sigma,
         T0_min_formula=t0_min,
         T0_closed_form=t0_closed,
-        C_prime=c_prime,
     )
 
 
@@ -259,21 +248,6 @@ def existence_window(u0: SpectralField, sigma: float, s: float, c_prime: float =
 # --- shrinking-width schedule -------------------------------------------------
 
 
-def _check_delta_sigma_a(delta: float, sigma: float, a: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (sigma >= 1.0):
-        raise ValueError(f"sigma must be >= 1, got {sigma}")
-    if not (a > 0.0):
-        raise ValueError(f"a must be positive, got {a}")
-
-
-def delta_of_tau_window(delta: float, sigma: float, a: float) -> float:
-    """Largest tau for which the schedule's inner root stays real: a(1-delta)^sigma."""
-    _check_delta_sigma_a(delta, sigma, a)
-    return a * (1.0 - delta) ** sigma
-
-
 def delta_of_tau(tau: float, delta: float, sigma: float, a: float) -> float:
     """Width schedule delta(tau) interpolating from (1+delta)/2 down to delta.
 
@@ -284,7 +258,12 @@ def delta_of_tau(tau: float, delta: float, sigma: float, a: float) -> float:
     For sigma = 1 this is (1+delta)/2 - tau/(2a).  Raises WindowError outside
     the real-root window tau in [0, a(1-delta)^sigma].
     """
-    _check_delta_sigma_a(delta, sigma, a)
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not (sigma >= 1.0):
+        raise ValueError(f"sigma must be >= 1, got {sigma}")
+    if not (a > 0.0):
+        raise ValueError(f"a must be positive, got {a}")
     if tau < 0.0:
         raise WindowError(f"tau must be nonnegative, got {tau}")
     pow_gap = (1.0 - delta) ** sigma

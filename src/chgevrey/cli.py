@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
@@ -54,6 +54,7 @@ from .spectral import (
     to_spectral,
 )
 from .verify import (
+    PACKAGED_PINS,
     EmpiricalConstants,
     compute_pins,
     load_pins,
@@ -219,7 +220,6 @@ FIELDS = (
     _Field("model.gamma", "model.gamma", _number, 0.0),
     _Field("model.Gamma", "model.Gamma_coef", _number, 0.0),
     _Field("model.lambda", "model.lam", _number, 1.0, _POSITIVE),
-    _Field("model.epsilon", "model.epsilon", _number, 0.1, _POSITIVE),
     _Field("grid.n_points", "grid.n_points", _integer, 256),
     _Field("grid.period", "grid.period", _number, 2.0 * math.pi),
     _Field("gevrey.sigma", "gevrey.sigma", _number, 1.0, _at_least(1)),
@@ -382,6 +382,8 @@ def _march(cfg: RunConfig, out: Path, pins, diagnose: Callable) -> tuple:
     keep the partial trajectory and stamp the blow-up time into the metadata;
     a nearly blown-up state can overflow the weighted norms, and then the
     diagnostics are None.  Returns (diagnostics, blowup_time)."""
+    if not 0.0 < cfg.gevrey.delta < 1.0:  # width_bound needs it; fail before the march
+        raise ConfigError(f"gevrey.delta: must lie in (0, 1), got {cfg.gevrey.delta!r}")
     u0 = cfg.initial_data.build(cfg.grid)
     try:
         traj, blowup_time = integrate(u0, cfg.model, cfg.solver), None
@@ -442,17 +444,7 @@ def _run_lifespan(cfg: RunConfig, out: Path) -> int:
     )
     _write_json(
         out / "report.json",
-        {
-            "u0_norm": norm,
-            "sigma": cfg.gevrey.sigma,
-            "c_prime": cfg.c_prime,
-            "T0_closed_form": bounds.T0_closed_form,
-            "T0_min_formula": bounds.T0_min_formula,
-            "L": bounds.L,
-            "M": bounds.M,
-            "R": bounds.R,
-            "D_sigma": bounds.D_sigma,
-        },
+        {"u0_norm": norm, "sigma": cfg.gevrey.sigma, "c_prime": cfg.c_prime, **asdict(bounds)},
     )
     return 0
 
@@ -500,12 +492,12 @@ def _run_continuity(cfg: RunConfig, out: Path) -> int:
         bumps = SpectralField(
             cfg.grid,
             [
-                field_from_modes(cfg.grid, {cfg.continuity_mode: amp / 2.0}).coeffs
+                InitialDataSpec("cosine", amp, cfg.continuity_mode).build(cfg.grid).coeffs
                 for amp in cfg.continuity_amplitudes
             ],
         )
-    except ValueError as err:
-        raise ConfigError(f"continuity.mode: {err}") from err
+    except ConfigError as err:  # the cosine generator names initial_data.mode
+        raise ConfigError(f"continuity.mode: {err.__cause__}") from err
     try:
         report = continuity_experiment(
             limit + bumps,
@@ -647,7 +639,7 @@ def main(argv=None) -> int:
     try:
         if args.update_pins:
             pins = compute_pins(cfg.seed)
-            target = args.pins or Path(__file__).with_name("pinned_constants.json")
+            target = args.pins or PACKAGED_PINS
             save_pins(pins, target)
             print(f"pins recomputed on seed {cfg.seed} and written to {target}")
         elif args.pins is not None:

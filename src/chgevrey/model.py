@@ -7,8 +7,9 @@ The evolved equation is
     h(u) = (alpha + Gamma) u + (beta/3) u^3 + (gamma/4) u^4,
 
 with lambda > 0 the dissipation rate.  The equivalent local form pulls the
-Helmholtz operator across; the two differ in how the alpha term transforms,
-which ``formulation_residual`` measures (it is zero only for alpha = 0).
+Helmholtz operator across; the two differ in how the alpha term transforms
+(alpha*u_x here, alpha*u there), which ``formulation_residual`` in the test
+oracles measures; it is zero only for alpha = 0.
 """
 
 from __future__ import annotations
@@ -18,28 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    derivative,
-    helmholtz,
-    helmholtz_inv,
-    product,
-    sobolev_norm,
-    to_physical,
-)
+from .spectral import SpectralField, sobolev_norm
 
 __all__ = [
     "ModelParams",
-    "h_of_u",
-    "nonlocal_source",
     "rhs",
     "functional_H",
     "small_data_check",
-    "formulation_residual",
 ]
-
-# padding that keeps quartic powers alias-free on the stored band
-_QUARTIC_PAD = 2.5
 
 
 @dataclass(frozen=True)
@@ -64,33 +51,6 @@ class ModelParams:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def h_of_u(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
-    """(alpha + Gamma) u + (beta/3) u^3 + (gamma/4) u^4, de-aliased powers.
-
-    Each power goes through product() and is truncated to the stored band
-    before the next factor; with nonlocal_source this is the product-based
-    reference that the fused rhs is tested against.
-    """
-    out = (p.alpha + p.Gamma_coef) * u
-    if p.beta != 0.0 or p.gamma != 0.0:
-        pad = _QUARTIC_PAD if dealias else 1.0
-        u2 = product(u, u, pad)
-        u3 = product(u2, u, pad)
-        if p.beta != 0.0:
-            out = out + (p.beta / 3.0) * u3
-        if p.gamma != 0.0:
-            out = out + (p.gamma / 4.0) * product(u3, u, pad)
-    return out
-
-
-def nonlocal_source(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
-    """Q(u) = -(1-d_xx)^{-1} d_x(-h(u) + u^2 + u_x^2/2); exactly mean free."""
-    pad = 1.5 if dealias else 1.0
-    ux = derivative(u)
-    inner = -1.0 * h_of_u(u, p, dealias) + product(u, u, pad) + 0.5 * product(ux, ux, pad)
-    return -1.0 * helmholtz_inv(derivative(inner))
-
-
 def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
     """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
 
@@ -112,7 +72,7 @@ def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField
     quartic = p.beta != 0.0 or p.gamma != 0.0
     # pad 5/2 keeps quartic powers alias-free on the stored band, 3/2 the
     # quadratic terms (Orszag's rule); pad 1 lets the products wrap
-    pad = (_QUARTIC_PAD if quartic else 1.5) if dealias else 1.0
+    pad = (2.5 if quartic else 1.5) if dealias else 1.0
     fine = math.ceil(pad * n)
     fine += fine % 2
     spec = np.zeros(c.shape[:-1] + (2, fine // 2 + 1), dtype=np.complex128)
@@ -156,39 +116,4 @@ def small_data_check(u0: SpectralField, p: ModelParams, s: float) -> bool:
     """True iff the t=0 functional is within the dissipation budget lam*epsilon
     (boundary included)."""
     return functional_H(u0, p, s) <= p.lam * p.epsilon
-
-
-def formulation_residual(u: SpectralField, p: ModelParams) -> float:
-    """Max-norm mismatch between the evolved nonlocal form and the local form.
-
-    Applies (1 - d_xx) to rhs(u) and subtracts the local-form right-hand side
-
-        -3 u u_x + 2 u_x u_xx + u u_xxx + alpha u + beta u^2 u_x
-        + gamma u^3 u_x + Gamma u_xxx - lambda (u - u_xx).
-
-    The two agree identically for alpha = 0; for alpha != 0 they differ (the
-    nonlocal form carries alpha*u_x where the local form has alpha*u).  This is
-    a diagnostic: report it, never assert it to zero.
-    """
-    pad = _QUARTIC_PAD
-    ux = derivative(u)
-    uxx = derivative(ux)
-    uxxx = derivative(uxx)
-    lifted = helmholtz(rhs(u, p))
-    local = (
-        -3.0 * product(u, ux, pad)
-        + 2.0 * product(ux, uxx, pad)
-        + product(u, uxxx, pad)
-        + p.alpha * u
-        + p.Gamma_coef * uxxx
-        - p.lam * (u - uxx)
-    )
-    if p.beta != 0.0 or p.gamma != 0.0:
-        u2 = product(u, u, pad)
-        if p.beta != 0.0:
-            local = local + p.beta * product(u2, ux, pad)
-        if p.gamma != 0.0:
-            local = local + p.gamma * product(product(u2, u, pad), ux, pad)
-    diff = lifted - local
-    return float(np.max(np.abs(to_physical(diff, imag_tol=np.inf))))
 

@@ -52,7 +52,6 @@ __all__ = [
     "gevrey_norm",
     "gevrey_norm_bar",
     "product",
-    "product_direct",
 ]
 
 
@@ -173,7 +172,7 @@ class SpectralField:
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return replace(self, coeffs=coeffs)
 
-    # Scalar linear algebra; products of fields live in product()/product_direct().
+    # Scalar linear algebra; products of fields live in product().
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _require_same_grid(self, other)
         return self.with_coeffs(self.coeffs + other.coeffs)
@@ -187,7 +186,7 @@ class SpectralField:
 
     def __mul__(self, scalar) -> "SpectralField":
         if isinstance(scalar, SpectralField):
-            raise TypeError("use product()/product_direct() to multiply fields")
+            raise TypeError("use product() to multiply fields")
         return self.with_coeffs(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
@@ -384,8 +383,8 @@ def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spec
 
     Every stored mode, including the unpaired +n/2 slot, receives the true
     convolution coefficient (modes beyond the band are dropped), so this agrees
-    with product_direct on the whole band.  A product that genuinely reaches
-    mode +-n/2 therefore stores a complex corner coefficient; real-signal
+    with the direct convolution on the whole band.  A product that genuinely
+    reaches mode +-n/2 therefore stores a complex corner coefficient; real-signal
     pipelines keep their content inside the paired band |m| <= n/2 - 1.
     """
     _require_same_grid(f, g)
@@ -397,7 +396,7 @@ def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spec
         fg = np.fft.fft(np.fft.ifft(f.coeffs) * np.fft.ifft(g.coeffs) * n)
         return f.with_coeffs(fg)
     # the stored band [-n/2+1, n/2] keeps its labels on the fine grid, the
-    # unpaired +n/2 slot included, as in product_direct; the rest is dropped
+    # unpaired +n/2 slot included, as in the direct convolution; the rest is dropped
     half = n // 2
     slots = np.r_[0 : half + 1, n_fine - half + 1 : n_fine]
     cf = _pad_coeffs(f.coeffs, slots, n_fine)
@@ -406,33 +405,3 @@ def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spec
     samples = np.fft.ifft(cf) * np.fft.ifft(cg) * n_fine
     return f.with_coeffs(np.fft.fft(samples)[..., slots])
 
-
-_DIRECT_MAX_POINTS = 512
-
-
-def product_direct(f: SpectralField, g: SpectralField) -> SpectralField:
-    """O(N^2) convolution oracle over the stored band.
-
-    coeffs[m] = sum_j f_j * g_{m-j} over in-range j; no truncation beyond the
-    stored band.  Guarded to n_points <= 512.  Operands are canonicalized by
-    byte order internally so the computation is exactly symmetric in (f, g).
-    """
-    _require_same_grid(f, g)
-    n = f.grid.n_points
-    if n > _DIRECT_MAX_POINTS:
-        raise ValueError(
-            f"product_direct is O(N^2) and limited to {_DIRECT_MAX_POINTS} points; got {n}"
-        )
-    a, b = f.coeffs, g.coeffs
-    if b.tobytes() < a.tobytes():
-        a, b = b, a
-    half = n // 2
-    band = np.arange(-half + 1, half + 1)
-    ca = a[band % n]
-    cb = b[band % n]
-    full = np.convolve(ca, cb)
-    # full[q] collects mode sums m1+m2 = q + 2*(-half+1)
-    sliced = full[half - 1 : half - 1 + n]
-    out = np.empty(n, dtype=np.complex128)
-    out[band % n] = sliced
-    return f.with_coeffs(out)

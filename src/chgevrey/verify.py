@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -66,6 +66,7 @@ DEFAULT_SEED = 42
 SAFETY_FACTOR = 1.1
 EXACT_SLACK = 1e-12
 PIN_FILE = "pinned_constants.json"
+PACKAGED_PINS = Path(__file__).with_name(PIN_FILE)  # what load_pins reads by default
 GRID = TorusGrid(64)  # the grid of every ensemble suite and the reference run
 
 
@@ -497,19 +498,15 @@ def compute_pins(seed: int = DEFAULT_SEED) -> EmpiricalConstants:
 
 def load_pins(path=None) -> EmpiricalConstants:
     """Load pins from ``path``, or from the packaged constants file."""
-    if path is None:
-        text = resources.files(__package__).joinpath(PIN_FILE).read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    blob = json.loads(text)
+    with open(PACKAGED_PINS if path is None else path, encoding="utf-8") as fh:
+        blob = json.load(fh)
     return EmpiricalConstants(**blob["constants"], pin_date_metadata=blob.get("pin_date_metadata", ""))
 
 
 def save_pins(pins: EmpiricalConstants, path) -> None:
+    """Write the pins; the seed they were computed on is in ``pin_date_metadata``."""
     blob = {
         "version": 1,
-        "seed": DEFAULT_SEED,
         "safety_factor": SAFETY_FACTOR,
         "pin_date_metadata": pins.pin_date_metadata,
         "constants": {name: getattr(pins, name) for name in _PIN_NAMES},

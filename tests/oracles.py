@@ -1,0 +1,126 @@
+r"""Reference implementations that the tests judge the toolkit against.
+
+* ``product_direct`` is the O(N^2) convolution over the stored band, which
+  the padded ``product`` and the fused ``rhs`` must reproduce.
+* ``h_of_u`` and ``nonlocal_source`` assemble the nonlocal source from
+  padded ``product`` calls, truncating to the stored band between factors:
+  the product-based pipeline that the one-pass ``rhs`` replaced.
+* ``formulation_residual`` sets the evolved nonlocal form against the local
+  form of the equation.
+* ``delta_of_tau_window`` is the real-root window of ``delta_of_tau``.
+
+None of them is library API; they live here so that they keep judging.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from chgevrey import (
+    GridMismatchError,
+    ModelParams,
+    SpectralField,
+    derivative,
+    helmholtz,
+    helmholtz_inv,
+    product,
+    rhs,
+    to_physical,
+)
+
+_DIRECT_MAX_POINTS = 512
+
+
+def product_direct(f: SpectralField, g: SpectralField) -> SpectralField:
+    """O(N^2) convolution oracle over the stored band.
+
+    coeffs[m] = sum_j f_j * g_{m-j} over in-range j; no truncation beyond the
+    stored band.  Guarded to n_points <= 512.  Operands are canonicalized by
+    byte order internally so the computation is exactly symmetric in (f, g).
+    """
+    if f.grid != g.grid:
+        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
+    n = f.grid.n_points
+    if n > _DIRECT_MAX_POINTS:
+        raise ValueError(
+            f"product_direct is O(N^2) and limited to {_DIRECT_MAX_POINTS} points; got {n}"
+        )
+    a, b = f.coeffs, g.coeffs
+    if b.tobytes() < a.tobytes():
+        a, b = b, a
+    half = n // 2
+    band = np.arange(-half + 1, half + 1)
+    ca = a[band % n]
+    cb = b[band % n]
+    full = np.convolve(ca, cb)
+    # full[q] collects mode sums m1+m2 = q + 2*(-half+1)
+    sliced = full[half - 1 : half - 1 + n]
+    out = np.empty(n, dtype=np.complex128)
+    out[band % n] = sliced
+    return f.with_coeffs(out)
+
+
+def h_of_u(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
+    """(alpha + Gamma) u + (beta/3) u^3 + (gamma/4) u^4, de-aliased powers.
+
+    Each power goes through product() and is truncated to the stored band
+    before the next factor; pad 5/2 keeps quartic powers alias-free.
+    """
+    out = (p.alpha + p.Gamma_coef) * u
+    if p.beta != 0.0 or p.gamma != 0.0:
+        pad = 2.5 if dealias else 1.0
+        u2 = product(u, u, pad)
+        u3 = product(u2, u, pad)
+        if p.beta != 0.0:
+            out = out + (p.beta / 3.0) * u3
+        if p.gamma != 0.0:
+            out = out + (p.gamma / 4.0) * product(u3, u, pad)
+    return out
+
+
+def nonlocal_source(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
+    """Q(u) = -(1-d_xx)^{-1} d_x(-h(u) + u^2 + u_x^2/2); exactly mean free."""
+    pad = 1.5 if dealias else 1.0
+    ux = derivative(u)
+    inner = -1.0 * h_of_u(u, p, dealias) + product(u, u, pad) + 0.5 * product(ux, ux, pad)
+    return -1.0 * helmholtz_inv(derivative(inner))
+
+
+def formulation_residual(u: SpectralField, p: ModelParams) -> float:
+    """Max-norm mismatch between the evolved nonlocal form and the local form.
+
+    Applies (1 - d_xx) to rhs(u) and subtracts the local-form right-hand side
+
+        -3 u u_x + 2 u_x u_xx + u u_xxx + alpha u + beta u^2 u_x
+        + gamma u^3 u_x + Gamma u_xxx - lambda (u - u_xx).
+
+    The two agree identically for alpha = 0; for alpha != 0 they differ (the
+    nonlocal form carries alpha*u_x where the local form has alpha*u).  This is
+    a diagnostic: report it, never assert it to zero.
+    """
+    pad = 2.5
+    ux = derivative(u)
+    uxx = derivative(ux)
+    uxxx = derivative(uxx)
+    lifted = helmholtz(rhs(u, p))
+    local = (
+        -3.0 * product(u, ux, pad)
+        + 2.0 * product(ux, uxx, pad)
+        + product(u, uxxx, pad)
+        + p.alpha * u
+        + p.Gamma_coef * uxxx
+        - p.lam * (u - uxx)
+    )
+    if p.beta != 0.0 or p.gamma != 0.0:
+        u2 = product(u, u, pad)
+        if p.beta != 0.0:
+            local = local + p.beta * product(u2, ux, pad)
+        if p.gamma != 0.0:
+            local = local + p.gamma * product(product(u2, u, pad), ux, pad)
+    diff = lifted - local
+    return float(np.max(np.abs(to_physical(diff, imag_tol=np.inf))))
+
+
+def delta_of_tau_window(delta: float, sigma: float, a: float) -> float:
+    """Largest tau for which the schedule's inner root stays real: a(1-delta)^sigma."""
+    return a * (1.0 - delta) ** sigma

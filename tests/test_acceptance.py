@@ -23,7 +23,6 @@ from chgevrey import (
     lifespan_bounds,
     picard_iterate,
     product,
-    product_direct,
     random_field,
     sobolev_norm,
 )
@@ -46,6 +45,8 @@ from chgevrey.verify import (
     verify_norm_equivalence,
     verify_symbol_lemma,
 )
+
+from oracles import product_direct
 
 SMALL_DATA = ModelParams(lam=1.0, epsilon=0.1)  # all nonlinear couplings zero
 

@@ -32,7 +32,6 @@ from chgevrey import (
     calibrate_radius_constant,
     continuity_experiment,
     delta_of_tau,
-    delta_of_tau_window,
     ea_norm,
     estimate_radius,
     field_from_modes,
@@ -45,6 +44,8 @@ from chgevrey import (
     track_radius,
     width_bound,
 )
+
+from oracles import delta_of_tau_window
 
 GRID = TorusGrid(64)
 P = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, Gamma_coef=0.5, lam=1.0)
@@ -187,16 +188,6 @@ def test_fit_copies_polynomial_fit_bit_for_bit(sigma):
                 got = _hexes(est.delta_fit, est.intercept, est.residual) + [est.modes_used]
                 want = _first_fit(field, sigma)
                 assert got == _hexes(*want[:3]) + [want[3]]
-
-
-def test_a_one_mode_fit_keeps_the_rank_warning():
-    # with two or more distinct abscissae mapped onto [-1, 1] the scaled
-    # columns stay independent; one mode leaves the slope column empty
-    one_mode = field_from_modes(GRID, {0: 1.0, 1: 0.5, 2: 0.1})
-    with pytest.warns(np.exceptions.RankWarning):
-        est = estimate_radius(one_mode, sigma=1.0, min_modes=1)
-    assert est.modes_used == (2, 2)
-    assert est.intercept == math.log(0.1)
 
 
 # --- existence-window constants ------------------------------------------------

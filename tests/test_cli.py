@@ -23,6 +23,7 @@ from chgevrey import (
     existence_window,
     field_from_modes,
     to_physical,
+    window_norm,
 )
 from chgevrey.cli import (
     CSV_HEADER,
@@ -171,7 +172,7 @@ CONFIGS = st.fixed_dictionaries(
             {},
             optional={
                 "alpha": finite, "beta": finite, "gamma": finite, "Gamma": finite,
-                "lambda": positive, "epsilon": positive,
+                "lambda": positive,
             },
         ),
         "grid": st.fixed_dictionaries(
@@ -609,6 +610,50 @@ def test_update_pins_is_rejected_outside_verify(tmp_path, capsys, subcommand):
     assert capsys.readouterr().err.startswith("config error:")
     assert not pins_path.exists()
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0])
+@pytest.mark.parametrize("subcommand", ["simulate", "radius"])
+def test_a_width_outside_the_unit_interval_exits_two_before_the_march(
+    tmp_path, capsys, subcommand, delta
+):
+    # lifespan reads only the width-1 norm and still runs at delta = 1
+    # (test_lifespan_prints_the_zero_datum_window)
+    cfg = write_config(
+        tmp_path,
+        grid={"n_points": 32},
+        initial_data={"name": "cosine", "amplitude": 0.3},
+        gevrey={"delta": delta},
+    )
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: gevrey.delta: ")
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_update_pins_records_the_seed_it_measured(tmp_path):
+    cfg = write_config(tmp_path)
+    pins_path = tmp_path / "p.json"
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "run"), "--seed", "7"]
+    assert main([*argv, "--pins", str(pins_path), "--update-pins"]) == 0
+    blob = json.loads(pins_path.read_text())
+    assert blob.get("seed", 7) == 7
+    assert blob["pin_date_metadata"].startswith("seed-7 ")
+
+
+def test_continuity_mode_zero_perturbs_by_the_cosine_datum(tmp_path):
+    amplitudes = [0.1, 0.01]
+    cfg = write_config(
+        tmp_path,
+        grid={"n_points": 32},
+        continuity={"mode": 0, "amplitudes": amplitudes},
+    )
+    out = tmp_path / "run"
+    main(["continuity", "--config", str(cfg), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    for amp, bound in zip(amplitudes, report["bounds"]):
+        bump = InitialDataSpec("cosine", amp, 0).build(TorusGrid(32))
+        assert bound == pytest.approx(2.0 * window_norm(bump, 1.0, 2.0) + 1e-6, rel=1e-12)
 
 
 def test_continuity_exits_one_when_any_bound_breaks(tmp_path, monkeypatch):

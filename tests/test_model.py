@@ -16,10 +16,7 @@ from hypothesis import strategies as st
 from chgevrey.integrate import _symmetrize
 from chgevrey.model import (
     ModelParams,
-    formulation_residual,
     functional_H,
-    h_of_u,
-    nonlocal_source,
     rhs,
     small_data_check,
 )
@@ -31,11 +28,12 @@ from chgevrey.spectral import (
     field_from_modes,
     gevrey_norm,
     product,
-    product_direct,
     random_field,
     to_physical,
     to_spectral,
 )
+
+from oracles import formulation_residual, h_of_u, nonlocal_source, product_direct
 
 GRID = TorusGrid(64)
 FREE = ModelParams(lam=1.0)  # all coupling coefficients zero

@@ -15,7 +15,6 @@ from chgevrey import (
     gevrey_norm,
     helmholtz_inv,
     integrate,
-    product_direct,
     sobolev_norm,
 )
 from chgevrey import verify
@@ -38,6 +37,8 @@ from chgevrey.verify import (
     verify_norm_equivalence,
     verify_symbol_lemma,
 )
+
+from oracles import product_direct
 
 GRID = TorusGrid(64)
 
