@@ -4,7 +4,7 @@ Three ingredients live here:
 
 * ``estimate_radius`` reads the exponential decay rate of Fourier
   coefficients off a least-squares fit of log|c_m| against |k_m|^(1/sigma),
-  for a field or each row of a (T, n) batch.  The fit copies the arithmetic
+  for a field or each row of a (T, n/2 + 1) batch.  The fit copies the arithmetic
   of ``Polynomial.fit(...).convert()``, one ``lstsq`` per row, so a batched
   row equals the single-field call bit for bit.
 * ``lifespan_bounds`` / ``delta_of_tau`` / ``ea_norm`` render the fixed-point
@@ -13,7 +13,7 @@ Three ingredients live here:
 * ``width_bound`` marches the lower-bound ODE for the width
   (f^2' = 2*C*b^5, delta' = -8*C*delta*f^3) over a column of recorded times,
   and ``track_radius`` sets it against the measured decay rate along a
-  trajectory: one decay fit of the (T, n) batch, the width bound on the b
+  trajectory: one decay fit of the (T, n/2 + 1) batch, the width bound on the b
   column, then batched Gevrey norms at the theory widths.
   ``calibrate_radius_constant`` fits once, re-marches only the width bound for
   each multiplier it tries, and takes the norms for the one it accepts.
@@ -34,6 +34,7 @@ from .spectral import (
     GridMismatchError,
     NormOverflowError,
     SpectralField,
+    _unfold,
     _weighted_norm,
     gevrey_norm,
     sobolev_norm,
@@ -108,7 +109,7 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
     Modes 0 and 1 are excluded (they pollute the intercept); the scan walks
     upward and stops at the first coefficient below ``NOISE_FLOOR`` relative
     to the largest one.  Fewer than ``MIN_MODES`` usable modes, or a zero
-    field, raises InsufficientDecayError.  On a (T, n) batch every field of
+    field, raises InsufficientDecayError.  On a (T, n/2 + 1) batch every field of
     the estimate is an array with one entry per row (``modes_used`` a pair of
     float arrays), and a row that would raise is NaN throughout.
     """
@@ -116,7 +117,6 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     grid = field.grid
     half = grid.n_points // 2
-    # modes 2..n/2 sit in storage slots 2..n/2
     mags = np.abs(np.atleast_2d(field.coeffs))
     floor = NOISE_FLOOR * np.max(mags, axis=-1)
     below = mags[:, 2 : half + 1] < floor[:, None]
@@ -291,7 +291,7 @@ def ea_norm(
     """sup over the width grid and admissible times of
     ||u(t)||_{G^delta} (1-delta)^sigma sqrt(1 - |t|/(a(1-delta)^sigma)),
     with times admissible when |t| < a(1-delta)^sigma/(2^sigma - 1).
-    ``fields`` is a (T, n) batch, one row per time.
+    ``fields`` is a (T, n/2 + 1) batch, one row per time.
 
     Evaluated in log space so heavy Gevrey weights cannot overflow.
     Raises WindowError when no (time, width) pair is admissible.
@@ -305,9 +305,9 @@ def ea_norm(
         raise ValueError("times and the rows of fields must be parallel")
     if t_arr.shape[0] == 0:
         raise WindowError("empty trajectory")
-    k2 = fields.grid.wavenumbers**2
+    k2 = _unfold(fields.grid.wavenumbers**2)
     with np.errstate(divide="ignore"):
-        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs))
+        log_mag2 = _unfold(2.0 * np.log(np.abs(fields.coeffs)))
     best = -np.inf
     admissible = False
     for delta in EA_DELTA_GRID:
@@ -431,7 +431,7 @@ def _radius_records(traj, sigma, s, thetas, f_vals, b_col, h_col, fits) -> list:
     # row blocks of NORM_BLOCK coefficients: the norm and its log-sum-exp hold
     # about five float copies of their input, and one (401, 128) call would
     # lift the tracemalloc peak of track_radius from 0.9 to 2.2 MB
-    rows = max(1, NORM_BLOCK // weight.size)
+    rows = max(1, NORM_BLOCK // states.grid.n_points)
     gevrey = np.concatenate(
         [
             _weighted_norm(states[i : i + rows], s, widths[i : i + rows, None] * weight, what)
@@ -519,9 +519,9 @@ def continuity_experiment(
     existence horizon and compare weighted-norm distances against twice the
     initial-datum distance plus a solver budget.
 
-    ``u0_sequence`` holds the K perturbed data, as a (K, n) batch or a
+    ``u0_sequence`` holds the K perturbed data, as a (K, n/2 + 1) batch or a
     sequence of fields.  The limit and the perturbed data march as one
-    (K+1, n) batch; the horizon uses the largest datum norm so one window
+    (K+1, n/2 + 1) batch; the horizon uses the largest datum norm so one window
     serves all runs.  A blow-up raises ExperimentError naming the runs that
     crossed the limit at the earliest failing step.
     """
@@ -543,7 +543,7 @@ def continuity_experiment(
     except BlowUpError as err:
         names = ", ".join("limit" if r == 0 else f"#{r - 1}" for r in err.rows)
         raise ExperimentError(f"run {names} blew up at t = {err.time:.4g}") from err
-    runs = traj.states.coeffs  # (T, K+1, n)
+    runs = traj.states.coeffs  # (T, K+1, n/2 + 1)
     diff = SpectralField.trusted(grid, runs[:, 1:] - runs[:, :1])
     k = runs.shape[1] - 1
     distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(k))

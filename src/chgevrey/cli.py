@@ -85,11 +85,12 @@ class InitialDataSpec:
 
     def build(self, grid: TorusGrid) -> SpectralField:
         if self.name == "cosine":
-            # amplitude * cos(k_mode x) <-> half the amplitude on +-mode;
-            # mode 0 degenerates to the constant and keeps the full amplitude
-            half_amp = self.amplitude if self.mode == 0 else self.amplitude / 2.0
+            # amplitude * cos(k_mode x) <-> half the amplitude on +-mode; the
+            # constant (mode 0) and the Nyquist mode hold the full amplitude
+            whole = abs(self.mode) in (0, grid.n_points // 2)
+            coeff = self.amplitude if whole else self.amplitude / 2.0
             try:
-                return field_from_modes(grid, {self.mode: half_amp})
+                return field_from_modes(grid, {self.mode: coeff})
             except ValueError as err:
                 raise ConfigError(f"initial_data.mode: {err}") from err
         if self.name == "gaussian_bump":
@@ -382,8 +383,11 @@ def _march(cfg: RunConfig, out: Path, pins, diagnose: Callable) -> tuple:
     keep the partial trajectory and stamp the blow-up time into the metadata;
     a nearly blown-up state can overflow the weighted norms, and then the
     diagnostics are None.  Returns (diagnostics, blowup_time)."""
-    if not 0.0 < cfg.gevrey.delta < 1.0:  # width_bound needs it; fail before the march
+    # width_bound and functional_H need these; fail before the march
+    if not 0.0 < cfg.gevrey.delta < 1.0:
         raise ConfigError(f"gevrey.delta: must lie in (0, 1), got {cfg.gevrey.delta!r}")
+    if not cfg.gevrey.s > 1.5:
+        raise ConfigError(f"gevrey.s: must exceed 3/2, got {cfg.gevrey.s!r}")
     u0 = cfg.initial_data.build(cfg.grid)
     try:
         traj, blowup_time = integrate(u0, cfg.model, cfg.solver), None

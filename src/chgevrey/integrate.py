@@ -67,23 +67,17 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     """Recorded times and states.  ``states`` stacks the recorded states as
-    one field of shape (T, n), or (T, K, n) for a batch."""
+    one field of shape (T, n/2 + 1), or (T, K, n/2 + 1) for a batch."""
 
     times: np.ndarray
     states: SpectralField
 
 
-def _symmetrize(u: SpectralField) -> SpectralField:
-    """Average with the conjugate mirror; idempotent on real fields.  The
-    result is not revalidated."""
-    c = u.coeffs
-    return SpectralField.trusted(u.grid, 0.5 * (c + np.conj(c.take(u.grid.mirror, axis=-1))))
-
-
 def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) -> SpectralField:
-    """One classical Runge-Kutta step of u_t = F(u); re-enforces Hermitian
-    symmetry afterwards.  A batch steps row by row.  Raises BlowUpError
-    (time=dt, with the offending batch rows) on non-finite output.
+    """One classical Runge-Kutta step of u_t = F(u), after which the mean and
+    Nyquist coefficients, those of cos, are made real.  A batch steps row by
+    row.  Raises BlowUpError (time=dt, with the offending batch rows) on
+    non-finite output.
 
     The stage states are not revalidated: a non-finite stage propagates into
     the combined state, whose finite check is the one check of the step.
@@ -98,16 +92,16 @@ def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) 
     k3 = f(c + (0.5 * dt) * k2)
     k4 = f(c + dt * k3)
     out = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = _symmetrize(SpectralField.trusted(grid, out))
-    finite = np.isfinite(out.coeffs)
+    finite = np.isfinite(out)
     if not finite.all():
         raise BlowUpError(dt, rows=_rows(~finite.all(axis=-1)))
-    return out
+    out.imag[..., [0, grid.n_points // 2]] = 0.0
+    return SpectralField.trusted(grid, out)
 
 
 def _advisory_dt_bound(u0: SpectralField, p: ModelParams) -> float:
-    k_max = float(np.max(np.abs(u0.grid.wavenumbers)))
-    u_max = float(np.max(np.abs(to_physical(u0, imag_tol=np.inf))))
+    k_max = float(np.max(u0.grid.wavenumbers))
+    u_max = float(np.max(np.abs(to_physical(u0))))
     return 1.0 / (k_max * (u_max + abs(p.Gamma_coef)) + p.lam)
 
 
@@ -175,7 +169,7 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
 
 @dataclass
 class PicardResult:
-    """The last finite iterate as an (n_nodes, n) batch, plus the contraction report.
+    """The last finite iterate as an (n_nodes, n/2 + 1) batch, plus the contraction report.
 
     ``ratios[k]`` is d_{k+2}/d_{k+1} with d_j the weighted-norm distance
     between iterates j and j-1.  Ratios stop being reported once distances
@@ -231,7 +225,7 @@ def picard_iterate(
 
     times = np.linspace(0.0, T, n_nodes)
     grid = u0.grid
-    final = SpectralField.trusted(grid, np.broadcast_to(u0.coeffs, (n_nodes, grid.n_points)))
+    final = SpectralField.trusted(grid, np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))
     scale = ea_norm(times, final, T, sigma, s)
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 

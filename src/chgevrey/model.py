@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, sobolev_norm
+from .spectral import SpectralField, _padded_size, _samples, sobolev_norm
 
 __all__ = [
     "ModelParams",
@@ -27,6 +27,8 @@ __all__ = [
     "functional_H",
     "small_data_check",
 ]
+
+SMALL_DATA_EPSILON = 0.1  # small_data_check's budget is lam * SMALL_DATA_EPSILON
 
 
 @dataclass(frozen=True)
@@ -38,51 +40,40 @@ class ModelParams:
     gamma: float = 0.0
     Gamma_coef: float = 0.0
     lam: float = 1.0
-    epsilon: float = 0.1
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "Gamma_coef", "lam", "epsilon"):
+        for name in ("alpha", "beta", "gamma", "Gamma_coef", "lam"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite real, got {v!r}")
         if not (self.lam > 0.0):
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
     """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
 
-    u is read as a real field from its modes 0..n/2; the Nyquist coefficient c
-    is split as c/2 at +-n/2.  One irfft gives u and u_x on the padded grid,
-    u u_x and u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise
-    (no truncation between the powers), one rfft brings both back, and the
-    linear terms are applied per mode.  With dealias the stored modes are the
-    true convolution coefficients, +n/2 included, as in product(); negative
-    modes mirror the positive ones.  A batch is evaluated row by row on the
-    last axis.  The result is not revalidated: an overflow shows up as a
-    non-finite coefficient at the caller's next check.
+    The Nyquist coefficient c is split as c/2 at +-n/2, as product() reads
+    it.  One irfft gives u and u_x on the padded grid, u u_x and
+    u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise (no
+    truncation between the powers), one rfft brings both back, and the linear
+    terms are applied per mode.  With dealias the stored modes are the true
+    convolution coefficients, +n/2 included, as in product().  A batch is
+    evaluated row by row on the last axis.  The result is not revalidated: an
+    overflow shows up as a non-finite coefficient at the caller's next check.
     """
     grid = u.grid
     n = grid.n_points
     half = n // 2
     k = grid.wavenumbers[:half]
-    c = u.coeffs[..., : half + 1]
+    c = u.coeffs
     quartic = p.beta != 0.0 or p.gamma != 0.0
     # pad 5/2 keeps quartic powers alias-free on the stored band, 3/2 the
     # quadratic terms (Orszag's rule); pad 1 lets the products wrap
-    pad = (2.5 if quartic else 1.5) if dealias else 1.0
-    fine = math.ceil(pad * n)
-    fine += fine % 2
-    spec = np.zeros(c.shape[:-1] + (2, fine // 2 + 1), dtype=np.complex128)
-    spec[..., 0, : half + 1] = c
-    if fine > n:  # at pad 1, slot n/2 is irfft's own Nyquist bin, counted once
-        spec[..., 0, half] *= 0.5
-    ik_c = 1j * k * c[..., :half]  # u_x; its unpaired Nyquist slot is zero, as in derivative()
-    spec[..., 1, :half] = ik_c
-    # 1/n normalization: irfft carries 1/fine and rfft is unnormalized
-    samples = np.fft.irfft(spec, fine, axis=-1) * fine
+    fine = _padded_size(n, (2.5 if quartic else 1.5) if dealias else 1.0)
+    ik_c = 1j * grid.wavenumbers * c  # u_x; its Nyquist slot is zero, as in derivative()
+    ik_c[..., half] = 0.0
+    samples = _samples(np.stack((c, ik_c), axis=-2), fine)
     w, wx = samples[..., 0, :], samples[..., 1, :]
     w2 = w * w
     inner = w2 + 0.5 * wx * wx
@@ -91,12 +82,10 @@ def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField
     fused = np.fft.rfft(np.stack((w * wx, inner), axis=-2), axis=-1)[..., : half + 1] / fine
     advection, inner_hat = fused[..., 0, :], fused[..., 1, :]
     inner_hat -= (p.alpha + p.Gamma_coef) * c
-    half_out = -advection - p.lam * c
+    out = -advection - p.lam * c
     # Q = -(1 - d_xx)^{-1} d_x inner; d_x zeroes the Nyquist slot
-    half_out[..., :half] -= ik_c * p.Gamma_coef + (1j * k / (1.0 + k * k)) * inner_hat[..., :half]
-    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., : half + 1] = half_out
-    out[..., half + 1 :] = np.conj(half_out[..., half - 1 : 0 : -1])
+    q = (1j * k / (1.0 + k * k)) * inner_hat[..., :half]
+    out[..., :half] -= ik_c[..., :half] * p.Gamma_coef + q
     return SpectralField.trusted(grid, out)
 
 
@@ -113,7 +102,7 @@ def functional_H(u: SpectralField, p: ModelParams, s: float) -> float | np.ndarr
 
 
 def small_data_check(u0: SpectralField, p: ModelParams, s: float) -> bool:
-    """True iff the t=0 functional is within the dissipation budget lam*epsilon
-    (boundary included)."""
-    return functional_H(u0, p, s) <= p.lam * p.epsilon
+    """True iff the t=0 functional is within the dissipation budget
+    lam * SMALL_DATA_EPSILON (boundary included)."""
+    return functional_H(u0, p, s) <= p.lam * SMALL_DATA_EPSILON
 

@@ -3,22 +3,28 @@ norms used throughout the package.
 
 Conventions
 -----------
-* A field on the torus of period ``P`` is stored as the full band of Fourier
-  coefficients ``c_m`` for integer modes ``m`` in ``[-n/2+1, n/2]``, in FFT
-  order (the slot numpy labels ``-n/2`` is relabelled ``+n/2``).
+* A field on the torus of period ``P`` is real, so it is stored as the half
+  spectrum: the ``n/2 + 1`` Fourier coefficients ``c_m`` of modes
+  ``m = 0 .. n/2``, in rfft layout.  Mode ``-m`` is ``conj(c_m)`` and is not
+  stored.
+* The Nyquist coefficient ``c`` at ``n/2`` stands for ``c*cos(n/2 x)``: on a
+  padded grid it is split as ``c/2`` at ``+-n/2``, and on the grid itself it
+  is irfft's own Nyquist bin.  ``to_physical``, ``product`` and
+  ``model.rhs`` all read it so.
 * The forward transform is normalized by ``1/n`` so that ``c_0`` is the mean
   of the samples and a constant field ``c`` has ``c_0 = c``.
-* Norms are pure coefficient mode sums -- no ``2*pi`` measure factor.  With
-  this choice the squared ``s=0`` norm equals the mean of ``|f|^2`` over the
-  collocation points (discrete Parseval).
+* Norms are pure coefficient mode sums over all ``n`` modes ``-n/2+1 .. n/2``
+  -- no ``2*pi`` measure factor.  With this choice the squared ``s=0`` norm
+  equals the mean of ``|f|^2`` over the collocation points (discrete
+  Parseval).
 * Exponential weights ``exp(delta*(1+k^2)^(1/(2*sigma)))`` are evaluated in
   log space per mode so that heavy weights on tiny coefficients do not
   overflow prematurely.
-* A batch of fields is one ``SpectralField`` with ``(N, n)`` coefficients;
+* A batch of fields is one ``SpectralField`` with ``(N, n/2 + 1)`` coefficients;
   ``batch[i]`` is row ``i``.  The norms, ``product``, ``derivative`` and
   ``helmholtz_inv`` act on the last axis, so row ``i`` of a batched result
   equals the call on field ``i`` alone.  A trajectory of a batch stacks its
-  recorded states as ``(T, N, n)``.
+  recorded states as ``(T, N, n/2 + 1)``.
   A single-field norm returns a float and raises ``NormOverflowError``; a
   batched norm returns an array with ``inf`` in the rows that overflowed.
 """
@@ -38,7 +44,6 @@ __all__ = [
     "SpectralField",
     "GevreyIndex",
     "GridMismatchError",
-    "SymmetryError",
     "NonFiniteError",
     "NormOverflowError",
     "to_spectral",
@@ -46,7 +51,6 @@ __all__ = [
     "field_from_modes",
     "random_field",
     "derivative",
-    "helmholtz",
     "helmholtz_inv",
     "sobolev_norm",
     "gevrey_norm",
@@ -57,10 +61,6 @@ __all__ = [
 
 class GridMismatchError(ValueError):
     """Two fields that should share a grid do not."""
-
-
-class SymmetryError(ValueError):
-    """A nominally real field has too much imaginary residue."""
 
 
 class NonFiniteError(ValueError):
@@ -78,8 +78,8 @@ class NormOverflowError(OverflowError):
 class TorusGrid:
     """Uniform collocation grid on a periodic interval.
 
-    ``n_points`` must be even and at least 8; wavenumbers are
-    ``k_m = 2*pi*m/period``.
+    ``n_points`` must be even and at least 8; the stored modes are
+    ``m = 0 .. n/2`` with wavenumbers ``k_m = 2*pi*m/period``.
     """
 
     n_points: int
@@ -91,17 +91,15 @@ class TorusGrid:
         if not (self.period > 0.0) or not math.isfinite(self.period):
             raise ValueError(f"period must be positive and finite, got {self.period}")
         # the symbols are computed once per grid and shared read-only by every caller
-        m = np.fft.fftfreq(self.n_points, 1.0 / self.n_points).astype(np.int64)
-        m[self.n_points // 2] = self.n_points // 2
+        m = np.arange(self.n_points // 2 + 1)
         k = 2.0 * math.pi * m / self.period
-        mirror = (-m) % self.n_points
-        for name, arr in (("_modes", m), ("_wavenumbers", k), ("_mirror", mirror)):
+        for name, arr in (("_modes", m), ("_wavenumbers", k)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def modes(self) -> np.ndarray:
-        """Integer mode numbers in storage (FFT) order; the Nyquist slot is +n/2."""
+        """Integer mode numbers 0 .. n/2 in storage order."""
         return self._modes
 
     @property
@@ -109,36 +107,33 @@ class TorusGrid:
         return self._wavenumbers
 
     @property
-    def mirror(self) -> np.ndarray:
-        """Storage index of mode -m for each slot m (the Nyquist slot maps to itself)."""
-        return self._mirror
-
-    @property
     def x(self) -> np.ndarray:
         """Collocation points x_j = j*period/n."""
         return self.period * np.arange(self.n_points) / self.n_points
 
     def index_of(self, mode: int) -> int:
+        """Storage slot of mode ``mode``; mode -m shares the slot of mode m."""
         half = self.n_points // 2
-        if not (-half + 1 <= mode <= half):
-            raise ValueError(f"mode {mode} outside band [{-half + 1}, {half}]")
-        return mode % self.n_points
+        if not abs(mode) <= half:
+            raise ValueError(f"mode {mode} outside band [{-half}, {half}]")
+        return abs(mode)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A field stored as its full symmetric band of Fourier coefficients, or a
-    batch of fields with one row of coefficients each."""
+    """A real field stored as the coefficients of modes 0 .. n/2, or a batch
+    of fields with one row of coefficients each."""
 
     grid: TorusGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.complex128)
-        n = self.grid.n_points
-        if c.ndim not in (1, 2) or c.shape[-1] != n:
+        m = self.grid.n_points // 2 + 1
+        if c.ndim not in (1, 2) or c.shape[-1] != m:
             raise ValueError(
-                f"coefficient array has shape {c.shape}, expected ({n},) or (N, {n})"
+                f"coefficient array has shape {c.shape}, expected ({m},) or (N, {m}): "
+                f"n/2 + 1 modes of an n = {self.grid.n_points} grid"
             )
         if not np.all(np.isfinite(c)):
             raise NonFiniteError("coefficients must be finite")
@@ -161,13 +156,8 @@ class SpectralField:
         return SpectralField.trusted(self.grid, self.coeffs[index])
 
     def coeff(self, mode: int) -> complex:
-        return complex(self.coeffs[self.grid.index_of(mode)])
-
-    def hermitian_defect(self) -> float:
-        """max |c_{-m} - conj(c_m)| over the paired band (0 for a real field)."""
-        c = self.coeffs
-        mirrored = np.conj(c[..., self.grid.mirror])
-        return float(np.max(np.abs(c - mirrored)))
+        c = complex(self.coeffs[self.grid.index_of(mode)])
+        return c.conjugate() if mode < 0 else c
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return replace(self, coeffs=coeffs)
@@ -227,40 +217,43 @@ def to_spectral(samples, grid: TorusGrid) -> SpectralField:
         raise ValueError(f"expected {grid.n_points} samples, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("samples must be finite")
-    return SpectralField(grid, np.fft.fft(arr) / grid.n_points)
+    # the complex fft, not rfft: rfft rounds differently and would move every
+    # datum built from samples
+    return SpectralField(grid, np.fft.fft(arr)[: grid.n_points // 2 + 1] / grid.n_points)
 
 
-def to_physical(field: SpectralField, imag_tol: float = 1e-10) -> np.ndarray:
-    """Inverse transform to real samples.
-
-    Raises SymmetryError if the imaginary residue exceeds ``imag_tol`` times
-    ``max(1, max |real samples|)`` in max norm, which signals a broken
-    Hermitian symmetry upstream; the relative scale keeps rounding on large
-    samples from tripping it.
-    """
-    z = np.fft.ifft(field.coeffs) * field.grid.n_points
-    residue = float(np.max(np.abs(z.imag)))
-    limit = imag_tol * max(1.0, float(np.max(np.abs(z.real))))
-    if residue > limit:
-        raise SymmetryError(
-            f"imaginary residue {residue:.3e} exceeds {limit:.1e}; "
-            "field is not a real signal"
-        )
-    return z.real.copy()
+def to_physical(field: SpectralField) -> np.ndarray:
+    """Inverse transform to real samples, one row per row of a batch."""
+    return _samples(field.coeffs, field.grid.n_points)
 
 
-def field_from_modes(
-    grid: TorusGrid, amplitudes: Mapping[int, complex], hermitian: bool = True
-) -> SpectralField:
-    """Build a field from {mode: coefficient}; mirrors conjugates when hermitian."""
-    c = np.zeros(grid.n_points, dtype=np.complex128)
+def _padded_size(n: int, pad_factor: float) -> int:
+    """Even size, at least n, of the grid that pads an n-point grid by ``pad_factor``."""
+    fine = max(n, math.ceil(pad_factor * n))
+    return fine + fine % 2
+
+
+def _samples(c: np.ndarray, fine: int) -> np.ndarray:
+    """Samples on ``fine`` points of the real fields whose modes 0 .. n/2 fill
+    the last axis of ``c``.  The Nyquist coefficient means c*cos(n/2 x): on a
+    finer grid it is split as c/2 at +-n/2, at fine == n it is irfft's own bin."""
+    half = c.shape[-1] - 1
+    spec = np.zeros(c.shape[:-1] + (fine // 2 + 1,), dtype=np.complex128)
+    spec[..., : half + 1] = c
+    if fine > 2 * half:
+        spec[..., half] *= 0.5
+    # 1/n normalization: irfft carries 1/fine
+    return np.fft.irfft(spec, fine, axis=-1) * fine
+
+
+def field_from_modes(grid: TorusGrid, amplitudes: Mapping[int, complex]) -> SpectralField:
+    """Build a real field from {mode: coefficient}.  A negative mode -m sets
+    mode m to the conjugate; giving both m and -m raises ValueError."""
+    c = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     for m, a in amplitudes.items():
-        c[grid.index_of(m)] = a
-    if hermitian:
-        half = grid.n_points // 2
-        for m, a in amplitudes.items():
-            if m != 0 and m != half and -m not in amplitudes:
-                c[grid.index_of(-m)] = np.conj(a)
+        if m < 0 and -m in amplitudes:
+            raise ValueError(f"modes {-m} and {m} are one conjugate pair; give one of them")
+        c[grid.index_of(m)] = np.conj(a) if m < 0 else a
     return SpectralField(grid, c)
 
 
@@ -279,11 +272,10 @@ def random_field(
     # rounds exactly as the per-mode construction this replaced
     draws = rng.standard_normal(1 + 2 * band)
     scale = np.array([m ** (-decay) for m in range(1, band + 1)])
-    c = np.zeros(grid.n_points, dtype=np.complex128)
+    c = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     c[0] = draws[0]
     c.real[1 : band + 1] = draws[1::2] / math.sqrt(2.0) * scale
     c.imag[1 : band + 1] = draws[2::2] / math.sqrt(2.0) * scale
-    c[grid.n_points - band :] = np.conj(c[band:0:-1])
     return SpectralField(grid, c)
 
 
@@ -293,17 +285,12 @@ def random_field(
 def derivative(field: SpectralField) -> SpectralField:
     """Spectral d/dx: c_m -> i*k_m*c_m.
 
-    The unpaired Nyquist slot is zeroed: a real field carries a real Nyquist
-    coefficient, and i*k*c there has no Hermitian partner.
+    The Nyquist slot is zeroed: the derivative of cos(n/2 x) is a sine, which
+    vanishes on the grid.
     """
     c = 1j * field.grid.wavenumbers * field.coeffs
     c[..., field.grid.n_points // 2] = 0.0
     return field.with_coeffs(c)
-
-
-def helmholtz(field: SpectralField) -> SpectralField:
-    """(1 - d^2/dx^2): multiply by (1 + k^2)."""
-    return field.with_coeffs((1.0 + field.grid.wavenumbers**2) * field.coeffs)
 
 
 def helmholtz_inv(field: SpectralField) -> SpectralField:
@@ -314,11 +301,18 @@ def helmholtz_inv(field: SpectralField) -> SpectralField:
 # --- norms --------------------------------------------------------------------
 
 
+def _unfold(a: np.ndarray) -> np.ndarray:
+    """Per-mode values over modes 0 .. n/2 laid out over all n modes in FFT
+    order (0 .. n/2, then -n/2+1 .. -1), mode -m conjugating mode m.  The mode
+    sums run over this layout, in this order."""
+    return np.concatenate((a, np.conj(a[..., -2:0:-1])), axis=-1)
+
+
 def sobolev_norm(field: SpectralField, s: float) -> float | np.ndarray:
     """H^s mode sum: sqrt(sum (1+k^2)^s |c_m|^2); one value per row of a batch."""
     k2 = field.grid.wavenumbers**2
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum((1.0 + k2) ** s * np.abs(field.coeffs) ** 2, axis=-1)
+        total = np.sum(_unfold((1.0 + k2) ** s * np.abs(field.coeffs) ** 2), axis=-1)
     if total.ndim:
         return np.sqrt(total)
     if not math.isfinite(total):
@@ -341,7 +335,7 @@ def _weighted_norm(
     k2 = field.grid.wavenumbers**2
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(field.coeffs))  # -inf where c vanishes
-    total = logsumexp(s * np.log1p(k2) + log_weight2 + log_mag2)
+    total = logsumexp(_unfold(s * np.log1p(k2) + log_weight2 + log_mag2))
     if total.ndim:
         return np.array([_sqrt_exp(t) for t in total.tolist()])
     value = _sqrt_exp(float(total))
@@ -359,19 +353,12 @@ def gevrey_norm(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
 
 def gevrey_norm_bar(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """Bar variant: weight exp(2*delta*|k|^(1/sigma)) in place of the smooth one."""
-    k = np.abs(field.grid.wavenumbers)
+    k = field.grid.wavenumbers
     lw2 = 2.0 * index.delta * k ** (1.0 / index.sigma)
     return _weighted_norm(field, index.s, lw2, f"bar Gevrey norm {index}")
 
 
 # --- products -----------------------------------------------------------------
-
-
-def _pad_coeffs(c: np.ndarray, slots: np.ndarray, n_fine: int) -> np.ndarray:
-    """Embed stored coefficients into a finer FFT-order array at ``slots``."""
-    fine = np.zeros(c.shape[:-1] + (n_fine,), dtype=np.complex128)
-    fine[..., slots] = c
-    return fine
 
 
 def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> SpectralField:
@@ -381,27 +368,13 @@ def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spec
     fields (two-thirds rule); callers forming cubic/quartic powers pass >= 5/2.
     ``pad_factor`` 1.0 disables de-aliasing (the product wraps).
 
-    Every stored mode, including the unpaired +n/2 slot, receives the true
-    convolution coefficient (modes beyond the band are dropped), so this agrees
-    with the direct convolution on the whole band.  A product that genuinely
-    reaches mode +-n/2 therefore stores a complex corner coefficient; real-signal
-    pipelines keep their content inside the paired band |m| <= n/2 - 1.
+    One padded irfft per factor, the pointwise product, one rfft back, as in
+    ``model.rhs``; the Nyquist coefficient is read as ``to_physical`` reads
+    it.  Every stored mode, +n/2 included, receives the Fourier coefficient
+    of the padded product at that mode; modes beyond the band are dropped.
     """
     _require_same_grid(f, g)
     n = f.grid.n_points
-    n_fine = max(n, int(math.ceil(pad_factor * n)))
-    if n_fine % 2:
-        n_fine += 1
-    if n_fine == n:
-        fg = np.fft.fft(np.fft.ifft(f.coeffs) * np.fft.ifft(g.coeffs) * n)
-        return f.with_coeffs(fg)
-    # the stored band [-n/2+1, n/2] keeps its labels on the fine grid, the
-    # unpaired +n/2 slot included, as in the direct convolution; the rest is dropped
-    half = n // 2
-    slots = np.r_[0 : half + 1, n_fine - half + 1 : n_fine]
-    cf = _pad_coeffs(f.coeffs, slots, n_fine)
-    cg = _pad_coeffs(g.coeffs, slots, n_fine)
-    # 1/n normalization: ifft carries 1/n_fine, one factor of n_fine restores scale
-    samples = np.fft.ifft(cf) * np.fft.ifft(cg) * n_fine
-    return f.with_coeffs(np.fft.fft(samples)[..., slots])
-
+    fine = _padded_size(n, pad_factor)
+    fg = np.fft.rfft(_samples(f.coeffs, fine) * _samples(g.coeffs, fine), axis=-1)
+    return f.with_coeffs(fg[..., : n // 2 + 1] / fine)

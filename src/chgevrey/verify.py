@@ -33,6 +33,7 @@ from .spectral import (
     NormOverflowError,
     SpectralField,
     TorusGrid,
+    _unfold,
     derivative,
     field_from_modes,
     gevrey_norm,
@@ -153,7 +154,7 @@ def _ensemble(seed: int, count: int) -> SpectralField:
     """``count`` random fields on ``GRID``, drawn one after another, as one batch."""
     rng = np.random.default_rng(seed)
     rows = [random_field(GRID, rng).coeffs for _ in range(count)]
-    return SpectralField(GRID, np.reshape(rows, (count, GRID.n_points)))
+    return SpectralField(GRID, np.reshape(rows, (count, GRID.n_points // 2 + 1)))
 
 
 # --- exact-constant suites ------------------------------------------------------
@@ -182,7 +183,7 @@ def verify_embedding(ensemble_size: int = 100, seed: int = DEFAULT_SEED) -> Veri
 def sharp_derivative_constant(grid: TorusGrid, sigma: float, gap: float) -> float:
     """sup over grid modes of |k| e^{-gap |k|^(1/sigma)} (the measured cost of
     one derivative against a width loss of ``gap``)."""
-    k = np.abs(grid.wavenumbers)
+    k = grid.wavenumbers
     return float(np.max(k * np.exp(-gap * k ** (1.0 / sigma))))
 
 
@@ -222,7 +223,7 @@ def verify_derivative_bound(
     k2 = GRID.wavenumbers**2
     symbols = [
         np.any(1.0 / (1.0 + k2) > (1.0 + k2) ** -1.0 * (1.0 + EXACT_SLACK)),
-        np.any(np.abs(GRID.wavenumbers) / (1.0 + k2) > (1.0 + k2) ** -0.5 * (1.0 + EXACT_SLACK)),
+        np.any(GRID.wavenumbers / (1.0 + k2) > (1.0 + k2) ** -0.5 * (1.0 + EXACT_SLACK)),
     ]
     index = GevreyIndex(1.0, 0.5, s)
     ref = gevrey_norm(u, GevreyIndex(1.0, 0.5, s - 2.0))
@@ -459,7 +460,7 @@ def verify_commutator_estimate(
         for a, b in ((u, v), (derivative(u), u)):
             ab = product(a, b)
             with np.errstate(over="ignore", invalid="ignore"):
-                pairing = np.sum(w * ab.coeffs * np.conj(b.coeffs), axis=-1)
+                pairing = np.sum(_unfold(w * ab.coeffs * np.conj(b.coeffs)), axis=-1)
             norms = (
                 sobolev_norm(a, s),
                 sobolev_norm(b, s),
@@ -522,7 +523,7 @@ def save_pins(pins: EmpiricalConstants, path) -> None:
 def reference_trajectory() -> tuple:
     """Deterministic small-data run on ``GRID`` used by the trajectory-based suites."""
     u0 = field_from_modes(GRID, {1: 0.005})  # 0.01 cos x
-    p = ModelParams(lam=1.0, epsilon=0.1)
+    p = ModelParams(lam=1.0)
     traj = integrate(u0, p, SolverConfig(dt=0.01, t_end=0.2, record_every=2))
     return traj, p
 

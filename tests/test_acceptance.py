@@ -32,7 +32,7 @@ from chgevrey.analyticity import (
     estimate_radius,
     track_radius,
 )
-from chgevrey.model import functional_H, small_data_check
+from chgevrey.model import SMALL_DATA_EPSILON, functional_H, small_data_check
 from chgevrey.verify import (
     compute_pins,
     derivative_constant_bound,
@@ -48,7 +48,7 @@ from chgevrey.verify import (
 
 from oracles import product_direct
 
-SMALL_DATA = ModelParams(lam=1.0, epsilon=0.1)  # all nonlinear couplings zero
+SMALL_DATA = ModelParams(lam=1.0)  # all nonlinear couplings zero
 
 
 def _criterion(n: int, ok: bool, detail: str) -> None:
@@ -160,7 +160,7 @@ def test_criterion_06_dynamics_sanity():
     grid = TorusGrid(16)
     traj = integrate(
         field_from_modes(grid, {0: 0.1}),
-        ModelParams(lam=1.0, epsilon=0.1),
+        ModelParams(lam=1.0),
         SolverConfig(dt=1e-3, t_end=1.0, record_every=1000),
     )
     got = traj.states[-1].coeff(0).real
@@ -169,7 +169,7 @@ def test_criterion_06_dynamics_sanity():
     # observed order of the time stepper under dt halving
     grid = TorusGrid(32)
     u0 = field_from_modes(grid, {1: 0.5})  # cos x
-    p = ModelParams(1.0, 1.0, 0.5, 0.5, lam=1.0, epsilon=0.1)
+    p = ModelParams(1.0, 1.0, 0.5, 0.5, lam=1.0)
     finals = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         steps = round(0.2 / dt)
@@ -194,11 +194,11 @@ def test_criterion_07_small_data_monotone_H():
     h0 = functional_H(traj.states[0], SMALL_DATA, 2.0)
     hs = [functional_H(u, SMALL_DATA, 2.0) for u in traj.states]
     worst = max(h / h0 for h in hs)
-    ok = h0 <= SMALL_DATA.lam * SMALL_DATA.epsilon and worst <= 1.0 + 1e-6
+    ok = h0 <= SMALL_DATA.lam * SMALL_DATA_EPSILON and worst <= 1.0 + 1e-6
     _criterion(
         7,
         ok,
-        f"H0={h0:.4e} <= lam*eps={SMALL_DATA.lam * SMALL_DATA.epsilon}, "
+        f"H0={h0:.4e} <= lam*eps={SMALL_DATA.lam * SMALL_DATA_EPSILON}, "
         f"max H(t)/H0 = {worst:.10f} over t in [0, 50] ({len(hs)} records)",
     )
 

@@ -336,7 +336,8 @@ def test_sup_norm_window_and_validation_errors():
     with pytest.raises(WindowError):
         ea_norm([0.96], rows(u), a=1.0, sigma=1.0, s=0.0)
     with pytest.raises(WindowError):
-        ea_norm([], SpectralField(GRID, np.zeros((0, GRID.n_points))), a=1.0, sigma=1.0, s=0.0)
+        empty = SpectralField(GRID, np.zeros((0, GRID.n_points // 2 + 1)))
+        ea_norm([], empty, a=1.0, sigma=1.0, s=0.0)
     with pytest.raises(ValueError):
         ea_norm([0.0, 0.1], rows(u), a=1.0, sigma=1.0, s=0.0)
     assert ea_norm([0.0], rows(0.0 * u), a=1.0, sigma=1.0, s=0.0) == 0.0

@@ -59,7 +59,6 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.subcommand == "simulate"
     assert cfg.grid.n_points == 256
     assert cfg.grid.period == pytest.approx(2.0 * math.pi)
-    assert cfg.model.epsilon == 0.1
     assert cfg.model.lam == 1.0
     assert cfg.gevrey.sigma == 1.0 and cfg.gevrey.delta == 0.5 and cfg.gevrey.s == 2.0
     assert cfg.solver.dt == 0.01 and cfg.solver.t_end == 1.0
@@ -274,6 +273,18 @@ def _inf_config(tmp_path, blob) -> Path:
             {"initial_data": {"name": "gaussian_bump", "width": 0.0}, "grid": {"n_points": 16}},
             "initial_data.width",
         ),
+        *(
+            (
+                subcommand,  # functional_H needs s > 3/2; rejected before the march
+                {
+                    "initial_data": {"name": "cosine", "amplitude": 0.3},
+                    "grid": {"n_points": 32},
+                    "gevrey": {"s": 1.0},
+                },
+                "gevrey.s",
+            )
+            for subcommand in ("simulate", "radius")
+        ),
     ],
     ids=[
         "infinite-horizon",
@@ -284,6 +295,8 @@ def _inf_config(tmp_path, blob) -> Path:
         "horizon-past-window",
         "no-iterate",
         "zero-width-bump",
+        "sobolev-order-simulate",
+        "sobolev-order-radius",
     ],
 )
 def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, subcommand, overrides, key):
@@ -325,6 +338,10 @@ def test_cosine_generator_mode_and_amplitude():
     # mode 0 degenerates to the constant with the full amplitude
     const = InitialDataSpec("cosine", amplitude=0.1, mode=0).build(grid)
     assert np.allclose(to_physical(const), 0.1, atol=1e-15)
+    # so does the Nyquist mode, cos(16 x) = (-1)^j on the grid; cos is even
+    for mode in (16, -16):
+        nyquist = to_physical(InitialDataSpec("cosine", amplitude=1.0, mode=mode).build(grid))
+        assert nyquist.tolist() == [(-1.0) ** j for j in range(32)]
 
 
 def test_exp_decay_generator_matches_rate():

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chgevrey.integrate import _symmetrize
 from chgevrey.model import (
     ModelParams,
     functional_H,
@@ -199,11 +198,12 @@ def full_band_field(grid: TorusGrid, seed: int, decay: float) -> SpectralField:
 
 def convolution_rhs(u: SpectralField, p: ModelParams) -> np.ndarray:
     """F by np.convolve over modes -n/2..n/2 (Nyquist split as c/2 at both
-    ends), powers formed without truncation, projected onto the stored band."""
+    ends), powers formed without truncation, projected onto the stored modes
+    0..n/2."""
     g = u.grid
-    n, half = g.n_points, g.n_points // 2
+    half = g.n_points // 2
     band = np.arange(-half, half + 1)
-    c = u.coeffs[band % n].copy()
+    c = np.concatenate((np.conj(u.coeffs[:0:-1]), u.coeffs))
     c[0] = c[-1] = 0.5 * u.coeffs[half]
     k = 2.0 * math.pi * band / g.period
     cx = 1j * k * c
@@ -212,11 +212,9 @@ def convolution_rhs(u: SpectralField, p: ModelParams) -> np.ndarray:
     u3 = np.convolve(u2, c)
     u4 = np.convolve(u3, c)
 
-    def stored(full):  # modes -n/2+1..n/2 of a centred convolution, in FFT order
+    def stored(full):  # modes 0..n/2 of a centred convolution
         mid = (len(full) - 1) // 2
-        out = np.empty(n, dtype=np.complex128)
-        out[band[1:] % n] = full[mid - half + 1 : mid + half + 1]
-        return out
+        return full[mid : mid + half + 1]
 
     inner = (
         stored(u2)
@@ -247,10 +245,9 @@ def test_fused_rhs_matches_composition_on_band_limited_data(n, seed, p, dealias)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([16, 64]), seeds, quadratic_params, st.booleans())
 def test_fused_rhs_matches_composition_on_full_band_quadratic_data(n, seed, p, dealias):
-    # the Nyquist split reproduces product()'s corner convention once symmetrized
+    # rhs and product() read the Nyquist coefficient alike
     u = full_band_field(TorusGrid(n), seed, decay=1.0)
-    fast = _symmetrize(rhs(u, p, dealias)).coeffs
-    assert_close(fast, _symmetrize(composed_rhs(u, p, dealias)).coeffs, 1e-13)
+    assert_close(rhs(u, p, dealias).coeffs, composed_rhs(u, p, dealias).coeffs, 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,8 +256,7 @@ def test_aliased_fused_rhs_matches_composition_on_full_band_quartic_data(n, seed
     # with no padding the product() chain wraps instead of truncating, so the
     # two agree on any datum
     u = full_band_field(TorusGrid(n), seed, decay=1.0)
-    fast = _symmetrize(rhs(u, p, dealias=False)).coeffs
-    assert_close(fast, _symmetrize(composed_rhs(u, p, dealias=False)).coeffs, 1e-13)
+    assert_close(rhs(u, p, dealias=False).coeffs, composed_rhs(u, p, dealias=False).coeffs, 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,8 +265,7 @@ def test_fused_rhs_matches_untruncated_convolution_oracle(n, seed, p):
     # the fused kernel keeps u^3 and u^4 whole; the product() chain would
     # truncate u^2 and u^3 to the band and differ on this full-band datum
     u = full_band_field(TorusGrid(n), seed, decay=1.0)
-    oracle = _symmetrize(u.with_coeffs(convolution_rhs(u, p))).coeffs
-    assert_close(_symmetrize(rhs(u, p)).coeffs, oracle, 1e-14)
+    assert_close(rhs(u, p).coeffs, convolution_rhs(u, p), 1e-14)
 
 
 # --- smallness functional -------------------------------------------------
@@ -292,9 +287,9 @@ def test_functional_H_requires_s_above_three_halves():
 
 def test_small_data_boundary_included():
     z = field_from_modes(GRID, {})
-    p = ModelParams(alpha=0.1, lam=1.0, epsilon=0.1)  # H0 == lam*epsilon exactly
+    p = ModelParams(alpha=0.1, lam=1.0)  # H0 == lam*epsilon exactly
     assert small_data_check(z, p, s=2.0)
-    p_over = ModelParams(alpha=0.1 + 1e-9, lam=1.0, epsilon=0.1)
+    p_over = ModelParams(alpha=0.1 + 1e-9, lam=1.0)
     assert not small_data_check(z, p_over, s=2.0)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chgevrey.integrate import step_rk4
 from chgevrey.model import ModelParams, functional_H, rhs
@@ -20,13 +21,11 @@ from chgevrey.spectral import (
     NonFiniteError,
     NormOverflowError,
     SpectralField,
-    SymmetryError,
     TorusGrid,
     derivative,
     field_from_modes,
     gevrey_norm,
     gevrey_norm_bar,
-    helmholtz,
     helmholtz_inv,
     product,
     random_field,
@@ -35,7 +34,7 @@ from chgevrey.spectral import (
     to_spectral,
 )
 
-from oracles import product_direct
+from oracles import helmholtz, product_direct
 
 GRID = TorusGrid(64)
 
@@ -58,11 +57,11 @@ def test_grid_validation():
 
 def test_grid_mode_layout():
     g = TorusGrid(8)
-    assert list(g.modes) == [0, 1, 2, 3, 4, -3, -2, -1]
-    assert g.index_of(-3) == 5
-    assert g.index_of(4) == 4
+    assert list(g.modes) == [0, 1, 2, 3, 4]
+    assert g.index_of(-3) == 3  # mode -3 is the conjugate of mode 3
+    assert g.index_of(4) == g.index_of(-4) == 4
     with pytest.raises(ValueError):
-        g.index_of(-4)  # the band keeps +n/2, not -n/2
+        g.index_of(5)
     # default period 2*pi gives integer wavenumbers
     assert np.allclose(g.wavenumbers, g.modes)
     gp = TorusGrid(8, period=4.0 * math.pi)
@@ -71,12 +70,11 @@ def test_grid_mode_layout():
 
 def test_grid_symbols_are_cached_read_only():
     g = TorusGrid(8)
-    for arr in (g.modes, g.wavenumbers, g.mirror):
+    for arr in (g.modes, g.wavenumbers):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
     assert g.wavenumbers is g.wavenumbers
-    assert list(g.mirror) == [0, 7, 6, 5, 4, 3, 2, 1]
 
 
 # --- transforms -----------------------------------------------------------
@@ -96,39 +94,23 @@ def test_cosine_coefficients():
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        min_size=64,
-        max_size=64,
-    )
-)
-def test_round_trip(samples):
-    f = to_spectral(np.array(samples), GRID)
-    back = to_physical(f, imag_tol=1e-4)
-    assert np.max(np.abs(back - np.array(samples))) <= 1e-12 * max(
-        1.0, np.max(np.abs(samples))
-    )
-
-
-def test_to_physical_rejects_broken_symmetry():
-    # single complex exponential e^{i2x}: no conjugate partner
-    f = field_from_modes(GRID, {2: 1.0}, hermitian=False)
-    with pytest.raises(SymmetryError):
-        to_physical(f)
+@given(n=st.sampled_from([8, 16, 32, 64, 128, 256, 512, 1024]), data=st.data())
+def test_round_trip(n, data):
+    grid = TorusGrid(n)
+    samples = data.draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    f = to_spectral(samples, grid)
+    assert f.coeffs.shape == (n // 2 + 1,)
+    back = to_physical(f)
+    assert np.max(np.abs(back - samples)) <= 1e-12 * max(1.0, np.max(np.abs(samples)))
 
 
 def test_to_physical_tolerance_is_relative_to_the_samples():
-    # samples of size ~1e17 carry imaginary rounding of ~10 after the product,
-    # a relative error near 1e-16; an absolute tolerance rejected them
+    # samples of size ~1e17 after the product are exact to a relative 1e-14
     u = field_from_modes(GRID, {3: 1e8, 5: 2e8})
     x = GRID.x
     direct = (2e8 * np.cos(3 * x) + 4e8 * np.cos(5 * x)) ** 2
     samples = to_physical(product(u, u))
     assert np.max(np.abs(samples - direct)) <= 1e-14 * np.max(np.abs(direct))
-    # a genuinely complex field is still rejected at that scale
-    with pytest.raises(SymmetryError):
-        to_physical(field_from_modes(GRID, {2: 1e8}, hermitian=False))
 
 
 def test_non_finite_input_raises_the_non_finite_error():
@@ -146,11 +128,16 @@ def test_non_finite_input_raises_the_non_finite_error():
         to_spectral(samples, GRID)
 
 
-def test_hermitian_defect():
-    good = cos_field(3)
-    assert good.hermitian_defect() < 1e-15
-    bad = field_from_modes(GRID, {2: 1.0}, hermitian=False)
-    assert bad.hermitian_defect() == pytest.approx(1.0)
+def test_field_from_modes_folds_a_negative_mode_and_rejects_a_pair():
+    f = field_from_modes(GRID, {-3: 0.5j, 32: 0.25})
+    assert f.coeff(3) == -0.5j and f.coeff(-3) == 0.5j
+    assert field_from_modes(GRID, {-32: 0.25}).coeffs.tobytes() == field_from_modes(
+        GRID, {32: 0.25}
+    ).coeffs.tobytes()
+    with pytest.raises(ValueError, match="conjugate pair"):
+        field_from_modes(GRID, {3: 0.5, -3: 0.5})
+    with pytest.raises(ValueError):
+        field_from_modes(GRID, {33: 1.0})
 
 
 # --- diagonal operators ---------------------------------------------------
@@ -165,14 +152,14 @@ def test_derivative_cosine():
 def test_derivative_constant_and_single_mode():
     const = to_spectral(np.full(GRID.n_points, 4.0), GRID)
     assert np.max(np.abs(derivative(const).coeffs)) == 0.0
-    raw = field_from_modes(GRID, {2: 1.0}, hermitian=False)
+    raw = field_from_modes(GRID, {2: 1.0})
     d = derivative(raw)
     assert d.coeff(2) == pytest.approx(2j)
 
 
 def test_derivative_zeroes_nyquist():
     g = TorusGrid(16)
-    f = field_from_modes(g, {8: 1.0}, hermitian=False)
+    f = field_from_modes(g, {8: 1.0})
     assert np.max(np.abs(derivative(f).coeffs)) == 0.0
 
 
@@ -225,7 +212,8 @@ def test_gevrey_norm_monotone_in_delta_s_sigma():
 
 
 def test_gevrey_norm_bar_single_mode():
-    raw = field_from_modes(GRID, {2: 1.0}, hermitian=False)
+    # sqrt(2) cos 2x: |c|^2 = 1/2 at each of the modes +-2
+    raw = field_from_modes(GRID, {2: math.sqrt(0.5)})
     assert gevrey_norm_bar(raw, GevreyIndex(1.0, 1.0, 0.0)) == pytest.approx(
         math.exp(2.0), rel=1e-12
     )
@@ -287,12 +275,13 @@ def test_product_cosine_squared():
 
 
 def test_product_direct_single_modes():
-    f = field_from_modes(GRID, {1: 1.0}, hermitian=False)
-    g = field_from_modes(GRID, {2: 1.0}, hermitian=False)
+    # cos x * cos 2x = (cos x + cos 3x) / 2
+    f = field_from_modes(GRID, {1: 0.5})
+    g = field_from_modes(GRID, {2: 0.5})
     fg = product_direct(f, g)
-    assert fg.coeff(3) == pytest.approx(1.0)
+    assert fg.coeff(1) == fg.coeff(3) == pytest.approx(0.25)
     nz = np.flatnonzero(np.abs(fg.coeffs) > 0)
-    assert list(nz) == [GRID.index_of(3)]
+    assert list(nz) == [GRID.index_of(1), GRID.index_of(3)]
 
 
 def test_product_agrees_with_direct_on_band_limited_pairs():
@@ -329,13 +318,13 @@ def test_product_grid_mismatch():
 
 
 def test_product_preserves_hermitian_symmetry():
+    # a real field's modes -m are the conjugates of its stored modes m; the one
+    # condition left on the stored half is a real mean coefficient
     rng = np.random.default_rng(29)
-    # keep the product inside the paired band |m| <= n/2 - 1: the +n/2 corner
-    # slot has no conjugate partner to mirror into
     f = random_field(GRID, rng, band=GRID.n_points // 8)
     g = random_field(GRID, rng, band=GRID.n_points // 8)
     for op_out in (product(f, g), derivative(f), helmholtz_inv(f)):
-        assert op_out.hermitian_defect() < 1e-12
+        assert op_out.coeffs[0].imag == 0.0
 
 
 def test_field_arithmetic():
@@ -356,12 +345,11 @@ def _old_random_field(grid, rng, band=None, decay=2.0):
     if band is None:
         band = grid.n_points // 4
     band = min(band, grid.n_points // 2 - 1)
-    c = np.zeros(grid.n_points, dtype=np.complex128)
+    c = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     c[0] = rng.standard_normal()
     for m in range(1, band + 1):
         z = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
         c[grid.index_of(m)] = z * m ** (-decay)
-        c[grid.index_of(-m)] = np.conj(c[grid.index_of(m)])
     return c
 
 
@@ -447,9 +435,10 @@ def test_batched_overflow_reads_inf_where_the_single_call_raises():
 
 
 def test_field_accepts_one_row_or_a_batch_of_rows():
-    assert SpectralField(GRID, np.zeros((3, 64))).coeffs.shape == (3, 64)
-    for shape in ((63,), (3, 63), (2, 3, 64), ()):
-        with pytest.raises(ValueError):
+    assert SpectralField(GRID, np.zeros((3, 33))).coeffs.shape == (3, 33)
+    # the full band of n = 64 coefficients is not a field
+    for shape in ((64,), (3, 64), (32,), (3, 32), (2, 3, 33), ()):
+        with pytest.raises(ValueError, match=r"n/2 \+ 1 modes of an n = 64 grid"):
             SpectralField(GRID, np.zeros(shape))
 
 
@@ -458,7 +447,7 @@ def test_row_access_on_a_batch():
     batch = SpectralField(GRID, rows)
     assert batch[1].coeffs.tobytes() == cos_field(2).coeffs.tobytes()
     assert batch[-1].coeffs.tobytes() == cos_field(3).coeffs.tobytes()
-    assert batch[1:].coeffs.shape == (2, 64)
+    assert batch[1:].coeffs.shape == (2, 33)
     assert [u.coeff(2) for u in batch] == [0.0, 0.5, 0.0]  # iteration stops at the last row
     single = cos_field(1)
     with pytest.raises(TypeError):
