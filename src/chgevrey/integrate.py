@@ -95,7 +95,8 @@ def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) 
     finite = np.isfinite(out)
     if not finite.all():
         raise BlowUpError(dt, rows=_rows(~finite.all(axis=-1)))
-    out.imag[..., [0, grid.n_points // 2]] = 0.0
+    out.imag[..., 0] = 0.0
+    out.imag[..., grid.n_points // 2] = 0.0
     return SpectralField.trusted(grid, out)
 
 

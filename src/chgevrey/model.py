@@ -65,26 +65,31 @@ def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField
     grid = u.grid
     n = grid.n_points
     half = n // 2
-    k = grid.wavenumbers[:half]
     c = u.coeffs
     quartic = p.beta != 0.0 or p.gamma != 0.0
     # pad 5/2 keeps quartic powers alias-free on the stored band, 3/2 the
     # quadratic terms (Orszag's rule); pad 1 lets the products wrap
     fine = _padded_size(n, (2.5 if quartic else 1.5) if dealias else 1.0)
-    ik_c = 1j * grid.wavenumbers * c  # u_x; its Nyquist slot is zero, as in derivative()
-    ik_c[..., half] = 0.0
-    samples = _samples(np.stack((c, ik_c), axis=-2), fine)
+    pair = np.empty(c.shape[:-1] + (2, half + 1), dtype=np.complex128)
+    pair[..., 0, :] = c
+    ik_c = np.multiply(grid.dx_symbol, c, out=pair[..., 1, :])  # u_x
+    ik_c[..., half] = 0.0  # as in derivative()
+    samples = _samples(pair, fine)
     w, wx = samples[..., 0, :], samples[..., 1, :]
     w2 = w * w
     inner = w2 + 0.5 * wx * wx
     if quartic:
         inner -= w2 * w * (p.beta / 3.0 + (p.gamma / 4.0) * w)
-    fused = np.fft.rfft(np.stack((w * wx, inner), axis=-2), axis=-1)[..., : half + 1] / fine
+    # u u_x and the inner term overwrite u and u_x and go back in one rfft
+    w *= wx
+    wx[...] = inner
+    fused = np.fft.rfft(samples, axis=-1)[..., : half + 1]
+    fused /= fine
     advection, inner_hat = fused[..., 0, :], fused[..., 1, :]
     inner_hat -= (p.alpha + p.Gamma_coef) * c
     out = -advection - p.lam * c
     # Q = -(1 - d_xx)^{-1} d_x inner; d_x zeroes the Nyquist slot
-    q = (1j * k / (1.0 + k * k)) * inner_hat[..., :half]
+    q = grid.nonlocal_symbol * inner_hat[..., :half]
     out[..., :half] -= ik_c[..., :half] * p.Gamma_coef + q
     return SpectralField.trusted(grid, out)
 

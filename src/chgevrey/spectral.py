@@ -93,7 +93,14 @@ class TorusGrid:
         # the symbols are computed once per grid and shared read-only by every caller
         m = np.arange(self.n_points // 2 + 1)
         k = 2.0 * math.pi * m / self.period
-        for name, arr in (("_modes", m), ("_wavenumbers", k)):
+        kq = k[:-1]
+        symbols = (
+            ("_modes", m),
+            ("_wavenumbers", k),
+            ("_dx_symbol", 1j * k),
+            ("_nonlocal_symbol", 1j * kq / (1.0 + kq * kq)),
+        )
+        for name, arr in symbols:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -105,6 +112,16 @@ class TorusGrid:
     @property
     def wavenumbers(self) -> np.ndarray:
         return self._wavenumbers
+
+    @property
+    def dx_symbol(self) -> np.ndarray:
+        """Symbol i*k_m of d/dx on modes 0 .. n/2."""
+        return self._dx_symbol
+
+    @property
+    def nonlocal_symbol(self) -> np.ndarray:
+        """Symbol i*k_m/(1 + k_m^2) of (1 - d_xx)^{-1} d_x on modes 0 .. n/2 - 1."""
+        return self._nonlocal_symbol
 
     @property
     def x(self) -> np.ndarray:
@@ -155,9 +172,11 @@ class SpectralField:
             raise TypeError("a single SpectralField has no rows to index")
         return SpectralField.trusted(self.grid, self.coeffs[index])
 
-    def coeff(self, mode: int) -> complex:
-        c = complex(self.coeffs[self.grid.index_of(mode)])
-        return c.conjugate() if mode < 0 else c
+    def coeff(self, mode: int) -> complex | np.ndarray:
+        """Coefficient of ``mode``; one per row of a batch."""
+        c = self.coeffs[..., self.grid.index_of(mode)]
+        c = np.conj(c) if mode < 0 else c
+        return complex(c) if c.ndim == 0 else c
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return replace(self, coeffs=coeffs)
@@ -288,7 +307,7 @@ def derivative(field: SpectralField) -> SpectralField:
     The Nyquist slot is zeroed: the derivative of cos(n/2 x) is a sine, which
     vanishes on the grid.
     """
-    c = 1j * field.grid.wavenumbers * field.coeffs
+    c = field.grid.dx_symbol * field.coeffs
     c[..., field.grid.n_points // 2] = 0.0
     return field.with_coeffs(c)
 

@@ -268,6 +268,21 @@ def test_fused_rhs_matches_untruncated_convolution_oracle(n, seed, p):
     assert_close(rhs(u, p).coeffs, convolution_rhs(u, p), 1e-14)
 
 
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize(
+    "p",
+    [ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05), ModelParams(alpha=0.1, Gamma_coef=0.05)],
+    ids=["quartic", "linear"],
+)
+def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p, dealias):
+    grid = TorusGrid(512)
+    singles = [full_band_field(grid, seed, decay=1.0) for seed in range(3)]
+    batch = SpectralField(grid, np.array([u.coeffs for u in singles]))
+    batched = rhs(batch, p, dealias).coeffs
+    for row, u in zip(batched, singles):
+        assert np.array_equal(row.view(float), rhs(u, p, dealias).coeffs.view(float))
+
+
 # --- smallness functional -------------------------------------------------
 
 

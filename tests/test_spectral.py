@@ -77,6 +77,17 @@ def test_grid_symbols_are_cached_read_only():
     assert g.wavenumbers is g.wavenumbers
 
 
+def test_grid_holds_the_derivative_and_nonlocal_symbols_read_only():
+    g = TorusGrid(8)
+    for arr in (g.dx_symbol, g.nonlocal_symbol):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    k, kq = g.wavenumbers, g.wavenumbers[:4]
+    assert np.array_equal(g.dx_symbol.view(float), (1j * k).view(float))
+    assert np.array_equal(g.nonlocal_symbol.view(float), (1j * kq / (1.0 + kq * kq)).view(float))
+
+
 # --- transforms -----------------------------------------------------------
 
 
@@ -453,6 +464,17 @@ def test_row_access_on_a_batch():
     with pytest.raises(TypeError):
         single[0]
     assert bool(single)  # no __len__: a single field stays truthy
+
+
+def test_coeff_on_a_batch_reads_the_mode_slot_of_every_row():
+    grid = TorusGrid(16)
+    rows = np.arange(27, dtype=float).reshape(3, 9) * (1.0 - 2.0j)
+    batch = SpectralField(grid, rows)
+    assert np.array_equal(batch.coeff(2), rows[:, 2])
+    assert np.array_equal(batch.coeff(-2), np.conj(rows[:, 2]))
+    assert [batch[i].coeff(-2) for i in range(3)] == list(np.conj(rows[:, 2]))
+    single = batch[1].coeff(-8)
+    assert type(single) is complex and single == np.conj(rows[1, 8])
 
 
 def _hex(values):

@@ -3,6 +3,7 @@ still resolve, so a refactor cannot silently drop a layer from the trace."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -53,3 +54,36 @@ def test_the_tracer_sees_each_suite_of_run_all_suites_once():
         suite: 1 for suite in module.SUITES
     }
     assert tracer.layer_metrics(0)["verify.cases"] == sum(r.cases for r in reports) == 72463
+
+
+def test_a_traced_simulate_op_sees_every_step_through_the_public_names(tmp_path):
+    # the march must reach rhs, step_rk4 and the monitored norm by the names
+    # the tracer patches, or the traced march reports none of their time
+    from chgevrey import cli
+
+    steps = 5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "subcommand": "simulate",
+        "initial_data": {"name": "cosine", "amplitude": 0.01},
+        "grid": {"n_points": 16},
+        "solver": {"dt": 0.01, "t_end": steps * 0.01, "record_every": 1},
+    }))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        try:
+            code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        finally:
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    edges = [(span[0], tracer.spans[span[3]][0]) for span in tracer.spans if span[3] >= 0]
+    assert edges.count(("integrate.step_rk4", "integrate.integrate")) == steps
+    assert edges.count(("spectral.norm", "integrate.integrate")) == steps
+    assert edges.count(("model.rhs", "integrate.step_rk4")) == 4 * steps
+    metrics = tracer.layer_metrics(0)
+    assert metrics["integrate.step_rk4.calls"] == steps
+    assert metrics["model.rhs.calls"] == 4 * steps
