@@ -544,7 +544,7 @@ def continuity_experiment(
         names = ", ".join("limit" if r == 0 else f"#{r - 1}" for r in err.rows)
         raise ExperimentError(f"run {names} blew up at t = {err.time:.4g}") from err
     runs = traj.states.coeffs  # (T, K+1, n/2 + 1)
-    diff = SpectralField.trusted(grid, runs[:, 1:] - runs[:, :1])
+    diff = data.with_coeffs(runs[:, 1:] - runs[:, :1])
     k = runs.shape[1] - 1
     distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(k))
     bounds = 2.0 * window_norm(data[1:] - data[0], sigma, s) + budget

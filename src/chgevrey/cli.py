@@ -47,6 +47,7 @@ from .integrate import BlowUpError, SolverConfig, integrate, picard_iterate
 from .model import ModelParams
 from .spectral import (
     GevreyIndex,
+    NonFiniteError,
     NormOverflowError,
     SpectralField,
     TorusGrid,
@@ -103,15 +104,22 @@ class InitialDataSpec:
                 samples += np.exp(
                     -((x - center - j * grid.period) ** 2) / (2.0 * self.width**2)
                 )
-            return to_spectral(self.amplitude * samples, grid)
+            try:
+                with np.errstate(over="ignore"):  # overflow shows as non-finite samples
+                    return to_spectral(self.amplitude * samples, grid)
+            except NonFiniteError as err:
+                raise ConfigError(f"initial_data.amplitude: {self.amplitude} overflows") from err
         if self.name == "exp_decay_modes":
             half = grid.n_points // 2
-            amps = {
-                m: self.amplitude
-                * math.exp(-self.rate * abs(2.0 * math.pi * m / grid.period))
-                for m in range(half + 1)
-            }
-            return field_from_modes(grid, amps)
+            try:  # a negative rate grows with the mode, and may pass the float range
+                amps = {
+                    m: self.amplitude
+                    * math.exp(-self.rate * abs(2.0 * math.pi * m / grid.period))
+                    for m in range(half + 1)
+                }
+                return field_from_modes(grid, amps)
+            except (OverflowError, NonFiniteError) as err:
+                raise ConfigError(f"initial_data.rate: {self.rate} overflows the modes") from err
         if self.name == "coeff_file":
             return self._from_file(grid)
         raise ConfigError(f"initial_data.name: unknown generator {self.name!r}")
@@ -135,6 +143,8 @@ class InitialDataSpec:
                     raise ConfigError(
                         f"initial_data.path: line {lineno}: {err}"
                     ) from err
+                if not (math.isfinite(re_part) and math.isfinite(im_part)):
+                    raise ConfigError(f"initial_data.path: line {lineno} is not finite")
                 if mode > grid.n_points // 2:
                     raise ConfigError(
                         f"initial_data.path: line {lineno} exceeds the mode band "
@@ -363,7 +373,7 @@ def _write_metadata(out: Path, cfg: RunConfig, pins: EmpiricalConstants, **extra
     blob = {
         "version": __version__,
         "config": _config_blob(cfg),
-        "pinned_constants": pins.as_dict(),
+        "pinned_constants": asdict(pins),
         "blowup_time": None,
         **extra,
     }
@@ -648,7 +658,7 @@ def main(argv=None) -> int:
             print(f"pins recomputed on seed {cfg.seed} and written to {target}")
         elif args.pins is not None:
             pins = load_pins(args.pins)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
+    except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"config error: cannot load pins: {err}", file=sys.stderr)
         return 2
 

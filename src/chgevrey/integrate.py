@@ -85,7 +85,7 @@ def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) 
     grid, c = u.grid, u.coeffs
 
     def f(stage: np.ndarray) -> np.ndarray:
-        return rhs(SpectralField.trusted(grid, stage), p, dealias).coeffs
+        return rhs(u.with_coeffs(stage), p, dealias).coeffs
 
     k1 = f(c)
     k2 = f(c + (0.5 * dt) * k1)
@@ -97,7 +97,7 @@ def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) 
         raise BlowUpError(dt, rows=_rows(~finite.all(axis=-1)))
     out.imag[..., 0] = 0.0
     out.imag[..., grid.n_points // 2] = 0.0
-    return SpectralField.trusted(grid, out)
+    return u.with_coeffs(out)
 
 
 def _advisory_dt_bound(u0: SpectralField, p: ModelParams) -> float:
@@ -141,7 +141,7 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
     states = [u0.coeffs]
 
     def recorded() -> Trajectory:
-        return Trajectory(np.array(times), SpectralField.trusted(u0.grid, np.stack(states)))
+        return Trajectory(np.array(times), u0.with_coeffs(np.stack(states)))
 
     u = u0
     for i in range(n_steps):
@@ -225,8 +225,7 @@ def picard_iterate(
             )
 
     times = np.linspace(0.0, T, n_nodes)
-    grid = u0.grid
-    final = SpectralField.trusted(grid, np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))
+    final = u0.with_coeffs(np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))
     scale = ea_norm(times, final, T, sigma, s)
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 
@@ -248,8 +247,8 @@ def picard_iterate(
         if not np.all(np.isfinite(coeffs)):
             diverged_at = it
             break
-        d = ea_norm(times, SpectralField.trusted(grid, coeffs - final.coeffs), T, sigma, s)
-        final = SpectralField.trusted(grid, coeffs)
+        d = ea_norm(times, u0.with_coeffs(coeffs - final.coeffs), T, sigma, s)
+        final = u0.with_coeffs(coeffs)
         diffs.append(d)
         if converged_at is None and d <= floor:
             converged_at = it

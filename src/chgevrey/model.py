@@ -91,7 +91,7 @@ def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField
     # Q = -(1 - d_xx)^{-1} d_x inner; d_x zeroes the Nyquist slot
     q = grid.nonlocal_symbol * inner_hat[..., :half]
     out[..., :half] -= ik_c[..., :half] * p.Gamma_coef + q
-    return SpectralField.trusted(grid, out)
+    return u.with_coeffs(out)
 
 
 def functional_H(u: SpectralField, p: ModelParams, s: float) -> float | np.ndarray:

@@ -32,7 +32,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -156,21 +156,12 @@ class SpectralField:
             raise NonFiniteError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
-    @classmethod
-    def trusted(cls, grid: TorusGrid, coeffs: np.ndarray) -> "SpectralField":
-        """Wrap a complex array of the grid's shape without the copy and the
-        finite check; for hot paths that validate once per step instead."""
-        field = object.__new__(cls)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "coeffs", coeffs)
-        return field
-
     def __getitem__(self, index) -> "SpectralField":
         """Row access on a batch: ``batch[i]`` is a view of field i; a single
         field has no rows and raises TypeError."""
         if self.coeffs.ndim == 1:
             raise TypeError("a single SpectralField has no rows to index")
-        return SpectralField.trusted(self.grid, self.coeffs[index])
+        return self.with_coeffs(self.coeffs[index])
 
     def coeff(self, mode: int) -> complex | np.ndarray:
         """Coefficient of ``mode``; one per row of a batch."""
@@ -179,7 +170,12 @@ class SpectralField:
         return complex(c) if c.ndim == 0 else c
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return replace(self, coeffs=coeffs)
+        """``coeffs`` on this grid, neither copied nor checked: a complex array of
+        the grid's shape derived from checked data (the one unchecked path)."""
+        field = object.__new__(SpectralField)
+        object.__setattr__(field, "grid", self.grid)
+        object.__setattr__(field, "coeffs", coeffs)
+        return field
 
     # Scalar linear algebra; products of fields live in product().
     def __add__(self, other: "SpectralField") -> "SpectralField":
@@ -288,7 +284,7 @@ def random_field(
         band = grid.n_points // 4
     band = min(band, grid.n_points // 2 - 1)
     # draws c_0, re_1, im_1, re_2, ...; (re/sqrt 2) * m**-decay with Python's pow
-    # rounds exactly as the per-mode construction this replaced
+    # rounds exactly as the earlier per-mode construction
     draws = rng.standard_normal(1 + 2 * band)
     scale = np.array([m ** (-decay) for m in range(1, band + 1)])
     c = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +88,6 @@ class EmpiricalConstants:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"pin {name} must be a positive finite real, got {v}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 _PIN_NAMES = tuple(f.name for f in fields(EmpiricalConstants) if f.name != "pin_date_metadata")
 
@@ -98,24 +95,22 @@ _PIN_NAMES = tuple(f.name for f in fields(EmpiricalConstants) if f.name != "pin_
 @dataclass(frozen=True)
 class VerificationReport:
     """One suite's outcome; ``status`` is pass/fail (or skip when a suite's
-    precondition was not met, which is not a violation)."""
+    precondition was not met, which is not a violation).  ``measured`` holds
+    the raw worst ratio of each group whose limit is a pin, under its name."""
 
     suite: str
     cases: int
     violations: int
     worst_ratio: float
-    tolerance: float
     skipped: int = 0
     status: str = "pass"
+    measured: dict = field(default_factory=dict)
 
     def line(self) -> str:
         return (
             f"{self.suite:<22} cases={self.cases:<6} violations={self.violations:<3} "
             f"worst_ratio={self.worst_ratio:.6g} skipped={self.skipped} [{self.status}]"
         )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -129,25 +124,30 @@ def _worst(ratios) -> float:
     return float(np.nanmax(np.asarray(ratios, dtype=float), initial=0.0))
 
 
-def _report(suite: str, tolerance: float, *groups, skipped=0, failed=()) -> VerificationReport:
+def _report(suite: str, *groups, pins=None, skipped=0, failed=()) -> VerificationReport:
     """One suite's report.  Each group is ``(ratios, limit)``: every ratio is a
-    case, one above ``limit`` a violation (``None``: a pinned suite run without
-    pins), and ``worst_ratio`` the largest of all groups.  NaN is a degenerate
-    0/0 case, counted but never compared.  ``failed`` holds boolean arrays of
-    checks that are cases and violations without a ratio; ``skipped`` cases
-    count in ``cases`` too."""
-    cases, violations = skipped, 0
+    case, one above ``limit`` a violation (``None``: no limit), and
+    ``worst_ratio`` the largest of all groups.  A limit named by a pin, such as
+    ``"C_s_algebra"``, is read from ``pins`` (none without them) and the
+    group's worst ratio goes into ``measured`` under that name.  NaN is a 0/0
+    case, counted but never compared.  ``failed`` holds boolean arrays of checks
+    that are cases and violations without a ratio; ``skipped`` count as cases."""
+    cases, violations, worsts, measured = skipped, 0, [], {}
     for ratios, limit in groups:
         ratios = np.asarray(ratios, dtype=float)
         cases += ratios.size
+        worsts.append(_worst(ratios))
+        if isinstance(limit, str):
+            measured[limit] = worsts[-1]
+            limit = None if pins is None else vars(pins)[limit]
         if limit is not None:
             violations += int(np.count_nonzero(ratios > limit))
     for flags in failed:
         cases += np.size(flags)
         violations += int(np.count_nonzero(flags))
-    worst = max((_worst(ratios) for ratios, _ in groups), default=0.0)
     status = "fail" if violations else "pass"
-    return VerificationReport(suite, cases, violations, worst, tolerance, skipped, status)
+    worst = max(worsts, default=0.0)
+    return VerificationReport(suite, cases, violations, worst, skipped, status, measured)
 
 
 def _ensemble(seed: int, count: int) -> SpectralField:
@@ -177,7 +177,7 @@ def verify_embedding(ensemble_size: int = 100, seed: int = DEFAULT_SEED) -> Veri
     ratios = [
         _ratio(gevrey_norm(u, weak), gevrey_norm(u, strong)) for strong, weak in _EMBEDDING_PAIRS
     ]
-    return _report("embedding", EXACT_SLACK, (ratios, 1.0 + EXACT_SLACK))
+    return _report("embedding", (ratios, 1.0 + EXACT_SLACK))
 
 
 def sharp_derivative_constant(grid: TorusGrid, sigma: float, gap: float) -> float:
@@ -233,7 +233,6 @@ def verify_derivative_bound(
     smoothing = gevrey_norm(helmholtz_inv(du), index) > ref1 * (1.0 + EXACT_SLACK)
     return _report(
         "derivative_bound",
-        EXACT_SLACK,
         (sharp, 1.0 + EXACT_SLACK),
         (operator, 1.0 + 1e-9),
         failed=(symbols, identity, smoothing),
@@ -252,7 +251,7 @@ def verify_norm_equivalence(
         bar = gevrey_norm_bar(u, index)
         smooth = gevrey_norm(u, index)
         ratios.append(np.maximum(_ratio(bar, smooth), _ratio(smooth, math.exp(index.delta) * bar)))
-    return _report("norm_equivalence", EXACT_SLACK, (ratios, 1.0 + EXACT_SLACK))
+    return _report("norm_equivalence", (ratios, 1.0 + EXACT_SLACK))
 
 
 def verify_interpolation(ensemble_size: int = 200, seed: int = DEFAULT_SEED) -> VerificationReport:
@@ -271,7 +270,7 @@ def verify_interpolation(ensemble_size: int = 200, seed: int = DEFAULT_SEED) -> 
             bumped = gevrey_norm(u, GevreyIndex(sigma, delta, s + l_exp / (2.0 * sigma)))
             rhs = math.sqrt(math.e) * hs + (2.0 * delta) ** (l_exp / 2.0) * bumped
             ratios.append(_ratio(lhs, rhs))
-    return _report("interpolation", EXACT_SLACK, (ratios, 1.0 + EXACT_SLACK))
+    return _report("interpolation", (ratios, 1.0 + EXACT_SLACK))
 
 
 def verify_ea_integral(
@@ -310,7 +309,7 @@ def verify_ea_integral(
         lhs = [trapezoid(integrand[: j + 1], kept[: j + 1]) for j in range(1, len(kept))]
         scale = 2.0 ** (2.0 * sigma + 3.0) * sup_norm / (1.0 - delta) ** sigma
         ratios.append(_ratio(lhs, scale * np.sqrt(shrink / (shrink - kept[1:]))))
-    return _report("ea_integral", slack, (np.concatenate(ratios), 1.0 + slack))
+    return _report("ea_integral", (np.concatenate(ratios), 1.0 + slack))
 
 
 def verify_H_monotone(traj: Trajectory, p: ModelParams) -> VerificationReport:
@@ -318,9 +317,9 @@ def verify_H_monotone(traj: Trajectory, p: ModelParams) -> VerificationReport:
     the small-data check; precondition failure yields a skipped suite."""
     s, slack = 2.0, 1e-6
     if not small_data_check(traj.states[0], p, s):
-        return VerificationReport("H_monotone", 0, 0, math.nan, slack, skipped=1, status="skip")
+        return VerificationReport("H_monotone", 0, 0, math.nan, skipped=1, status="skip")
     h = functional_H(traj.states, p, s)
-    return _report("H_monotone", slack, (_ratio(h, h[0]), 1.0 + slack))
+    return _report("H_monotone", (_ratio(h, h[0]), 1.0 + slack))
 
 
 # --- pinned-constant suites -----------------------------------------------------
@@ -330,14 +329,14 @@ def verify_algebra(
     ensemble_size: int = 200,
     seed: int = DEFAULT_SEED,
     pins: EmpiricalConstants | None = None,
-) -> tuple:
+) -> VerificationReport:
     """Product-norm ratios: the plain algebra family ||fg||_s/(||f||_s ||g||_s)
     and the tame family ||fg||_{s-1}/(||f||_s ||g||_{s-1}), for s in (1, 2)
     (the property needs s > 1/2) and (delta, sigma) in ((0, 1), (0.3, 1)).
 
-    Returns (report, measured) where measured holds the raw worst ratio of
-    each family.  With ``pins`` given, ratios exceeding the stored pins are
-    violations (regression semantics; pins carry the 1.1 safety factor).
+    ``measured`` holds the raw worst ratio of each family.  With ``pins``
+    given, ratios exceeding the stored pins are violations (regression
+    semantics; pins carry the 1.1 safety factor).
     """
     drawn = _ensemble(seed, 2 * ensemble_size).coeffs
     f, g = SpectralField(GRID, drawn[0::2]), SpectralField(GRID, drawn[1::2])
@@ -350,13 +349,7 @@ def verify_algebra(
             nf = gevrey_norm(f, plain)
             plain_ratios.append(_ratio(gevrey_norm(fg, plain), nf * gevrey_norm(g, plain)))
             tame_ratios.append(_ratio(gevrey_norm(fg, tame), nf * gevrey_norm(g, tame)))
-    report = _report(
-        "algebra",
-        0.0,
-        (plain_ratios, getattr(pins, "C_s_algebra", None)),
-        (tame_ratios, getattr(pins, "C_bar_s", None)),
-    )
-    return report, {"C_s_algebra": _worst(plain_ratios), "C_bar_s": _worst(tame_ratios)}
+    return _report("algebra", (plain_ratios, "C_s_algebra"), (tame_ratios, "C_bar_s"), pins=pins)
 
 
 _SYMBOL_PARAMS = ((0.0, 1.0, 2.0), (0.25, 1.0, 2.0), (0.5, 2.0, 2.5), (1.0, 1.0, 3.0))
@@ -366,7 +359,7 @@ def verify_symbol_lemma(
     extent: int = 64,
     params=_SYMBOL_PARAMS,
     pins: EmpiricalConstants | None = None,
-) -> tuple:
+) -> VerificationReport:
     """Two-variable weight-difference estimate on the integer grid
     [-extent, extent]^2, for fixed (delta, sigma, s) triples with s > 1:
 
@@ -374,7 +367,7 @@ def verify_symbol_lemma(
             + delta [A^{(s-1)/2+1/(2 sigma)} + B^{(s-1)/2+1/(2 sigma)}] e^{delta A^{1/(2 sigma)}} )
 
     with W(x) = (1+x^2)^{s/2} e^{delta (1+x^2)^{1/(2 sigma)}},
-    A = 1+(xi-eta)^2, B = 1+eta^2.  Returns (report, worst_ratio).
+    A = 1+(xi-eta)^2, B = 1+eta^2.
     """
     xi = np.arange(-extent, extent + 1, dtype=float)
     xg, eg = np.meshgrid(xi, xi, indexing="ij")
@@ -402,8 +395,7 @@ def verify_symbol_lemma(
         )
         # the diagonal xi = eta is 0/0: counted, never compared
         ratios.append(_ratio(lhs, np.abs(xg - eg) * bracket))
-    report = _report("symbol_lemma", 0.0, (ratios, getattr(pins, "C_sym_lemma", None)))
-    return report, report.worst_ratio
+    return _report("symbol_lemma", (ratios, "C_sym_lemma"), pins=pins)
 
 
 def _pairing_ratio(delta, pairing, a_s, b_s, a_plain, b_bumped, a_bumped, b_plain) -> float:
@@ -423,7 +415,7 @@ def verify_commutator_estimate(
     ensemble_size: int = 100,
     seed: int = DEFAULT_SEED,
     pins: EmpiricalConstants | None = None,
-) -> tuple:
+) -> VerificationReport:
     """Weighted pairing bound, in its stated product form and as applied.
 
     For a pair (a, b) the two sides are
@@ -474,25 +466,18 @@ def verify_commutator_estimate(
                     ratios.append(_pairing_ratio(delta, *case))
                 except OverflowError:
                     skipped += 1
-    report = _report(
-        "commutator", 0.0, (ratios, getattr(pins, "C_commutator", None)), skipped=skipped
-    )
-    return report, report.worst_ratio
+    return _report("commutator", (ratios, "C_commutator"), pins=pins, skipped=skipped)
 
 
 # --- pin management -------------------------------------------------------------
 
 
 def compute_pins(seed: int = DEFAULT_SEED) -> EmpiricalConstants:
-    """Run the three pinned suites without pins and store worst * 1.1."""
-    _, alg = verify_algebra(seed=seed)
-    _, sym = verify_symbol_lemma()
-    _, com = verify_commutator_estimate(seed=seed)
+    """Run the three pinned suites without pins; each pin is its measured worst * 1.1."""
+    measured = verify_algebra(seed=seed).measured | verify_symbol_lemma().measured
+    measured |= verify_commutator_estimate(seed=seed).measured
     return EmpiricalConstants(
-        C_s_algebra=SAFETY_FACTOR * alg["C_s_algebra"],
-        C_bar_s=SAFETY_FACTOR * alg["C_bar_s"],
-        C_sym_lemma=SAFETY_FACTOR * sym,
-        C_commutator=SAFETY_FACTOR * com,
+        **{name: SAFETY_FACTOR * worst for name, worst in measured.items()},
         pin_date_metadata=f"seed-{seed} default ensembles, safety 1.1",
     )
 
@@ -510,7 +495,7 @@ def save_pins(pins: EmpiricalConstants, path) -> None:
         "version": 1,
         "safety_factor": SAFETY_FACTOR,
         "pin_date_metadata": pins.pin_date_metadata,
-        "constants": {name: getattr(pins, name) for name in _PIN_NAMES},
+        "constants": {name: vars(pins)[name] for name in _PIN_NAMES},
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh, indent=2, sort_keys=True)
@@ -538,10 +523,10 @@ def run_all_suites(seed: int = DEFAULT_SEED, pins: EmpiricalConstants | None = N
     return [
         verify_embedding(seed=seed),
         verify_derivative_bound(seed=seed),
-        verify_algebra(seed=seed, pins=pins)[0],
+        verify_algebra(seed=seed, pins=pins),
         verify_norm_equivalence(seed=seed),
-        verify_symbol_lemma(pins=pins)[0],
-        verify_commutator_estimate(seed=seed, pins=pins)[0],
+        verify_symbol_lemma(pins=pins),
+        verify_commutator_estimate(seed=seed, pins=pins),
         verify_interpolation(seed=seed),
         verify_ea_integral(traj, sigma=1.0),
         verify_H_monotone(traj, p),

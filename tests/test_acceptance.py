@@ -303,9 +303,9 @@ def test_criterion_11_regression_pins():
         and abs(fresh.C_commutator - packaged.C_commutator)
         <= 1e-12 * packaged.C_commutator
     )
-    alg, _ = verify_algebra(pins=packaged)
-    sym, _ = verify_symbol_lemma(pins=packaged)
-    com, _ = verify_commutator_estimate(pins=packaged)
+    alg = verify_algebra(pins=packaged)
+    sym = verify_symbol_lemma(pins=packaged)
+    com = verify_commutator_estimate(pins=packaged)
     clean = alg.violations == 0 and sym.violations == 0 and com.violations == 0
     ok = finite and stable and clean
     _criterion(

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from chgevrey.cli import (
     main,
     parse_config,
 )
-from chgevrey.verify import EmpiricalConstants, save_pins, verify_H_monotone
+from chgevrey.verify import EmpiricalConstants, load_pins, save_pins, verify_H_monotone
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -250,6 +251,10 @@ def _inf_config(tmp_path, blob) -> Path:
     return path
 
 
+# coefficient files whose one line reads as a float outside the finite range
+_COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
+
+
 @pytest.mark.parametrize(
     "subcommand, overrides, key",
     [
@@ -285,6 +290,27 @@ def _inf_config(tmp_path, blob) -> Path:
             )
             for subcommand in ("simulate", "radius")
         ),
+        *(
+            (
+                "lifespan",
+                {"initial_data": {"name": "coeff_file", "path": name}, "grid": {"n_points": 16}},
+                "initial_data.path",
+            )
+            for name in _COEFF_FILES
+        ),
+        (
+            "lifespan",
+            {"initial_data": {"name": "exp_decay_modes", "rate": -1000}, "grid": {"n_points": 16}},
+            "initial_data.rate",
+        ),
+        (
+            "lifespan",
+            {
+                "initial_data": {"name": "gaussian_bump", "amplitude": 1e308, "width": 100},
+                "grid": {"n_points": 16},
+            },
+            "initial_data.amplitude",
+        ),
     ],
     ids=[
         "infinite-horizon",
@@ -297,9 +323,18 @@ def _inf_config(tmp_path, blob) -> Path:
         "zero-width-bump",
         "sobolev-order-simulate",
         "sobolev-order-radius",
+        "infinite-coeff-line",
+        "nan-coeff-line",
+        "overflowing-decay-rate",
+        "overflowing-bump",
     ],
 )
-def test_bad_input_exits_two_naming_the_key(tmp_path, capsys, subcommand, overrides, key):
+def test_bad_input_exits_two_naming_the_key(
+    tmp_path, monkeypatch, capsys, subcommand, overrides, key
+):
+    monkeypatch.chdir(tmp_path)  # the coefficient files are named relative to it
+    for name, text in _COEFF_FILES.items():
+        (tmp_path / name).write_text(text)
     blob = {"initial_data": {"name": "cosine", "amplitude": 0.01}, **overrides}
     path = _inf_config(tmp_path, blob)
     code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "run")])
@@ -314,7 +349,7 @@ def test_write_json_is_strict_and_writes_nan_as_null(tmp_path):
     report = verify_H_monotone(Trajectory(np.array([0.0]), states), ModelParams())
     assert math.isnan(report.worst_ratio)
     path = tmp_path / "report.json"
-    _write_json(path, {"H_monotone": report.as_dict(), "ends": (math.inf, 1.5, -math.inf)})
+    _write_json(path, {"H_monotone": asdict(report), "ends": (math.inf, 1.5, -math.inf)})
 
     def reject(constant):
         raise ValueError(f"non-strict JSON constant {constant}")
@@ -589,6 +624,20 @@ def test_bad_config_exits_two(tmp_path):
     cfg = write_config(tmp_path, model={"lambda": 0.0})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2
+
+
+def test_a_pins_file_with_an_invalid_constant_exits_two(tmp_path, capsys):
+    pins_path = tmp_path / "negative.json"
+    save_pins(load_pins(), pins_path)
+    blob = json.loads(pins_path.read_text())
+    blob["constants"]["C_s_algebra"] = -1.0
+    pins_path.write_text(json.dumps(blob))
+    cfg = write_config(tmp_path)
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main([*argv, "--pins", str(pins_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot load pins: pin C_s_algebra")
+    assert not (tmp_path / "run").exists()
 
 
 def test_verify_against_tampered_pins_exits_one(tmp_path, capsys):

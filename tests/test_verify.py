@@ -2,6 +2,7 @@
 trivial-case identities, and regression behavior of the pinned constants."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from chgevrey import (
 from chgevrey import verify
 from chgevrey.verify import (
     PIN_FILE,
+    SAFETY_FACTOR,
     EmpiricalConstants,
+    VerificationReport,
+    compute_pins,
     derivative_constant_bound,
     load_pins,
     reference_trajectory,
@@ -158,17 +162,17 @@ def test_packaged_pins_are_finite_and_loaded(pins):
 
 
 def test_algebra_regression_zero_violations(pins):
-    report, measured = verify_algebra(pins=pins)
+    report = verify_algebra(pins=pins)
     assert report.violations == 0
-    assert measured["C_s_algebra"] * 1.1 == pytest.approx(pins.C_s_algebra)
-    assert measured["C_bar_s"] * 1.1 == pytest.approx(pins.C_bar_s)
+    assert report.measured["C_s_algebra"] * 1.1 == pytest.approx(pins.C_s_algebra)
+    assert report.measured["C_bar_s"] * 1.1 == pytest.approx(pins.C_bar_s)
 
 
 def test_algebra_fails_against_tampered_pins():
     bad = EmpiricalConstants(
         C_s_algebra=0.5, C_bar_s=0.5, C_sym_lemma=0.5, C_commutator=0.5
     )
-    report, _ = verify_algebra(ensemble_size=20, pins=bad)
+    report = verify_algebra(ensemble_size=20, pins=bad)
     assert report.violations > 0
     assert report.status == "fail"
 
@@ -185,7 +189,8 @@ def test_algebra_cosine_ratio_oracle():
 
 
 def test_symbol_lemma_regression_and_blowup_direction(pins):
-    report, worst = verify_symbol_lemma(pins=pins)
+    report = verify_symbol_lemma(pins=pins)
+    worst = report.worst_ratio
     assert report.violations == 0
     assert math.isfinite(worst)
     # the printed bound lacks the eta-side exponential, so adjacent large
@@ -198,7 +203,8 @@ def test_symbol_lemma_zero_width_oracle():
     # delta = 0, s = 2: ratio = |xi^2-eta^2| / (|xi-eta| (A^{1/2}+B^{1/2})),
     # maximized on [-16,16]^2 at (xi, eta) = (16, 15):
     # (256-225) / (sqrt(2) + sqrt(226)); the sup over all frequencies is 2
-    report, worst = verify_symbol_lemma(extent=16, params=((0.0, 1.0, 2.0),))
+    report = verify_symbol_lemma(extent=16, params=((0.0, 1.0, 2.0),))
+    worst = report.worst_ratio
     assert report.violations == 0
     expected = 31.0 / (math.sqrt(2.0) + math.sqrt(226.0))
     assert abs(worst - expected) <= 1e-14
@@ -206,7 +212,8 @@ def test_symbol_lemma_zero_width_oracle():
 
 
 def test_commutator_regression_and_skip_count(pins):
-    report, worst = verify_commutator_estimate(ensemble_size=30, pins=pins)
+    report = verify_commutator_estimate(ensemble_size=30, pins=pins)
+    worst = report.worst_ratio
     assert report.violations == 0
     # every (u, v) and (u_x, u) case at width 60 overflows and is skipped
     assert report.skipped == 2 * (30 + 10)
@@ -264,7 +271,7 @@ def test_run_all_suites_green(pins):
 
 def test_reports_serialize_and_print():
     report = verify_embedding(ensemble_size=5)
-    blob = report.as_dict()
+    blob = asdict(report)
     assert blob["suite"] == "embedding"
     assert "violations" in blob and "worst_ratio" in blob
     assert "embedding" in report.line()
@@ -293,6 +300,22 @@ def test_run_all_suites_seed_42_golden(pins):
     assert got == GOLDEN_SEED_42
 
 
+def test_every_suite_returns_a_report_and_the_pinned_ones_measure_their_pins(pins):
+    reports = run_all_suites(seed=42, pins=pins)
+    assert all(isinstance(r, VerificationReport) for r in reports)
+    measuring = {r.suite: sorted(r.measured) for r in reports if r.measured}
+    assert measuring == {
+        "algebra": ["C_bar_s", "C_s_algebra"],
+        "symbol_lemma": ["C_sym_lemma"],
+        "commutator": ["C_commutator"],
+    }
+    # a run against pins measures what compute_pins measures without them
+    fresh = compute_pins(seed=42)
+    for report in reports:
+        for name, worst in report.measured.items():
+            assert (SAFETY_FACTOR * worst).hex() == getattr(fresh, name).hex()
+
+
 def test_save_pins_rewrites_the_packaged_file(tmp_path):
     from importlib import resources
 
@@ -311,17 +334,17 @@ def test_ratio_marks_zero_over_zero_nan_and_x_over_zero_inf():
 
 
 def test_report_counts_degenerate_cases_but_never_compares_them():
-    report = verify._report("x", 0.0, ([math.nan, 0.5, math.nan], 0.1))
+    report = verify._report("x", ([math.nan, 0.5, math.nan], 0.1))
     assert (report.cases, report.violations, report.worst_ratio) == (3, 1, 0.5)
     assert report.status == "fail"
     # all cases degenerate: worst stays at its 0.0 start, nothing is violated
-    empty = verify._report("x", 0.0, ([math.nan, math.nan], 0.1))
+    empty = verify._report("x", ([math.nan, math.nan], 0.1))
     assert (empty.cases, empty.violations, empty.worst_ratio) == (2, 0, 0.0)
     assert empty.status == "pass"
 
 
 def test_report_infinite_ratio_is_the_worst_and_a_violation():
-    report = verify._report("x", 0.0, (verify._ratio([1.0, 0.2], np.array([0.0, 1.0])), 2.0))
+    report = verify._report("x", (verify._ratio([1.0, 0.2], np.array([0.0, 1.0])), 2.0))
     assert report.worst_ratio == math.inf
     assert report.violations == 1
 
@@ -329,7 +352,6 @@ def test_report_infinite_ratio_is_the_worst_and_a_violation():
 def test_report_groups_limits_checks_and_skips():
     report = verify._report(
         "x",
-        1e-12,
         ([0.5, 1.5], 1.0),
         ([[3.0, 0.1]], None),  # no limit: cases and worst only
         skipped=4,
@@ -339,5 +361,4 @@ def test_report_groups_limits_checks_and_skips():
     assert report.skipped == 4
     assert report.violations == 1 + 1
     assert report.worst_ratio == 3.0  # the checks carry no ratio
-    assert report.tolerance == 1e-12
-    assert verify._report("x", 0.0).worst_ratio == 0.0
+    assert verify._report("x").worst_ratio == 0.0
