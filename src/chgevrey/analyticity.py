@@ -115,6 +115,8 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
     """
     if not (sigma >= 1.0):
         raise ValueError(f"sigma must be >= 1, got {sigma}")
+    if field.coeffs.ndim > 2:
+        raise ValueError(f"need a field or a (T, n/2 + 1) batch, got shape {field.coeffs.shape}")
     grid = field.grid
     half = grid.n_points // 2
     mags = np.abs(np.atleast_2d(field.coeffs))

@@ -19,14 +19,16 @@ assertion, 2 bad input (including a datum whose norms leave the float range).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, get_type_hints
+from types import UnionType
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -95,7 +97,7 @@ class InitialDataSpec:
             except ValueError as err:
                 raise ConfigError(f"initial_data.mode: {err}") from err
         if self.name == "gaussian_bump":
-            if not self.width > 0.0:  # here, not in FIELDS: other generators ignore width
+            if not self.width > 0.0:  # checked here: the other generators ignore width
                 raise ConfigError(f"initial_data.width: must be positive, got {self.width}")
             center = self.center if self.center is not None else grid.period / 2.0
             x = grid.x
@@ -198,100 +200,115 @@ def _numbers(key: str, value) -> tuple:
     return tuple(_number(key, v) for v in value)
 
 
-# range checks: (predicate, what the value must be)
+# the reader of each field type; an optional type reads as its inner type
+_READERS = {
+    float: _number, int: _integer, bool: _flag, str: _text, tuple[float, ...]: _numbers,
+    Path: lambda key, value: Path(_text(key, value)),
+}
+# JSON keys that differ from their field names
+_RENAMED = {"Gamma_coef": "Gamma", "lam": "lambda"}
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
-
-
-def _at_least(bound) -> tuple:
-    return (lambda v: v >= bound, f"must be at least {bound}")
-
-
-def _one_of(choices) -> tuple:
-    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
-
-
-class _Field(NamedTuple):
-    """One config key, the RunConfig attribute it fills (``section.field`` for a
-    field of a section dataclass), its reader, its default (None: optional,
-    MISSING: required) and an optional range check."""
-
-    key: str
-    attr: str
-    read: Callable
-    default: object = MISSING
-    check: tuple | None = None
-
-
-# the one description of the config: parse_config reads it, _config_blob
-# writes it back, and the README example lists exactly these keys
-FIELDS = (
-    _Field("subcommand", "subcommand", _text, "simulate", _one_of(SUBCOMMANDS)),
-    _Field("model.alpha", "model.alpha", _number, 0.0),
-    _Field("model.beta", "model.beta", _number, 0.0),
-    _Field("model.gamma", "model.gamma", _number, 0.0),
-    _Field("model.Gamma", "model.Gamma_coef", _number, 0.0),
-    _Field("model.lambda", "model.lam", _number, 1.0, _POSITIVE),
-    _Field("grid.n_points", "grid.n_points", _integer, 256),
-    _Field("grid.period", "grid.period", _number, 2.0 * math.pi),
-    _Field("gevrey.sigma", "gevrey.sigma", _number, 1.0, _at_least(1)),
-    _Field("gevrey.delta", "gevrey.delta", _number, 0.5),
-    _Field("gevrey.s", "gevrey.s", _number, 2.0),
-    _Field("solver.dt", "solver.dt", _number, 0.01),
-    _Field("solver.t_end", "solver.t_end", _number, 1.0),
-    _Field("solver.record_every", "solver.record_every", _integer, 1),
-    _Field("solver.dealias", "solver.dealias", _flag, True),
-    _Field("solver.s_monitor", "solver.s_monitor", _number, None),  # None: gevrey.s
-    _Field("initial_data.name", "initial_data.name", _text, MISSING, _one_of(GENERATORS)),
-    _Field("initial_data.amplitude", "initial_data.amplitude", _number, 1.0),
-    _Field("initial_data.mode", "initial_data.mode", _integer, 1),
-    _Field("initial_data.rate", "initial_data.rate", _number, 1.0),
-    _Field("initial_data.width", "initial_data.width", _number, 0.5),
-    _Field("initial_data.center", "initial_data.center", _number, None),
-    _Field("initial_data.path", "initial_data.path", _text, None),
-    _Field("output_dir", "output_dir", _text, "."),
-    _Field("seed", "seed", _integer, 42),
-    _Field("c_prime", "c_prime", _number, 1.0, _POSITIVE),
-    _Field("picard.n_iters", "picard_iters", _integer, 8, _at_least(1)),
-    _Field("picard.n_nodes", "picard_nodes", _integer, 129, _at_least(2)),
-    _Field("picard.horizon", "picard_horizon", _number, None, _POSITIVE),
-    _Field("continuity.mode", "continuity_mode", _integer, 2),
-    _Field("continuity.amplitudes", "continuity_amplitudes", _numbers, (0.1, 0.01, 0.001, 0.0001)),
-    _Field("continuity.budget", "continuity_budget", _number, 1e-6),
-)
+# the ranges only the CLI owns, as (predicate, what the value must be); every
+# other range is checked by the dataclass that holds the value
+_CHECKS = {
+    "subcommand": (lambda v: v in SUBCOMMANDS, f"must be one of {', '.join(SUBCOMMANDS)}"),
+    "initial_data.name": (lambda v: v in GENERATORS, f"must be one of {', '.join(GENERATORS)}"),
+    "c_prime": _POSITIVE,
+    "picard.n_iters": (lambda v: v >= 1, "must be at least 1"),
+    "picard.n_nodes": (lambda v: v >= 2, "must be at least 2"),
+    "picard.horizon": _POSITIVE,
+}
 
 
 @dataclass(frozen=True)
+class PicardSpec:
+    """Picard iterates, quadrature nodes and horizon (None: half the existence window)."""
+
+    n_iters: int = 8
+    n_nodes: int = 129
+    horizon: float | None = None
+
+
+@dataclass(frozen=True)
+class ContinuitySpec:
+    """Cosine perturbations at ``mode``, one per amplitude, and the distance budget."""
+
+    mode: int = 2
+    amplitudes: tuple[float, ...] = (0.1, 0.01, 0.001, 0.0001)
+    budget: float = 1e-6
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Fully resolved run description (defaults applied, ranges checked)."""
+    """Fully resolved run, and the one description of the config: each field
+    is a key (a dataclass field a section), each default its value when left out."""
 
-    subcommand: str
-    model: ModelParams
-    grid: TorusGrid
-    solver: SolverConfig
-    gevrey: GevreyIndex
+    subcommand: str = "simulate"
+    model: ModelParams = ModelParams()
+    grid: TorusGrid = TorusGrid(256)
+    gevrey: GevreyIndex = GevreyIndex(1.0, 0.5, 2.0)
+    solver: SolverConfig = SolverConfig(0.01, 1.0, s_monitor=None)  # None: gevrey.s
     initial_data: InitialDataSpec
-    output_dir: Path
-    seed: int
-    c_prime: float
-    picard_iters: int
-    picard_nodes: int
-    picard_horizon: float | None
-    continuity_mode: int
-    continuity_amplitudes: tuple
-    continuity_budget: float
+    output_dir: Path = Path(".")
+    seed: int = 42
+    c_prime: float = 1.0
+    picard: PicardSpec = PicardSpec()
+    continuity: ContinuitySpec = ContinuitySpec()
 
 
-# each config section is built as the dataclass that RunConfig declares for it
-_SECTION_TYPES = get_type_hints(RunConfig)
+@functools.cache
+def _hints(cls) -> dict:
+    """Each field's type, with an optional ``X | None`` unwrapped to ``X``."""
+    hints = get_type_hints(cls)
+    return {name: get_args(h)[0] if isinstance(h, UnionType) else h for name, h in hints.items()}
+
+
+def _section(cls, blob, prefix: str, base):
+    """Build ``cls`` from the JSON object ``blob``: each field reads its key
+    through the reader of its type, and a dataclass field reads a nested
+    section.  A key left out takes its value from ``base`` (the class default
+    where ``base`` has none); an explicit null keeps an optional key unset.
+    ``prefix`` dots the keys that error messages name."""
+    if not isinstance(blob, dict):
+        raise ConfigError(f"{prefix[:-1]}: expected an object, got {type(blob).__name__}")
+    unread = dict(blob)
+    kwargs = {}
+    for f in fields(cls):
+        name = _RENAMED.get(f.name, f.name)
+        key, hint = prefix + name, _hints(cls)[f.name]
+        default = getattr(base, f.name, f.default)
+        if is_dataclass(hint):
+            kwargs[f.name] = _section(hint, unread.pop(name, {}), key + ".", default)
+        elif name in unread:
+            value = unread.pop(name)
+            if value is not None or default is not None:
+                value = _READERS[hint](key, value)
+                check = _CHECKS.get(key)
+                if check is not None and not check[0](value):
+                    raise ConfigError(f"{key}: {check[1]}, got {value!r}")
+            kwargs[f.name] = value
+        elif default is MISSING:
+            raise ConfigError(f"{key}: required key is missing")
+        else:
+            kwargs[f.name] = default
+    for name in unread:
+        warnings.warn(f"unknown config key {prefix}{name} ignored", stacklevel=2)
+    try:
+        return cls(**kwargs)
+    except ValueError as err:  # each dataclass names the field first
+        name, _, reason = str(err).partition(" ")
+        raise ConfigError(f"{prefix}{_RENAMED.get(name, name)}: {reason}") from err
+
+
 # the trajectory.csv columns are RadiusRecord's fields, in order
 _CSV_ROW = attrgetter(*(f.name for f in fields(RadiusRecord)))
 
 
 def parse_config(path) -> RunConfig:
-    """Read a JSON config, fill defaults, and validate every key in FIELDS.
+    """Read a JSON config into a RunConfig, filling the defaults it declares.
 
-    Missing or ill-typed fields raise ConfigError naming the field; unknown
-    keys only warn, so configs stay forward compatible.
+    Missing, ill-typed or out-of-range values raise ConfigError naming the
+    dotted key; unknown keys only warn, so configs stay forward compatible.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -302,54 +319,26 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(blob, dict):
         raise ConfigError("config must be a JSON object")
-
-    unread = {"": dict(blob)}  # per section, the keys no row has read yet
-    top, parts = {}, {}
-    for f in FIELDS:
-        name, _, key = f.key.rpartition(".")
-        if name not in unread:
-            section = unread[""].pop(name, {})
-            if not isinstance(section, dict):
-                raise ConfigError(f"{name}: expected an object, got {type(section).__name__}")
-            unread[name] = dict(section)
-        value = unread[name].pop(key, f.default)
-        if value is MISSING:
-            raise ConfigError(f"{f.key}: required key is missing")
-        if value is not None or f.default is not None:  # None keeps an optional key unset
-            value = f.read(f.key, value)
-            if f.check is not None and not f.check[0](value):
-                raise ConfigError(f"{f.key}: {f.check[1]}, got {value!r}")
-        head, _, attr = f.attr.rpartition(".")
-        (parts.setdefault(head, {}) if head else top)[attr] = value
-    for name, section in unread.items():
-        for key in section:
-            dotted = f"{name}.{key}" if name else key
-            warnings.warn(f"unknown config key {dotted} ignored", stacklevel=2)
-    if parts["solver"]["s_monitor"] is None:
-        parts["solver"]["s_monitor"] = parts["gevrey"]["s"]
-    data_path = parts["initial_data"]["path"]
-    if parts["initial_data"]["name"] == "coeff_file" and not Path(data_path or "").is_file():
-        raise ConfigError(f"initial_data.path: no coefficient file at {data_path!r}")
-    for head, kwargs in parts.items():
-        try:
-            top[head] = _SECTION_TYPES[head](**kwargs)
-        except ValueError as err:
-            raise ConfigError(f"{head}: {err}") from err
-    top["output_dir"] = Path(top["output_dir"])
-    return RunConfig(**top)
+    cfg = _section(RunConfig, blob, "", None)
+    if cfg.solver.s_monitor is None:
+        cfg = replace(cfg, solver=replace(cfg.solver, s_monitor=cfg.gevrey.s))
+    data = cfg.initial_data
+    if data.name == "coeff_file" and not Path(data.path or "").is_file():
+        raise ConfigError(f"initial_data.path: no coefficient file at {data.path!r}")
+    return cfg
 
 
 # --- artifact writers -----------------------------------------------------------
 
 
-def _config_blob(cfg: RunConfig) -> dict:
-    """The resolved config as nested JSON sections, read back through FIELDS."""
-    blob: dict = {}
-    for f in FIELDS:
-        value = attrgetter(f.attr)(cfg)
-        name, _, key = f.key.rpartition(".")
-        section = blob.setdefault(name, {}) if name else blob
-        section[key] = str(value) if isinstance(value, Path) else value
+def _config_blob(cfg) -> dict:
+    """The resolved config as nested JSON sections, the inverse of _section."""
+    blob = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            value = _config_blob(value)
+        blob[_RENAMED.get(f.name, f.name)] = str(value) if isinstance(value, Path) else value
     return blob
 
 
@@ -506,8 +495,8 @@ def _run_continuity(cfg: RunConfig, out: Path) -> int:
         bumps = SpectralField(
             cfg.grid,
             [
-                InitialDataSpec("cosine", amp, cfg.continuity_mode).build(cfg.grid).coeffs
-                for amp in cfg.continuity_amplitudes
+                InitialDataSpec("cosine", amp, cfg.continuity.mode).build(cfg.grid).coeffs
+                for amp in cfg.continuity.amplitudes
             ],
         )
     except ConfigError as err:  # the cosine generator names initial_data.mode
@@ -521,20 +510,20 @@ def _run_continuity(cfg: RunConfig, out: Path) -> int:
             cfg.gevrey.s,
             cfg.solver,
             c_prime=cfg.c_prime,
-            budget=cfg.continuity_budget,
+            budget=cfg.continuity.budget,
         )
     except ExperimentError as err:
         print(f"continuity experiment failed: {err}", file=sys.stderr)
         return 1
     for amp, dist, bound in zip(
-        cfg.continuity_amplitudes, report.distances, report.bounds
+        cfg.continuity.amplitudes, report.distances, report.bounds
     ):
         print(f"amplitude {amp:.3e}: distance = {dist:.6e} (bound {bound:.6e})")
     _write_json(
         out / "report.json",
         {
             "horizon": report.T,
-            "amplitudes": list(cfg.continuity_amplitudes),
+            "amplitudes": list(cfg.continuity.amplitudes),
             "distances": report.distances,
             "bounds": report.bounds,
             "within_bounds": report.within_bounds,
@@ -546,7 +535,7 @@ def _run_continuity(cfg: RunConfig, out: Path) -> int:
 def _run_picard(cfg: RunConfig, out: Path) -> int:
     u0 = cfg.initial_data.build(cfg.grid)
     sigma, s = cfg.gevrey.sigma, cfg.gevrey.s
-    horizon = cfg.picard_horizon
+    horizon = cfg.picard.horizon
     if horizon is None:
         horizon = existence_window(u0, sigma, s, cfg.c_prime) / 2.0
     try:
@@ -556,8 +545,8 @@ def _run_picard(cfg: RunConfig, out: Path) -> int:
             sigma,
             s,
             horizon,
-            cfg.picard_iters,
-            n_nodes=cfg.picard_nodes,
+            cfg.picard.n_iters,
+            n_nodes=cfg.picard.n_nodes,
             c_prime=cfg.c_prime,
             dealias=cfg.solver.dealias,
         )
@@ -648,6 +637,9 @@ def main(argv=None) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=Path(args.out))
+    if cfg.subcommand == "verify" and cfg.seed < 0:  # the only subcommand that seeds
+        print(f"config error: seed: must be nonnegative, got {cfg.seed}", file=sys.stderr)
+        return 2
 
     pins: EmpiricalConstants | None = None
     try:

@@ -102,8 +102,8 @@ def functional_H(u: SpectralField, p: ModelParams, s: float) -> float | np.ndarr
     norms = sobolev_norm(u, s)
     a0, b3, g4 = abs(p.alpha) + abs(p.Gamma_coef), abs(p.beta) / 3.0, abs(p.gamma) / 4.0
     # Python float powers per value: numpy's n**2 and n**3 round differently
-    h = [a0 + n + b3 * n**2 + g4 * n**3 for n in np.atleast_1d(norms).tolist()]
-    return np.array(h) if np.ndim(norms) else h[0]
+    h = [a0 + n + b3 * n**2 + g4 * n**3 for n in np.ravel(norms).tolist()]
+    return np.array(h).reshape(np.shape(norms)) if np.ndim(norms) else h[0]
 
 
 def small_data_check(u0: SpectralField, p: ModelParams, s: float) -> bool:

@@ -352,7 +352,7 @@ def _weighted_norm(
         log_mag2 = 2.0 * np.log(np.abs(field.coeffs))  # -inf where c vanishes
     total = logsumexp(_unfold(s * np.log1p(k2) + log_weight2 + log_mag2))
     if total.ndim:
-        return np.array([_sqrt_exp(t) for t in total.tolist()])
+        return np.array([_sqrt_exp(t) for t in total.ravel().tolist()]).reshape(total.shape)
     value = _sqrt_exp(float(total))
     if not math.isfinite(value):
         raise NormOverflowError(f"{what} accumulated to a non-finite value")

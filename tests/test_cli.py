@@ -28,7 +28,6 @@ from chgevrey import (
 )
 from chgevrey.cli import (
     CSV_HEADER,
-    FIELDS,
     GENERATORS,
     SUBCOMMANDS,
     ConfigError,
@@ -66,7 +65,7 @@ def test_minimal_config_gets_defaults(tmp_path):
     assert cfg.solver.s_monitor == cfg.gevrey.s
     assert cfg.seed == 42
     assert cfg.c_prime == 1.0
-    assert cfg.picard_iters == 8
+    assert cfg.picard.n_iters == 8
     assert cfg.initial_data.amplitude == 0.01
 
 
@@ -125,16 +124,49 @@ def test_unknown_generator_rejected(tmp_path):
         parse_config(path)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.key)
-def test_every_key_rejects_an_illtyped_value_naming_itself(tmp_path, field):
+# the resolved minimal config {"initial_data": {"name": "cosine"}}: every key
+# with its default, as the hand-written key table gave them before the keys
+# were derived from the dataclasses
+DEFAULT_BLOB = {
+    "subcommand": "simulate",
+    "model": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0, "Gamma": 0.0, "lambda": 1.0},
+    "grid": {"n_points": 256, "period": 6.283185307179586},
+    "gevrey": {"sigma": 1.0, "delta": 0.5, "s": 2.0},
+    "solver": {"dt": 0.01, "t_end": 1.0, "record_every": 1, "dealias": True, "s_monitor": 2.0},
+    "initial_data": {
+        "name": "cosine", "amplitude": 1.0, "mode": 1, "rate": 1.0, "width": 0.5,
+        "center": None, "path": None,
+    },
+    "output_dir": ".",
+    "seed": 42,
+    "c_prime": 1.0,
+    "picard": {"n_iters": 8, "n_nodes": 129, "horizon": None},
+    "continuity": {"mode": 2, "amplitudes": (0.1, 0.01, 0.001, 0.0001), "budget": 1e-6},
+}
+KEYS = []
+for name, value in DEFAULT_BLOB.items():
+    KEYS += [f"{name}.{key}" for key in value] if isinstance(value, dict) else [name]
+
+
+def test_the_derived_defaults_match_the_recorded_ones(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"initial_data": {"name": "cosine"}}))
+    # the JSON text, so that an integer default in place of a float shows too
+    derived = json.dumps(_config_blob(parse_config(path)), sort_keys=True)
+    assert derived == json.dumps(DEFAULT_BLOB, sort_keys=True)
+    assert len(KEYS) == 32
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_key_rejects_an_illtyped_value_naming_itself(tmp_path, key):
     blob = {"initial_data": {"name": "cosine"}}
-    section, _, key = field.key.rpartition(".")
-    (blob.setdefault(section, {}) if section else blob)[key] = {"not": "a value"}
+    section, _, name = key.rpartition(".")
+    (blob.setdefault(section, {}) if section else blob)[name] = {"not": "a value"}
     path = tmp_path / "c.json"
     path.write_text(json.dumps(blob))
     with pytest.raises(ConfigError) as err:
         parse_config(path)
-    assert str(err.value).startswith(f"{field.key}: ")
+    assert str(err.value).startswith(f"{key}: ")
 
 
 def _readme_config() -> dict:
@@ -147,7 +179,7 @@ def test_readme_example_lists_every_key_and_parses_cleanly(tmp_path):
     keys = set()
     for name, value in blob.items():
         keys |= {f"{name}.{key}" for key in value} if isinstance(value, dict) else {name}
-    assert keys == {f.key for f in FIELDS}
+    assert keys == set(KEYS)
     path = tmp_path / "readme.json"
     path.write_text(json.dumps(blob))
     with warnings.catch_warnings():
@@ -311,6 +343,17 @@ _COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
             },
             "initial_data.amplitude",
         ),
+        *(
+            ("lifespan", {section: {name: value}}, f"{section}.{name}")
+            for section, name, value in (
+                ("grid", "n_points", 7),
+                ("grid", "period", -1),
+                ("solver", "dt", -1),
+                ("solver", "t_end", -1),
+                ("solver", "record_every", 0),
+                ("gevrey", "delta", -1),
+            )
+        ),
     ],
     ids=[
         "infinite-horizon",
@@ -327,6 +370,12 @@ _COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
         "nan-coeff-line",
         "overflowing-decay-rate",
         "overflowing-bump",
+        "odd-grid",
+        "negative-period",
+        "negative-step",
+        "negative-end-time",
+        "no-record",
+        "negative-width",
     ],
 )
 def test_bad_input_exits_two_naming_the_key(
@@ -695,6 +744,21 @@ def test_a_width_outside_the_unit_interval_exits_two_before_the_march(
     assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: gevrey.delta: ")
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, argv",
+    [({"seed": -1}, []), ({}, ["--seed", "-3"]), ({}, ["--seed", "-3", "--update-pins"])],
+    ids=["config", "flag", "update-pins"],
+)
+def test_a_negative_seed_on_verify_exits_two(tmp_path, capsys, overrides, argv):
+    cfg = write_config(tmp_path, **overrides)
+    pins_path = tmp_path / "p.json"
+    out = tmp_path / "run"
+    argv = ["verify", "--config", str(cfg), "--out", str(out), "--pins", str(pins_path), *argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert not pins_path.exists() and not out.exists()
 
 
 def test_update_pins_records_the_seed_it_measured(tmp_path):

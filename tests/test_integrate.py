@@ -13,11 +13,16 @@ import pytest
 
 from chgevrey import (
     BlowUpError,
+    GevreyIndex,
     ModelParams,
     SolverConfig,
     SpectralField,
     TorusGrid,
+    estimate_radius,
     field_from_modes,
+    functional_H,
+    gevrey_norm,
+    gevrey_norm_bar,
     integrate,
     picard_iterate,
     random_field,
@@ -155,6 +160,25 @@ def test_a_batch_marches_each_row_as_it_marches_alone():
         alone = integrate(u, P, cfg)
         assert list(alone.times) == list(traj.times)
         assert traj.states[:, i].coeffs.tobytes() == alone.states.coeffs.tobytes()
+
+
+def test_the_norms_of_a_batched_trajectory_are_those_of_each_run():
+    rng = np.random.default_rng(8)
+    batch = SpectralField(GRID, [0.1 * random_field(GRID, rng, band=12).coeffs for _ in range(3)])
+    states = integrate(batch, P, SolverConfig(dt=0.01, t_end=0.05)).states
+    index = GevreyIndex(1.0, 0.5, 2.0)
+    for norm in (
+        lambda u: gevrey_norm(u, index),
+        lambda u: gevrey_norm_bar(u, index),
+        lambda u: functional_H(u, P, 2.0),
+    ):
+        table = norm(states)
+        assert table.shape == states.coeffs.shape[:2]
+        for i in range(3):
+            assert table[:, i].tobytes() == norm(states[:, i]).tobytes()
+    # the decay fit takes one field or one batch of them, not a batch of batches
+    with pytest.raises(ValueError, match=r"shape \(6, 3, 33\)"):
+        estimate_radius(states)
 
 
 def test_blowup_names_the_batch_rows_that_crossed():
