@@ -217,6 +217,7 @@ _CHECKS = {
     "picard.n_iters": (lambda v: v >= 1, "must be at least 1"),
     "picard.n_nodes": (lambda v: v >= 2, "must be at least 2"),
     "picard.horizon": _POSITIVE,
+    "continuity.budget": (lambda v: v >= 0.0, "must be non-negative"),
 }
 
 

@@ -277,20 +277,23 @@ def random_field(
     rng: np.random.Generator,
     band: int | None = None,
     decay: float = 2.0,
+    size: int | None = None,
 ) -> SpectralField:
     """Random real band-limited field: complex Gaussian coefficients with
-    |m|^-decay fall-off, modes |m| <= band (default n/4)."""
+    |m|^-decay fall-off, modes |m| <= band (default n/4).  With ``size=k``, a
+    ``(k, n/2 + 1)`` batch whose row i is the i-th of k successive single draws."""
     if band is None:
         band = grid.n_points // 4
     band = min(band, grid.n_points // 2 - 1)
-    # draws c_0, re_1, im_1, re_2, ...; (re/sqrt 2) * m**-decay with Python's pow
-    # rounds exactly as the earlier per-mode construction
-    draws = rng.standard_normal(1 + 2 * band)
+    shape = () if size is None else (size,)
+    # draws c_0, re_1, im_1, re_2, ... row after row; (re/sqrt 2) * m**-decay
+    # with Python's pow rounds exactly as the earlier per-mode construction
+    draws = rng.standard_normal(shape + (1 + 2 * band,))
     scale = np.array([m ** (-decay) for m in range(1, band + 1)])
-    c = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
-    c[0] = draws[0]
-    c.real[1 : band + 1] = draws[1::2] / math.sqrt(2.0) * scale
-    c.imag[1 : band + 1] = draws[2::2] / math.sqrt(2.0) * scale
+    c = np.zeros(shape + (grid.n_points // 2 + 1,), dtype=np.complex128)
+    c[..., 0] = draws[..., 0]
+    c.real[..., 1 : band + 1] = draws[..., 1::2] / math.sqrt(2.0) * scale
+    c.imag[..., 1 : band + 1] = draws[..., 2::2] / math.sqrt(2.0) * scale
     return SpectralField(grid, c)
 
 

@@ -152,9 +152,7 @@ def _report(suite: str, *groups, pins=None, skipped=0, failed=()) -> Verificatio
 
 def _ensemble(seed: int, count: int) -> SpectralField:
     """``count`` random fields on ``GRID``, drawn one after another, as one batch."""
-    rng = np.random.default_rng(seed)
-    rows = [random_field(GRID, rng).coeffs for _ in range(count)]
-    return SpectralField(GRID, np.reshape(rows, (count, GRID.n_points // 2 + 1)))
+    return random_field(GRID, np.random.default_rng(seed), size=count)
 
 
 # --- exact-constant suites ------------------------------------------------------
@@ -443,19 +441,21 @@ def verify_commutator_estimate(
     one = field_from_modes(GRID, {0: 1.0}).coeffs
     u = SpectralField(GRID, np.vstack([drawn[0:n_drawn:2], np.tile(one, (10, 1))]))
     v = SpectralField(GRID, np.vstack([drawn[1:n_drawn:2], drawn[n_drawn:]]))
+    pairs = ((u, v), (derivative(u), u))
+    # each form's product and H^s norms, which no delta changes
+    forms = [(a, b, product(a, b), sobolev_norm(a, s), sobolev_norm(b, s)) for a, b in pairs]
     ratios, skipped = [], 0
     for delta in (0.0, 0.25, 60.0):
         plain = GevreyIndex(sigma, delta, s)
         bumped = GevreyIndex(sigma, delta, s + 1.0 / sigma)
         with np.errstate(over="ignore", invalid="ignore"):
             w = (1.0 + k2) ** s * np.exp(2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma)))
-        for a, b in ((u, v), (derivative(u), u)):
-            ab = product(a, b)
+        for a, b, ab, a_s, b_s in forms:
             with np.errstate(over="ignore", invalid="ignore"):
                 pairing = np.sum(_unfold(w * ab.coeffs * np.conj(b.coeffs)), axis=-1)
             norms = (
-                sobolev_norm(a, s),
-                sobolev_norm(b, s),
+                a_s,
+                b_s,
                 gevrey_norm(a, plain),
                 gevrey_norm(b, bumped),
                 gevrey_norm(a, bumped),

@@ -252,7 +252,7 @@ CONFIGS = st.fixed_dictionaries(
             optional={
                 "mode": st.integers(-100, 100),
                 "amplitudes": st.lists(finite, min_size=1, max_size=5),
-                "budget": finite,
+                "budget": st.floats(0.0, 1e6),
             },
         ),
     },
@@ -354,6 +354,7 @@ _COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
                 ("gevrey", "delta", -1),
             )
         ),
+        ("continuity", {"continuity": {"budget": -1.0}}, "continuity.budget"),
     ],
     ids=[
         "infinite-horizon",
@@ -376,6 +377,7 @@ _COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
         "negative-end-time",
         "no-record",
         "negative-width",
+        "negative-budget",
     ],
 )
 def test_bad_input_exits_two_naming_the_key(

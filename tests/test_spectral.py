@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chgevrey import verify
 from chgevrey.integrate import step_rk4
 from chgevrey.model import ModelParams, functional_H, rhs
 from chgevrey.spectral import (
@@ -378,6 +379,42 @@ def test_random_field_matches_the_per_mode_loop(n, band, decay, seed):
     new = random_field(grid, np.random.default_rng(seed), band=band, decay=decay)
     old = _old_random_field(grid, np.random.default_rng(seed), band=band, decay=decay)
     assert new.coeffs.tobytes() == old.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 64, 128]),
+    band=st.none() | st.integers(0, 80),
+    decay=st.floats(-1.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 6),
+)
+@example(n=64, band=None, decay=2.0, seed=42, size=400)  # the largest verify ensemble
+def test_batched_draw_equals_successive_single_draws(n, band, decay, seed, size):
+    grid = TorusGrid(n)
+    batch_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = random_field(grid, batch_rng, band=band, decay=decay, size=size)
+    assert batch.coeffs.shape == (size, n // 2 + 1)
+    for row in batch.coeffs:
+        single = random_field(grid, single_rng, band=band, decay=decay)
+        assert row.tobytes() == single.coeffs.tobytes()
+    # both generators stand at the same place, so later draws do not shift
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+    # size=None is one field, not a batch of one
+    assert random_field(grid, batch_rng, band=band, decay=decay).coeffs.shape == (n // 2 + 1,)
+
+
+def _row_by_row_ensemble(seed, count):
+    # the per-row ensemble verify._ensemble replaced, kept as its reference
+    rng = np.random.default_rng(seed)
+    rows = [random_field(verify.GRID, rng).coeffs for _ in range(count)]
+    return np.reshape(rows, (count, verify.GRID.n_points // 2 + 1))
+
+
+@pytest.mark.parametrize("count", [50, 100, 200, 210, 400])  # the seed-42 run's sizes
+def test_verify_ensemble_equals_the_row_by_row_draw(count):
+    drawn = verify._ensemble(42, count).coeffs
+    assert drawn.tobytes() == _row_by_row_ensemble(42, count).tobytes()
 
 
 # the model and dealias flag that make rhs pad by 1 (wrapped), 3/2 and 5/2

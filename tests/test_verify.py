@@ -11,6 +11,7 @@ from chgevrey import (
     GevreyIndex,
     ModelParams,
     SolverConfig,
+    SpectralField,
     TorusGrid,
     field_from_modes,
     gevrey_norm,
@@ -298,6 +299,20 @@ def test_run_all_suites_seed_42_golden(pins):
         for r in run_all_suites(seed=42, pins=pins)
     )
     assert got == GOLDEN_SEED_42
+
+
+def test_seed_42_run_builds_a_dozen_fields_not_one_per_ensemble_row(monkeypatch, pins):
+    # each ensemble is drawn as one batch; a row-by-row draw builds ~1070 fields
+    builds = []
+    post_init = SpectralField.__post_init__
+
+    def counting(field):
+        builds.append(np.shape(field.coeffs))
+        post_init(field)
+
+    monkeypatch.setattr(SpectralField, "__post_init__", counting)
+    run_all_suites(seed=42, pins=pins)
+    assert 0 < len(builds) <= 12
 
 
 def test_every_suite_returns_a_report_and_the_pinned_ones_measure_their_pins(pins):
