@@ -3,7 +3,8 @@
 Each one repeats the arithmetic of SciPy 1.17 (``scipy.special.logsumexp``,
 ``scipy.integrate.cumulative_trapezoid`` and ``scipy.integrate.trapezoid``)
 operation for operation, so results agree with SciPy bit for bit and do not
-depend on which SciPy release is installed.
+depend on which SciPy release is installed.  Steps done in place on a temporary
+are SciPy's operations on the same operands, so they round as SciPy does.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ def logsumexp(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=-1, keepdims=True)
         tied = a == a_max
-        m = np.sum(tied, axis=-1, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        m = np.count_nonzero(tied, axis=-1, keepdims=True).astype(float)
+        shifted = np.where(tied, -np.inf, a)
+        shifted -= a_max
+        s = np.sum(np.exp(shifted, out=shifted), axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
         out = np.log1p(s) + np.log(m) + a_max
         bad = ~np.isfinite(out)

@@ -320,9 +320,10 @@ def ea_norm(
             continue
         admissible = True
         log_w = s * np.log1p(k2) + 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
-        log_norm2 = logsumexp(log_mag2[mask] + log_w[None, :])
+        terms = log_mag2[mask]  # a copy
+        terms += log_w
         score = (
-            0.5 * log_norm2
+            0.5 * logsumexp(terms)
             + sigma * math.log(1.0 - delta)
             + 0.5 * np.log1p(-t_arr[mask] / shrink)
         )

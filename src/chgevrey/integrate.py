@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import cumulative_trapezoid
-from .model import ModelParams, rhs
+from .model import ModelParams, RhsWork, rhs
 from .spectral import SpectralField, sobolev_norm, to_physical
 
 __all__ = [
@@ -73,25 +73,30 @@ class Trajectory:
     states: SpectralField
 
 
-def step_rk4(u: SpectralField, p: ModelParams, dt: float, dealias: bool = True) -> SpectralField:
+def step_rk4(
+    u: SpectralField, p: ModelParams, dt: float, dealias: bool = True, work: RhsWork | None = None
+) -> SpectralField:
     """One classical Runge-Kutta step of u_t = F(u), after which the mean and
     Nyquist coefficients, those of cos, are made real.  A batch steps row by
     row.  Raises BlowUpError (time=dt, with the offending batch rows) on
-    non-finite output.
+    non-finite output.  ``work`` is handed to every ``rhs`` call of the step.
 
     The stage states are not revalidated: a non-finite stage propagates into
     the combined state, whose finite check is the one check of the step.
     """
     grid, c = u.grid, u.coeffs
-
-    def f(stage: np.ndarray) -> np.ndarray:
-        return rhs(u.with_coeffs(stage), p, dealias).coeffs
-
-    k1 = f(c)
-    k2 = f(c + (0.5 * dt) * k1)
-    k3 = f(c + (0.5 * dt) * k2)
-    k4 = f(c + dt * k3)
-    out = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = rhs(u, p, dealias, work).coeffs
+    k2 = rhs(u.with_coeffs(c + (0.5 * dt) * k1), p, dealias, work).coeffs
+    k3 = rhs(u.with_coeffs(c + (0.5 * dt) * k2), p, dealias, work).coeffs
+    k4 = rhs(u.with_coeffs(c + dt * k3), p, dealias, work).coeffs
+    # c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation, in place
+    k2 *= 2.0
+    k3 *= 2.0
+    out = k1 + k2
+    out += k3
+    out += k4
+    out *= dt / 6.0
+    out += c
     finite = np.isfinite(out)
     if not finite.all():
         raise BlowUpError(dt, rows=_rows(~finite.all(axis=-1)))
@@ -143,14 +148,14 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
     def recorded() -> Trajectory:
         return Trajectory(np.array(times), u0.with_coeffs(np.stack(states)))
 
-    u = u0
+    u, work = u0, RhsWork(u0, p, cfg.dealias)
     for i in range(n_steps):
         dt = cfg.dt
         t_next = (i + 1) * dt
         if i + 1 == n_steps and last_dt is not None:
             dt, t_next = last_dt, cfg.t_end
         try:
-            u = step_rk4(u, p, dt, cfg.dealias)
+            u = step_rk4(u, p, dt, cfg.dealias, work)
             norm = sobolev_norm(u, cfg.s_monitor)
         except BlowUpError as err:
             raise BlowUpError(t_next, recorded(), err.rows) from None
@@ -229,6 +234,7 @@ def picard_iterate(
     scale = ea_norm(times, final, T, sigma, s)
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 
+    work = RhsWork(final, p, dealias)
     diffs: list = []
     ratios: list = []
     converged_at = None
@@ -237,7 +243,7 @@ def picard_iterate(
         try:
             # an overflowing node turns NaN downstream; diverged_at reports it
             with np.errstate(invalid="ignore"):
-                f_nodes = rhs(final, p, dealias).coeffs
+                f_nodes = rhs(final, p, dealias, work).coeffs
                 integral = cumulative_trapezoid(f_nodes, times)
         except FloatingPointError:
             diverged_at = it

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, _padded_size, _samples, sobolev_norm
+from .spectral import SpectralField, _padded_size, sobolev_norm
 
 __all__ = [
     "ModelParams",
     "rhs",
+    "RhsWork",
     "functional_H",
     "small_data_check",
 ]
@@ -50,7 +51,27 @@ class ModelParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
+def _fine_size(n: int, p: ModelParams, dealias: bool) -> int:
+    quartic = p.beta != 0.0 or p.gamma != 0.0
+    # pad 5/2 keeps quartic powers alias-free, 3/2 quadratic ones (Orszag); 1 lets them wrap
+    return _padded_size(n, (2.5 if quartic else 1.5) if dealias else 1.0)
+
+
+class RhsWork:
+    """Buffers of ``rhs(u, p, dealias)`` for u's shape, on a leading axis: the pair
+    (c, u_x), its padded samples, two temporaries and a spectrum.  No result aliases them."""
+
+    def __init__(self, u: SpectralField, p: ModelParams, dealias: bool = True):
+        lead, fine = u.coeffs.shape[:-1], _fine_size(u.grid.n_points, p, dealias)
+        self.key = (u.coeffs.shape, fine)
+        self.pair = np.empty((2,) + u.coeffs.shape, dtype=np.complex128)
+        self.samples = np.empty((4,) + lead + (fine,))
+        self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=np.complex128)
+
+
+def rhs(
+    u: SpectralField, p: ModelParams, dealias: bool = True, work: RhsWork | None = None
+) -> SpectralField:
     """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
 
     The Nyquist coefficient c is split as c/2 at +-n/2, as product() reads
@@ -61,31 +82,37 @@ def rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField
     convolution coefficients, +n/2 included, as in product().  A batch is
     evaluated row by row on the last axis.  The result is not revalidated: an
     overflow shows up as a non-finite coefficient at the caller's next check.
+    ``work`` is a RhsWork for u's shape, p and dealias (else ValueError), or None.
     """
-    grid = u.grid
-    n = grid.n_points
-    half = n // 2
-    c = u.coeffs
-    quartic = p.beta != 0.0 or p.gamma != 0.0
-    # pad 5/2 keeps quartic powers alias-free on the stored band, 3/2 the
-    # quadratic terms (Orszag's rule); pad 1 lets the products wrap
-    fine = _padded_size(n, (2.5 if quartic else 1.5) if dealias else 1.0)
-    pair = np.empty(c.shape[:-1] + (2, half + 1), dtype=np.complex128)
-    pair[..., 0, :] = c
-    ik_c = np.multiply(grid.dx_symbol, c, out=pair[..., 1, :])  # u_x
+    grid, c = u.grid, u.coeffs
+    n, half = grid.n_points, grid.n_points // 2
+    fine = _fine_size(n, p, dealias)
+    work = RhsWork(u, p, dealias) if work is None else work
+    if work.key != (c.shape, fine):
+        raise ValueError(f"rhs buffers for (shape, padded size) {work.key}, not {(c.shape, fine)}")
+    work.pair[0] = c
+    ik_c = np.multiply(grid.dx_symbol, c, out=work.pair[1])  # u_x
     ik_c[..., half] = 0.0  # as in derivative()
-    samples = _samples(pair, fine)
-    w, wx = samples[..., 0, :], samples[..., 1, :]
-    w2 = w * w
-    inner = w2 + 0.5 * wx * wx
-    if quartic:
-        inner -= w2 * w * (p.beta / 3.0 + (p.gamma / 4.0) * w)
-    # u u_x and the inner term overwrite u and u_x and go back in one rfft
-    w *= wx
-    wx[...] = inner
-    fused = np.fft.rfft(samples, axis=-1)[..., : half + 1]
+    work.pair[0, ..., half] *= 0.5 if fine > n else 1.0  # the Nyquist split
+    # irfft pads the spectrum with zeros itself; 1/n normalization as in _samples
+    samples = np.fft.irfft(work.pair, fine, axis=-1, out=work.samples[:2])
+    samples *= fine
+    w, wx, w2, inner = work.samples
+    np.multiply(w, w, out=w2)
+    np.multiply(wx, 0.5, out=inner)
+    inner *= wx
+    inner += w2  # u^2 + u_x^2/2
+    wx *= w  # u u_x
+    if p.beta != 0.0 or p.gamma != 0.0:  # inner -= u^2 u (beta/3 + (gamma/4) u)
+        w2 *= w
+        w *= p.gamma / 4.0
+        w += p.beta / 3.0
+        w2 *= w
+        inner -= w2
+    # u u_x and the inner term, rows 1 and 3, go back in one rfft
+    fused = np.fft.rfft(work.samples[1::2], axis=-1, out=work.spectrum)[..., : half + 1]
     fused /= fine
-    advection, inner_hat = fused[..., 0, :], fused[..., 1, :]
+    advection, inner_hat = fused
     inner_hat -= (p.alpha + p.Gamma_coef) * c
     out = -advection - p.lam * c
     # Q = -(1 - d_xx)^{-1} d_x inner; d_x zeroes the Nyquist slot

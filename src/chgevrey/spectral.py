@@ -252,13 +252,11 @@ def _samples(c: np.ndarray, fine: int) -> np.ndarray:
     """Samples on ``fine`` points of the real fields whose modes 0 .. n/2 fill
     the last axis of ``c``.  The Nyquist coefficient means c*cos(n/2 x): on a
     finer grid it is split as c/2 at +-n/2, at fine == n it is irfft's own bin."""
-    half = c.shape[-1] - 1
-    spec = np.zeros(c.shape[:-1] + (fine // 2 + 1,), dtype=np.complex128)
-    spec[..., : half + 1] = c
-    if fine > 2 * half:
-        spec[..., half] *= 0.5
-    # 1/n normalization: irfft carries 1/fine
-    return np.fft.irfft(spec, fine, axis=-1) * fine
+    if fine > 2 * (c.shape[-1] - 1):
+        c = np.concatenate((c[..., :-1], 0.5 * c[..., -1:]), axis=-1)
+    # irfft pads the spectrum with zeros itself; 1/n normalization: irfft carries 1/fine
+    samples = np.fft.irfft(c, fine, axis=-1)
+    return np.multiply(samples, fine, out=samples)
 
 
 def field_from_modes(grid: TorusGrid, amplitudes: Mapping[int, complex]) -> SpectralField:

@@ -15,6 +15,7 @@ from chgevrey import (
     BlowUpError,
     GevreyIndex,
     ModelParams,
+    RhsWork,
     SolverConfig,
     SpectralField,
     TorusGrid,
@@ -162,6 +163,38 @@ def test_a_batch_marches_each_row_as_it_marches_alone():
         assert traj.states[:, i].coeffs.tobytes() == alone.states.coeffs.tobytes()
 
 
+def record_buffer_sets(monkeypatch) -> list:
+    """Every RhsWork built while the test runs, in order."""
+    built = []
+    init = RhsWork.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(RhsWork, "__init__", recording)
+    return built
+
+
+def held_buffers(built: list) -> list:
+    return [buf for work in built for buf in (work.pair, work.samples, work.spectrum)]
+
+
+@pytest.mark.parametrize("size", [None, 3])
+def test_a_march_builds_one_buffer_set_and_no_state_shares_it(monkeypatch, size):
+    u0 = 0.1 * random_field(GRID, np.random.default_rng(3), band=12, size=size)
+    built = record_buffer_sets(monkeypatch)
+    traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.1))
+    assert len(built) == 1
+    assert len(traj.times) == 11
+    for row in traj.states.coeffs:
+        assert not any(np.shares_memory(row, buf) for buf in held_buffers(built))
+    stepped = step_rk4(u0, P, 0.01, True, built[0]).coeffs
+    assert not any(np.shares_memory(stepped, buf) for buf in held_buffers(built))
+    assert stepped.tobytes() == traj.states.coeffs[1].tobytes()
+    assert len(built) == 1
+
+
 def test_the_norms_of_a_batched_trajectory_are_those_of_each_run():
     rng = np.random.default_rng(8)
     batch = SpectralField(GRID, [0.1 * random_field(GRID, rng, band=12).coeffs for _ in range(3)])
@@ -242,6 +275,14 @@ def test_picard_final_iterate_matches_rk4():
     traj = integrate(small_datum(), P, SolverConfig(dt=T / 64, t_end=T))
     gap = float(np.max(np.abs((res.final[-1] - traj.states[-1]).coeffs)))
     assert gap <= 1e-11
+
+
+def test_a_picard_run_builds_one_buffer_set_and_its_iterate_does_not_share_it(monkeypatch):
+    built = record_buffer_sets(monkeypatch)
+    res = picard_iterate(small_datum(), P, sigma=1.0, s=2.0, T=7e-5, n_iters=4, n_nodes=33)
+    assert len(built) == 1
+    assert len(res.diffs) == 4
+    assert not any(np.shares_memory(res.final.coeffs, buf) for buf in held_buffers(built))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

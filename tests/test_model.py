@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chgevrey.model import (
     ModelParams,
+    RhsWork,
     functional_H,
     rhs,
     small_data_check,
@@ -281,6 +282,66 @@ def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p, dealias):
     batched = rhs(batch, p, dealias).coeffs
     for row, u in zip(batched, singles):
         assert np.array_equal(row.view(float), rhs(u, p, dealias).coeffs.view(float))
+
+
+# --- held work buffers ---------------------------------------------------
+
+
+def buffers(work: RhsWork) -> tuple:
+    return work.pair, work.samples, work.spectrum
+
+
+def full_band_batch(grid: TorusGrid, rng: np.random.Generator, lead: tuple) -> SpectralField:
+    """Random real fields on the whole band with a real Nyquist coefficient."""
+    half = grid.n_points // 2
+    c = rng.standard_normal(lead + (half + 1,)) + 1j * rng.standard_normal(lead + (half + 1,))
+    c *= np.arange(1, half + 2) ** -1.5
+    c[..., 0] = c[..., 0].real
+    c[..., half] = c[..., half].real
+    return SpectralField(grid, c)
+
+
+COEFS = st.sampled_from([0.0, 0.3, -1.25])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([8, 10, 16, 34, 64]),
+    lead=st.sampled_from([(), (1,), (3,)]),
+    p=st.builds(ModelParams, COEFS, COEFS, COEFS, COEFS, st.sampled_from([0.5, 1.0])),
+    dealias=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_one_buffer_set_reused_gives_what_fresh_calls_give(n, lead, p, dealias, seed):
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(seed)
+    inputs = [full_band_batch(grid, rng, lead) for _ in range(3)]
+    work = RhsWork(inputs[0], p, dealias)
+    held = [rhs(u, p, dealias, work).coeffs for u in inputs]
+    for u, out in zip(inputs, held):
+        assert out.tobytes() == rhs(u, p, dealias).coeffs.tobytes()
+        assert not any(np.shares_memory(out, buf) for buf in buffers(work))
+
+
+def test_a_buffer_set_for_another_shape_or_padded_size_is_refused():
+    quartic = ModelParams(beta=0.3, gamma=0.2)
+    u = full_band_field(GRID, 0, decay=1.0)
+    batch = SpectralField(GRID, np.array([u.coeffs, u.coeffs]))
+    wrong = [
+        (RhsWork(batch, FREE), u, FREE, True),  # a batch's set for one field
+        (RhsWork(u, FREE), batch, FREE, True),  # one field's set for a batch
+        (RhsWork(full_band_field(TorusGrid(32), 0, 1.0), FREE), u, FREE, True),  # other n
+        (RhsWork(u, FREE), u, quartic, True),  # padded 3/2, needs 5/2
+        (RhsWork(u, quartic), u, FREE, True),  # padded 5/2, needs 3/2
+        (RhsWork(u, FREE, dealias=False), u, FREE, True),  # not padded
+        (RhsWork(u, FREE), u, FREE, False),
+    ]
+    for work, v, p, dealias in wrong:
+        with pytest.raises(ValueError, match="rhs buffers"):
+            rhs(v, p, dealias, work)
+    # one set fits every p of the same padded size
+    work = RhsWork(u, ModelParams(alpha=2.0, Gamma_coef=1.0))
+    assert rhs(u, FREE, True, work).coeffs.tobytes() == rhs(u, FREE).coeffs.tobytes()
 
 
 # --- smallness functional -------------------------------------------------

@@ -544,6 +544,37 @@ def test_logsumexp_port_equals_scipy_bit_for_bit():
     assert logsumexp(edge).tolist()[:2] == [-np.inf, np.inf]
 
 
+def test_logsumexp_keeps_its_recorded_values_without_scipy():
+    from chgevrey._numerics import logsumexp
+
+    inf, nan = np.inf, np.nan
+    rows = np.array(
+        [
+            [-inf, -inf, -inf, -inf],
+            [1.0, inf, -2.0, 0.5],
+            [1.0, nan, -2.0, 0.5],
+            [3.25, -1.5, 3.25, 3.25],  # tied maxima
+            [0.1, -700.0, 2.5, -inf],
+            [-1e300, -1e300, 5e-324, -0.0],
+        ]
+    )
+    # float.hex of the values before the in-place rewrite of logsumexp
+    assert _hex(logsumexp(rows)) == [
+        "-inf", "inf", "nan", "0x1.167ed874835d5p+2", "0x1.4b1d7270ce4c0p+1",
+        "0x1.62e42fefa39efp-1",
+    ]
+    one = logsumexp(np.array([0.3, -1.25, 7.5, 7.5, -inf, 2.0]))
+    assert one.shape == () and _hex(one) == ["0x1.0642aec69d1edp+3"]
+    cube = np.linspace(-5.0, 5.0, 24).reshape(2, 3, 4)
+    cube[0, 1, 2] = -inf
+    cube[1, 2, :] = 2.0
+    assert logsumexp(cube).shape == (2, 3)
+    assert _hex(logsumexp(cube)) == [
+        "-0x1.6c56f71ad0f54p+1", "-0x1.6e7743e275ff0p+0", "0x1.4382bf68369a2p-1",
+        "0x1.2f7c83547cf47p+1", "0x1.070c2b6776213p+2", "0x1.b17217f7d1cf8p+1",
+    ]
+
+
 def test_trapezoid_ports_equal_scipy_bit_for_bit():
     pytest.importorskip("scipy", minversion="1.17")
     from scipy import integrate
