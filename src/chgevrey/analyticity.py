@@ -108,9 +108,10 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
 
     Modes 0 and 1 are excluded (they pollute the intercept); the scan walks
     upward and stops at the first coefficient below ``NOISE_FLOOR`` relative
-    to the largest one.  Fewer than ``MIN_MODES`` usable modes, or a zero
-    field, raises InsufficientDecayError.  On a (T, n/2 + 1) batch every field of
-    the estimate is an array with one entry per row (``modes_used`` a pair of
+    to the largest one, at slot n/2 (which holds zero) at the latest.  Fewer
+    than ``MIN_MODES`` usable modes, or a zero field, raises
+    InsufficientDecayError.  On a (T, n/2 + 1) batch every field of the
+    estimate is an array with one entry per row (``modes_used`` a pair of
     float arrays), and a row that would raise is NaN throughout.
     """
     if not (sigma >= 1.0):
@@ -122,9 +123,9 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
     mags = np.abs(np.atleast_2d(field.coeffs))
     floor = NOISE_FLOOR * np.max(mags, axis=-1)
     below = mags[:, 2 : half + 1] < floor[:, None]
-    counts = np.where(below.any(axis=-1), below.argmax(axis=-1), half - 1)
+    counts = below.argmax(axis=-1)  # a nonzero row stops by slot n/2, which holds zero
     xs = np.array(
-        [abs(2.0 * math.pi * m / grid.period) ** (1.0 / sigma) for m in range(2, half + 1)]
+        [abs(2.0 * math.pi * m / grid.period) ** (1.0 / sigma) for m in range(2, half)]
     )
     rows = np.full((len(counts), 3), math.nan)  # delta_fit, intercept, residual
     fitted = (floor != 0.0) & (counts >= MIN_MODES)

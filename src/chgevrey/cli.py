@@ -89,9 +89,8 @@ class InitialDataSpec:
     def build(self, grid: TorusGrid) -> SpectralField:
         if self.name == "cosine":
             # amplitude * cos(k_mode x) <-> half the amplitude on +-mode; the
-            # constant (mode 0) and the Nyquist mode hold the full amplitude
-            whole = abs(self.mode) in (0, grid.n_points // 2)
-            coeff = self.amplitude if whole else self.amplitude / 2.0
+            # constant (mode 0) holds the full amplitude, and mode +-n/2 is rejected
+            coeff = self.amplitude if self.mode == 0 else self.amplitude / 2.0
             try:
                 return field_from_modes(grid, {self.mode: coeff})
             except ValueError as err:
@@ -112,12 +111,11 @@ class InitialDataSpec:
             except NonFiniteError as err:
                 raise ConfigError(f"initial_data.amplitude: {self.amplitude} overflows") from err
         if self.name == "exp_decay_modes":
-            half = grid.n_points // 2
             try:  # a negative rate grows with the mode, and may pass the float range
                 amps = {
                     m: self.amplitude
                     * math.exp(-self.rate * abs(2.0 * math.pi * m / grid.period))
-                    for m in range(half + 1)
+                    for m in range(grid.n_points // 2)
                 }
                 return field_from_modes(grid, amps)
             except (OverflowError, NonFiniteError) as err:
@@ -147,9 +145,9 @@ class InitialDataSpec:
                     ) from err
                 if not (math.isfinite(re_part) and math.isfinite(im_part)):
                     raise ConfigError(f"initial_data.path: line {lineno} is not finite")
-                if mode > grid.n_points // 2:
+                if mode >= grid.n_points // 2:  # slot n/2 holds zero
                     raise ConfigError(
-                        f"initial_data.path: line {lineno} exceeds the mode band "
+                        f"initial_data.path: line {lineno} exceeds the modes 0 .. n/2 - 1 "
                         f"of an n_points={grid.n_points} grid"
                     )
                 amps[mode] = complex(re_part, im_part)

@@ -76,15 +76,16 @@ class Trajectory:
 def step_rk4(
     u: SpectralField, p: ModelParams, dt: float, dealias: bool = True, work: RhsWork | None = None
 ) -> SpectralField:
-    """One classical Runge-Kutta step of u_t = F(u), after which the mean and
-    Nyquist coefficients, those of cos, are made real.  A batch steps row by
-    row.  Raises BlowUpError (time=dt, with the offending batch rows) on
-    non-finite output.  ``work`` is handed to every ``rhs`` call of the step.
+    """One classical Runge-Kutta step of u_t = F(u), after which the mean
+    coefficient is made real; slot n/2 stays zero, as rhs writes it.  A batch
+    steps row by row.  Raises BlowUpError (time=dt, with the offending batch
+    rows) on non-finite output.  ``work`` is handed to every ``rhs`` call of
+    the step.
 
     The stage states are not revalidated: a non-finite stage propagates into
     the combined state, whose finite check is the one check of the step.
     """
-    grid, c = u.grid, u.coeffs
+    c = u.coeffs
     k1 = rhs(u, p, dealias, work).coeffs
     k2 = rhs(u.with_coeffs(c + (0.5 * dt) * k1), p, dealias, work).coeffs
     k3 = rhs(u.with_coeffs(c + (0.5 * dt) * k2), p, dealias, work).coeffs
@@ -101,7 +102,6 @@ def step_rk4(
     if not finite.all():
         raise BlowUpError(dt, rows=_rows(~finite.all(axis=-1)))
     out.imag[..., 0] = 0.0
-    out.imag[..., grid.n_points // 2] = 0.0
     return u.with_coeffs(out)
 
 

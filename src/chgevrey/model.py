@@ -74,26 +74,23 @@ def rhs(
 ) -> SpectralField:
     """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
 
-    The Nyquist coefficient c is split as c/2 at +-n/2, as product() reads
-    it.  One irfft gives u and u_x on the padded grid, u u_x and
+    One irfft gives u and u_x on the padded grid, u u_x and
     u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise (no
     truncation between the powers), one rfft brings both back, and the linear
-    terms are applied per mode.  With dealias the stored modes are the true
-    convolution coefficients, +n/2 included, as in product().  A batch is
+    terms are applied per mode.  With dealias the modes below n/2 are the true
+    convolution coefficients, as in product(), and slot n/2 is zeroed.  A batch is
     evaluated row by row on the last axis.  The result is not revalidated: an
     overflow shows up as a non-finite coefficient at the caller's next check.
     ``work`` is a RhsWork for u's shape, p and dealias (else ValueError), or None.
     """
     grid, c = u.grid, u.coeffs
-    n, half = grid.n_points, grid.n_points // 2
-    fine = _fine_size(n, p, dealias)
+    half = grid.n_points // 2
+    fine = _fine_size(grid.n_points, p, dealias)
     work = RhsWork(u, p, dealias) if work is None else work
     if work.key != (c.shape, fine):
         raise ValueError(f"rhs buffers for (shape, padded size) {work.key}, not {(c.shape, fine)}")
     work.pair[0] = c
     ik_c = np.multiply(grid.dx_symbol, c, out=work.pair[1])  # u_x
-    ik_c[..., half] = 0.0  # as in derivative()
-    work.pair[0, ..., half] *= 0.5 if fine > n else 1.0  # the Nyquist split
     # irfft pads the spectrum with zeros itself; 1/n normalization as in _samples
     samples = np.fft.irfft(work.pair, fine, axis=-1, out=work.samples[:2])
     samples *= fine
@@ -115,9 +112,9 @@ def rhs(
     advection, inner_hat = fused
     inner_hat -= (p.alpha + p.Gamma_coef) * c
     out = -advection - p.lam * c
-    # Q = -(1 - d_xx)^{-1} d_x inner; d_x zeroes the Nyquist slot
-    q = grid.nonlocal_symbol * inner_hat[..., :half]
-    out[..., :half] -= ik_c[..., :half] * p.Gamma_coef + q
+    # Q = -(1 - d_xx)^{-1} d_x inner
+    out -= ik_c * p.Gamma_coef + grid.nonlocal_symbol * inner_hat
+    out[..., half] = 0.0
     return u.with_coeffs(out)
 
 

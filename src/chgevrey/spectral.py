@@ -7,14 +7,13 @@ Conventions
   spectrum: the ``n/2 + 1`` Fourier coefficients ``c_m`` of modes
   ``m = 0 .. n/2``, in rfft layout.  Mode ``-m`` is ``conj(c_m)`` and is not
   stored.
-* The Nyquist coefficient ``c`` at ``n/2`` stands for ``c*cos(n/2 x)``: on a
-  padded grid it is split as ``c/2`` at ``+-n/2``, and on the grid itself it
-  is irfft's own Nyquist bin.  ``to_physical``, ``product`` and
-  ``model.rhs`` all read it so.
+* Slot ``n/2`` (the Nyquist mode) always holds zero: a field has modes
+  ``|m| < n/2``.  ``SpectralField`` rejects a nonzero slot, and every writer
+  (``to_spectral``, ``product``, ``model.rhs``) zeroes it.
 * The forward transform is normalized by ``1/n`` so that ``c_0`` is the mean
   of the samples and a constant field ``c`` has ``c_0 = c``.
-* Norms are pure coefficient mode sums over all ``n`` modes ``-n/2+1 .. n/2``
-  -- no ``2*pi`` measure factor.  With this choice the squared ``s=0`` norm
+* Norms are pure coefficient mode sums over the modes ``|m| < n/2`` -- no
+  ``2*pi`` measure factor.  With this choice the squared ``s=0`` norm
   equals the mean of ``|f|^2`` over the collocation points (discrete
   Parseval).
 * Exponential weights ``exp(delta*(1+k^2)^(1/(2*sigma)))`` are evaluated in
@@ -78,8 +77,8 @@ class NormOverflowError(OverflowError):
 class TorusGrid:
     """Uniform collocation grid on a periodic interval.
 
-    ``n_points`` must be even and at least 8; the stored modes are
-    ``m = 0 .. n/2`` with wavenumbers ``k_m = 2*pi*m/period``.
+    ``n_points`` must be even and at least 8; the stored slots are
+    ``m = 0 .. n/2`` with wavenumbers ``k_m = 2*pi*m/period``, slot n/2 zero.
     """
 
     n_points: int
@@ -93,12 +92,11 @@ class TorusGrid:
         # the symbols are computed once per grid and shared read-only by every caller
         m = np.arange(self.n_points // 2 + 1)
         k = 2.0 * math.pi * m / self.period
-        kq = k[:-1]
         symbols = (
             ("_modes", m),
             ("_wavenumbers", k),
             ("_dx_symbol", 1j * k),
-            ("_nonlocal_symbol", 1j * kq / (1.0 + kq * kq)),
+            ("_nonlocal_symbol", 1j * k / (1.0 + k * k)),
         )
         for name, arr in symbols:
             arr.flags.writeable = False
@@ -120,7 +118,7 @@ class TorusGrid:
 
     @property
     def nonlocal_symbol(self) -> np.ndarray:
-        """Symbol i*k_m/(1 + k_m^2) of (1 - d_xx)^{-1} d_x on modes 0 .. n/2 - 1."""
+        """Symbol i*k_m/(1 + k_m^2) of (1 - d_xx)^{-1} d_x on modes 0 .. n/2."""
         return self._nonlocal_symbol
 
     @property
@@ -138,8 +136,8 @@ class TorusGrid:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A real field stored as the coefficients of modes 0 .. n/2, or a batch
-    of fields with one row of coefficients each."""
+    """A real field stored as the coefficients of modes 0 .. n/2, slot n/2
+    zero, or a batch of fields with one row of coefficients each."""
 
     grid: TorusGrid
     coeffs: np.ndarray
@@ -154,6 +152,8 @@ class SpectralField:
             )
         if not np.all(np.isfinite(c)):
             raise NonFiniteError("coefficients must be finite")
+        if np.any(c[..., -1]):
+            raise ValueError(f"slot n/2 = {m - 1} (the Nyquist mode) must hold zero")
         object.__setattr__(self, "coeffs", c)
 
     def __getitem__(self, index) -> "SpectralField":
@@ -223,7 +223,8 @@ def _require_same_grid(f: SpectralField, g: SpectralField) -> None:
 
 
 def to_spectral(samples, grid: TorusGrid) -> SpectralField:
-    """Forward transform of real collocation samples (1/n normalization)."""
+    """Forward transform of real collocation samples (1/n normalization), with
+    slot n/2 zeroed: the L^2 projection onto the modes |m| < n/2."""
     arr = np.asarray(samples)
     if np.iscomplexobj(arr):
         raise ValueError("physical samples must be real")
@@ -234,7 +235,9 @@ def to_spectral(samples, grid: TorusGrid) -> SpectralField:
         raise NonFiniteError("samples must be finite")
     # the complex fft, not rfft: rfft rounds differently and would move every
     # datum built from samples
-    return SpectralField(grid, np.fft.fft(arr)[: grid.n_points // 2 + 1] / grid.n_points)
+    c = np.fft.fft(arr)[: grid.n_points // 2 + 1] / grid.n_points
+    c[-1] = 0.0
+    return SpectralField(grid, c)
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
@@ -250,10 +253,7 @@ def _padded_size(n: int, pad_factor: float) -> int:
 
 def _samples(c: np.ndarray, fine: int) -> np.ndarray:
     """Samples on ``fine`` points of the real fields whose modes 0 .. n/2 fill
-    the last axis of ``c``.  The Nyquist coefficient means c*cos(n/2 x): on a
-    finer grid it is split as c/2 at +-n/2, at fine == n it is irfft's own bin."""
-    if fine > 2 * (c.shape[-1] - 1):
-        c = np.concatenate((c[..., :-1], 0.5 * c[..., -1:]), axis=-1)
+    the last axis of ``c``."""
     # irfft pads the spectrum with zeros itself; 1/n normalization: irfft carries 1/fine
     samples = np.fft.irfft(c, fine, axis=-1)
     return np.multiply(samples, fine, out=samples)
@@ -299,14 +299,8 @@ def random_field(
 
 
 def derivative(field: SpectralField) -> SpectralField:
-    """Spectral d/dx: c_m -> i*k_m*c_m.
-
-    The Nyquist slot is zeroed: the derivative of cos(n/2 x) is a sine, which
-    vanishes on the grid.
-    """
-    c = field.grid.dx_symbol * field.coeffs
-    c[..., field.grid.n_points // 2] = 0.0
-    return field.with_coeffs(c)
+    """Spectral d/dx: c_m -> i*k_m*c_m."""
+    return field.with_coeffs(field.grid.dx_symbol * field.coeffs)
 
 
 def helmholtz_inv(field: SpectralField) -> SpectralField:
@@ -385,12 +379,13 @@ def product(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spec
     ``pad_factor`` 1.0 disables de-aliasing (the product wraps).
 
     One padded irfft per factor, the pointwise product, one rfft back, as in
-    ``model.rhs``; the Nyquist coefficient is read as ``to_physical`` reads
-    it.  Every stored mode, +n/2 included, receives the Fourier coefficient
-    of the padded product at that mode; modes beyond the band are dropped.
+    ``model.rhs``.  Every mode below n/2 receives the Fourier coefficient of
+    the padded product at that mode; slot n/2 and the modes beyond are dropped.
     """
     _require_same_grid(f, g)
     n = f.grid.n_points
     fine = _padded_size(n, pad_factor)
     fg = np.fft.rfft(_samples(f.coeffs, fine) * _samples(g.coeffs, fine), axis=-1)
-    return f.with_coeffs(fg[..., : n // 2 + 1] / fine)
+    fg = fg[..., : n // 2 + 1] / fine
+    fg[..., n // 2] = 0.0
+    return f.with_coeffs(fg)

@@ -35,7 +35,8 @@ _DIRECT_MAX_POINTS = 512
 
 def full_band(c: np.ndarray) -> np.ndarray:
     """Coefficients of modes -n/2+1 .. n/2 of a real field stored as modes
-    0 .. n/2: mode -m is conj(c_m), and the Nyquist mode +n/2 has no partner."""
+    0 .. n/2: mode -m is conj(c_m), and slot n/2 (zero in a field, live in a
+    ``product_direct`` result that reaches it) has no partner."""
     return np.concatenate((np.conj(c[..., -2:0:-1]), c), axis=-1)
 
 

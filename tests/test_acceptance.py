@@ -57,9 +57,8 @@ def _criterion(n: int, ok: bool, detail: str) -> None:
 
 
 def _exp_decay_datum(grid: TorusGrid, amplitude=0.01, rate=0.8):
-    half = grid.n_points // 2
     return field_from_modes(
-        grid, {m: amplitude * math.exp(-rate * m) for m in range(half + 1)}
+        grid, {m: amplitude * math.exp(-rate * m) for m in range(grid.n_points // 2)}
     )
 
 
@@ -80,15 +79,22 @@ def test_criterion_01_exact_norm_oracle():
 def test_criterion_02_convolution_equivalence():
     grid = TorusGrid(128)
     rng = np.random.default_rng(42)
-    worst = 0.0
+    worst, nyquist_zero = 0.0, True
     for _ in range(50):
         f = random_field(grid, rng)
         g = random_field(grid, rng)
         fast = product(f, g)
         slow = product_direct(f, g)
-        worst = max(worst, float(np.max(np.abs(fast.coeffs - slow.coeffs))))
-    ok = worst <= 1e-10
-    _criterion(2, ok, f"padded vs direct convolution max gap {worst:.2e} <= 1e-10")
+        # slot n/2 holds zero; the modes below it are the exact convolution
+        worst = max(worst, float(np.max(np.abs(fast.coeffs[:-1] - slow.coeffs[:-1]))))
+        nyquist_zero = nyquist_zero and fast.coeffs[-1] == 0.0
+    ok = worst <= 1e-10 and nyquist_zero
+    _criterion(
+        2,
+        ok,
+        f"padded vs direct convolution max gap {worst:.2e} <= 1e-10 below n/2, "
+        f"slot n/2 zero={nyquist_zero}",
+    )
 
 
 def test_criterion_03_exact_constant_suites():

@@ -130,8 +130,8 @@ def _fit_rows(grid):
     rows = [
         # stops at the noise floor after mode 10
         {**{m: 0.01 * math.exp(-0.5 * m) for m in range(11)}, **{m: 1e-30 for m in range(11, 25)}},
-        # no mode below the floor: the scan reaches the Nyquist mode n/2
-        {m: math.exp(-0.05 * m) for m in range(half + 1)},
+        # no mode below the floor: the scan stops at slot n/2, which holds zero
+        {m: math.exp(-0.05 * m) for m in range(half)},
         # 7 modes (2..8) above the floor: too few to fit
         {m: math.exp(-0.4 * m) for m in range(9)},
         # identically zero
@@ -166,8 +166,8 @@ def test_batched_fit_rows_equal_single_field_calls(sigma, period):
             continue
         assert _hexes(*row) == _hexes(est.delta_fit, est.intercept, est.residual, *est.modes_used)
         seen.add(est.modes_used[1])
-    # the floor stop, the Nyquist end and the raising rows were all exercised
-    assert {10, grid.n_points // 2, "raised"} <= seen
+    # the floor stop, the stop at slot n/2 and the raising rows were all exercised
+    assert {10, grid.n_points // 2 - 1, "raised"} <= seen
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
@@ -517,7 +517,7 @@ def _walk_states(traj, p, sigma, s, delta0, c_cal):
 def test_track_radius_matches_the_per_state_walk():
     # a steep datum: the first records have too few modes above the floor to
     # fit (NaN), the later ones have widened enough to fit
-    u0 = field_from_modes(GRID, {m: math.exp(-3.8 * m) for m in range(33)})
+    u0 = field_from_modes(GRID, {m: math.exp(-3.8 * m) for m in range(32)})
     traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.5, record_every=5))
     records = track_radius(traj, P, sigma=2.0, s=2.0, delta0=0.5, c_cal=0.3)
     fits = [r.delta_fit for r in records]
@@ -542,7 +542,7 @@ def test_track_radius_raises_when_a_later_norm_overflows():
 
 
 def test_calibration_fits_once_and_re_marches_the_width(monkeypatch):
-    u0 = field_from_modes(GRID, {m: math.exp(-0.9 * m) for m in range(33)})
+    u0 = field_from_modes(GRID, {m: math.exp(-0.9 * m) for m in range(32)})
     traj = integrate(u0, P, SolverConfig(dt=0.005, t_end=0.3, record_every=10))
     calls, marches, norms = [], [], []
 

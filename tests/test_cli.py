@@ -283,8 +283,13 @@ def _inf_config(tmp_path, blob) -> Path:
     return path
 
 
-# coefficient files whose one line reads as a float outside the finite range
-_COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
+# coefficient files that ingest rejects: one line that reads as a float outside
+# the finite range, or a ninth line, which is slot n/2 of the n = 16 grid
+_COEFF_FILES = {
+    "inf.txt": "1e999 0.0\n",
+    "nan.txt": "nan 0.0\n",
+    "nyquist.txt": "0.0 0.0\n" * 8 + "0.001 0.0\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -303,6 +308,15 @@ _COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
         ),
         ("picard", {"picard": {"n_nodes": 1}}, "picard.n_nodes"),
         ("continuity", {"continuity": {"mode": 999}}, "continuity.mode"),
+        *(
+            (
+                "lifespan",
+                {"initial_data": {"name": "cosine", "amplitude": 0.01, "mode": mode}},
+                "initial_data.mode",
+            )
+            for mode in (128, -128)  # slot n/2 of the default n = 256 grid
+        ),
+        ("continuity", {"continuity": {"mode": 128}}, "continuity.mode"),
         ("picard", {"picard": {"horizon": 1.0}}, "picard.horizon"),
         ("picard", {"picard": {"n_iters": 0}}, "picard.n_iters"),
         (
@@ -362,6 +376,9 @@ _COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
         "infinite-center",
         "one-node",
         "mode-outside-band",
+        "nyquist-cosine",
+        "nyquist-cosine-negative",
+        "nyquist-continuity-mode",
         "horizon-past-window",
         "no-iterate",
         "zero-width-bump",
@@ -369,6 +386,7 @@ _COEFF_FILES = {"inf.txt": "1e999 0.0\n", "nan.txt": "nan 0.0\n"}
         "sobolev-order-radius",
         "infinite-coeff-line",
         "nan-coeff-line",
+        "nyquist-coeff-line",
         "overflowing-decay-rate",
         "overflowing-bump",
         "odd-grid",
@@ -424,18 +442,19 @@ def test_cosine_generator_mode_and_amplitude():
     # mode 0 degenerates to the constant with the full amplitude
     const = InitialDataSpec("cosine", amplitude=0.1, mode=0).build(grid)
     assert np.allclose(to_physical(const), 0.1, atol=1e-15)
-    # so does the Nyquist mode, cos(16 x) = (-1)^j on the grid; cos is even
+    # slot n/2 holds zero: the Nyquist mode cos(16 x) = (-1)^j is no datum
     for mode in (16, -16):
-        nyquist = to_physical(InitialDataSpec("cosine", amplitude=1.0, mode=mode).build(grid))
-        assert nyquist.tolist() == [(-1.0) ** j for j in range(32)]
+        with pytest.raises(ConfigError, match=r"^initial_data\.mode: .*n/2"):
+            InitialDataSpec("cosine", amplitude=1.0, mode=mode).build(grid)
 
 
 def test_exp_decay_generator_matches_rate():
     grid = TorusGrid(32)
     u = InitialDataSpec("exp_decay_modes", amplitude=0.01, rate=0.8).build(grid)
-    for m in (0, 1, 5, 16):
+    for m in (0, 1, 5, 15):
         assert u.coeff(m) == pytest.approx(0.01 * math.exp(-0.8 * m), rel=1e-14)
     assert u.coeff(-5) == pytest.approx(u.coeff(5))
+    assert u.coeff(16) == 0.0  # slot n/2
 
 
 def test_gaussian_bump_is_periodized():
@@ -885,20 +904,20 @@ GOLDEN_ARTIFACTS = {
         0,
         {
             "report.json": None,
-            "trajectory.csv": "2e7d95e9df2a55227bcda6150d11f2208c4b2efc87548c21343572b5334fa1fa",
+            "trajectory.csv": "06aa8b95b8aa0771cb02702891abcc6c5ccefacfefe4a64016ee9c7d259dfe5b",
         },
     ),
     "radius": (
         0,
         {
-            "report.json": "a93263e956ad0bfe4923d14bcc4662d8bbc063d8bb3b2a226c2e1c35e3c0bbb6",
-            "trajectory.csv": "bd4510422b043541e554b9bbe55a278e0ab4bd1e36252d39891671d5d85a4701",
+            "report.json": "efae65a84cedb1ffce8a826942f2e4b9843f31fc2ba80f5d959fa9de1e075802",
+            "trajectory.csv": "628a992293c36a8f0404837ab105579b685f4410a9bc3d83274c4029a7ad65a8",
         },
     ),
     "picard": (
         0,
         {
-            "report.json": "1b27c0d24a2ee978ddc554122d19e1ba438ad48e571a649d9b4212459046377e",
+            "report.json": "fd598ea0ab67f397011f0b5c119aca0c2a77b7677c6c9d686543e235c53bf991",
             "trajectory.csv": None,
         },
     ),

@@ -27,6 +27,7 @@ from chgevrey.spectral import (
     derivative,
     field_from_modes,
     gevrey_norm,
+    helmholtz_inv,
     product,
     random_field,
     to_physical,
@@ -188,13 +189,19 @@ def composed_rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> Spec
 
 
 def full_band_field(grid: TorusGrid, seed: int, decay: float) -> SpectralField:
-    """Random real field on the whole band, with a real Nyquist coefficient."""
+    """Random real field on the whole band, modes |m| < n/2."""
     rng = np.random.default_rng(seed)
-    half = grid.n_points // 2
-    u = random_field(grid, rng, band=half - 1, decay=decay)
-    c = u.coeffs.copy()
-    c[half] = rng.standard_normal() * half ** (-decay)
-    return u.with_coeffs(c)
+    return random_field(grid, rng, band=grid.n_points // 2 - 1, decay=decay)
+
+
+def collocation_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
+    """F with every nonlinear term formed pointwise on the grid itself and
+    transformed back once: aliased pseudo-spectral collocation."""
+    w, wx = to_physical(u), to_physical(derivative(u))
+    h = (p.beta / 3.0) * w**3 + (p.gamma / 4.0) * w**4
+    inner = to_spectral(w * w + 0.5 * wx * wx - h, u.grid) - (p.alpha + p.Gamma_coef) * u
+    advection = to_spectral(w * wx, u.grid) + p.Gamma_coef * derivative(u)
+    return -1.0 * advection - p.lam * u - helmholtz_inv(derivative(inner))
 
 
 def convolution_rhs(u: SpectralField, p: ModelParams) -> np.ndarray:
@@ -246,7 +253,7 @@ def test_fused_rhs_matches_composition_on_band_limited_data(n, seed, p, dealias)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([16, 64]), seeds, quadratic_params, st.booleans())
 def test_fused_rhs_matches_composition_on_full_band_quadratic_data(n, seed, p, dealias):
-    # rhs and product() read the Nyquist coefficient alike
+    # rhs and product() both zero slot n/2 of what reaches it
     u = full_band_field(TorusGrid(n), seed, decay=1.0)
     assert_close(rhs(u, p, dealias).coeffs, composed_rhs(u, p, dealias).coeffs, 1e-13)
 
@@ -254,10 +261,11 @@ def test_fused_rhs_matches_composition_on_full_band_quadratic_data(n, seed, p, d
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([16, 64]), seeds, model_params)
 def test_aliased_fused_rhs_matches_composition_on_full_band_quartic_data(n, seed, p):
-    # with no padding the product() chain wraps instead of truncating, so the
-    # two agree on any datum
+    # with no padding the powers wrap on the grid itself, as in collocation, so
+    # the two agree on any datum; the product() chain would also drop the
+    # Nyquist bin of u^2 and u^3 between the factors
     u = full_band_field(TorusGrid(n), seed, decay=1.0)
-    assert_close(rhs(u, p, dealias=False).coeffs, composed_rhs(u, p, dealias=False).coeffs, 1e-13)
+    assert_close(rhs(u, p, dealias=False).coeffs, collocation_rhs(u, p).coeffs, 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,7 +274,10 @@ def test_fused_rhs_matches_untruncated_convolution_oracle(n, seed, p):
     # the fused kernel keeps u^3 and u^4 whole; the product() chain would
     # truncate u^2 and u^3 to the band and differ on this full-band datum
     u = full_band_field(TorusGrid(n), seed, decay=1.0)
-    assert_close(rhs(u, p).coeffs, convolution_rhs(u, p), 1e-14)
+    fast = rhs(u, p).coeffs
+    # F reaches past n/2; slot n/2 holds zero, the modes below are exact
+    assert_close(fast[:-1], convolution_rhs(u, p)[:-1], 1e-14)
+    assert fast[-1] == 0.0
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -292,13 +303,9 @@ def buffers(work: RhsWork) -> tuple:
 
 
 def full_band_batch(grid: TorusGrid, rng: np.random.Generator, lead: tuple) -> SpectralField:
-    """Random real fields on the whole band with a real Nyquist coefficient."""
-    half = grid.n_points // 2
-    c = rng.standard_normal(lead + (half + 1,)) + 1j * rng.standard_normal(lead + (half + 1,))
-    c *= np.arange(1, half + 2) ** -1.5
-    c[..., 0] = c[..., 0].real
-    c[..., half] = c[..., half].real
-    return SpectralField(grid, c)
+    """Random real fields on the whole band, modes |m| < n/2: one, or a batch of lead[0]."""
+    band = grid.n_points // 2 - 1
+    return random_field(grid, rng, band=band, decay=1.5, size=lead[0] if lead else None)
 
 
 COEFS = st.sampled_from([0.0, 0.3, -1.25])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chgevrey import verify
+from chgevrey.cli import InitialDataSpec
 from chgevrey.integrate import step_rk4
 from chgevrey.model import ModelParams, functional_H, rhs
 from chgevrey.spectral import (
@@ -42,6 +43,12 @@ GRID = TorusGrid(64)
 
 def cos_field(mode: int, grid: TorusGrid = GRID, amplitude: float = 1.0) -> SpectralField:
     return field_from_modes(grid, {mode: amplitude / 2.0})
+
+
+def without_nyquist(samples: np.ndarray) -> np.ndarray:
+    """``samples`` less their (-1)^j component, the Nyquist mode on the grid."""
+    alternating = (-1.0) ** np.arange(len(samples))
+    return samples - np.mean(samples * alternating) * alternating
 
 
 # --- grid -----------------------------------------------------------------
@@ -84,9 +91,9 @@ def test_grid_holds_the_derivative_and_nonlocal_symbols_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
-    k, kq = g.wavenumbers, g.wavenumbers[:4]
+    k = g.wavenumbers  # both over modes 0 .. n/2
     assert np.array_equal(g.dx_symbol.view(float), (1j * k).view(float))
-    assert np.array_equal(g.nonlocal_symbol.view(float), (1j * kq / (1.0 + kq * kq)).view(float))
+    assert np.array_equal(g.nonlocal_symbol.view(float), (1j * k / (1.0 + k * k)).view(float))
 
 
 # --- transforms -----------------------------------------------------------
@@ -109,11 +116,13 @@ def test_cosine_coefficients():
 @given(n=st.sampled_from([8, 16, 32, 64, 128, 256, 512, 1024]), data=st.data())
 def test_round_trip(n, data):
     grid = TorusGrid(n)
-    samples = data.draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    samples = without_nyquist(data.draw(arrays(np.float64, n, elements=st.floats(-1e6, 1e6))))
     f = to_spectral(samples, grid)
-    assert f.coeffs.shape == (n // 2 + 1,)
+    assert f.coeffs.shape == (n // 2 + 1,) and f.coeffs[-1] == 0.0
     back = to_physical(f)
     assert np.max(np.abs(back - samples)) <= 1e-12 * max(1.0, np.max(np.abs(samples)))
+    # (-1)^j = cos(n/2 x) on the grid lies wholly in slot n/2, which holds zero
+    assert not np.any(to_spectral((-1.0) ** np.arange(n), grid).coeffs)
 
 
 def test_to_physical_tolerance_is_relative_to_the_samples():
@@ -141,11 +150,12 @@ def test_non_finite_input_raises_the_non_finite_error():
 
 
 def test_field_from_modes_folds_a_negative_mode_and_rejects_a_pair():
-    f = field_from_modes(GRID, {-3: 0.5j, 32: 0.25})
-    assert f.coeff(3) == -0.5j and f.coeff(-3) == 0.5j
-    assert field_from_modes(GRID, {-32: 0.25}).coeffs.tobytes() == field_from_modes(
-        GRID, {32: 0.25}
-    ).coeffs.tobytes()
+    f = field_from_modes(GRID, {-3: 0.5j, 31: 0.25})
+    assert f.coeff(3) == -0.5j and f.coeff(-3) == 0.5j and f.coeff(-31) == 0.25
+    for nyquist in (32, -32):  # slot n/2 holds zero
+        with pytest.raises(ValueError, match="n/2"):
+            field_from_modes(GRID, {nyquist: 0.25})
+        assert field_from_modes(GRID, {nyquist: 0.0}).coeff(nyquist) == 0.0
     with pytest.raises(ValueError, match="conjugate pair"):
         field_from_modes(GRID, {3: 0.5, -3: 0.5})
     with pytest.raises(ValueError):
@@ -167,12 +177,6 @@ def test_derivative_constant_and_single_mode():
     raw = field_from_modes(GRID, {2: 1.0})
     d = derivative(raw)
     assert d.coeff(2) == pytest.approx(2j)
-
-
-def test_derivative_zeroes_nyquist():
-    g = TorusGrid(16)
-    f = field_from_modes(g, {8: 1.0})
-    assert np.max(np.abs(derivative(f).coeffs)) == 0.0
 
 
 def test_helmholtz_inverse_pair():
@@ -259,7 +263,7 @@ def test_norm_just_past_the_float_range_raises_norm_overflow():
 
 def test_parseval_mean_square():
     rng = np.random.default_rng(13)
-    samples = rng.standard_normal(GRID.n_points)
+    samples = without_nyquist(rng.standard_normal(GRID.n_points))
     f = to_spectral(samples, GRID)
     mode_sum_sq = gevrey_norm(f, GevreyIndex(1.0, 0.0, 0.0)) ** 2
     assert mode_sum_sq == pytest.approx(np.mean(samples**2), rel=1e-10)
@@ -304,7 +308,9 @@ def test_product_agrees_with_direct_on_band_limited_pairs():
         g = random_field(grid, rng, band=grid.n_points // 3)
         fast = product(f, g)
         slow = product_direct(f, g)
-        assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-10
+        # the product reaches past n/2; slot n/2 holds zero, the modes below are exact
+        assert np.max(np.abs(fast.coeffs[:-1] - slow.coeffs[:-1])) <= 1e-10
+        assert fast.coeffs[-1] == 0.0
 
 
 def test_product_direct_commutes_exactly():
@@ -337,6 +343,67 @@ def test_product_preserves_hermitian_symmetry():
     g = random_field(GRID, rng, band=GRID.n_points // 8)
     for op_out in (product(f, g), derivative(f), helmholtz_inv(f)):
         assert op_out.coeffs[0].imag == 0.0
+
+
+def test_product_reaching_n_over_2_drops_the_nyquist_term_whole():
+    # cos x cos 15x = (cos 14x + cos 16x)/2 at n = 32: cos 16x is the Nyquist mode
+    grid = TorusGrid(32)
+    fg = product(cos_field(1, grid), cos_field(15, grid))
+    assert fg.coeffs[16] == 0.0
+    assert np.max(np.abs(to_physical(fg) - 0.5 * np.cos(14.0 * grid.x))) <= 1e-14
+
+
+_N16 = TorusGrid(16)
+_QUARTIC = ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05)
+_LINEAR = ModelParams(alpha=0.1, Gamma_coef=0.05)
+
+
+def _full_band(seed: int) -> SpectralField:
+    return random_field(_N16, np.random.default_rng(seed), band=7, decay=0.5)
+
+
+def _coeff_file_datum(tmp_path) -> SpectralField:
+    path = tmp_path / "coeffs.txt"
+    path.write_text("".join(f"{0.5**m} {0.25**m}\n" for m in range(8)))
+    return InitialDataSpec("coeff_file", path=str(path)).build(_N16)
+
+
+# each writer on inputs whose result reaches mode n/2 (or, for a generator, could)
+_WRITERS = {
+    "product": lambda tmp: product(_full_band(0), _full_band(1)),
+    **{
+        f"rhs-{name}-{'dealias' if dealias else 'aliased'}": (
+            lambda tmp, p=p, dealias=dealias: rhs(_full_band(2), p, dealias)
+        )
+        for name, p in (("quartic", _QUARTIC), ("linear", _LINEAR))
+        for dealias in (True, False)
+    },
+    "to_spectral": lambda tmp: to_spectral(
+        np.random.default_rng(3).standard_normal(16) + (-1.0) ** np.arange(16), _N16
+    ),
+    "step_rk4": lambda tmp: step_rk4(_full_band(4), _QUARTIC, 0.05),
+    "random_field": lambda tmp: random_field(_N16, np.random.default_rng(5), band=100, size=3),
+    "cosine": lambda tmp: InitialDataSpec("cosine", mode=7).build(_N16),
+    "gaussian_bump": lambda tmp: InitialDataSpec("gaussian_bump", width=0.05).build(_N16),
+    "exp_decay_modes": lambda tmp: InitialDataSpec("exp_decay_modes", rate=0.01).build(_N16),
+    "coeff_file": _coeff_file_datum,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_every_writer_leaves_slot_n_over_2_zero(tmp_path, writer):
+    out = _WRITERS[writer](tmp_path).coeffs
+    assert np.all(out[..., -1] == 0.0)
+    assert np.all(np.abs(out[..., -2]) > 0.0)  # the mode below n/2 is live
+
+
+def test_a_nonzero_slot_n_over_2_is_rejected_at_ingest():
+    c = np.zeros((2, 17), dtype=complex)
+    c[1, 16] = 1e-300
+    with pytest.raises(ValueError, match="n/2"):
+        SpectralField(TorusGrid(32), c)
+    c[1, 16] = 0.0
+    assert SpectralField(TorusGrid(32), c).coeffs[1, 16] == 0.0
 
 
 def test_field_arithmetic():
@@ -506,12 +573,13 @@ def test_row_access_on_a_batch():
 def test_coeff_on_a_batch_reads_the_mode_slot_of_every_row():
     grid = TorusGrid(16)
     rows = np.arange(27, dtype=float).reshape(3, 9) * (1.0 - 2.0j)
+    rows[:, 8] = 0.0  # slot n/2
     batch = SpectralField(grid, rows)
     assert np.array_equal(batch.coeff(2), rows[:, 2])
     assert np.array_equal(batch.coeff(-2), np.conj(rows[:, 2]))
     assert [batch[i].coeff(-2) for i in range(3)] == list(np.conj(rows[:, 2]))
-    single = batch[1].coeff(-8)
-    assert type(single) is complex and single == np.conj(rows[1, 8])
+    single = batch[1].coeff(-7)
+    assert type(single) is complex and single == np.conj(rows[1, 7])
 
 
 def _hex(values):
