@@ -4,9 +4,9 @@ Three ingredients live here:
 
 * ``estimate_radius`` reads the exponential decay rate of Fourier
   coefficients off a least-squares fit of log|c_m| against |k_m|^(1/sigma),
-  for a field or each row of a (T, n/2 + 1) batch.  The fit copies the arithmetic
-  of ``Polynomial.fit(...).convert()``, one ``lstsq`` per row, so a batched
-  row equals the single-field call bit for bit.
+  for a field or each row of a (T, n/2 + 1) batch: one masked closed-form line
+  per row, computed on the whole batch at once, so a batched row equals the
+  single-field call bit for bit.
 * ``lifespan_bounds`` / ``delta_of_tau`` / ``ea_norm`` render the fixed-point
   existence window, the shrinking-width schedule, and the weighted sup norm
   over (time, width) pairs at desk scale.
@@ -113,6 +113,10 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
     InsufficientDecayError.  On a (T, n/2 + 1) batch every field of the
     estimate is an array with one entry per row (``modes_used`` a pair of
     float arrays), and a row that would raise is NaN throughout.
+
+    Every row is fitted at once: the modes past a row's stop are masked out,
+    and the slope is the ratio of the sums sum(dx*dy) / sum(dx*dx) of the
+    deviations from the row's mean abscissa and mean log-magnitude.
     """
     if not (sigma >= 1.0):
         raise ValueError(f"sigma must be >= 1, got {sigma}")
@@ -124,46 +128,29 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
     floor = NOISE_FLOOR * np.max(mags, axis=-1)
     below = mags[:, 2 : half + 1] < floor[:, None]
     counts = below.argmax(axis=-1)  # a nonzero row stops by slot n/2, which holds zero
-    xs = np.array(
-        [abs(2.0 * math.pi * m / grid.period) ** (1.0 / sigma) for m in range(2, half)]
-    )
-    rows = np.full((len(counts), 3), math.nan)  # delta_fit, intercept, residual
     fitted = (floor != 0.0) & (counts >= MIN_MODES)
-    for row in np.flatnonzero(fitted):
-        count = counts[row]
-        ys = np.array([math.log(c) for c in mags[row, 2 : 2 + count].tolist()])
-        rows[row] = _fit_decay_line(xs[:count], ys)
+    # row r fits modes 2 .. counts[r] + 1
+    used = np.arange(half - 2) < counts[:, None]
+    x = grid.wavenumbers[2:half] ** (1.0 / sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):  # unfitted rows: NaN below
+        y = np.where(used, np.log(mags[:, 2:half]), 0.0)
+        x_bar = np.where(used, x, 0.0).sum(axis=-1) / counts
+        y_bar = y.sum(axis=-1) / counts
+        dx = np.where(used, x - x_bar[:, None], 0.0)
+        dy = np.where(used, y - y_bar[:, None], 0.0)
+        slope = (dx * dy).sum(axis=-1) / (dx * dx).sum(axis=-1)
+        residual = np.sqrt(np.square(slope[:, None] * dx - dy).sum(axis=-1) / counts)
+        fit = np.where(fitted, [-slope, y_bar - slope * x_bar, residual], math.nan)
     if field.coeffs.ndim == 2:
         modes_used = (np.where(fitted, 2.0, math.nan), np.where(fitted, counts + 1.0, math.nan))
-        return RadiusEstimate(rows[:, 0], rows[:, 1], rows[:, 2], modes_used)
+        return RadiusEstimate(*fit, modes_used)
     if floor[0] == 0.0:
         raise InsufficientDecayError("field is identically zero")
     if counts[0] < MIN_MODES:
         raise InsufficientDecayError(
             f"only {counts[0]} modes above the noise floor; need {MIN_MODES}"
         )
-    delta_fit, intercept, residual = rows[0].tolist()
-    return RadiusEstimate(delta_fit, intercept, residual, (2, int(counts[0]) + 1))
-
-
-def _fit_decay_line(x: np.ndarray, y: np.ndarray) -> tuple:
-    """(delta_fit, intercept, residual) of the line through (x, y), rounded as
-    ``Polynomial.fit(x, y, 1).convert()`` rounds it: x is mapped onto
-    [-1, 1], the column-scaled Vandermonde system goes to ``lstsq``, and the
-    coefficients are mapped back.  Its one-point-domain, zero-column and
-    rank-warning branches never fire on MIN_MODES distinct abscissae."""
-    lo, hi = x.min(), x.max()
-    off = (-hi - lo) / (hi - lo)
-    scl = 2.0 / (hi - lo)
-    lhs = np.polynomial.polynomial.polyvander(off + scl * x, 1).T
-    col = np.sqrt(np.square(lhs).sum(1))
-    c = np.linalg.lstsq(lhs.T / col, y, len(x) * np.finfo(float).eps)[0]
-    c0, c1 = c / col
-    # convert() evaluates the fit at the identity line off + scl*t
-    intercept = c0 + c1 * (off + scl * 0.0)
-    slope = c1 * (scl * 1.0)
-    residual = np.sqrt(np.mean((intercept + slope * x - y) ** 2))
-    return -slope, intercept, residual
+    return RadiusEstimate(*fit[:, 0].tolist(), (2, int(counts[0]) + 1))
 
 
 # --- existence window ---------------------------------------------------------

@@ -93,7 +93,6 @@ class TorusGrid:
         m = np.arange(self.n_points // 2 + 1)
         k = 2.0 * math.pi * m / self.period
         symbols = (
-            ("_modes", m),
             ("_wavenumbers", k),
             ("_dx_symbol", 1j * k),
             ("_nonlocal_symbol", 1j * k / (1.0 + k * k)),
@@ -101,11 +100,6 @@ class TorusGrid:
         for name, arr in symbols:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def modes(self) -> np.ndarray:
-        """Integer mode numbers 0 .. n/2 in storage order."""
-        return self._modes
 
     @property
     def wavenumbers(self) -> np.ndarray:

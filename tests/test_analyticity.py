@@ -10,6 +10,7 @@ to a finite max computable with plain floats.
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,23 +101,29 @@ def test_fit_rejects_single_mode_and_zero_fields():
         estimate_radius(field_from_modes(GRID, {}), sigma=1.0)
 
 
-def _first_fit(field, sigma):
-    """The original per-field walk: a Python scan of modes 2..n/2, then
-    Polynomial.fit(...).convert() on lists of Python floats."""
+def _first_fit(field):
+    """The original per-field walk: a Python scan of modes 2..n/2 that stops at
+    the first coefficient below the noise floor; (first, last) mode fitted."""
     grid = field.grid
     mags = np.abs(field.coeffs)
     floor = 1e-14 * float(np.max(mags))
-    ms, xs, ys = [], [], []
+    ms = []
     for m in range(2, grid.n_points // 2 + 1):
-        c = mags[grid.index_of(m)]
-        if c < floor:
+        if mags[grid.index_of(m)] < floor:
             break
         ms.append(m)
-        xs.append(abs(2.0 * math.pi * m / grid.period) ** (1.0 / sigma))
-        ys.append(math.log(c))
-    intercept, slope = np.polynomial.Polynomial.fit(xs, ys, 1).convert().coef
-    residual = np.sqrt(np.mean((intercept + slope * np.asarray(xs) - np.asarray(ys)) ** 2))
-    return -float(slope), float(intercept), float(residual), (ms[0], ms[-1])
+    return ms[0], ms[-1]
+
+
+def _exact_line(x, y):
+    """(slope, intercept) of the least-squares line through the float points
+    (x, y), in exact rational arithmetic."""
+    xs, ys = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((a - x_bar) * (b - y_bar) for a, b in zip(xs, ys)) / sum(
+        (a - x_bar) ** 2 for a in xs
+    )
+    return slope, y_bar - slope * x_bar
 
 
 def _hexes(*values):
@@ -171,23 +178,46 @@ def test_batched_fit_rows_equal_single_field_calls(sigma, period):
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
-def test_fit_copies_polynomial_fit_bit_for_bit(sigma):
+def test_fit_matches_exact_least_squares(sigma):
+    # the fitted modes are the walk's, and the line is within a few ulps of the
+    # exact least-squares line through the same float abscissae and logs
     rng = np.random.default_rng(5)
+    for n, period in ((64, 2.0 * math.pi), (128, 2.0 * math.pi), (128, 0.7)):
+        grid = TorusGrid(n, period)
+        for _ in range(40):
+            rate = rng.uniform(0.05, 2.5)
+            amps = {
+                m: math.exp(-rate * m) * np.exp(2j * math.pi * rng.random())
+                for m in range(n // 2)
+            }
+            field = field_from_modes(grid, amps) + 1e-16 * random_field(grid, rng)
+            est = estimate_radius(field, sigma)
+            lo, hi = _first_fit(field)
+            assert est.modes_used == (lo, hi)
+            x = grid.wavenumbers[lo : hi + 1] ** (1.0 / sigma)
+            y = np.log(np.abs(field.coeffs[lo : hi + 1]))
+            slope, intercept = _exact_line(x.tolist(), y.tolist())
+            assert abs(Fraction(est.delta_fit) + slope) <= 8 * Fraction(math.ulp(float(slope)))
+            y_ulp = math.ulp(float(np.max(np.abs(y))))
+            assert abs(Fraction(est.intercept) - intercept) <= 8 * Fraction(y_ulp)
+
+
+def test_unfitted_batch_rows_stay_quiet():
+    grid = TorusGrid(64)
+    rows = [
+        {},  # identically zero
+        {m: math.exp(-0.4 * m) for m in range(9)},  # 7 modes, 2..8
+        {**{m: 0.01 * math.exp(-0.5 * m) for m in range(11)}, **{m: 1e-30 for m in range(11, 25)}},
+        {m: math.exp(-0.05 * m) for m in range(32)},  # stops at slot n/2
+    ]
+    batch = SpectralField(grid, np.stack([field_from_modes(grid, amps).coeffs for amps in rows]))
     with warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.RankWarning)
-        for n, period in ((64, 2.0 * math.pi), (128, 2.0 * math.pi), (128, 0.7)):
-            grid = TorusGrid(n, period)
-            for _ in range(40):
-                rate = rng.uniform(0.05, 2.5)
-                amps = {
-                    m: math.exp(-rate * m) * np.exp(2j * math.pi * rng.random())
-                    for m in range(n // 2)
-                }
-                field = field_from_modes(grid, amps) + 1e-16 * random_field(grid, rng)
-                est = estimate_radius(field, sigma)
-                got = _hexes(est.delta_fit, est.intercept, est.residual) + [est.modes_used]
-                want = _first_fit(field, sigma)
-                assert got == _hexes(*want[:3]) + [want[3]]
+        warnings.simplefilter("error")
+        est = estimate_radius(batch, 1.0)
+    fields = (est.delta_fit, est.intercept, est.residual, *est.modes_used)
+    assert all(np.isnan(f[:2]).all() for f in fields)
+    assert all(np.isfinite(f[2:]).all() for f in fields)
+    assert est.modes_used[1][2:].tolist() == [10.0, 31.0]
 
 
 # --- existence-window constants ------------------------------------------------

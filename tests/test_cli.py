@@ -904,14 +904,14 @@ GOLDEN_ARTIFACTS = {
         0,
         {
             "report.json": None,
-            "trajectory.csv": "06aa8b95b8aa0771cb02702891abcc6c5ccefacfefe4a64016ee9c7d259dfe5b",
+            "trajectory.csv": "fa932f2d60050c75baf97b368613ada92edb5d42c80d86f0058aeb381398e3be",
         },
     ),
     "radius": (
         0,
         {
-            "report.json": "efae65a84cedb1ffce8a826942f2e4b9843f31fc2ba80f5d959fa9de1e075802",
-            "trajectory.csv": "628a992293c36a8f0404837ab105579b685f4410a9bc3d83274c4029a7ad65a8",
+            "report.json": "04ba304acd18622f77f9e53d10f19fce4ff19066357378516fbba030adc692f6",
+            "trajectory.csv": "a3199662410358089d5aa3e890e50d8c71b8071d3e8bd31ec429984f320d8669",
         },
     ),
     "picard": (

@@ -65,23 +65,22 @@ def test_grid_validation():
 
 def test_grid_mode_layout():
     g = TorusGrid(8)
-    assert list(g.modes) == [0, 1, 2, 3, 4]
+    assert [g.index_of(m) for m in range(5)] == list(np.arange(g.n_points // 2 + 1))
     assert g.index_of(-3) == 3  # mode -3 is the conjugate of mode 3
     assert g.index_of(4) == g.index_of(-4) == 4
     with pytest.raises(ValueError):
         g.index_of(5)
     # default period 2*pi gives integer wavenumbers
-    assert np.allclose(g.wavenumbers, g.modes)
+    assert np.allclose(g.wavenumbers, np.arange(g.n_points // 2 + 1))
     gp = TorusGrid(8, period=4.0 * math.pi)
     assert gp.wavenumbers[1] == pytest.approx(0.5)
 
 
 def test_grid_symbols_are_cached_read_only():
     g = TorusGrid(8)
-    for arr in (g.modes, g.wavenumbers):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1
+    assert not g.wavenumbers.flags.writeable
+    with pytest.raises(ValueError):
+        g.wavenumbers[0] = 1
     assert g.wavenumbers is g.wavenumbers
 
 
