@@ -1,10 +1,15 @@
 """NumPy copies of the three SciPy reductions the package uses.
 
-Each one repeats the arithmetic of SciPy 1.17 (``scipy.special.logsumexp``,
-``scipy.integrate.cumulative_trapezoid`` and ``scipy.integrate.trapezoid``)
-operation for operation, so results agree with SciPy bit for bit and do not
-depend on which SciPy release is installed.  Steps done in place on a temporary
-are SciPy's operations on the same operands, so they round as SciPy does.
+Each one returns, bit for bit, what SciPy 1.17 returns, so results do not
+depend on which SciPy release is installed.  ``cumulative_trapezoid`` and
+``trapezoid`` repeat SciPy's arithmetic operation for operation.
+``logsumexp_modes`` returns ``scipy.special.logsumexp`` of per-mode values
+unfolded over all n modes (the layout of ``spectral._unfold``) but takes them
+on the stored modes 0 .. n/2: the max, the tie count, the shift and the
+exponentials run once per stored mode, and only the exponentials are laid out
+in the unfolded order, so the one sum adds SciPy's terms in SciPy's order.
+Steps done in place on a temporary are SciPy's operations on the same operands,
+so they round as SciPy does.
 """
 
 from __future__ import annotations
@@ -12,26 +17,36 @@ from __future__ import annotations
 import numpy as np
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis; a 1-D input gives a 0-d array.
+def _unfolded_sum(e: np.ndarray) -> np.ndarray:
+    # sum over the unfolded layout 0 .. n/2, n/2-1 .. 1, in that order
+    return np.sum(np.concatenate((e, e[..., -2:0:-1]), axis=-1), axis=-1, keepdims=True)
+
+
+def logsumexp_modes(h: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over all n modes, for ``h`` the per-mode values on the
+    stored modes 0 .. n/2 (last axis) and ``a`` their unfolded layout, in which
+    each mode 1 .. n/2-1 appears twice; a 1-D input gives a 0-d array.
 
     The tied maxima are taken out of the sum and counted as ``m``, so the
     result is log1p(s/m) + log(m) + max with s the sum of the shifted rest
     (Blanchard, Higham & Higham 2021).  Rows where that is not finite (all
-    -inf, or holding +inf or NaN) fall back to log(sum(exp(a))).
+    -inf, or holding +inf or NaN) fall back to log(sum(exp(a))), computed for
+    those rows alone.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=-1, keepdims=True)
-        tied = a == a_max
-        m = np.count_nonzero(tied, axis=-1, keepdims=True).astype(float)
-        shifted = np.where(tied, -np.inf, a)
-        shifted -= a_max
-        s = np.sum(np.exp(shifted, out=shifted), axis=-1, keepdims=True)
+        h_max = np.max(h, axis=-1, keepdims=True)
+        tied = h == h_max
+        m = np.count_nonzero(tied, axis=-1, keepdims=True)
+        m += np.count_nonzero(tied[..., 1:-1], axis=-1, keepdims=True)  # counted twice
+        m = m.astype(float)
+        shifted = np.where(tied, -np.inf, h)
+        shifted -= h_max
+        s = _unfolded_sum(np.exp(shifted, out=shifted))
         s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
+        out = np.log1p(s) + np.log(m) + h_max
+        bad = ~np.isfinite(out[..., 0])
         if np.any(bad):
-            out = np.where(bad, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)), out)
+            out[bad] = np.log(_unfolded_sum(np.exp(h[bad])))
     return out[..., 0]
 
 

@@ -31,12 +31,13 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ._numerics import logsumexp
+from ._numerics import logsumexp_modes
 
 __all__ = [
     "TorusGrid",
@@ -308,7 +309,8 @@ def helmholtz_inv(field: SpectralField) -> SpectralField:
 def _unfold(a: np.ndarray) -> np.ndarray:
     """Per-mode values over modes 0 .. n/2 laid out over all n modes in FFT
     order (0 .. n/2, then -n/2+1 .. -1), mode -m conjugating mode m.  The mode
-    sums run over this layout, in this order."""
+    sums run over this layout, in this order; ``logsumexp_modes`` sums its
+    exponentials in this order without unfolding the values it takes."""
     return np.concatenate((a, np.conj(a[..., -2:0:-1])), axis=-1)
 
 
@@ -324,12 +326,14 @@ def sobolev_norm(field: SpectralField, s: float) -> float | np.ndarray:
     return math.sqrt(total)
 
 
-def _sqrt_exp(total: float) -> float:
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _sqrt_exp(total: np.ndarray) -> np.ndarray:
     # math.exp per value: np.exp rounds differently on a few percent of inputs
-    try:
-        return math.exp(0.5 * total)
-    except OverflowError:
-        return math.inf
+    half = 0.5 * total
+    half = np.where(half > _LOG_DBL_MAX, np.inf, half)  # where math.exp raises OverflowError
+    return np.fromiter(map(math.exp, half.ravel().tolist()), float, half.size).reshape(half.shape)
 
 
 def _weighted_norm(
@@ -339,10 +343,10 @@ def _weighted_norm(
     k2 = field.grid.wavenumbers**2
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(field.coeffs))  # -inf where c vanishes
-    total = logsumexp(_unfold(s * np.log1p(k2) + log_weight2 + log_mag2))
-    if total.ndim:
-        return np.array([_sqrt_exp(t) for t in total.ravel().tolist()]).reshape(total.shape)
-    value = _sqrt_exp(float(total))
+    value = _sqrt_exp(logsumexp_modes(s * np.log1p(k2) + log_weight2 + log_mag2))
+    if value.ndim:
+        return value
+    value = float(value)
     if not math.isfinite(value):
         raise NormOverflowError(f"{what} accumulated to a non-finite value")
     return value

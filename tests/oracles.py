@@ -11,17 +11,24 @@ r"""Reference implementations that the tests judge the toolkit against.
 * ``formulation_residual`` sets the evolved nonlocal form against the local
   form of the equation.
 * ``delta_of_tau_window`` is the real-root window of ``delta_of_tau``.
+* ``ea_norm_unfolded`` is the weighted sup norm summed over the unfolded
+  n-mode layout with ``logsumexp_port``, SciPy 1.17's ``logsumexp`` repeated
+  operation for operation: the plain form that ``ea_norm`` must equal bit for
+  bit.
 
 None of them is library API; they live here so that they keep judging.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from chgevrey import (
     GridMismatchError,
     ModelParams,
+    NormOverflowError,
     SpectralField,
     derivative,
     helmholtz_inv,
@@ -29,6 +36,8 @@ from chgevrey import (
     rhs,
     to_physical,
 )
+from chgevrey.analyticity import EA_DELTA_GRID, WindowError
+from chgevrey.spectral import _unfold
 
 _DIRECT_MAX_POINTS = 512
 
@@ -134,3 +143,59 @@ def formulation_residual(u: SpectralField, p: ModelParams) -> float:
 def delta_of_tau_window(delta: float, sigma: float, a: float) -> float:
     """Largest tau for which the schedule's inner root stays real: a(1-delta)^sigma."""
     return a * (1.0 - delta) ** sigma
+
+
+def logsumexp_port(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, as SciPy 1.17 computes it: the tied
+    maxima counted as m and taken out, log1p(s/m) + log(m) + max, and
+    log(sum(exp(a))) on the rows where that is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=-1, keepdims=True)
+        tied = a == a_max
+        m = np.count_nonzero(tied, axis=-1, keepdims=True).astype(float)
+        shifted = np.where(tied, -np.inf, a)
+        shifted -= a_max
+        s = np.sum(np.exp(shifted, out=shifted), axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=-1, keepdims=True)), out)
+    return out[..., 0]
+
+
+def ea_norm_unfolded(times, fields: SpectralField, a: float, sigma: float, s: float) -> float:
+    """The weighted sup norm of ``ea_norm`` with every row, zero rows too,
+    scored over the unfolded n-mode layout at each width."""
+    t_arr = np.abs(np.asarray(times, dtype=float))
+    k2 = _unfold(fields.grid.wavenumbers**2)
+    with np.errstate(divide="ignore"):
+        log_mag2 = _unfold(2.0 * np.log(np.abs(fields.coeffs)))
+    best = -np.inf
+    admissible = False
+    for delta in EA_DELTA_GRID:
+        shrink = a * (1.0 - delta) ** sigma
+        mask = t_arr < shrink / (2.0**sigma - 1.0)
+        if not np.any(mask):
+            continue
+        admissible = True
+        log_w = s * np.log1p(k2) + 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
+        terms = log_mag2[mask]
+        terms += log_w
+        score = (
+            0.5 * logsumexp_port(terms)
+            + sigma * math.log(1.0 - delta)
+            + 0.5 * np.log1p(-t_arr[mask] / shrink)
+        )
+        best = max(best, float(np.max(score)))
+    if not admissible:
+        raise WindowError("no admissible (time, width) pair on the grid")
+    if best == -np.inf:
+        return 0.0
+    try:
+        value = math.exp(best)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NormOverflowError("weighted sup norm overflowed")
+    return value

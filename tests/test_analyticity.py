@@ -46,7 +46,7 @@ from chgevrey import (
     width_bound,
 )
 
-from oracles import delta_of_tau_window
+from oracles import delta_of_tau_window, ea_norm_unfolded
 
 GRID = TorusGrid(64)
 P = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, Gamma_coef=0.5, lam=1.0)
@@ -382,6 +382,42 @@ def test_sup_norm_is_finite_up_to_the_float_range():
     past = field_from_modes(TorusGrid(8), {3: 1e307})
     with pytest.raises(NormOverflowError):
         ea_norm([0.0], rows(past), a=1.0, sigma=1.0, s=2.0)
+
+
+def _norm_or_error(norm, *args, **kw):
+    try:
+        return float.hex(norm(*args, **kw))
+    except (WindowError, NormOverflowError) as exc:
+        return type(exc).__name__
+
+
+def test_sup_norm_equals_the_unfolded_oracle_bit_for_bit():
+    rng = np.random.default_rng(23)
+    grid = TorusGrid(64)
+    half = grid.n_points // 2
+    outcomes = set()
+    for case in range(240):
+        sigma, s = [(1.0, 0.0), (1.0, 2.0), (2.0, 0.0), (2.0, 2.0)][case % 4]
+        rows_ = int(rng.integers(1, 9))
+        times = rng.uniform(0.0, 1.0, rows_) * rng.choice([-1.0, 1.0], rows_)
+        top = [-300.0, rng.uniform(-300.0, 300.0), 0.0, 300.0][case // 4 % 4]
+        mags = 10.0 ** (top + rng.uniform(-8.0, 0.0, (rows_, half + 1)))
+        coeffs = mags * np.exp(2j * np.pi * rng.random((rows_, half + 1)))
+        coeffs[:, 0] = coeffs[:, 0].real
+        coeffs[:, half] = 0.0
+        coeffs[rng.random((rows_, half + 1)) < 0.1] = 0.0  # vanishing coefficients
+        coeffs[rng.random(rows_) < 0.3] = 0.0  # zero rows, admissible or not
+        fields = SpectralField(grid, coeffs)
+        got = _norm_or_error(ea_norm, times, fields, a=1.0, sigma=sigma, s=s)
+        assert got == _norm_or_error(ea_norm_unfolded, times, fields, 1.0, sigma, s)
+        outcomes.add(got if got in ("WindowError", "NormOverflowError", "0x0.0p+0") else "finite")
+    assert outcomes == {"WindowError", "NormOverflowError", "0x0.0p+0", "finite"}
+
+    # the one admissible row is zero; the nonzero row lies past every window
+    u = field_from_modes(grid, {1: 1e300, 3: 1e-300})
+    only_zero = rows(0.0 * u, u)
+    assert ea_norm([0.01, 0.97], only_zero, a=1.0, sigma=1.0, s=2.0) == 0.0
+    assert ea_norm_unfolded([0.01, 0.97], only_zero, 1.0, 1.0, 2.0) == 0.0
 
 
 # --- width lower-bound ODE ------------------------------------------------------

@@ -6,6 +6,7 @@ mode sum is 2*(1+9)^2*(1/4) = 50).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from chgevrey.spectral import (
     NormOverflowError,
     SpectralField,
     TorusGrid,
+    _unfold,
     derivative,
     field_from_modes,
     gevrey_norm,
@@ -258,6 +260,29 @@ def test_norm_just_past_the_float_range_raises_norm_overflow():
     one = field_from_modes(GRID, {0: 1.0})
     with pytest.raises(NormOverflowError):
         gevrey_norm(one, GevreyIndex(1.0, 709.9, 0.0))
+
+
+def test_batched_norm_exponentials_equal_math_exp_per_value():
+    from chgevrey.spectral import _sqrt_exp
+
+    def per_value(total):
+        try:
+            return math.exp(0.5 * total)
+        except OverflowError:
+            return math.inf
+
+    top = 2.0 * math.log(sys.float_info.max)  # 0.5 * top = 709.782712893384
+    edge = [top, math.nextafter(top, math.inf), math.nan, -math.inf]
+    spread = np.random.default_rng(5).uniform(-1500.0, 1500.0, 4000).tolist()
+    totals = np.array(edge + spread).reshape(-1, 4)
+    got = _sqrt_exp(totals)
+    assert got.shape == totals.shape
+    assert _hex(got) == _hex([per_value(t) for t in totals.ravel().tolist()])
+    assert got[0, 0] == 1.7976931348622732e308 and got[0, 1] == math.inf
+    assert math.isnan(got[0, 2]) and got[0, 3] == 0.0
+    for t in edge:
+        single = _sqrt_exp(np.float64(t))
+        assert single.shape == () and _hex(single) == _hex(per_value(t))
 
 
 def test_parseval_mean_square():
@@ -591,28 +616,33 @@ def test_logsumexp_port_equals_scipy_bit_for_bit():
     pytest.importorskip("scipy", minversion="1.17")
     from scipy.special import logsumexp as scipy_logsumexp
 
-    from chgevrey._numerics import logsumexp
+    from chgevrey._numerics import logsumexp_modes
 
     rng = np.random.default_rng(7)
     cases = []
     for _ in range(300):
         shape = (int(rng.integers(1, 9)), int(rng.integers(1, 300)))
-        a = rng.normal(0.0, 10.0 ** rng.uniform(-2, 3), shape)
-        a[rng.random(shape) < 0.05] = -np.inf  # vanishing coefficients
-        cases += [a, a[0]]
+        h = rng.normal(0.0, 10.0 ** rng.uniform(-2, 3), shape)
+        h[rng.random(shape) < 0.05] = -np.inf  # vanishing coefficients
+        cases += [h, h[0]]
         ties = rng.integers(-3, 2, shape).astype(float)  # tied maxima in most rows
         cases += [ties, ties[-1]]
     edge = np.array([[-np.inf] * 4, [0.0, np.inf, 1.0, -np.inf], [5.0, 5.0, 5.0, 5.0]])
     cases += [edge, edge[0], edge[1], np.array([2.5]), np.array([[-np.inf], [3.0]])]
-    for a in cases:
-        ours, theirs = logsumexp(a), scipy_logsumexp(a, axis=-1)
-        assert np.ndim(ours) == a.ndim - 1
+    cases += [np.array([[1.5], [1.5]]), np.array([[0.5, 0.5], [-1.0, 2.0], [2.0, -np.inf]])]
+    mixed = rng.normal(0.0, 3.0, (5, 9))
+    mixed[2] = -np.inf  # an all -inf row among finite rows
+    cases += [mixed, mixed[2]]
+    for h in cases:
+        ours, theirs = logsumexp_modes(h), scipy_logsumexp(_unfold(h), axis=-1)
+        assert np.ndim(ours) == h.ndim - 1
         assert _hex(ours) == _hex(theirs)
-    assert logsumexp(edge).tolist()[:2] == [-np.inf, np.inf]
+    assert logsumexp_modes(edge).tolist()[:2] == [-np.inf, np.inf]
+    assert logsumexp_modes(mixed)[2] == -np.inf and np.isfinite(logsumexp_modes(mixed)).sum() == 4
 
 
 def test_logsumexp_keeps_its_recorded_values_without_scipy():
-    from chgevrey._numerics import logsumexp
+    from chgevrey._numerics import logsumexp_modes
 
     inf, nan = np.inf, np.nan
     rows = np.array(
@@ -625,20 +655,21 @@ def test_logsumexp_keeps_its_recorded_values_without_scipy():
             [-1e300, -1e300, 5e-324, -0.0],
         ]
     )
-    # float.hex of the values before the in-place rewrite of logsumexp
-    assert _hex(logsumexp(rows)) == [
-        "-inf", "inf", "nan", "0x1.167ed874835d5p+2", "0x1.4b1d7270ce4c0p+1",
-        "0x1.62e42fefa39efp-1",
+    # float.hex of logsumexp(_unfold(rows)) under the port that summed the
+    # unfolded layout directly
+    assert _hex(logsumexp_modes(rows)) == [
+        "-inf", "inf", "nan", "0x1.28ffc4c5d72d1p+2", "0x1.9e66a586e047fp+1",
+        "0x1.193ea7aad030ap+0",
     ]
-    one = logsumexp(np.array([0.3, -1.25, 7.5, 7.5, -inf, 2.0]))
-    assert one.shape == () and _hex(one) == ["0x1.0642aec69d1edp+3"]
+    one = logsumexp_modes(np.array([0.3, -1.25, 7.5, 7.5, -inf, 2.0]))
+    assert one.shape == () and _hex(one) == ["0x1.1c67107c2e485p+3"]
     cube = np.linspace(-5.0, 5.0, 24).reshape(2, 3, 4)
     cube[0, 1, 2] = -inf
     cube[1, 2, :] = 2.0
-    assert logsumexp(cube).shape == (2, 3)
-    assert _hex(logsumexp(cube)) == [
-        "-0x1.6c56f71ad0f54p+1", "-0x1.6e7743e275ff0p+0", "0x1.4382bf68369a2p-1",
-        "0x1.2f7c83547cf47p+1", "0x1.070c2b6776213p+2", "0x1.b17217f7d1cf8p+1",
+    assert logsumexp_modes(cube).shape == (2, 3)
+    assert _hex(logsumexp_modes(cube)) == [
+        "-0x1.3c3bcfe79dc4fp+1", "-0x1.35c3910a4e854p+0", "0x1.01f7ae1a81adcp+0",
+        "0x1.5f97aa87b024cp+1", "0x1.1f19bf010fb96p+2", "0x1.e5585fd151001p+1",
     ]
 
 
