@@ -282,12 +282,8 @@ def ea_norm(
     with times admissible when |t| < a(1-delta)^sigma/(2^sigma - 1).
     ``fields`` is a (T, n/2 + 1) batch, one row per time.
 
-    Evaluated in log space so heavy Gevrey weights cannot overflow.  A row
-    whose coefficients are all zero scores -inf at every width, so it is
-    dropped before the width loop; when every admissible row is zero the norm
-    is 0.0.
-    Admissibility is decided on all the times: raises WindowError when no
-    (time, width) pair is admissible.
+    Evaluated in log space so heavy Gevrey weights cannot overflow.
+    Raises WindowError when no (time, width) pair is admissible.
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a}")
@@ -299,28 +295,24 @@ def ea_norm(
     if t_arr.shape[0] == 0:
         raise WindowError("empty trajectory")
     k2 = fields.grid.wavenumbers**2
-    live = np.any(fields.coeffs != 0, axis=-1)
-    t_live = t_arr[live]
     with np.errstate(divide="ignore"):
-        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs[live]))
+        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs))
     best = -np.inf
     admissible = False
     for delta in EA_DELTA_GRID:
         shrink = a * (1.0 - delta) ** sigma
         window = shrink / (2.0**sigma - 1.0)
-        if not np.any(t_arr < window):
-            continue
-        admissible = True
-        mask = t_live < window
+        mask = t_arr < window
         if not np.any(mask):
             continue
+        admissible = True
         log_w = s * np.log1p(k2) + 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
         terms = log_mag2[mask]  # a copy
         terms += log_w
         score = (
             0.5 * logsumexp_modes(terms)
             + sigma * math.log(1.0 - delta)
-            + 0.5 * np.log1p(-t_live[mask] / shrink)
+            + 0.5 * np.log1p(-t_arr[mask] / shrink)
         )
         best = max(best, float(np.max(score)))
     if not admissible:

@@ -31,7 +31,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -326,14 +325,12 @@ def sobolev_norm(field: SpectralField, s: float) -> float | np.ndarray:
     return math.sqrt(total)
 
 
-_LOG_DBL_MAX = math.log(sys.float_info.max)
-
-
-def _sqrt_exp(total: np.ndarray) -> np.ndarray:
+def _sqrt_exp(total: float) -> float:
     # math.exp per value: np.exp rounds differently on a few percent of inputs
-    half = 0.5 * total
-    half = np.where(half > _LOG_DBL_MAX, np.inf, half)  # where math.exp raises OverflowError
-    return np.fromiter(map(math.exp, half.ravel().tolist()), float, half.size).reshape(half.shape)
+    try:
+        return math.exp(0.5 * total)
+    except OverflowError:
+        return math.inf
 
 
 def _weighted_norm(
@@ -343,10 +340,10 @@ def _weighted_norm(
     k2 = field.grid.wavenumbers**2
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(field.coeffs))  # -inf where c vanishes
-    value = _sqrt_exp(logsumexp_modes(s * np.log1p(k2) + log_weight2 + log_mag2))
-    if value.ndim:
-        return value
-    value = float(value)
+    total = logsumexp_modes(s * np.log1p(k2) + log_weight2 + log_mag2)
+    if total.ndim:
+        return np.array([_sqrt_exp(t) for t in total.ravel().tolist()]).reshape(total.shape)
+    value = _sqrt_exp(float(total))
     if not math.isfinite(value):
         raise NormOverflowError(f"{what} accumulated to a non-finite value")
     return value

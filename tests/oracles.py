@@ -165,8 +165,8 @@ def logsumexp_port(a: np.ndarray) -> np.ndarray:
 
 
 def ea_norm_unfolded(times, fields: SpectralField, a: float, sigma: float, s: float) -> float:
-    """The weighted sup norm of ``ea_norm`` with every row, zero rows too,
-    scored over the unfolded n-mode layout at each width."""
+    """The weighted sup norm of ``ea_norm``, every row scored over the
+    unfolded n-mode layout at each width."""
     t_arr = np.abs(np.asarray(times, dtype=float))
     k2 = _unfold(fields.grid.wavenumbers**2)
     with np.errstate(divide="ignore"):
