@@ -14,7 +14,7 @@ Three ingredients live here:
   (f^2' = 2*C*b^5, delta' = -8*C*delta*f^3) over a column of recorded times,
   and ``track_radius`` sets it against the measured decay rate along a
   trajectory: one decay fit of the (T, n/2 + 1) batch, the width bound on the b
-  column, then batched Gevrey norms at the theory widths.
+  column, then one Gevrey-norm call at the theory widths, one width per row.
   ``calibrate_radius_constant`` fits once, re-marches only the width bound for
   each multiplier it tries, and takes the norms for the one it accepts.
 """
@@ -34,7 +34,7 @@ from .spectral import (
     GridMismatchError,
     NormOverflowError,
     SpectralField,
-    _weighted_norm,
+    _gevrey_norm,
     gevrey_norm,
     sobolev_norm,
 )
@@ -62,7 +62,6 @@ __all__ = [
 
 EA_DELTA_GRID = np.linspace(0.05, 0.95, 19)
 DELTA_CLAMP = 1e-300
-NORM_BLOCK = 8192  # coefficients per batched Gevrey norm in track_radius
 MAX_DOUBLINGS = 60  # calibrate_radius_constant tries c_algebra * 2^0 .. 2^60
 NOISE_FLOOR = 1e-14  # estimate_radius fits coefficients above this share of the largest
 MIN_MODES = 8  # and needs at least this many of them
@@ -407,27 +406,14 @@ def _radius_columns(traj, p, sigma, s, delta0) -> tuple:
         raise NormOverflowError(f"H^{s} norm accumulation overflowed")
     h_col = functional_H(states, p, s)
     fits = estimate_radius(states, sigma).delta_fit.tolist()
-    # one NaN object, as the per-state walk stored it, so equal records compare equal
-    fits = [math.nan if math.isnan(fit) else fit for fit in fits]
     return norm0, b_col, h_col, fits
 
 
 def _radius_records(traj, sigma, s, thetas, f_vals, b_col, h_col, fits) -> list:
-    """Every state's Gevrey norm at its theory width, with gevrey_norm's
-    rounding, and the records of all columns."""
-    times = [float(t) for t in traj.times]
-    states, widths, what = traj.states, 2.0 * np.array(thetas), "Gevrey norm at delta_theory"
-    weight = (1.0 + states.grid.wavenumbers**2) ** (1.0 / (2.0 * sigma))
-    # row blocks of NORM_BLOCK coefficients: the norm and its log-sum-exp hold
-    # about five float copies of their input, and one (401, 128) call would
-    # lift the tracemalloc peak of track_radius from 0.9 to 2.2 MB
-    rows = max(1, NORM_BLOCK // states.grid.n_points)
-    gevrey = np.concatenate(
-        [
-            _weighted_norm(states[i : i + rows], s, widths[i : i + rows, None] * weight, what)
-            for i in range(0, len(times), rows)
-        ]
-    )
+    """Every state's Gevrey norm at its theory width, in one call with one
+    width per row, and the records of all columns."""
+    times, what = [float(t) for t in traj.times], "Gevrey norm at delta_theory"
+    gevrey = _gevrey_norm(traj.states, sigma, np.array(thetas)[:, None], s, what)
     if not np.all(np.isfinite(gevrey)):
         raise NormOverflowError(f"{what} accumulated to a non-finite value")
     return [

@@ -240,14 +240,10 @@ def picard_iterate(
     converged_at = None
     diverged_at = None
     for it in range(1, n_iters + 1):
-        try:
-            # an overflowing node turns NaN downstream; diverged_at reports it
-            with np.errstate(invalid="ignore"):
-                f_nodes = rhs(final, p, dealias, work).coeffs
-                integral = cumulative_trapezoid(f_nodes, times)
-        except FloatingPointError:
-            diverged_at = it
-            break
+        # an overflowing node turns NaN downstream; diverged_at reports it
+        with np.errstate(invalid="ignore"):
+            f_nodes = rhs(final, p, dealias, work).coeffs
+            integral = cumulative_trapezoid(f_nodes, times)
         # one finite check per iterate stands for the check of each node's field
         coeffs = u0.coeffs + integral
         if not np.all(np.isfinite(coeffs)):

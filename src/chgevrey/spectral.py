@@ -349,11 +349,20 @@ def _weighted_norm(
     return value
 
 
+def _gevrey_norm(
+    field: SpectralField, sigma: float, delta: float | np.ndarray, s: float, what: str
+) -> float | np.ndarray:
+    """gevrey_norm at the width ``delta``: a scalar, or an (N, 1) column with
+    one width per row of an (N, n/2 + 1) batch.  A batch row that overflows
+    reads inf; only a single field raises."""
+    k2 = field.grid.wavenumbers**2
+    lw2 = 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
+    return _weighted_norm(field, s, lw2, what)
+
+
 def gevrey_norm(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """sqrt(sum (1+k^2)^s exp(2*delta*(1+k^2)^(1/(2*sigma))) |c_m|^2)."""
-    k2 = field.grid.wavenumbers**2
-    lw2 = 2.0 * index.delta * (1.0 + k2) ** (1.0 / (2.0 * index.sigma))
-    return _weighted_norm(field, index.s, lw2, f"Gevrey norm {index}")
+    return _gevrey_norm(field, index.sigma, index.delta, index.s, f"Gevrey norm {index}")
 
 
 def gevrey_norm_bar(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:

@@ -33,6 +33,7 @@ from .spectral import (
     NormOverflowError,
     SpectralField,
     TorusGrid,
+    _gevrey_norm,
     _unfold,
     derivative,
     field_from_modes,
@@ -288,7 +289,7 @@ def verify_ea_integral(
     Endpoints are restricted to the lemma window intersected with the sup-norm
     window: t < a(1-delta)^sigma * min(1, D_sigma/(2^sigma - 1)).
     """
-    s, slack = 2.0, 1e-9
+    s, slack, what = 2.0, 1e-9, "Gevrey norm at delta(tau)"
     times = np.asarray(traj.times, dtype=float)
     sup_norm = ea_norm(times, traj.states, 1.0, sigma, s)
     d_sigma = 1.0 / (2.0**sigma - 2.0 + 2.0 ** -(sigma + 1.0))
@@ -299,9 +300,9 @@ def verify_ea_integral(
         rows = np.flatnonzero(times < window)
         kept = times[rows]
         widths = np.array([delta_of_tau(t, delta, sigma, 1.0) for t in kept])
-        norms = np.array(
-            [gevrey_norm(traj.states[j], GevreyIndex(sigma, w, s)) for j, w in zip(rows, widths)]
-        )
+        norms = _gevrey_norm(traj.states[rows], sigma, widths[:, None], s, what)
+        if not np.all(np.isfinite(norms)):  # as the single-field norm raises
+            raise NormOverflowError(f"{what} accumulated to a non-finite value")
         integrand = norms / (widths - delta) ** sigma
         # one trapezoid per endpoint: a cumulative sum rounds differently
         lhs = [trapezoid(integrand[: j + 1], kept[: j + 1]) for j in range(1, len(kept))]

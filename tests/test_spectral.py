@@ -24,6 +24,7 @@ from chgevrey.spectral import (
     NormOverflowError,
     SpectralField,
     TorusGrid,
+    _gevrey_norm,
     _unfold,
     derivative,
     field_from_modes,
@@ -518,6 +519,12 @@ def test_batched_rows_equal_single_calls_bit_for_bit(n, rows, seed, sigma, delta
         batched = norm(f)
         assert batched.shape == (rows,)
         assert batched.tolist() == [norm(u) for u in singles[:rows]]
+    # one width per row: row i is the single call at width i
+    widths = rng.uniform(0.0, 4.0, rows)
+    batched = _gevrey_norm(f, sigma, widths[:, None], s, "Gevrey norm")
+    assert batched.tolist() == [
+        gevrey_norm(u, GevreyIndex(sigma, w, s)) for u, w in zip(singles[:rows], widths.tolist())
+    ]
     for op, batched in (
         (lambda u, v: product(u, v, pad_factor=pad), product(f, g, pad_factor=pad)),
         (lambda u, v: derivative(u), derivative(f)),
@@ -541,6 +548,12 @@ def test_batched_overflow_reads_inf_where_the_single_call_raises():
         assert batched[1] == norm(cos_field(1), index)
         with pytest.raises(NormOverflowError):
             norm(cos_field(31), index)
+    # one width per row: the overflowing width leaves the other row as it is
+    pair = SpectralField(GRID, np.array([cos_field(1).coeffs, cos_field(1).coeffs]))
+    batched = _gevrey_norm(pair, 1.0, np.array([[1000.0], [0.5]]), 0.0, "Gevrey norm")
+    assert batched.tolist() == [math.inf, gevrey_norm(cos_field(1), GevreyIndex(1.0, 0.5, 0.0))]
+    with pytest.raises(NormOverflowError):
+        gevrey_norm(cos_field(1), GevreyIndex(1.0, 1000.0, 0.0))
     # the H^s sum is not taken in log space: huge coefficients overflow it
     big = field_from_modes(GRID, {1: 1e200})
     batched = sobolev_norm(SpectralField(GRID, np.array([big.coeffs, cos_field(1).coeffs])), 2.0)

@@ -10,9 +10,12 @@ import pytest
 from chgevrey import (
     GevreyIndex,
     ModelParams,
+    NormOverflowError,
     SolverConfig,
     SpectralField,
     TorusGrid,
+    Trajectory,
+    ea_norm,
     field_from_modes,
     gevrey_norm,
     helmholtz_inv,
@@ -127,6 +130,13 @@ def test_ea_integral_suite_clean():
     assert report.violations == 0
     assert report.cases > 0
     assert report.worst_ratio < 1.0
+    # a norm at delta(tau) that overflows raises, though the sup norm is finite
+    huge = field_from_modes(GRID, {1: 5e307})
+    states = SpectralField(GRID, np.array([huge.coeffs] * 3))
+    times = np.array([0.0, 0.1, 0.2])
+    assert math.isfinite(ea_norm(times, states, 1.0, 1.0, 2.0))
+    with pytest.raises(NormOverflowError):
+        verify_ea_integral(Trajectory(times, states), sigma=1.0)
 
 
 def test_ea_integral_sigma_two_window():
