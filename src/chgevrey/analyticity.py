@@ -22,7 +22,7 @@ Three ingredients live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,10 +95,6 @@ class RadiusEstimate:
     intercept: float
     residual: float
     modes_used: tuple
-
-    @property
-    def n_modes(self) -> int:
-        return self.modes_used[1] - self.modes_used[0] + 1
 
 
 def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
@@ -511,11 +507,8 @@ def continuity_experiment(
         raise NormOverflowError(f"window norm of a datum overflowed (sigma={sigma}, s={s})")
     T = _closed_window(2.0 + worst, sigma, c_prime)[2]
     dt = min(cfg.dt, T / 64.0)
-    run_cfg = SolverConfig(
-        dt=dt, t_end=T, record_every=1, dealias=cfg.dealias, s_monitor=cfg.s_monitor
-    )
     try:
-        traj = integrate(data, p, run_cfg)
+        traj = integrate(data, p, replace(cfg, dt=dt, t_end=T, record_every=1))
     except BlowUpError as err:
         names = ", ".join("limit" if r == 0 else f"#{r - 1}" for r in err.rows)
         raise ExperimentError(f"run {names} blew up at t = {err.time:.4g}") from err

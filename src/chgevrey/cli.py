@@ -547,7 +547,6 @@ def _run_picard(cfg: RunConfig, out: Path) -> int:
             cfg.picard.n_iters,
             n_nodes=cfg.picard.n_nodes,
             c_prime=cfg.c_prime,
-            dealias=cfg.solver.dealias,
         )
     except WindowError as err:
         raise ConfigError(f"picard.horizon: {err}") from err

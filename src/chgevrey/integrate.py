@@ -52,7 +52,6 @@ class SolverConfig:
     dt: float
     t_end: float
     record_every: int = 1
-    dealias: bool = True
     s_monitor: float = 2.0
 
     def __post_init__(self):
@@ -74,7 +73,7 @@ class Trajectory:
 
 
 def step_rk4(
-    u: SpectralField, p: ModelParams, dt: float, dealias: bool = True, work: RhsWork | None = None
+    u: SpectralField, p: ModelParams, dt: float, *, work: RhsWork | None = None
 ) -> SpectralField:
     """One classical Runge-Kutta step of u_t = F(u), after which the mean
     coefficient is made real; slot n/2 stays zero, as rhs writes it.  A batch
@@ -86,10 +85,10 @@ def step_rk4(
     the combined state, whose finite check is the one check of the step.
     """
     c = u.coeffs
-    k1 = rhs(u, p, dealias, work).coeffs
-    k2 = rhs(u.with_coeffs(c + (0.5 * dt) * k1), p, dealias, work).coeffs
-    k3 = rhs(u.with_coeffs(c + (0.5 * dt) * k2), p, dealias, work).coeffs
-    k4 = rhs(u.with_coeffs(c + dt * k3), p, dealias, work).coeffs
+    k1 = rhs(u, p, work=work).coeffs
+    k2 = rhs(u.with_coeffs(c + (0.5 * dt) * k1), p, work=work).coeffs
+    k3 = rhs(u.with_coeffs(c + (0.5 * dt) * k2), p, work=work).coeffs
+    k4 = rhs(u.with_coeffs(c + dt * k3), p, work=work).coeffs
     # c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation, in place
     k2 *= 2.0
     k3 *= 2.0
@@ -148,14 +147,14 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
     def recorded() -> Trajectory:
         return Trajectory(np.array(times), u0.with_coeffs(np.stack(states)))
 
-    u, work = u0, RhsWork(u0, p, cfg.dealias)
+    u, work = u0, RhsWork(u0, p)
     for i in range(n_steps):
         dt = cfg.dt
         t_next = (i + 1) * dt
         if i + 1 == n_steps and last_dt is not None:
             dt, t_next = last_dt, cfg.t_end
         try:
-            u = step_rk4(u, p, dt, cfg.dealias, work)
+            u = step_rk4(u, p, dt, work=work)
             norm = sobolev_norm(u, cfg.s_monitor)
         except BlowUpError as err:
             raise BlowUpError(t_next, recorded(), err.rows) from None
@@ -202,7 +201,6 @@ def picard_iterate(
     n_nodes: int = 512,
     c_prime: float = 1.0,
     enforce_window: bool = True,
-    dealias: bool = True,
 ) -> PicardResult:
     """Iterate u_{n+1}(t) = u0 + int_0^t F(u_n) dtau on [0, T].
 
@@ -234,7 +232,7 @@ def picard_iterate(
     scale = ea_norm(times, final, T, sigma, s)
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 
-    work = RhsWork(final, p, dealias)
+    work = RhsWork(final, p)
     diffs: list = []
     ratios: list = []
     converged_at = None
@@ -242,7 +240,7 @@ def picard_iterate(
     for it in range(1, n_iters + 1):
         # an overflowing node turns NaN downstream; diverged_at reports it
         with np.errstate(invalid="ignore"):
-            f_nodes = rhs(final, p, dealias, work).coeffs
+            f_nodes = rhs(final, p, work=work).coeffs
             integral = cumulative_trapezoid(f_nodes, times)
         # one finite check per iterate stands for the check of each node's field
         coeffs = u0.coeffs + integral

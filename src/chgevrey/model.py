@@ -51,42 +51,41 @@ class ModelParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def _fine_size(n: int, p: ModelParams, dealias: bool) -> int:
+def _fine_size(n: int, p: ModelParams) -> int:
     quartic = p.beta != 0.0 or p.gamma != 0.0
-    # pad 5/2 keeps quartic powers alias-free, 3/2 quadratic ones (Orszag); 1 lets them wrap
-    return _padded_size(n, (2.5 if quartic else 1.5) if dealias else 1.0)
+    # pad 5/2 keeps quartic powers alias-free, 3/2 quadratic ones (Orszag)
+    return _padded_size(n, 2.5 if quartic else 1.5)
 
 
 class RhsWork:
-    """Buffers of ``rhs(u, p, dealias)`` for u's shape, on a leading axis: the pair
-    (c, u_x), its padded samples, two temporaries and a spectrum.  No result aliases them."""
+    """Buffers of ``rhs(u, p)`` for u's shape and padded size, on a leading axis: the
+    pair (c, u_x), its padded samples, two temporaries and a spectrum.  No result aliases them."""
 
-    def __init__(self, u: SpectralField, p: ModelParams, dealias: bool = True):
-        lead, fine = u.coeffs.shape[:-1], _fine_size(u.grid.n_points, p, dealias)
+    def __init__(self, u: SpectralField, p: ModelParams):
+        lead, fine = u.coeffs.shape[:-1], _fine_size(u.grid.n_points, p)
         self.key = (u.coeffs.shape, fine)
         self.pair = np.empty((2,) + u.coeffs.shape, dtype=np.complex128)
         self.samples = np.empty((4,) + lead + (fine,))
         self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=np.complex128)
 
 
-def rhs(
-    u: SpectralField, p: ModelParams, dealias: bool = True, work: RhsWork | None = None
-) -> SpectralField:
+def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> SpectralField:
     """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
 
     One irfft gives u and u_x on the padded grid, u u_x and
     u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise (no
     truncation between the powers), one rfft brings both back, and the linear
-    terms are applied per mode.  With dealias the modes below n/2 are the true
-    convolution coefficients, as in product(), and slot n/2 is zeroed.  A batch is
-    evaluated row by row on the last axis.  The result is not revalidated: an
-    overflow shows up as a non-finite coefficient at the caller's next check.
-    ``work`` is a RhsWork for u's shape, p and dealias (else ValueError), or None.
+    terms are applied per mode.  The padding (5n/2 points for a quartic model,
+    3n/2 otherwise) makes the modes below n/2 the true convolution coefficients,
+    as in product(), and slot n/2 is zeroed.  A batch is evaluated row by row on
+    the last axis.  The result is not revalidated: an overflow shows up as a
+    non-finite coefficient at the caller's next check.  ``work`` is a RhsWork for
+    u's shape and p's padded size (else ValueError), or None.
     """
     grid, c = u.grid, u.coeffs
     half = grid.n_points // 2
-    fine = _fine_size(grid.n_points, p, dealias)
-    work = RhsWork(u, p, dealias) if work is None else work
+    fine = _fine_size(grid.n_points, p)
+    work = RhsWork(u, p) if work is None else work
     if work.key != (c.shape, fine):
         raise ValueError(f"rhs buffers for (shape, padded size) {work.key}, not {(c.shape, fine)}")
     work.pair[0] = c

@@ -6,7 +6,8 @@ r"""Reference implementations that the tests judge the toolkit against.
 * ``helmholtz`` is the operator (1 - d_xx) that ``formulation_residual``
   applies to ``rhs``.
 * ``h_of_u`` and ``nonlocal_source`` assemble the nonlocal source from
-  padded ``product`` calls, truncating to the stored band between factors:
+  ``product`` calls padded as ``rhs`` pads (5/2 for the powers of h, 3/2
+  for the quadratic terms), truncating to the stored band between factors:
   the product-based pipeline that the one-pass ``rhs`` replaced.
 * ``formulation_residual`` sets the evolved nonlocal form against the local
   form of the equation.
@@ -79,7 +80,7 @@ def helmholtz(field: SpectralField) -> SpectralField:
     return field.with_coeffs((1.0 + field.grid.wavenumbers**2) * field.coeffs)
 
 
-def h_of_u(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
+def h_of_u(u: SpectralField, p: ModelParams) -> SpectralField:
     """(alpha + Gamma) u + (beta/3) u^3 + (gamma/4) u^4, de-aliased powers.
 
     Each power goes through product() and is truncated to the stored band
@@ -87,7 +88,7 @@ def h_of_u(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralFi
     """
     out = (p.alpha + p.Gamma_coef) * u
     if p.beta != 0.0 or p.gamma != 0.0:
-        pad = 2.5 if dealias else 1.0
+        pad = 2.5
         u2 = product(u, u, pad)
         u3 = product(u2, u, pad)
         if p.beta != 0.0:
@@ -97,11 +98,10 @@ def h_of_u(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralFi
     return out
 
 
-def nonlocal_source(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
+def nonlocal_source(u: SpectralField, p: ModelParams) -> SpectralField:
     """Q(u) = -(1-d_xx)^{-1} d_x(-h(u) + u^2 + u_x^2/2); exactly mean free."""
-    pad = 1.5 if dealias else 1.0
     ux = derivative(u)
-    inner = -1.0 * h_of_u(u, p, dealias) + product(u, u, pad) + 0.5 * product(ux, ux, pad)
+    inner = -1.0 * h_of_u(u, p) + product(u, u, 1.5) + 0.5 * product(ux, ux, 1.5)
     return -1.0 * helmholtz_inv(derivative(inner))
 
 

@@ -68,7 +68,6 @@ def test_fit_recovers_exact_exponential_rate():
     assert abs(est.intercept - math.log(0.01)) <= 1e-9
     assert est.residual <= 1e-10
     assert est.modes_used == (2, 20)
-    assert est.n_modes == 19
 
 
 def test_fit_recovers_sub_exponential_rate_for_sigma_two():

@@ -132,7 +132,7 @@ DEFAULT_BLOB = {
     "model": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0, "Gamma": 0.0, "lambda": 1.0},
     "grid": {"n_points": 256, "period": 6.283185307179586},
     "gevrey": {"sigma": 1.0, "delta": 0.5, "s": 2.0},
-    "solver": {"dt": 0.01, "t_end": 1.0, "record_every": 1, "dealias": True, "s_monitor": 2.0},
+    "solver": {"dt": 0.01, "t_end": 1.0, "record_every": 1, "s_monitor": 2.0},
     "initial_data": {
         "name": "cosine", "amplitude": 1.0, "mode": 1, "rate": 1.0, "width": 0.5,
         "center": None, "path": None,
@@ -154,7 +154,7 @@ def test_the_derived_defaults_match_the_recorded_ones(tmp_path):
     # the JSON text, so that an integer default in place of a float shows too
     derived = json.dumps(_config_blob(parse_config(path)), sort_keys=True)
     assert derived == json.dumps(DEFAULT_BLOB, sort_keys=True)
-    assert len(KEYS) == 32
+    assert len(KEYS) == 31
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -224,7 +224,6 @@ CONFIGS = st.fixed_dictionaries(
                 "dt": positive,
                 "t_end": st.floats(0.0, 1e6),
                 "record_every": st.integers(1, 1000),
-                "dealias": st.booleans(),
                 "s_monitor": finite,
             },
         ),
@@ -943,3 +942,16 @@ def test_cli_artifacts_match_golden(tmp_path, capsys, subcommand):
         for name in ("report.json", "trajectory.csv")
     }
     assert (code, digests) == GOLDEN_ARTIFACTS[subcommand]
+
+
+def test_an_old_dealias_key_is_ignored_with_a_warning(tmp_path):
+    # rhs has one padding rule, so the removed solver.dealias key changes nothing
+    new = GOLDEN_CONFIGS["radius"]
+    old = {**new, "solver": {**new["solver"], "dealias": False}}
+    old_cfg = write_config(tmp_path, "old.json", **old)
+    new_cfg = write_config(tmp_path, "new.json", **new)
+    with pytest.warns(UserWarning, match="unknown config key solver.dealias ignored"):
+        assert main(["radius", "--config", str(old_cfg), "--out", str(tmp_path / "old")]) == 0
+    assert main(["radius", "--config", str(new_cfg), "--out", str(tmp_path / "new")]) == 0
+    for name in ("report.json", "trajectory.csv"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()

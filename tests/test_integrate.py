@@ -27,8 +27,10 @@ from chgevrey import (
     integrate,
     picard_iterate,
     random_field,
+    rhs,
     sobolev_norm,
     step_rk4,
+    to_physical,
     to_spectral,
 )
 
@@ -190,7 +192,7 @@ def test_a_march_builds_one_buffer_set_and_no_state_shares_it(monkeypatch, size)
     assert len(traj.times) == 11
     for row in traj.states.coeffs:
         assert not any(np.shares_memory(row, buf) for buf in held_buffers(built))
-    stepped = step_rk4(u0, P, 0.01, True, built[0]).coeffs
+    stepped = step_rk4(u0, P, 0.01, work=built[0]).coeffs
     assert not any(np.shares_memory(stepped, buf) for buf in held_buffers(built))
     assert stepped.tobytes() == traj.states.coeffs[1].tobytes()
     assert len(built) == 1
@@ -232,12 +234,46 @@ def test_blowup_names_the_batch_rows_that_crossed():
     assert batched.value.trajectory.states.coeffs.shape[1:] == (4, 9)
 
 
-def test_dealias_toggle_changes_high_band_content():
-    rng = np.random.default_rng(3)
-    u = random_field(GRID, rng, band=24)
-    clean = step_rk4(u, P, 1e-3, dealias=True)
-    dirty = step_rk4(u, P, 1e-3, dealias=False)
-    assert float(np.max(np.abs((clean - dirty).coeffs))) > 0.0
+# --- the H^1 energy law --------------------------------------------------------
+
+BENCH_QUARTIC = ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05, lam=1.0)
+
+
+def h1_energy(states: SpectralField) -> np.ndarray:
+    """E = sum over all n modes of (1 + k^2)|c_m|^2, one value per recorded state."""
+    weight = 2.0 * (1.0 + states.grid.wavenumbers**2)
+    weight[0] = 1.0  # mode 0 has no mirror; slot n/2 holds zero
+    return np.sum(weight * np.abs(states.coeffs) ** 2, axis=-1)
+
+
+def energy_drift(u0: SpectralField, p: ModelParams, dt: float, rate: float) -> float:
+    """max_j |E_j / (E_0 R(-rate dt)^(2j)) - 1| over a march to t = 2, every step recorded."""
+    traj = integrate(u0, p, SolverConfig(dt=dt, t_end=2.0))
+    energy = h1_energy(traj.states)
+    steps = np.arange(len(energy))
+    return float(np.max(np.abs(energy / (energy[0] * rk4_poly(-rate * dt) ** (2 * steps)) - 1.0)))
+
+
+@pytest.mark.parametrize("p", [ModelParams(lam=0.1), BENCH_QUARTIC], ids=["CH", "quartic"])
+def test_march_keeps_the_h1_energy_law(p):
+    # along the flow E' = -2 lam E: the advection, nonlocal and h(u) terms cancel
+    # against (1 - d_xx)u, and a dealiased Galerkin march keeps the cancellation,
+    # so E_j = E_0 R(-lam dt)^(2j) up to the nonlinear part of the O(dt^4) error
+    u = random_field(GRID, np.random.default_rng(0), band=10, decay=2.0)
+    u = (0.1 / float(np.sqrt(np.mean(to_physical(u) ** 2)))) * u  # RMS 0.1
+    coarse, fine = (energy_drift(u, p, dt, p.lam) for dt in (0.01, 0.005))
+    assert coarse < 1e-9
+    assert 14.0 < coarse / fine < 18.0, f"drift ratio {coarse / fine:.2f}"
+    # the same check against a rate 1% off fails by orders of magnitude
+    assert energy_drift(u, p, 0.01, 1.01 * p.lam) > 1e-3
+
+
+def test_a_stale_positional_flag_is_refused():
+    u = cos_field()
+    with pytest.raises(TypeError):
+        rhs(u, P, True)
+    with pytest.raises(TypeError):
+        step_rk4(u, P, 0.01, False)
 
 
 # --- Picard iteration ----------------------------------------------------------

@@ -27,7 +27,6 @@ from chgevrey.spectral import (
     derivative,
     field_from_modes,
     gevrey_norm,
-    helmholtz_inv,
     product,
     random_field,
     to_physical,
@@ -180,28 +179,17 @@ quadratic_params = st.builds(ModelParams, alpha=coefficient, Gamma_coef=coeffici
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def composed_rhs(u: SpectralField, p: ModelParams, dealias: bool = True) -> SpectralField:
+def composed_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
     """F assembled from padded product() calls, h_of_u and nonlocal_source."""
-    pad = 1.5 if dealias else 1.0
     ux = derivative(u)
-    advection = product(u, ux, pad) + p.Gamma_coef * ux
-    return -1.0 * advection - p.lam * u + nonlocal_source(u, p, dealias)
+    advection = product(u, ux, 1.5) + p.Gamma_coef * ux
+    return -1.0 * advection - p.lam * u + nonlocal_source(u, p)
 
 
 def full_band_field(grid: TorusGrid, seed: int, decay: float) -> SpectralField:
     """Random real field on the whole band, modes |m| < n/2."""
     rng = np.random.default_rng(seed)
     return random_field(grid, rng, band=grid.n_points // 2 - 1, decay=decay)
-
-
-def collocation_rhs(u: SpectralField, p: ModelParams) -> SpectralField:
-    """F with every nonlinear term formed pointwise on the grid itself and
-    transformed back once: aliased pseudo-spectral collocation."""
-    w, wx = to_physical(u), to_physical(derivative(u))
-    h = (p.beta / 3.0) * w**3 + (p.gamma / 4.0) * w**4
-    inner = to_spectral(w * w + 0.5 * wx * wx - h, u.grid) - (p.alpha + p.Gamma_coef) * u
-    advection = to_spectral(w * wx, u.grid) + p.Gamma_coef * derivative(u)
-    return -1.0 * advection - p.lam * u - helmholtz_inv(derivative(inner))
 
 
 def convolution_rhs(u: SpectralField, p: ModelParams) -> np.ndarray:
@@ -243,29 +231,19 @@ def assert_close(fast: np.ndarray, reference: np.ndarray, rel: float) -> None:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([16, 64, 256]), seeds, model_params, st.booleans())
-def test_fused_rhs_matches_composition_on_band_limited_data(n, seed, p, dealias):
+@given(st.sampled_from([16, 64, 256]), seeds, model_params)
+def test_fused_rhs_matches_composition_on_band_limited_data(n, seed, p):
     grid = TorusGrid(n)
     u = random_field(grid, np.random.default_rng(seed), band=n // 8, decay=1.0)
-    assert_close(rhs(u, p, dealias).coeffs, composed_rhs(u, p, dealias).coeffs, 1e-13)
+    assert_close(rhs(u, p).coeffs, composed_rhs(u, p).coeffs, 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([16, 64]), seeds, quadratic_params, st.booleans())
-def test_fused_rhs_matches_composition_on_full_band_quadratic_data(n, seed, p, dealias):
+@given(st.sampled_from([16, 64]), seeds, quadratic_params)
+def test_fused_rhs_matches_composition_on_full_band_quadratic_data(n, seed, p):
     # rhs and product() both zero slot n/2 of what reaches it
     u = full_band_field(TorusGrid(n), seed, decay=1.0)
-    assert_close(rhs(u, p, dealias).coeffs, composed_rhs(u, p, dealias).coeffs, 1e-13)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([16, 64]), seeds, model_params)
-def test_aliased_fused_rhs_matches_composition_on_full_band_quartic_data(n, seed, p):
-    # with no padding the powers wrap on the grid itself, as in collocation, so
-    # the two agree on any datum; the product() chain would also drop the
-    # Nyquist bin of u^2 and u^3 between the factors
-    u = full_band_field(TorusGrid(n), seed, decay=1.0)
-    assert_close(rhs(u, p, dealias=False).coeffs, collocation_rhs(u, p).coeffs, 1e-13)
+    assert_close(rhs(u, p).coeffs, composed_rhs(u, p).coeffs, 1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,19 +258,18 @@ def test_fused_rhs_matches_untruncated_convolution_oracle(n, seed, p):
     assert fast[-1] == 0.0
 
 
-@pytest.mark.parametrize("dealias", [True, False])
 @pytest.mark.parametrize(
     "p",
     [ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05), ModelParams(alpha=0.1, Gamma_coef=0.05)],
     ids=["quartic", "linear"],
 )
-def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p, dealias):
+def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p):
     grid = TorusGrid(512)
     singles = [full_band_field(grid, seed, decay=1.0) for seed in range(3)]
     batch = SpectralField(grid, np.array([u.coeffs for u in singles]))
-    batched = rhs(batch, p, dealias).coeffs
+    batched = rhs(batch, p).coeffs
     for row, u in zip(batched, singles):
-        assert np.array_equal(row.view(float), rhs(u, p, dealias).coeffs.view(float))
+        assert np.array_equal(row.view(float), rhs(u, p).coeffs.view(float))
 
 
 # --- held work buffers ---------------------------------------------------
@@ -316,17 +293,16 @@ COEFS = st.sampled_from([0.0, 0.3, -1.25])
     n=st.sampled_from([8, 10, 16, 34, 64]),
     lead=st.sampled_from([(), (1,), (3,)]),
     p=st.builds(ModelParams, COEFS, COEFS, COEFS, COEFS, st.sampled_from([0.5, 1.0])),
-    dealias=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_one_buffer_set_reused_gives_what_fresh_calls_give(n, lead, p, dealias, seed):
+def test_one_buffer_set_reused_gives_what_fresh_calls_give(n, lead, p, seed):
     grid = TorusGrid(n)
     rng = np.random.default_rng(seed)
     inputs = [full_band_batch(grid, rng, lead) for _ in range(3)]
-    work = RhsWork(inputs[0], p, dealias)
-    held = [rhs(u, p, dealias, work).coeffs for u in inputs]
+    work = RhsWork(inputs[0], p)
+    held = [rhs(u, p, work=work).coeffs for u in inputs]
     for u, out in zip(inputs, held):
-        assert out.tobytes() == rhs(u, p, dealias).coeffs.tobytes()
+        assert out.tobytes() == rhs(u, p).coeffs.tobytes()
         assert not any(np.shares_memory(out, buf) for buf in buffers(work))
 
 
@@ -335,20 +311,18 @@ def test_a_buffer_set_for_another_shape_or_padded_size_is_refused():
     u = full_band_field(GRID, 0, decay=1.0)
     batch = SpectralField(GRID, np.array([u.coeffs, u.coeffs]))
     wrong = [
-        (RhsWork(batch, FREE), u, FREE, True),  # a batch's set for one field
-        (RhsWork(u, FREE), batch, FREE, True),  # one field's set for a batch
-        (RhsWork(full_band_field(TorusGrid(32), 0, 1.0), FREE), u, FREE, True),  # other n
-        (RhsWork(u, FREE), u, quartic, True),  # padded 3/2, needs 5/2
-        (RhsWork(u, quartic), u, FREE, True),  # padded 5/2, needs 3/2
-        (RhsWork(u, FREE, dealias=False), u, FREE, True),  # not padded
-        (RhsWork(u, FREE), u, FREE, False),
+        (RhsWork(batch, FREE), u, FREE),  # a batch's set for one field
+        (RhsWork(u, FREE), batch, FREE),  # one field's set for a batch
+        (RhsWork(full_band_field(TorusGrid(32), 0, 1.0), FREE), u, FREE),  # other n
+        (RhsWork(u, FREE), u, quartic),  # padded 3/2, needs 5/2
+        (RhsWork(u, quartic), u, FREE),  # padded 5/2, needs 3/2
     ]
-    for work, v, p, dealias in wrong:
+    for work, v, p in wrong:
         with pytest.raises(ValueError, match="rhs buffers"):
-            rhs(v, p, dealias, work)
+            rhs(v, p, work=work)
     # one set fits every p of the same padded size
     work = RhsWork(u, ModelParams(alpha=2.0, Gamma_coef=1.0))
-    assert rhs(u, FREE, True, work).coeffs.tobytes() == rhs(u, FREE).coeffs.tobytes()
+    assert rhs(u, FREE, work=work).coeffs.tobytes() == rhs(u, FREE).coeffs.tobytes()
 
 
 # --- smallness functional -------------------------------------------------
