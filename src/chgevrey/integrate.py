@@ -78,13 +78,14 @@ def step_rk4(
     """One classical Runge-Kutta step of u_t = F(u), after which the mean
     coefficient is made real; slot n/2 stays zero, as rhs writes it.  A batch
     steps row by row.  Raises BlowUpError (time=dt, with the offending batch
-    rows) on non-finite output.  ``work`` is handed to every ``rhs`` call of
-    the step.
+    rows) on non-finite output.  ``work``, the run's RhsWork plan, is handed
+    to every ``rhs`` call of the step; without it the step builds one.
 
     The stage states are not revalidated: a non-finite stage propagates into
     the combined state, whose finite check is the one check of the step.
     """
     c = u.coeffs
+    work = RhsWork(u, p) if work is None else work
     k1 = rhs(u, p, work=work).coeffs
     k2 = rhs(u.with_coeffs(c + (0.5 * dt) * k1), p, work=work).coeffs
     k3 = rhs(u.with_coeffs(c + (0.5 * dt) * k2), p, work=work).coeffs

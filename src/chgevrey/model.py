@@ -58,41 +58,54 @@ def _fine_size(n: int, p: ModelParams) -> int:
 
 
 class RhsWork:
-    """Buffers of ``rhs(u, p)`` for u's shape and padded size, on a leading axis: the
-    pair (c, u_x), its padded samples, two temporaries and a spectrum.  No result aliases them."""
+    """The plan of ``rhs`` for one run: buffers and symbols for one grid, shape of u and p.
+
+    The buffers, on a leading axis: the pair (c, u_x), its padded samples, two
+    temporaries and a spectrum.  The read-only symbols on modes 0 .. n/2: the
+    forward pair (fine, fine*ik) that yields the sampled (u, u_x) from one
+    irfft; the linear symbol L = -(lambda + i Gamma k - (alpha+Gamma) ik/(1+k^2));
+    and the back-scaling pair (-1/fine, -ik/(1+k^2)/fine) of the fused rfft
+    output.  No result aliases them.
+    """
 
     def __init__(self, u: SpectralField, p: ModelParams):
-        lead, fine = u.coeffs.shape[:-1], _fine_size(u.grid.n_points, p)
-        self.key = (u.coeffs.shape, fine)
-        self.pair = np.empty((2,) + u.coeffs.shape, dtype=np.complex128)
+        grid, shape = u.grid, u.coeffs.shape
+        lead, fine = shape[:-1], _fine_size(grid.n_points, p)
+        self.key = (grid, shape, p)
+        self.pair = np.empty((2,) + shape, dtype=np.complex128)
         self.samples = np.empty((4,) + lead + (fine,))
         self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=np.complex128)
+        ik, nonlocal_ = grid.dx_symbol, grid.nonlocal_symbol
+        stacked = (2,) + (1,) * len(lead) + (grid.n_points // 2 + 1,)
+        self.forward = np.array([np.full_like(ik, fine), fine * ik]).reshape(stacked)
+        self.linear = -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_)
+        self.back = np.array([np.full_like(ik, -1.0 / fine), -nonlocal_ / fine]).reshape(stacked)
+        for symbol in (self.forward, self.linear, self.back):
+            symbol.flags.writeable = False
 
 
 def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> SpectralField:
     """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
 
-    One irfft gives u and u_x on the padded grid, u u_x and
-    u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise (no
-    truncation between the powers), one rfft brings both back, and the linear
-    terms are applied per mode.  The padding (5n/2 points for a quartic model,
+    One irfft of (fine*c, fine*ik*c) gives u and u_x on the padded grid, u u_x
+    and u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise (no
+    truncation between the powers), and one rfft brings both back.  Both
+    spectra are then scaled by one stacked symbol, and the linear terms enter
+    as one symbol L times c.  The padding (5n/2 points for a quartic model,
     3n/2 otherwise) makes the modes below n/2 the true convolution coefficients,
     as in product(), and slot n/2 is zeroed.  A batch is evaluated row by row on
     the last axis.  The result is not revalidated: an overflow shows up as a
-    non-finite coefficient at the caller's next check.  ``work`` is a RhsWork for
-    u's shape and p's padded size (else ValueError), or None.
+    non-finite coefficient at the caller's next check.  ``work`` is the RhsWork
+    plan for u's grid and shape and this p (else ValueError), or None for a
+    plan of this call alone.
     """
     grid, c = u.grid, u.coeffs
-    half = grid.n_points // 2
-    fine = _fine_size(grid.n_points, p)
     work = RhsWork(u, p) if work is None else work
-    if work.key != (c.shape, fine):
-        raise ValueError(f"rhs buffers for (shape, padded size) {work.key}, not {(c.shape, fine)}")
-    work.pair[0] = c
-    ik_c = np.multiply(grid.dx_symbol, c, out=work.pair[1])  # u_x
-    # irfft pads the spectrum with zeros itself; 1/n normalization as in _samples
-    samples = np.fft.irfft(work.pair, fine, axis=-1, out=work.samples[:2])
-    samples *= fine
+    if work.key != (grid, c.shape, p):
+        raise ValueError(f"rhs buffers for (grid, shape, p) {work.key}, not {(grid, c.shape, p)}")
+    np.multiply(work.forward, c, out=work.pair)  # fine*(c, u_x)
+    # irfft pads the spectrum with zeros itself and carries 1/fine
+    np.fft.irfft(work.pair, work.samples.shape[-1], axis=-1, out=work.samples[:2])
     w, wx, w2, inner = work.samples
     np.multiply(w, w, out=w2)
     np.multiply(wx, 0.5, out=inner)
@@ -106,13 +119,12 @@ def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> Spe
         w2 *= w
         inner -= w2
     # u u_x and the inner term, rows 1 and 3, go back in one rfft
+    half = grid.n_points // 2
     fused = np.fft.rfft(work.samples[1::2], axis=-1, out=work.spectrum)[..., : half + 1]
-    fused /= fine
-    advection, inner_hat = fused
-    inner_hat -= (p.alpha + p.Gamma_coef) * c
-    out = -advection - p.lam * c
-    # Q = -(1 - d_xx)^{-1} d_x inner
-    out -= ik_c * p.Gamma_coef + grid.nonlocal_symbol * inner_hat
+    fused *= work.back  # now -u u_x and -(1 - d_xx)^{-1} d_x inner; L c holds the rest of Q
+    out = work.linear * c
+    out += fused[1]
+    out += fused[0]
     out[..., half] = 0.0
     return u.with_coeffs(out)
 

@@ -903,20 +903,20 @@ GOLDEN_ARTIFACTS = {
         0,
         {
             "report.json": None,
-            "trajectory.csv": "fa932f2d60050c75baf97b368613ada92edb5d42c80d86f0058aeb381398e3be",
+            "trajectory.csv": "b325004ef4c65b248e8c8001eb967a000d385c30d22786a918dfd81bad778fd2",
         },
     ),
     "radius": (
         0,
         {
-            "report.json": "04ba304acd18622f77f9e53d10f19fce4ff19066357378516fbba030adc692f6",
-            "trajectory.csv": "a3199662410358089d5aa3e890e50d8c71b8071d3e8bd31ec429984f320d8669",
+            "report.json": "6577050bdfc112c133fde3bd4a271a9b2f476da93ceade69cb989461d4973e02",
+            "trajectory.csv": "7264a76b3a2ab6cb8b906b032d3ffd43e41c0fa07753494248306f830ac819f5",
         },
     ),
     "picard": (
         0,
         {
-            "report.json": "fd598ea0ab67f397011f0b5c119aca0c2a77b7677c6c9d686543e235c53bf991",
+            "report.json": "c24ba61a74814637ce2646db5675da33e9e8dcfff172417bbf97dfc4374acb94",
             "trajectory.csv": None,
         },
     ),

@@ -180,7 +180,8 @@ def record_buffer_sets(monkeypatch) -> list:
 
 
 def held_buffers(built: list) -> list:
-    return [buf for work in built for buf in (work.pair, work.samples, work.spectrum)]
+    held = ("pair", "samples", "spectrum", "forward", "linear", "back")
+    return [getattr(work, name) for work in built for name in held]
 
 
 @pytest.mark.parametrize("size", [None, 3])
@@ -196,6 +197,15 @@ def test_a_march_builds_one_buffer_set_and_no_state_shares_it(monkeypatch, size)
     assert not any(np.shares_memory(stepped, buf) for buf in held_buffers(built))
     assert stepped.tobytes() == traj.states.coeffs[1].tobytes()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("size", [None, 3])
+def test_a_step_without_a_plan_builds_one_for_its_four_stages(monkeypatch, size):
+    u0 = 0.1 * random_field(GRID, np.random.default_rng(4), band=12, size=size)
+    built = record_buffer_sets(monkeypatch)
+    alone = step_rk4(u0, P, 0.01).coeffs
+    assert len(built) == 1
+    assert alone.tobytes() == step_rk4(u0, P, 0.01, work=RhsWork(u0, P)).coeffs.tobytes()
 
 
 def test_the_norms_of_a_batched_trajectory_are_those_of_each_run():

@@ -272,11 +272,11 @@ def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p):
         assert np.array_equal(row.view(float), rhs(u, p).coeffs.view(float))
 
 
-# --- held work buffers ---------------------------------------------------
+# --- the rhs plan: held buffers and symbols ------------------------------------
 
 
 def buffers(work: RhsWork) -> tuple:
-    return work.pair, work.samples, work.spectrum
+    return work.pair, work.samples, work.spectrum, work.forward, work.linear, work.back
 
 
 def full_band_batch(grid: TorusGrid, rng: np.random.Generator, lead: tuple) -> SpectralField:
@@ -316,13 +316,21 @@ def test_a_buffer_set_for_another_shape_or_padded_size_is_refused():
         (RhsWork(full_band_field(TorusGrid(32), 0, 1.0), FREE), u, FREE),  # other n
         (RhsWork(u, FREE), u, quartic),  # padded 3/2, needs 5/2
         (RhsWork(u, quartic), u, FREE),  # padded 5/2, needs 3/2
+        # the same padded size, but the linear symbol is built from p
+        (RhsWork(u, ModelParams(alpha=2.0, Gamma_coef=1.0)), u, FREE),
+        # the same n and shape, but the symbols are built from the grid's wavenumbers
+        (RhsWork(full_band_field(TorusGrid(64, period=3.0), 0, 1.0), FREE), u, FREE),
     ]
     for work, v, p in wrong:
         with pytest.raises(ValueError, match="rhs buffers"):
             rhs(v, p, work=work)
-    # one set fits every p of the same padded size
-    work = RhsWork(u, ModelParams(alpha=2.0, Gamma_coef=1.0))
-    assert rhs(u, FREE, work=work).coeffs.tobytes() == rhs(u, FREE).coeffs.tobytes()
+
+
+def test_the_plan_symbols_are_read_only():
+    work = RhsWork(full_band_field(GRID, 0, decay=1.0), ModelParams(alpha=0.1, beta=0.3))
+    for symbol in (work.forward, work.linear, work.back):
+        with pytest.raises(ValueError, match="read-only"):
+            symbol[..., 0] = 1.0
 
 
 # --- smallness functional -------------------------------------------------
