@@ -170,9 +170,12 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
     D_sigma = 1/(2^sigma - 2 + 2^-(sigma+1));
     T0 = min(1/(2^(2sigma+4) L), (2^sigma-1)R / ((2^sigma-1) 2^(2sigma+3) L R + M D_sigma))
     and the closed form 1/(2^(2sigma+8) base R^4), which the min never beats.
+    An infinite norm, or a constant past the float range, raises NormOverflowError.
     """
     if not (u0_norm >= 0.0):
         raise ValueError(f"norm must be nonnegative, got {u0_norm}")
+    if u0_norm == math.inf:
+        raise NormOverflowError("existence window: the datum's window norm overflowed")
     if not (sigma >= 1.0):
         raise ValueError(f"sigma must be >= 1, got {sigma}")
     if not (c_prime > 0.0):
@@ -398,9 +401,9 @@ def _radius_columns(traj, p, sigma, s, delta0) -> tuple:
         raise ValueError("trajectory times/states out of step")
     norm0 = gevrey_norm(states[0], GevreyIndex(sigma, delta0, s))
     b_col = 1.0 + sobolev_norm(states, s)
-    if not np.all(np.isfinite(b_col)):  # as the single-field norm raises
-        raise NormOverflowError(f"H^{s} norm accumulation overflowed")
-    h_col = functional_H(states, p, s)
+    h_col = functional_H(states, p, s)  # finite only where b is
+    if not (math.isfinite(norm0) and np.all(np.isfinite(h_col))):
+        raise NormOverflowError(f"the datum's Gevrey norm or the H^{s} functional overflowed")
     fits = estimate_radius(states, sigma).delta_fit.tolist()
     return norm0, b_col, h_col, fits
 
@@ -408,10 +411,10 @@ def _radius_columns(traj, p, sigma, s, delta0) -> tuple:
 def _radius_records(traj, sigma, s, thetas, f_vals, b_col, h_col, fits) -> list:
     """Every state's Gevrey norm at its theory width, in one call with one
     width per row, and the records of all columns."""
-    times, what = [float(t) for t in traj.times], "Gevrey norm at delta_theory"
-    gevrey = _gevrey_norm(traj.states, sigma, np.array(thetas)[:, None], s, what)
+    times = [float(t) for t in traj.times]
+    gevrey = _gevrey_norm(traj.states, sigma, np.array(thetas)[:, None], s)
     if not np.all(np.isfinite(gevrey)):
-        raise NormOverflowError(f"{what} accumulated to a non-finite value")
+        raise NormOverflowError("Gevrey norm at delta_theory overflowed")
     return [
         RadiusRecord(t, b - 1.0, g, fit, theta, f, b, h)
         for t, b, g, fit, theta, f, h in zip(

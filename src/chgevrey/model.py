@@ -131,14 +131,22 @@ def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> Spe
 
 def functional_H(u: SpectralField, p: ModelParams, s: float) -> float | np.ndarray:
     """|alpha| + |Gamma| + n + (|beta|/3) n^2 + (|gamma|/4) n^3 with n = H^s norm;
-    one value per row of a batch."""
+    one value per row of a batch.  Like the norm, it reads inf past the float
+    range; a term whose coefficient is zero is left out, not taken as 0*inf."""
     if not (s > 1.5):
         raise ValueError(f"the smallness functional needs s > 3/2, got {s}")
     norms = sobolev_norm(u, s)
     a0, b3, g4 = abs(p.alpha) + abs(p.Gamma_coef), abs(p.beta) / 3.0, abs(p.gamma) / 4.0
-    # Python float powers per value: numpy's n**2 and n**3 round differently
-    h = [a0 + n + b3 * n**2 + g4 * n**3 for n in np.ravel(norms).tolist()]
-    return np.array(h).reshape(np.shape(norms)) if np.ndim(norms) else h[0]
+
+    def h(n: float) -> float:
+        # Python float powers per value: numpy's n**2 and n**3 round differently
+        try:
+            return a0 + n + (b3 * n**2 if b3 else 0.0) + (g4 * n**3 if g4 else 0.0)
+        except OverflowError:  # a float power raises where n was finite
+            return math.inf
+
+    values = [h(n) for n in np.ravel(norms).tolist()]
+    return np.array(values).reshape(np.shape(norms)) if np.ndim(norms) else values[0]
 
 
 def small_data_check(u0: SpectralField, p: ModelParams, s: float) -> bool:

@@ -24,8 +24,9 @@ Conventions
   ``helmholtz_inv`` act on the last axis, so row ``i`` of a batched result
   equals the call on field ``i`` alone.  A trajectory of a batch stacks its
   recorded states as ``(T, N, n/2 + 1)``.
-  A single-field norm returns a float and raises ``NormOverflowError``; a
-  batched norm returns an array with ``inf`` in the rows that overflowed.
+* The norms never raise on overflow: a single field reads ``inf`` and a batch
+  reads ``inf`` in the rows that overflowed.  The callers that judge a norm
+  raise ``NormOverflowError`` once, where they take it in.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class NonFiniteError(ValueError):
 
 
 class NormOverflowError(OverflowError):
-    """A weighted norm accumulated to a non-finite value."""
+    """A norm, or a bound built from one, that a verdict needs left the float range."""
 
 
 # --- grid and field containers -------------------------------------------------
@@ -318,11 +319,7 @@ def sobolev_norm(field: SpectralField, s: float) -> float | np.ndarray:
     k2 = field.grid.wavenumbers**2
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(_unfold((1.0 + k2) ** s * np.abs(field.coeffs) ** 2), axis=-1)
-    if total.ndim:
-        return np.sqrt(total)
-    if not math.isfinite(total):
-        raise NormOverflowError(f"H^{s} norm accumulation overflowed")
-    return math.sqrt(total)
+    return np.sqrt(total) if total.ndim else math.sqrt(total)
 
 
 def _sqrt_exp(total: float) -> float:
@@ -333,9 +330,7 @@ def _sqrt_exp(total: float) -> float:
         return math.inf
 
 
-def _weighted_norm(
-    field: SpectralField, s: float, log_weight2: np.ndarray, what: str
-) -> float | np.ndarray:
+def _weighted_norm(field: SpectralField, s: float, log_weight2: np.ndarray) -> float | np.ndarray:
     """sqrt(sum (1+k^2)^s w^2 |c|^2) with the sum taken in log space."""
     k2 = field.grid.wavenumbers**2
     with np.errstate(divide="ignore"):
@@ -343,33 +338,30 @@ def _weighted_norm(
     total = logsumexp_modes(s * np.log1p(k2) + log_weight2 + log_mag2)
     if total.ndim:
         return np.array([_sqrt_exp(t) for t in total.ravel().tolist()]).reshape(total.shape)
-    value = _sqrt_exp(float(total))
-    if not math.isfinite(value):
-        raise NormOverflowError(f"{what} accumulated to a non-finite value")
-    return value
+    return _sqrt_exp(float(total))
 
 
 def _gevrey_norm(
-    field: SpectralField, sigma: float, delta: float | np.ndarray, s: float, what: str
+    field: SpectralField, sigma: float, delta: float | np.ndarray, s: float
 ) -> float | np.ndarray:
     """gevrey_norm at the width ``delta``: a scalar, or an (N, 1) column with
-    one width per row of an (N, n/2 + 1) batch.  A batch row that overflows
-    reads inf; only a single field raises."""
+    one width per row of an (N, n/2 + 1) batch.  A field or a row that
+    overflows reads inf."""
     k2 = field.grid.wavenumbers**2
     lw2 = 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
-    return _weighted_norm(field, s, lw2, what)
+    return _weighted_norm(field, s, lw2)
 
 
 def gevrey_norm(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """sqrt(sum (1+k^2)^s exp(2*delta*(1+k^2)^(1/(2*sigma))) |c_m|^2)."""
-    return _gevrey_norm(field, index.sigma, index.delta, index.s, f"Gevrey norm {index}")
+    return _gevrey_norm(field, index.sigma, index.delta, index.s)
 
 
 def gevrey_norm_bar(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """Bar variant: weight exp(2*delta*|k|^(1/sigma)) in place of the smooth one."""
     k = field.grid.wavenumbers
     lw2 = 2.0 * index.delta * k ** (1.0 / index.sigma)
-    return _weighted_norm(field, index.s, lw2, f"bar Gevrey norm {index}")
+    return _weighted_norm(field, index.s, lw2)
 
 
 # --- products -----------------------------------------------------------------

@@ -603,8 +603,6 @@ def test_track_radius_raises_when_a_later_norm_overflows():
         times=np.array([0.0, 1e-9]), states=SpectralField(grid, [calm.coeffs, rough.coeffs])
     )
     with pytest.raises(NormOverflowError):
-        _walk_states(traj, P, 1.0, 2.0, 0.9, 1e-12)
-    with pytest.raises(NormOverflowError):
         track_radius(traj, P, sigma=1.0, s=2.0, delta0=0.9, c_cal=1e-12)
 
 

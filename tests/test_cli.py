@@ -661,6 +661,34 @@ def test_an_overflowing_existence_window_exits_two(tmp_path, capsys, subcommand)
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["lifespan", "picard"])
+def test_an_infinite_window_norm_exits_two(tmp_path, capsys, subcommand):
+    # at n = 2048 the width-1 norm of the bump's rounding noise reads inf
+    cfg = write_config(tmp_path, **{**OVERFLOWING_BUMP, "grid": {"n_points": 2048}})
+    code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: existence window: the datum's window norm overflowed")
+
+
+@pytest.mark.parametrize("model", [{}, {"gamma": 0.2}], ids=["linear", "quartic"])
+def test_a_functional_past_the_float_range_exits_two(tmp_path, capsys, model):
+    # the datum's H^61 norm is finite but above 5.6e102: the quartic H's cube
+    # leaves the float range, and the linear one's width bound b^5 does
+    cfg = write_config(
+        tmp_path,
+        model=model,
+        grid={"n_points": 256},
+        gevrey={"s": 61.0},
+        solver={"s_monitor": 2.0, "dt": 1e-3, "t_end": 0.01},
+        initial_data={"name": "exp_decay_modes", "amplitude": 1e-3, "rate": 0.5},
+    )
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_import_loads_no_scipy():
     probe = "import sys, chgevrey.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

@@ -244,6 +244,21 @@ def test_blowup_names_the_batch_rows_that_crossed():
     assert batched.value.trajectory.states.coeffs.shape[1:] == (4, 9)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blowup_lists_every_row_that_crossed_at_the_failing_step():
+    # in the first step row 0 overflows to non-finite coefficients and row 1
+    # crosses the 1e6 monitor; the one check after the step names both
+    grid = TorusGrid(16)
+    amps = (1e160, 5e6, 0.01)
+    batch = SpectralField(grid, np.array([field_from_modes(grid, {1: a}).coeffs for a in amps]))
+    with pytest.warns(UserWarning, match="advisory stability bound"):
+        with pytest.raises(BlowUpError, match="rows 0, 1$") as err:
+            integrate(batch, ModelParams(lam=1.0), SolverConfig(dt=1e-9, t_end=1e-9))
+    assert err.value.rows == (0, 1)
+    assert err.value.time == 1e-9
+    assert err.value.trajectory.times.tolist() == [0.0]
+
+
 # --- the H^1 energy law --------------------------------------------------------
 
 BENCH_QUARTIC = ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05, lam=1.0)

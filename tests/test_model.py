@@ -29,6 +29,7 @@ from chgevrey.spectral import (
     gevrey_norm,
     product,
     random_field,
+    sobolev_norm,
     to_physical,
     to_spectral,
 )
@@ -344,6 +345,11 @@ def test_functional_H_frozen_values():
     assert functional_H(u, p, s=2.0) == pytest.approx(math.sqrt(50.0) + 50.0, rel=1e-12)
 
 
+def test_functional_H_leaves_out_a_zero_power_term_past_the_float_range():
+    u = field_from_modes(GRID, {1: 1e110})  # H^2 norm sqrt(8) 1e110, its cube past the range
+    assert functional_H(u, ModelParams(alpha=1.0), s=2.0) == 1.0 + sobolev_norm(u, 2.0)
+
+
 def test_functional_H_requires_s_above_three_halves():
     u = field_from_modes(GRID, {1: 0.5})
     with pytest.raises(ValueError):
@@ -356,6 +362,11 @@ def test_small_data_boundary_included():
     assert small_data_check(z, p, s=2.0)
     p_over = ModelParams(alpha=0.1 + 1e-9, lam=1.0)
     assert not small_data_check(z, p_over, s=2.0)
+
+
+def test_an_overflowing_datum_is_not_small():
+    big = field_from_modes(GRID, {1: 1e200})  # its H^2 norm reads inf
+    assert small_data_check(big, ModelParams(), s=2.0) is False
 
 
 # --- form mismatch --------------------------------------------------------

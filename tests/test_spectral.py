@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chgevrey import verify
+from chgevrey.analyticity import window_norm
 from chgevrey.cli import InitialDataSpec
 from chgevrey.integrate import step_rk4
 from chgevrey.model import ModelParams, functional_H, rhs
@@ -21,7 +22,6 @@ from chgevrey.spectral import (
     GevreyIndex,
     GridMismatchError,
     NonFiniteError,
-    NormOverflowError,
     SpectralField,
     TorusGrid,
     _gevrey_norm,
@@ -247,19 +247,50 @@ def test_norm_equivalence_sandwich():
         assert smooth <= math.exp(delta) * bar * (1.0 + 1e-12)
 
 
-def test_norm_overflow_raises():
-    f = cos_field(31)
-    with pytest.raises(NormOverflowError):
-        gevrey_norm(f, GevreyIndex(1.0, 100.0, 0.0))
+@pytest.mark.parametrize(
+    "norm, over, calm",
+    [
+        # the H^s sum is not taken in log space: huge coefficients overflow it
+        (lambda u: sobolev_norm(u, 2.0), field_from_modes(GRID, {1: 1e200}), cos_field(1)),
+        (lambda u: gevrey_norm(u, GevreyIndex(1.0, 100.0, 0.0)), cos_field(31), cos_field(1)),
+        # log of the squared sum 1419.8: below the old 1420 guard, but its square
+        # root e^709.9 is past the float range, where math.exp raised a bare
+        # OverflowError
+        (
+            lambda u: gevrey_norm(u, GevreyIndex(1.0, 709.9, 0.0)),
+            field_from_modes(GRID, {0: 1.0}),
+            field_from_modes(GRID, {0: 1e-300}),
+        ),
+        (lambda u: gevrey_norm_bar(u, GevreyIndex(1.0, 100.0, 0.0)), cos_field(31), cos_field(1)),
+        (lambda u: window_norm(u, 1.0, 2.0), cos_field(31, amplitude=1e300), cos_field(1)),
+        # a finite norm whose cube leaves the float range, where n**3 raised a
+        # bare OverflowError
+        (
+            lambda u: functional_H(u, ModelParams(gamma=1.0), 2.0),
+            field_from_modes(GRID, {1: 1e110}),
+            cos_field(1),
+        ),
+        # an inf norm under zero power coefficients reads inf, not 0 * inf = NaN
+        (
+            lambda u: functional_H(u, ModelParams(), 2.0),
+            field_from_modes(GRID, {1: 1e200}),
+            cos_field(1),
+        ),
+    ],
+    ids=["sobolev", "gevrey", "gevrey-709.9", "gevrey-bar", "window", "H-cube", "H-linear"],
+)
+def test_an_overflowing_norm_reads_inf_alone_and_in_its_batch_row(norm, over, calm):
+    alone = norm(over)
+    assert type(alone) is float and alone == math.inf
+    batched = norm(SpectralField(GRID, np.array([over.coeffs, calm.coeffs])))
+    assert batched.tolist() == [math.inf, norm(calm)]
+    assert math.isfinite(norm(calm))
 
 
-def test_norm_just_past_the_float_range_raises_norm_overflow():
-    # log of the squared sum 1419.8: below the old 1420 guard, but its square
-    # root e^709.9 is past the float range, where math.exp raised a bare
-    # OverflowError that callers catching NormOverflowError missed
-    one = field_from_modes(GRID, {0: 1.0})
-    with pytest.raises(NormOverflowError):
-        gevrey_norm(one, GevreyIndex(1.0, 709.9, 0.0))
+def test_an_overflowing_width_leaves_the_other_rows_as_they_are():
+    pair = SpectralField(GRID, np.array([cos_field(1).coeffs, cos_field(1).coeffs]))
+    batched = _gevrey_norm(pair, 1.0, np.array([[1000.0], [0.5]]), 0.0)
+    assert batched.tolist() == [math.inf, gevrey_norm(cos_field(1), GevreyIndex(1.0, 0.5, 0.0))]
 
 
 def test_parseval_mean_square():
@@ -517,7 +548,7 @@ def test_batched_rows_equal_single_calls_bit_for_bit(n, rows, seed, sigma, delta
         assert batched.tolist() == [norm(u) for u in singles[:rows]]
     # one width per row: row i is the single call at width i
     widths = rng.uniform(0.0, 4.0, rows)
-    batched = _gevrey_norm(f, sigma, widths[:, None], s, "Gevrey norm")
+    batched = _gevrey_norm(f, sigma, widths[:, None], s)
     assert batched.tolist() == [
         gevrey_norm(u, GevreyIndex(sigma, w, s)) for u, w in zip(singles[:rows], widths.tolist())
     ]
@@ -533,29 +564,6 @@ def test_batched_rows_equal_single_calls_bit_for_bit(n, rows, seed, sigma, delta
             assert batched[i].coeffs.tobytes() == single.coeffs.tobytes()
     if s > 1.5:
         assert functional_H(f, p, s).tolist() == [functional_H(u, p, s) for u in singles[:rows]]
-
-
-def test_batched_overflow_reads_inf_where_the_single_call_raises():
-    f = SpectralField(GRID, np.array([cos_field(31).coeffs, cos_field(1).coeffs]))
-    index = GevreyIndex(1.0, 100.0, 0.0)
-    for norm in (gevrey_norm, gevrey_norm_bar):
-        batched = norm(f, index)
-        assert batched[0] == math.inf
-        assert batched[1] == norm(cos_field(1), index)
-        with pytest.raises(NormOverflowError):
-            norm(cos_field(31), index)
-    # one width per row: the overflowing width leaves the other row as it is
-    pair = SpectralField(GRID, np.array([cos_field(1).coeffs, cos_field(1).coeffs]))
-    batched = _gevrey_norm(pair, 1.0, np.array([[1000.0], [0.5]]), 0.0, "Gevrey norm")
-    assert batched.tolist() == [math.inf, gevrey_norm(cos_field(1), GevreyIndex(1.0, 0.5, 0.0))]
-    with pytest.raises(NormOverflowError):
-        gevrey_norm(cos_field(1), GevreyIndex(1.0, 1000.0, 0.0))
-    # the H^s sum is not taken in log space: huge coefficients overflow it
-    big = field_from_modes(GRID, {1: 1e200})
-    batched = sobolev_norm(SpectralField(GRID, np.array([big.coeffs, cos_field(1).coeffs])), 2.0)
-    assert batched.tolist() == [math.inf, sobolev_norm(cos_field(1), 2.0)]
-    with pytest.raises(NormOverflowError):
-        sobolev_norm(big, 2.0)
 
 
 def test_field_accepts_one_row_or_a_batch_of_rows():
