@@ -8,6 +8,9 @@ unfolded over all n modes (the layout of ``spectral._unfold``) but takes them
 on the stored modes 0 .. n/2: the max, the tie count, the shift and the
 exponentials run once per stored mode, and only the exponentials are laid out
 in the unfolded order, so the one sum adds SciPy's terms in SciPy's order.
+The tie count is one product of the tie mask with the slot multiplicities
+(1, 2, ..., 2, 1), an exact small integer, so it equals SciPy's float sum of
+the unfolded mask.
 Steps done in place on a temporary are SciPy's operations on the same operands,
 so they round as SciPy does.
 """
@@ -29,16 +32,17 @@ def logsumexp_modes(h: np.ndarray) -> np.ndarray:
 
     The tied maxima are taken out of the sum and counted as ``m``, so the
     result is log1p(s/m) + log(m) + max with s the sum of the shifted rest
-    (Blanchard, Higham & Higham 2021).  Rows where that is not finite (all
-    -inf, or holding +inf or NaN) fall back to log(sum(exp(a))), computed for
-    those rows alone.
+    (Blanchard, Higham & Higham 2021); ``m`` is the tie mask times the
+    multiplicities (1, 2, ..., 2, 1) of the stored slots.  Rows where that is
+    not finite (all -inf, or holding +inf or NaN) fall back to
+    log(sum(exp(a))), computed for those rows alone.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h_max = np.max(h, axis=-1, keepdims=True)
         tied = h == h_max
-        m = np.count_nonzero(tied, axis=-1, keepdims=True)
-        m += np.count_nonzero(tied[..., 1:-1], axis=-1, keepdims=True)  # counted twice
-        m = m.astype(float)
+        twice = np.full(h.shape[-1], 2.0)
+        twice[[0, -1]] = 1.0  # modes 1 .. n/2-1 appear twice in the unfolded layout
+        m = (tied @ twice)[..., None]
         shifted = np.where(tied, -np.inf, h)
         shifted -= h_max
         s = _unfolded_sum(np.exp(shifted, out=shifted))

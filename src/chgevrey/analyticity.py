@@ -280,8 +280,11 @@ def ea_norm(
     with times admissible when |t| < a(1-delta)^sigma/(2^sigma - 1).
     ``fields`` is a (T, n/2 + 1) batch, one row per time.
 
-    Evaluated in log space so heavy Gevrey weights cannot overflow.
-    Raises WindowError when no (time, width) pair is admissible.
+    Evaluated in log space so heavy Gevrey weights cannot overflow.  An
+    all-zero row counts towards admissibility but is never scored (its
+    score is -inf), so a batch whose admissible rows are all zero reads 0.0.
+    Reads NaN when an admissible row scores NaN.  Raises WindowError when no
+    (time, width) pair is admissible.
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a}")
@@ -292,27 +295,32 @@ def ea_norm(
         raise ValueError("times and the rows of fields must be parallel")
     if t_arr.shape[0] == 0:
         raise WindowError("empty trajectory")
+    live = np.any(fields.coeffs != 0.0, axis=-1)
+    t_live = t_arr[live]
     k2 = fields.grid.wavenumbers**2
+    sobolev_w = s * np.log1p(k2)
+    gevrey_root = (1.0 + k2) ** (1.0 / (2.0 * sigma))
     with np.errstate(divide="ignore"):
-        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs))
+        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs[live]))
     best = -np.inf
     admissible = False
     for delta in EA_DELTA_GRID:
         shrink = a * (1.0 - delta) ** sigma
         window = shrink / (2.0**sigma - 1.0)
-        mask = t_arr < window
-        if not np.any(mask):
+        if not np.any(t_arr < window):
             continue
         admissible = True
-        log_w = s * np.log1p(k2) + 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
+        mask = t_live < window
+        if not np.any(mask):
+            continue
         terms = log_mag2[mask]  # a copy
-        terms += log_w
+        terms += sobolev_w + 2.0 * delta * gevrey_root
         score = (
             0.5 * logsumexp_modes(terms)
             + sigma * math.log(1.0 - delta)
-            + 0.5 * np.log1p(-t_arr[mask] / shrink)
+            + 0.5 * np.log1p(-t_live[mask] / shrink)
         )
-        best = max(best, float(np.max(score)))
+        best = np.maximum(best, np.max(score))  # a NaN score stays NaN
     if not admissible:
         raise WindowError("no admissible (time, width) pair on the grid")
     if best == -np.inf:
@@ -321,7 +329,7 @@ def ea_norm(
         value = math.exp(best)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if math.isinf(value):
         raise NormOverflowError("weighted sup norm overflowed")
     return value
 

@@ -195,7 +195,9 @@ def picard_iterate(
     trapezoid on ``n_nodes`` uniform nodes, and F is evaluated on all nodes
     as one batch.  ``T`` must sit inside the fixed-point existence window
     computed from the datum, else WindowError is raised (disable with
-    ``enforce_window=False`` to study divergence).
+    ``enforce_window=False`` to study divergence).  The convergence floor is
+    1e3 eps times the weighted sup norm of the zeroth iterate, taken on its
+    t = 0 row, where that sup sits.
     """
     # deferred: avoids an import cycle
     from .analyticity import WindowError, ea_norm, existence_window
@@ -216,7 +218,7 @@ def picard_iterate(
 
     times = np.linspace(0.0, T, n_nodes)
     final = u0.with_coeffs(np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))
-    scale = ea_norm(times, final, T, sigma, s)
+    scale = ea_norm(times[:1], u0.with_coeffs(u0.coeffs[None]), T, sigma, s)
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 
     work = RhsWork(final, p)

@@ -187,7 +187,7 @@ def ea_norm_unfolded(times, fields: SpectralField, a: float, sigma: float, s: fl
             + sigma * math.log(1.0 - delta)
             + 0.5 * np.log1p(-t_arr[mask] / shrink)
         )
-        best = max(best, float(np.max(score)))
+        best = np.maximum(best, np.max(score))  # a NaN score stays NaN
     if not admissible:
         raise WindowError("no admissible (time, width) pair on the grid")
     if best == -np.inf:
@@ -196,6 +196,6 @@ def ea_norm_unfolded(times, fields: SpectralField, a: float, sigma: float, s: fl
         value = math.exp(best)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if math.isinf(value):
         raise NormOverflowError("weighted sup norm overflowed")
     return value

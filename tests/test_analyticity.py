@@ -45,6 +45,7 @@ from chgevrey import (
     track_radius,
     width_bound,
 )
+from chgevrey._numerics import logsumexp_modes
 
 from oracles import delta_of_tau_window, ea_norm_unfolded
 
@@ -417,6 +418,45 @@ def test_sup_norm_equals_the_unfolded_oracle_bit_for_bit():
     only_zero = rows(0.0 * u, u)
     assert ea_norm([0.01, 0.97], only_zero, a=1.0, sigma=1.0, s=2.0) == 0.0
     assert ea_norm_unfolded([0.01, 0.97], only_zero, 1.0, 1.0, 2.0) == 0.0
+
+
+def test_zero_rows_count_for_admissibility_but_never_reach_the_log_sum_exp(monkeypatch):
+    seen = []
+
+    def spy(terms):
+        seen.append(terms.copy())
+        return logsumexp_modes(terms)
+
+    monkeypatch.setattr(analyticity, "logsumexp_modes", spy)
+    u = field_from_modes(GRID, {1: 0.5, 3: 0.1, 7: 1e-3})
+    times = np.array([0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.9])
+    fields = rows(u, 0.0 * u, 0.5 * u, 0.0 * u, 0.25 * u, 2.0 * u, 0.0 * u, u)
+    got = ea_norm(times, fields, a=1.0, sigma=1.0, s=2.0)
+    assert float.hex(got) == float.hex(ea_norm_unfolded(times, fields, 1.0, 1.0, 2.0))
+    assert not any(np.any(np.all(terms == -np.inf, axis=-1)) for terms in seen)
+    live = np.array([True, False, True, False, True, True, False, True])
+    scored = [int(np.sum(live & (times < 1.0 - d))) for d in analyticity.EA_DELTA_GRID]
+    assert [len(terms) for terms in seen] == [k for k in scored if k]
+    assert sum(scored) == sum(len(terms) for terms in seen) > 0
+    # admissibility is decided on all times, zero rows included
+    assert ea_norm([0.01, 0.97], rows(0.0 * u, u), a=1.0, sigma=1.0, s=2.0) == 0.0
+    with pytest.raises(WindowError):
+        ea_norm([0.96], rows(0.0 * u), a=1.0, sigma=1.0, s=0.0)
+
+
+def test_sup_norm_reads_nan_when_an_admissible_row_is_nan():
+    # the NaN row's scores used to lose every max, so they dropped widths
+    # silently: 0.505 here, where u alone at t = 0 gives 1.513
+    u = field_from_modes(TorusGrid(16), {1: 0.5})
+    spoiled = u.coeffs.copy()
+    spoiled[2] = np.nan
+    batch = u.with_coeffs(np.stack([u.coeffs, spoiled]))
+    assert math.isnan(ea_norm([0.0, 0.1], batch, a=1.0, sigma=1.0, s=2.0))
+    all_nan = u.with_coeffs(np.full_like(batch.coeffs, np.nan))
+    assert math.isnan(ea_norm([0.0, 0.1], all_nan, a=1.0, sigma=1.0, s=2.0))
+    # a NaN row past every window is not scored
+    assert ea_norm([0.0, 0.97], batch, 1.0, 1.0, 2.0) == ea_norm([0.0], rows(u), 1.0, 1.0, 2.0)
+    assert math.isnan(ea_norm_unfolded([0.0, 0.1], batch, 1.0, 1.0, 2.0))
 
 
 # --- width lower-bound ODE ------------------------------------------------------

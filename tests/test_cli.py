@@ -21,11 +21,14 @@ from chgevrey import (
     SpectralField,
     TorusGrid,
     Trajectory,
+    ea_norm,
     existence_window,
     field_from_modes,
+    picard_iterate,
     to_physical,
     window_norm,
 )
+from chgevrey import analyticity
 from chgevrey.cli import (
     CSV_HEADER,
     GENERATORS,
@@ -970,6 +973,29 @@ def test_cli_artifacts_match_golden(tmp_path, capsys, subcommand):
         for name in ("report.json", "trajectory.csv")
     }
     assert (code, digests) == GOLDEN_ARTIFACTS[subcommand]
+
+
+@pytest.mark.parametrize("gevrey", [{}, {"gevrey": {"sigma": 2.0}}])
+def test_the_picard_floor_is_scaled_by_the_datum_row_alone(tmp_path, monkeypatch, gevrey):
+    # the sup over n_nodes copies of the datum sits at t = 0, so one row gives
+    # the same floor bit for bit
+    cfg = parse_config(write_config(tmp_path, **GOLDEN_CONFIGS["picard"], **gevrey))
+    u0 = cfg.initial_data.build(cfg.grid)
+    sigma, s, n_nodes = cfg.gevrey.sigma, cfg.gevrey.s, cfg.picard.n_nodes
+    T = existence_window(u0, sigma, s, cfg.c_prime) / 2.0
+    scored = []
+
+    def spy(times, fields, *args):
+        scored.append(fields.coeffs.shape[0])
+        return ea_norm(times, fields, *args)
+
+    monkeypatch.setattr(analyticity, "ea_norm", spy)
+    res = picard_iterate(u0, cfg.model, sigma, s, T, 2, n_nodes=n_nodes, c_prime=cfg.c_prime)
+    assert scored == [1, n_nodes, n_nodes]
+    copies = u0.with_coeffs(np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))
+    times = np.linspace(0.0, T, n_nodes)
+    expected = 1e3 * np.finfo(float).eps * ea_norm(times, copies, T, sigma, s)
+    assert float.hex(res.floor) == float.hex(expected) and res.floor > 0.0
 
 
 def test_an_old_dealias_key_is_ignored_with_a_warning(tmp_path):

@@ -626,6 +626,17 @@ def test_logsumexp_port_equals_scipy_bit_for_bit():
     mixed = rng.normal(0.0, 3.0, (5, 9))
     mixed[2] = -np.inf  # an all -inf row among finite rows
     cases += [mixed, mixed[2]]
+    # (K, T, L) stacks, as _weighted_norm takes a trajectory at K widths: ties
+    # at the end slots, which count once, and in between, which count twice
+    for length in (1, 2, 3, 4, 9, 33):
+        cube = rng.integers(-2, 2, (3, 4, length)).astype(float)
+        cube[0, :, 0] = cube[0, :, -1] = 5.0  # tied at slot 0 and slot L-1
+        cube[1, 0, :] = 5.0  # tied everywhere
+        cube[1, 1, -1] = 5.0  # the max at slot L-1 alone
+        cube[1, 2, 0] = 5.0  # the max at slot 0 alone
+        cube[2, 0, :] = -np.inf
+        cube[2, 1, length // 2] = np.inf
+        cases += [cube, cube + rng.normal(0.0, 1e-3, cube.shape)]
     for h in cases:
         ours, theirs = logsumexp_modes(h), scipy_logsumexp(_unfold(h), axis=-1)
         assert np.ndim(ours) == h.ndim - 1
