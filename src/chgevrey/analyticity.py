@@ -17,21 +17,23 @@ Three ingredients live here:
   column, then one Gevrey-norm call at the theory widths, one width per row.
   ``calibrate_radius_constant`` fits once, re-marches only the width bound for
   each multiplier it tries, and takes the norms for the one it accepts.
+
+Nothing here marches: the experiments that march data and score it with
+``ea_norm`` (Picard contraction, continuity in the datum) live in ``integrate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._numerics import logsumexp_modes
-from .integrate import BlowUpError, SolverConfig, Trajectory, integrate
 from .model import ModelParams, functional_H
 from .spectral import (
     GevreyIndex,
-    GridMismatchError,
     NormOverflowError,
     SpectralField,
     _gevrey_norm,
@@ -39,15 +41,16 @@ from .spectral import (
     sobolev_norm,
 )
 
+if TYPE_CHECKING:  # the diagnostics only read a trajectory's times and states
+    from .integrate import Trajectory
+
 __all__ = [
     "RadiusEstimate",
     "LifespanBounds",
     "RadiusRecord",
-    "ContinuityReport",
     "InsufficientDecayError",
     "WindowError",
     "CalibrationError",
-    "ExperimentError",
     "estimate_radius",
     "lifespan_bounds",
     "existence_window",
@@ -57,7 +60,6 @@ __all__ = [
     "width_bound",
     "track_radius",
     "calibrate_radius_constant",
-    "continuity_experiment",
 ]
 
 EA_DELTA_GRID = np.linspace(0.05, 0.95, 19)
@@ -77,10 +79,6 @@ class WindowError(ValueError):
 
 class CalibrationError(RuntimeError):
     """No tested multiplier makes the measured-vs-theory invariant hold."""
-
-
-class ExperimentError(RuntimeError):
-    """A sub-run of a multi-trajectory experiment failed."""
 
 
 # --- measured radius ----------------------------------------------------------
@@ -284,7 +282,9 @@ def ea_norm(
     all-zero row counts towards admissibility but is never scored (its
     score is -inf), so a batch whose admissible rows are all zero reads 0.0.
     Reads NaN when an admissible row scores NaN.  Raises WindowError when no
-    (time, width) pair is admissible.
+    (time, width) pair is admissible.  The window shrinks as the width
+    grows, so the first width decides admissibility, and the scan stops at
+    the first width below whose window no nonzero row lies.
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a}")
@@ -293,8 +293,8 @@ def ea_norm(
     t_arr = np.abs(np.asarray(times, dtype=float))
     if t_arr.ndim != 1 or fields.coeffs.shape[:-1] != t_arr.shape:
         raise ValueError("times and the rows of fields must be parallel")
-    if t_arr.shape[0] == 0:
-        raise WindowError("empty trajectory")
+    if not np.any(t_arr < a * (1.0 - EA_DELTA_GRID[0]) ** sigma / (2.0**sigma - 1.0)):
+        raise WindowError("no admissible (time, width) pair on the grid")
     live = np.any(fields.coeffs != 0.0, axis=-1)
     t_live = t_arr[live]
     k2 = fields.grid.wavenumbers**2
@@ -303,16 +303,11 @@ def ea_norm(
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(fields.coeffs[live]))
     best = -np.inf
-    admissible = False
     for delta in EA_DELTA_GRID:
         shrink = a * (1.0 - delta) ** sigma
-        window = shrink / (2.0**sigma - 1.0)
-        if not np.any(t_arr < window):
-            continue
-        admissible = True
-        mask = t_live < window
+        mask = t_live < shrink / (2.0**sigma - 1.0)
         if not np.any(mask):
-            continue
+            break
         terms = log_mag2[mask]  # a copy
         terms += sobolev_w + 2.0 * delta * gevrey_root
         score = (
@@ -321,8 +316,6 @@ def ea_norm(
             + 0.5 * np.log1p(-t_live[mask] / shrink)
         )
         best = np.maximum(best, np.max(score))  # a NaN score stays NaN
-    if not admissible:
-        raise WindowError("no admissible (time, width) pair on the grid")
     if best == -np.inf:
         return 0.0
     try:
@@ -469,63 +462,3 @@ def calibrate_radius_constant(
                 f"delta0 = {delta0}; no multiplier can fix the start"
             )
     raise CalibrationError(f"no multiplier up to 2^{MAX_DOUBLINGS} works")
-
-
-# --- continuity in the initial data -------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Distances between perturbed and limit runs over a common horizon."""
-
-    T: float
-    distances: tuple
-    bounds: tuple
-    budget: float
-
-    @property
-    def within_bounds(self) -> tuple:
-        return tuple(d <= b for d, b in zip(self.distances, self.bounds))
-
-
-def continuity_experiment(
-    u0_sequence,
-    u0_limit: SpectralField,
-    p: ModelParams,
-    sigma: float,
-    s: float,
-    cfg: SolverConfig,
-    c_prime: float = 1.0,
-    budget: float = 1e-6,
-) -> ContinuityReport:
-    """Integrate the perturbed data and the limit datum to the common
-    existence horizon and compare weighted-norm distances against twice the
-    initial-datum distance plus a solver budget.
-
-    ``u0_sequence`` holds the K perturbed data, as a (K, n/2 + 1) batch or a
-    sequence of fields.  The limit and the perturbed data march as one
-    (K+1, n/2 + 1) batch; the horizon uses the largest datum norm so one window
-    serves all runs.  A blow-up raises ExperimentError naming the runs that
-    crossed the limit at the earliest failing step.
-    """
-    grid = u0_limit.grid
-    if any(u.grid != grid for u in u0_sequence):
-        raise GridMismatchError("perturbed data and the limit datum need one grid")
-    # row 0 is the limit, row i + 1 the perturbed datum #i
-    data = SpectralField(grid, np.vstack([u0_limit.coeffs, *(u.coeffs for u in u0_sequence)]))
-    worst = float(np.max(window_norm(data, sigma, s)))
-    if not math.isfinite(worst):
-        raise NormOverflowError(f"window norm of a datum overflowed (sigma={sigma}, s={s})")
-    T = _closed_window(2.0 + worst, sigma, c_prime)[2]
-    dt = min(cfg.dt, T / 64.0)
-    try:
-        traj = integrate(data, p, replace(cfg, dt=dt, t_end=T, record_every=1))
-    except BlowUpError as err:
-        names = ", ".join("limit" if r == 0 else f"#{r - 1}" for r in err.rows)
-        raise ExperimentError(f"run {names} blew up at t = {err.time:.4g}") from err
-    runs = traj.states.coeffs  # (T, K+1, n/2 + 1)
-    diff = data.with_coeffs(runs[:, 1:] - runs[:, :1])
-    k = runs.shape[1] - 1
-    distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(k))
-    bounds = 2.0 * window_norm(data[1:] - data[0], sigma, s) + budget
-    return ContinuityReport(T=T, distances=distances, bounds=tuple(bounds.tolist()), budget=budget)

@@ -35,17 +35,22 @@ import numpy as np
 from . import __version__
 from .analyticity import (
     CalibrationError,
-    ExperimentError,
     RadiusRecord,
     WindowError,
     calibrate_radius_constant,
-    continuity_experiment,
     existence_window,
     lifespan_bounds,
     track_radius,
     window_norm,
 )
-from .integrate import BlowUpError, SolverConfig, integrate, picard_iterate
+from .integrate import (
+    BlowUpError,
+    ExperimentError,
+    SolverConfig,
+    continuity_experiment,
+    integrate,
+    picard_iterate,
+)
 from .model import ModelParams
 from .spectral import (
     GevreyIndex,
@@ -180,12 +185,6 @@ def _integer(key: str, value) -> int:
     return value
 
 
-def _flag(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key}: expected true/false, got {value!r}")
-    return value
-
-
 def _text(key: str, value) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key}: expected a string, got {value!r}")
@@ -200,7 +199,7 @@ def _numbers(key: str, value) -> tuple:
 
 # the reader of each field type; an optional type reads as its inner type
 _READERS = {
-    float: _number, int: _integer, bool: _flag, str: _text, tuple[float, ...]: _numbers,
+    float: _number, int: _integer, str: _text, tuple[float, ...]: _numbers,
     Path: lambda key, value: Path(_text(key, value)),
 }
 # JSON keys that differ from their field names

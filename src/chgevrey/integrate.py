@@ -1,20 +1,29 @@
-r"""Time stepping for the dissipative flow: classical RK4 marching and the
-integral-equation (Picard) iteration used for the contraction experiment.
+r"""Time stepping for the dissipative flow, and the two experiments that march
+data and score it in the weighted sup norm ``ea_norm``: the integral-equation
+(Picard) iteration behind the contraction of the existence proof, and the
+continuity of the data-to-solution map.  ``integrate`` marches with classical RK4.
 
-Both paths are deterministic: identical inputs produce bit-identical states.
+Every path is deterministic: identical inputs produce bit-identical states.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._numerics import cumulative_trapezoid
+from .analyticity import WindowError, _closed_window, ea_norm, existence_window, window_norm
 from .model import ModelParams, RhsWork, rhs
-from .spectral import SpectralField, sobolev_norm, to_physical
+from .spectral import (
+    GridMismatchError,
+    NormOverflowError,
+    SpectralField,
+    sobolev_norm,
+    to_physical,
+)
 
 __all__ = [
     "SolverConfig",
@@ -24,6 +33,9 @@ __all__ = [
     "integrate",
     "picard_iterate",
     "PicardResult",
+    "continuity_experiment",
+    "ContinuityReport",
+    "ExperimentError",
 ]
 
 BLOWUP_NORM = 1e6
@@ -38,6 +50,10 @@ class BlowUpError(RuntimeError):
         self.time, self.trajectory, self.rows = time, trajectory, rows
         where = f" in batch rows {', '.join(map(str, rows))}" if rows else ""
         super().__init__(f"solution blew up at t = {time:.6g}{where}")
+
+
+class ExperimentError(RuntimeError):
+    """A sub-run of a multi-trajectory experiment failed."""
 
 
 @dataclass(frozen=True)
@@ -199,9 +215,6 @@ def picard_iterate(
     1e3 eps times the weighted sup norm of the zeroth iterate, taken on its
     t = 0 row, where that sup sits.
     """
-    # deferred: avoids an import cycle
-    from .analyticity import WindowError, ea_norm, existence_window
-
     if n_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     if n_iters < 1:
@@ -254,3 +267,63 @@ def picard_iterate(
         converged_at=converged_at,
         diverged_at=diverged_at,
     )
+
+
+# --- continuity in the initial data -------------------------------------------
+
+
+@dataclass(frozen=True)
+class ContinuityReport:
+    """Distances between perturbed and limit runs over a common horizon."""
+
+    T: float
+    distances: tuple
+    bounds: tuple
+    budget: float
+
+    @property
+    def within_bounds(self) -> tuple:
+        return tuple(d <= b for d, b in zip(self.distances, self.bounds))
+
+
+def continuity_experiment(
+    u0_sequence,
+    u0_limit: SpectralField,
+    p: ModelParams,
+    sigma: float,
+    s: float,
+    cfg: SolverConfig,
+    c_prime: float = 1.0,
+    budget: float = 1e-6,
+) -> ContinuityReport:
+    """Integrate the perturbed data and the limit datum to the common
+    existence horizon and compare weighted-norm distances against twice the
+    initial-datum distance plus a solver budget.
+
+    ``u0_sequence`` holds the K perturbed data, as a (K, n/2 + 1) batch or a
+    sequence of fields.  The limit and the perturbed data march as one
+    (K+1, n/2 + 1) batch; the horizon uses the largest datum norm so one window
+    serves all runs.  A blow-up raises ExperimentError naming the runs that
+    crossed the limit at the earliest failing step.
+    """
+    grid = u0_limit.grid
+    if any(u.grid != grid for u in u0_sequence):
+        raise GridMismatchError("perturbed data and the limit datum need one grid")
+    # row 0 is the limit, row i + 1 the perturbed datum #i
+    data = SpectralField(grid, np.vstack([u0_limit.coeffs, *(u.coeffs for u in u0_sequence)]))
+    worst = float(np.max(window_norm(data, sigma, s)))
+    if not math.isfinite(worst):
+        raise NormOverflowError(f"window norm of a datum overflowed (sigma={sigma}, s={s})")
+    T = _closed_window(2.0 + worst, sigma, c_prime)[2]
+    dt = min(cfg.dt, T / 64.0)
+    try:
+        traj = integrate(data, p, replace(cfg, dt=dt, t_end=T, record_every=1))
+    except BlowUpError as err:
+        names = ", ".join("limit" if r == 0 else f"#{r - 1}" for r in err.rows)
+        raise ExperimentError(f"run {names} blew up at t = {err.time:.4g}") from err
+    runs = traj.states.coeffs  # (T, K+1, n/2 + 1)
+    diff = data.with_coeffs(runs[:, 1:] - runs[:, :1])
+    k = runs.shape[1] - 1
+    distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(k))
+    bounds = 2.0 * window_norm(data[1:] - data[0], sigma, s) + budget
+    return ContinuityReport(T=T, distances=distances, bounds=tuple(bounds.tolist()), budget=budget)

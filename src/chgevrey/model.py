@@ -75,7 +75,9 @@ class RhsWork:
         self.pair = np.empty((2,) + shape, dtype=np.complex128)
         self.samples = np.empty((4,) + lead + (fine,))
         self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=np.complex128)
-        ik, nonlocal_ = grid.dx_symbol, grid.nonlocal_symbol
+        k = grid.wavenumbers
+        ik = 1j * k
+        nonlocal_ = ik / (1.0 + k * k)
         stacked = (2,) + (1,) * len(lead) + (grid.n_points // 2 + 1,)
         self.forward = np.array([np.full_like(ik, fine), fine * ik]).reshape(stacked)
         self.linear = -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_)

@@ -90,31 +90,14 @@ class TorusGrid:
             raise ValueError(f"n_points must be even and >= 8, got {self.n_points}")
         if not (self.period > 0.0) or not math.isfinite(self.period):
             raise ValueError(f"period must be positive and finite, got {self.period}")
-        # the symbols are computed once per grid and shared read-only by every caller
-        m = np.arange(self.n_points // 2 + 1)
-        k = 2.0 * math.pi * m / self.period
-        symbols = (
-            ("_wavenumbers", k),
-            ("_dx_symbol", 1j * k),
-            ("_nonlocal_symbol", 1j * k / (1.0 + k * k)),
-        )
-        for name, arr in symbols:
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        # computed once per grid and shared read-only by every caller
+        k = 2.0 * math.pi * np.arange(self.n_points // 2 + 1) / self.period
+        k.flags.writeable = False
+        object.__setattr__(self, "_wavenumbers", k)
 
     @property
     def wavenumbers(self) -> np.ndarray:
         return self._wavenumbers
-
-    @property
-    def dx_symbol(self) -> np.ndarray:
-        """Symbol i*k_m of d/dx on modes 0 .. n/2."""
-        return self._dx_symbol
-
-    @property
-    def nonlocal_symbol(self) -> np.ndarray:
-        """Symbol i*k_m/(1 + k_m^2) of (1 - d_xx)^{-1} d_x on modes 0 .. n/2."""
-        return self._nonlocal_symbol
 
     @property
     def x(self) -> np.ndarray:
@@ -295,7 +278,7 @@ def random_field(
 
 def derivative(field: SpectralField) -> SpectralField:
     """Spectral d/dx: c_m -> i*k_m*c_m."""
-    return field.with_coeffs(field.grid.dx_symbol * field.coeffs)
+    return field.with_coeffs(1j * field.grid.wavenumbers * field.coeffs)
 
 
 def helmholtz_inv(field: SpectralField) -> SpectralField:

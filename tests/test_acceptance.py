@@ -28,10 +28,10 @@ from chgevrey import (
 )
 from chgevrey.analyticity import (
     calibrate_radius_constant,
-    continuity_experiment,
     estimate_radius,
     track_radius,
 )
+from chgevrey.integrate import continuity_experiment
 from chgevrey.model import SMALL_DATA_EPSILON, functional_H, small_data_check
 from chgevrey.verify import (
     compute_pins,

@@ -23,6 +23,7 @@ from chgevrey import (
     ExperimentError,
     Trajectory,
     GevreyIndex,
+    GridMismatchError,
     InsufficientDecayError,
     ModelParams,
     NormOverflowError,
@@ -99,6 +100,8 @@ def test_fit_rejects_single_mode_and_zero_fields():
         estimate_radius(field_from_modes(GRID, {1: 0.5}), sigma=1.0)
     with pytest.raises(InsufficientDecayError):
         estimate_radius(field_from_modes(GRID, {}), sigma=1.0)
+    with pytest.raises(ValueError, match="sigma must be >= 1"):
+        estimate_radius(exp_decay_field(), sigma=0.5)
 
 
 def _first_fit(field):
@@ -310,6 +313,10 @@ def test_schedule_window_errors():
         delta_of_tau(-1e-9, 0.3, 2.0, 1.0)
     with pytest.raises(ValueError):
         delta_of_tau(0.1, 1.0, 2.0, 1.0)  # delta must be < 1
+    with pytest.raises(ValueError, match="sigma must be >= 1"):
+        delta_of_tau(0.1, 0.3, 0.5, 1.0)
+    with pytest.raises(ValueError, match="a must be positive"):
+        delta_of_tau(0.1, 0.3, 2.0, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -370,6 +377,10 @@ def test_sup_norm_window_and_validation_errors():
         ea_norm([], empty, a=1.0, sigma=1.0, s=0.0)
     with pytest.raises(ValueError):
         ea_norm([0.0, 0.1], rows(u), a=1.0, sigma=1.0, s=0.0)
+    with pytest.raises(ValueError, match="sigma must be >= 1"):
+        ea_norm([0.0], rows(u), a=1.0, sigma=0.5, s=0.0)
+    with pytest.raises(ValueError, match="a must be positive"):
+        ea_norm([0.0], rows(u), a=0.0, sigma=1.0, s=0.0)
     assert ea_norm([0.0], rows(0.0 * u), a=1.0, sigma=1.0, s=0.0) == 0.0
 
 
@@ -724,4 +735,13 @@ def test_continuity_names_every_run_that_crosses_at_the_earliest_step():
     with pytest.raises(ExperimentError, match=r"run limit, #1 blew up"):
         continuity_experiment(
             seq, limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
+        )
+
+
+def test_continuity_needs_one_grid_for_all_data():
+    limit = field_from_modes(TorusGrid(32), {1: 0.005})
+    other = field_from_modes(TorusGrid(64), {1: 0.005, 2: 5e-4})
+    with pytest.raises(GridMismatchError, match="one grid"):
+        continuity_experiment(
+            [other], limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
         )

@@ -28,7 +28,6 @@ from chgevrey import (
     to_physical,
     window_norm,
 )
-from chgevrey import analyticity
 from chgevrey.cli import (
     CSV_HEADER,
     GENERATORS,
@@ -95,6 +94,13 @@ def test_illtyped_field_names_the_field(tmp_path):
     path = write_config(tmp_path, solver={"dt": "fast"})
     with pytest.raises(ConfigError, match="solver.dt"):
         parse_config(path)
+
+
+def test_a_config_that_is_not_an_object_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([{"initial_data": {"name": "cosine"}}]))
+    assert main(["lifespan", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
 
 def test_bad_json_and_missing_file(tmp_path):
@@ -279,18 +285,22 @@ def test_config_blob_round_trips_through_parse_config(tmp_path_factory, blob):
 
 
 def _inf_config(tmp_path, blob) -> Path:
-    # a JSON number literal past the float range: Python reads 1e999 as inf
+    # JSON number literals past the float range: Python reads 1e999 as inf,
+    # and 10**400 as an integer that float() refuses
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(blob).replace('"INF"', "1e999"))
+    text = json.dumps(blob).replace('"INF"', "1e999").replace('"BIG"', str(10**400))
+    path.write_text(text)
     return path
 
 
 # coefficient files that ingest rejects: one line that reads as a float outside
-# the finite range, or a ninth line, which is slot n/2 of the n = 16 grid
+# the finite range, a ninth line, which is slot n/2 of the n = 16 grid, or
+# comments and blank lines alone
 _COEFF_FILES = {
     "inf.txt": "1e999 0.0\n",
     "nan.txt": "nan 0.0\n",
     "nyquist.txt": "0.0 0.0\n" * 8 + "0.001 0.0\n",
+    "comments.txt": "# mean first\n\n# no coefficient follows\n",
 }
 
 
@@ -371,6 +381,8 @@ _COEFF_FILES = {
             )
         ),
         ("continuity", {"continuity": {"budget": -1.0}}, "continuity.budget"),
+        ("lifespan", {"grid": 5}, "grid"),
+        ("lifespan", {"solver": {"t_end": "BIG"}}, "solver.t_end"),
     ],
     ids=[
         "infinite-horizon",
@@ -389,6 +401,7 @@ _COEFF_FILES = {
         "infinite-coeff-line",
         "nan-coeff-line",
         "nyquist-coeff-line",
+        "comments-only-coeff-file",
         "overflowing-decay-rate",
         "overflowing-bump",
         "odd-grid",
@@ -398,6 +411,8 @@ _COEFF_FILES = {
         "no-record",
         "negative-width",
         "negative-budget",
+        "grid-not-an-object",
+        "integer-past-the-float-range",
     ],
 )
 def test_bad_input_exits_two_naming_the_key(
@@ -839,7 +854,7 @@ def test_continuity_mode_zero_perturbs_by_the_cosine_datum(tmp_path):
 
 def test_continuity_exits_one_when_any_bound_breaks(tmp_path, monkeypatch):
     import chgevrey.cli as cli
-    from chgevrey.analyticity import ContinuityReport
+    from chgevrey.integrate import ContinuityReport
 
     def one_bound_broken(sequence, *args, **kwargs):
         return ContinuityReport(T=1e-5, distances=(1e-3, 1.0), bounds=(1e-2, 1e-2), budget=1e-6)
@@ -849,6 +864,21 @@ def test_continuity_exits_one_when_any_bound_breaks(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["continuity", "--config", str(cfg), "--out", str(out)]) == 1
     assert json.loads((out / "report.json").read_text())["within_bounds"] == [True, False]
+
+
+def test_continuity_exits_one_naming_the_runs_that_blew_up(tmp_path, capsys):
+    # the datum's monitored norm is past the blow-up threshold, so the limit and
+    # the perturbed run both cross at the first step
+    cfg = write_config(
+        tmp_path,
+        initial_data={"name": "cosine", "amplitude": 1e8, "mode": 1},
+        grid={"n_points": 16},
+        continuity={"amplitudes": [0.1]},
+    )
+    assert main(["continuity", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "continuity experiment failed: run limit, #0 blew up at t = "
+    )
 
 
 def test_radius_without_a_finite_fit_fails_calibration(tmp_path, capsys):
@@ -989,7 +1019,8 @@ def test_the_picard_floor_is_scaled_by_the_datum_row_alone(tmp_path, monkeypatch
         scored.append(fields.coeffs.shape[0])
         return ea_norm(times, fields, *args)
 
-    monkeypatch.setattr(analyticity, "ea_norm", spy)
+    # the module, not the function integrate that the package binds over its name
+    monkeypatch.setattr(sys.modules["chgevrey.integrate"], "ea_norm", spy)
     res = picard_iterate(u0, cfg.model, sigma, s, T, 2, n_nodes=n_nodes, c_prime=cfg.c_prime)
     assert scored == [1, n_nodes, n_nodes]
     copies = u0.with_coeffs(np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))

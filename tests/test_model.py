@@ -328,10 +328,28 @@ def test_a_buffer_set_for_another_shape_or_padded_size_is_refused():
 
 
 def test_the_plan_symbols_are_read_only():
-    work = RhsWork(full_band_field(GRID, 0, decay=1.0), ModelParams(alpha=0.1, beta=0.3))
+    p = ModelParams(alpha=0.1, beta=0.3, Gamma_coef=-0.4, lam=0.7)
+    work = RhsWork(full_band_field(GRID, 0, decay=1.0), p)
     for symbol in (work.forward, work.linear, work.back):
         with pytest.raises(ValueError, match="read-only"):
             symbol[..., 0] = 1.0
+    # the closed forms from i*k and i*k/(1 + k^2) on modes 0 .. n/2, bit for bit
+    k, fine = GRID.wavenumbers, work.samples.shape[-1]
+    ik, nonlocal_ = 1j * k, 1j * k / (1.0 + k * k)
+    ones = np.ones_like(ik)
+    closed = {
+        "forward": np.array([fine * ones, fine * ik]),
+        "linear": -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_),
+        "back": np.array([(-1.0 / fine) * ones, -nonlocal_ / fine]),
+    }
+    for name, expected in closed.items():
+        assert np.array_equal(getattr(work, name).view(float), expected.view(float)), name
+
+
+@pytest.mark.parametrize("name, value", [("alpha", math.nan), ("lam", math.inf)])
+def test_every_coefficient_must_be_a_finite_real(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite real"):
+        ModelParams(**{name: value})
 
 
 # --- smallness functional -------------------------------------------------

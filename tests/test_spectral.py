@@ -86,17 +86,6 @@ def test_grid_symbols_are_cached_read_only():
     assert g.wavenumbers is g.wavenumbers
 
 
-def test_grid_holds_the_derivative_and_nonlocal_symbols_read_only():
-    g = TorusGrid(8)
-    for arr in (g.dx_symbol, g.nonlocal_symbol):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 1
-    k = g.wavenumbers  # both over modes 0 .. n/2
-    assert np.array_equal(g.dx_symbol.view(float), (1j * k).view(float))
-    assert np.array_equal(g.nonlocal_symbol.view(float), (1j * k / (1.0 + k * k)).view(float))
-
-
 # --- transforms -----------------------------------------------------------
 
 
@@ -148,6 +137,15 @@ def test_non_finite_input_raises_the_non_finite_error():
     samples[7] = -math.inf
     with pytest.raises(NonFiniteError, match="samples"):
         to_spectral(samples, GRID)
+
+
+def test_samples_and_the_gevrey_index_are_checked_where_they_come_in():
+    with pytest.raises(ValueError, match="must be real"):
+        to_spectral(np.ones(GRID.n_points, dtype=complex), GRID)
+    with pytest.raises(ValueError, match=f"expected {GRID.n_points} samples"):
+        to_spectral(np.ones(GRID.n_points + 2), GRID)
+    with pytest.raises(ValueError, match="s must be finite"):
+        GevreyIndex(1.0, 0.0, math.inf)
 
 
 def test_field_from_modes_folds_a_negative_mode_and_rejects_a_pair():

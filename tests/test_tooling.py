@@ -1,6 +1,8 @@
 """The traced benchmark patches chgevrey by name; every name it patches must
-still resolve, so a refactor cannot silently drop a layer from the trace."""
+still resolve, so a refactor cannot silently drop a layer from the trace.
+The package's imports run one way, so no module needs a deferred import."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -11,6 +13,12 @@ import numpy as np
 from chgevrey.spectral import SpectralField, TorusGrid
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "chgevrey"
+# each module imports only the ones before it; the package's __init__
+# star-imports every module but cli
+IMPORT_ORDER = (
+    "_numerics", "spectral", "model", "analyticity", "integrate", "verify", "__init__", "cli",
+)
 
 
 def _load_tracer():
@@ -87,3 +95,25 @@ def test_a_traced_simulate_op_sees_every_step_through_the_public_names(tmp_path)
     metrics = tracer.layer_metrics(0)
     assert metrics["integrate.step_rk4.calls"] == steps
     assert metrics["model.rhs.calls"] == 4 * steps
+
+
+def _relative_imports(node, in_function=False):
+    """(module, inside a function) for each relative import that runs; an
+    ``if TYPE_CHECKING:`` block never does.  ``from . import name`` imports
+    the module ``name``, or the package's ``__init__`` where no such module is."""
+    if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+        return
+    if isinstance(node, ast.ImportFrom) and node.level:
+        for target in [node.module] if node.module else [a.name for a in node.names]:
+            yield (target if (SRC / f"{target}.py").is_file() else "__init__"), in_function
+    in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    for child in ast.iter_child_nodes(node):
+        yield from _relative_imports(child, in_function)
+
+
+def test_imports_run_one_way():
+    assert sorted(IMPORT_ORDER) == sorted(path.stem for path in SRC.glob("*.py"))
+    for position, name in enumerate(IMPORT_ORDER):
+        imports = list(_relative_imports(ast.parse((SRC / f"{name}.py").read_text())))
+        assert [module for module, inside in imports if inside] == [], name
+        assert {module for module, _ in imports} <= set(IMPORT_ORDER[:position]), name
