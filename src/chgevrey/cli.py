@@ -300,6 +300,7 @@ def _section(cls, blob, prefix: str, base):
 
 # the trajectory.csv columns are RadiusRecord's fields, in order
 _CSV_ROW = attrgetter(*(f.name for f in fields(RadiusRecord)))
+_CSV_FORMAT = ",".join(["%.17g"] * len(fields(RadiusRecord)))
 
 
 def parse_config(path) -> RunConfig:
@@ -368,7 +369,7 @@ def _write_metadata(out: Path, cfg: RunConfig, pins: EmpiricalConstants, **extra
 
 
 def _write_trajectory_csv(path: Path, records) -> None:
-    lines = [CSV_HEADER] + [",".join(f"{v:.17g}" for v in _CSV_ROW(r)) for r in records]
+    lines = [CSV_HEADER] + [_CSV_FORMAT % _CSV_ROW(r) for r in records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from chgevrey import (
     ModelParams,
+    RadiusRecord,
     SpectralField,
     TorusGrid,
     Trajectory,
@@ -36,6 +37,7 @@ from chgevrey.cli import (
     InitialDataSpec,
     _config_blob,
     _write_json,
+    _write_trajectory_csv,
     main,
     parse_config,
 )
@@ -535,6 +537,18 @@ def test_lifespan_evaluates_the_window_of_the_width_one_norm(tmp_path):
     u0 = InitialDataSpec("cosine", amplitude=0.01).build(TorusGrid(16))
     window = existence_window(u0, sigma=1.0, s=2.0, c_prime=1.0)
     assert report["T0_closed_form"] / (2.0 ** report["sigma"] - 1.0) == window
+
+
+def test_trajectory_csv_writes_every_value_at_17_significant_digits(tmp_path):
+    # the row format is "%.17g" per value: shortest round trip of the specials too
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0, 12345678.9]
+    rows = [values, values[::-1]]
+    _write_trajectory_csv(tmp_path / "t.csv", [RadiusRecord(*row) for row in rows])
+    expected = [CSV_HEADER] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+    assert expected[1] == (
+        "nan,inf,-inf,-0,4.9406564584124654e-324,0.10000000000000001,0.33333333333333331,12345678.9"
+    )
 
 
 def test_simulate_constant_datum_decays_exponentially(tmp_path):

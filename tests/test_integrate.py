@@ -33,6 +33,7 @@ from chgevrey import (
     to_physical,
     to_spectral,
 )
+from chgevrey.integrate import _monitor_weight
 
 GRID = TorusGrid(64)
 P = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, Gamma_coef=0.5, lam=1.0)
@@ -143,14 +144,33 @@ def test_unstable_step_raises_blowup_with_partial_trajectory():
 
 
 def test_norm_monitor_triggers_before_nonfinite():
-    # mild growth into the 1e6 monitor threshold rather than a float overflow
-    u0 = cos_field(amp=2000.0, mode=2)
+    # mild growth into the 1e6 monitor threshold rather than a float overflow;
+    # the blow-up step is the first whose state has sobolev_norm above 1e6
     p = ModelParams(lam=1e-8)
-    grid_small = TorusGrid(16)
-    u0 = cos_field(grid_small, amp=2000.0, mode=2)
+    u0 = cos_field(TorusGrid(16), amp=2000.0, mode=2)
     with pytest.warns(UserWarning):
-        with pytest.raises(BlowUpError):
-            integrate(u0, p, SolverConfig(dt=0.2, t_end=10.0))
+        with pytest.raises(BlowUpError) as excinfo:
+            integrate(u0, p, SolverConfig(dt=0.2, t_end=10.0, record_every=1))
+    err = excinfo.value
+    states, times = err.trajectory.states, err.trajectory.times
+    assert np.all(sobolev_norm(states, 2.0) <= 1e6)
+    assert err.time == len(times) * 0.2
+    assert sobolev_norm(step_rk4(states[-1], p, 0.2), 2.0) > 1e6
+
+
+@pytest.mark.parametrize("s", [2.0, 2.5])
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_the_monitor_weight_gives_the_sobolev_norm(n, s):
+    # the march's monitor is sqrt(|c|^2 @ w) with w built once per run; on a
+    # field and on a batch it is the H^s norm up to rounding
+    grid = TorusGrid(n)
+    weight = _monitor_weight(grid, s)
+    rng = np.random.default_rng(n)
+    for u in (random_field(grid, rng), random_field(grid, rng, size=5)):
+        c = u.coeffs
+        monitor = np.sqrt((c.real**2 + c.imag**2) @ weight)
+        assert np.shape(monitor) == np.shape(sobolev_norm(u, s))
+        np.testing.assert_allclose(monitor, sobolev_norm(u, s), rtol=1e-13, atol=0.0)
 
 
 def test_a_batch_marches_each_row_as_it_marches_alone():
@@ -291,6 +311,32 @@ def test_march_keeps_the_h1_energy_law(p):
     assert 14.0 < coarse / fine < 18.0, f"drift ratio {coarse / fine:.2f}"
     # the same check against a rate 1% off fails by orders of magnitude
     assert energy_drift(u, p, 0.01, 1.01 * p.lam) > 1e-3
+
+
+# --- the dissipation map ------------------------------------------------------
+
+
+def map_defect(n_steps: int) -> float:
+    """max|e^(l1 t1) c(t1) - e^(l2 t2) c(t2)| for CH marched at l1 = 0.1 to t1 = 1
+    and at l2 = 0.5 to the t2 with the same undamped time tau = (1 - e^-0.1)/0.1."""
+    u0 = field_from_modes(GRID, {1: 0.25, 2: 0.05})
+    tau = (1.0 - math.exp(-0.1)) / 0.1
+    scaled = []
+    for lam, t in ((0.1, 1.0), (0.5, -math.log(1.0 - 0.5 * tau) / 0.5)):
+        traj = integrate(u0, ModelParams(lam=lam), SolverConfig(dt=t / n_steps, t_end=t))
+        assert traj.times[-1] == t
+        scaled.append(math.exp(lam * t) * traj.states.coeffs[-1])
+    return float(np.max(np.abs(scaled[0] - scaled[1])))
+
+
+def test_the_march_keeps_the_dissipation_map():
+    # for CH, u_lam(t) = e^(-lam t) v(tau_lam(t)) with v the undamped flow and
+    # tau_lam(t) = (1 - e^(-lam t))/lam; the dealiased Galerkin system keeps the
+    # map exactly, so two rates at one tau differ by the RK4 error alone
+    defects = [map_defect(n_steps) for n_steps in (100, 200, 400)]
+    assert defects[-1] < 5e-13
+    for coarse, fine in zip(defects, defects[1:]):
+        assert 14.0 < coarse / fine < 18.0, f"defects {defects}"
 
 
 def test_a_stale_positional_flag_is_refused():
