@@ -4,6 +4,9 @@ dissipative Camassa-Holm equation on the torus."""
 import sys as _sys
 
 from .analyticity import *  # noqa: F403
+# the function integrate shadows its module here: chgevrey.integrate (and
+# `import chgevrey.integrate as m`) is the function, so a monkeypatch of the
+# module must go through sys.modules["chgevrey.integrate"]
 from .integrate import *  # noqa: F403
 from .model import *  # noqa: F403
 from .spectral import *  # noqa: F403

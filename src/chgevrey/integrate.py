@@ -89,17 +89,23 @@ def step_rk4(
     """One classical Runge-Kutta step of u_t = F(u), after which the mean
     coefficient is made real; slot n/2 stays zero, as rhs writes it.  A batch
     steps row by row.  ``work``, the run's RhsWork plan, is handed to every
-    ``rhs`` call of the step; without it the step builds one.
+    ``rhs`` call of the step; without it the step builds one.  Stages 2-4 are
+    written into the plan's ``stage`` buffer, as h k + c, and passed as one
+    field; the four results of ``rhs`` are fresh, so the step's result shares
+    no memory with the plan.
 
     Nothing is checked here: a non-finite stage propagates into the returned
     state, and the caller's monitor is the one check of the step.
     """
     c = u.coeffs
     work = RhsWork(u, p) if work is None else work
-    k1 = rhs(u, p, work=work).coeffs
-    k2 = rhs(u.with_coeffs(c + (0.5 * dt) * k1), p, work=work).coeffs
-    k3 = rhs(u.with_coeffs(c + (0.5 * dt) * k2), p, work=work).coeffs
-    k4 = rhs(u.with_coeffs(c + dt * k3), p, work=work).coeffs
+    stage, staged = work.stage, u.with_coeffs(work.stage)  # stages 2-4, rewritten in place
+    ks = [rhs(u, p, work=work).coeffs]
+    for h in (0.5 * dt, 0.5 * dt, dt):  # stage = c + h k, as h * k + c
+        np.multiply(ks[-1], h, out=stage)
+        stage += c
+        ks.append(rhs(staged, p, work=work).coeffs)
+    k1, k2, k3, k4 = ks
     # c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), operation for operation, in place
     k2 *= 2.0
     k3 *= 2.0

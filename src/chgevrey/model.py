@@ -58,76 +58,85 @@ def _fine_size(n: int, p: ModelParams) -> int:
 
 
 class RhsWork:
-    """The plan of ``rhs`` for one run: buffers and symbols for one grid, shape of u and p.
+    """The plan of ``rhs`` for one run: buffers, views and symbols for one grid, shape of u and p.
 
-    The buffers, on a leading axis: the pair (c, u_x), its padded samples, two
-    temporaries and a spectrum.  The read-only symbols on modes 0 .. n/2: the
-    forward pair (fine, fine*ik) that yields the sampled (u, u_x) from one
-    irfft; the linear symbol L = -(lambda + i Gamma k - (alpha+Gamma) ik/(1+k^2));
-    and the back-scaling pair (-1/fine, -ik/(1+k^2)/fine) of the fused rfft
-    output.  No result aliases them.
+    The buffers: a ``stage`` of u's shape for ``step_rk4``; on a leading axis,
+    the triple (fine*c, fine*u_x, L c), the padded samples (u, u_x and two
+    temporary rows) and the spectrum of the odd sample rows.  The views of
+    these that a call reads, the fine size, n/2, the quartic flag and beta/3,
+    gamma/4 are taken once here.  The read-only symbols on modes 0 .. n/2: the
+    stacked (fine, fine*ik, L), with L = -(lambda + i Gamma k - (alpha+Gamma)
+    ik/(1+k^2)), that yields the irfft input pair and the linear terms in one
+    multiply; and the back-scaling pair (-1/fine, -ik/(1+k^2)/fine) of the
+    fused rfft output.  No result aliases them.
     """
 
     def __init__(self, u: SpectralField, p: ModelParams):
         grid, shape = u.grid, u.coeffs.shape
-        lead, fine = shape[:-1], _fine_size(grid.n_points, p)
-        self.key = (grid, shape, p)
-        self.pair = np.empty((2,) + shape, dtype=np.complex128)
+        lead, fine, half = shape[:-1], _fine_size(grid.n_points, p), grid.n_points // 2
+        self.key, self.fine, self.half = (grid, shape, p), fine, half
+        self.quartic = p.beta != 0.0 or p.gamma != 0.0
+        self.beta3, self.gamma4 = p.beta / 3.0, p.gamma / 4.0
+        self.stage = np.empty(shape, dtype=np.complex128)
+        self.triple = np.empty((3,) + shape, dtype=np.complex128)
+        self.pair, self.linear_c = self.triple[:2], self.triple[2]
         self.samples = np.empty((4,) + lead + (fine,))
+        self.rows = tuple(self.samples)  # u, u_x, and the temporaries u^2, inner
+        self.first, self.squares, self.odd = self.samples[:2], self.samples[2:], self.samples[1::2]
         self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=np.complex128)
+        self.fused = self.spectrum[..., : half + 1]
         k = grid.wavenumbers
         ik = 1j * k
         nonlocal_ = ik / (1.0 + k * k)
-        stacked = (2,) + (1,) * len(lead) + (grid.n_points // 2 + 1,)
-        self.forward = np.array([np.full_like(ik, fine), fine * ik]).reshape(stacked)
-        self.linear = -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_)
-        self.back = np.array([np.full_like(ik, -1.0 / fine), -nonlocal_ / fine]).reshape(stacked)
-        for symbol in (self.forward, self.linear, self.back):
+        stacked = (1,) * len(lead) + (half + 1,)
+        linear = -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_)
+        self.symbol = np.array([np.full_like(ik, fine), fine * ik, linear]).reshape((3,) + stacked)
+        self.back = np.array([np.full_like(ik, -1.0 / fine), -nonlocal_ / fine]).reshape((2,) + stacked)
+        for symbol in (self.symbol, self.back):
             symbol.flags.writeable = False
 
 
 def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> SpectralField:
     """F(u) = -(u+Gamma) u_x - lambda u + Q(u), from one padded real-FFT pass.
 
-    One irfft of (fine*c, fine*ik*c) gives u and u_x on the padded grid, u u_x
-    and u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4 are formed pointwise (no
-    truncation between the powers), and one rfft brings both back.  Both
-    spectra are then scaled by one stacked symbol, and the linear terms enter
-    as one symbol L times c.  The padding (5n/2 points for a quartic model,
-    3n/2 otherwise) makes the modes below n/2 the true convolution coefficients,
-    as in product(), and slot n/2 is zeroed.  A batch is evaluated row by row on
-    the last axis.  The result is not revalidated: an overflow shows up as a
-    non-finite coefficient at the caller's next check.  ``work`` is the RhsWork
-    plan for u's grid and shape and this p (else ValueError), or None for a
-    plan of this call alone.
+    One multiply by the plan's stacked symbol gives (fine*c, fine*ik*c, L c);
+    one irfft of the first two gives u and u_x on the padded grid, one multiply
+    both squares, then u u_x and u^2 + u_x^2/2 - (beta/3) u^3 - (gamma/4) u^4
+    are formed pointwise (no truncation between the powers), and one rfft
+    brings both back.  Both spectra are then scaled by the stacked back symbol
+    and added to L c.  The padding (5n/2 points for a quartic model, 3n/2
+    otherwise) makes the modes below n/2 the true convolution coefficients, as
+    in product(), and slot n/2 is zeroed.  A batch is evaluated row by row on
+    the last axis.  The result is a fresh array, not revalidated: an overflow
+    shows up as a non-finite coefficient at the caller's next check.  ``work``
+    is the RhsWork plan for u's grid and shape and this p (else ValueError), or
+    None for a plan of this call alone.
     """
     grid, c = u.grid, u.coeffs
     work = RhsWork(u, p) if work is None else work
     if work.key != (grid, c.shape, p):
         raise ValueError(f"rhs buffers for (grid, shape, p) {work.key}, not {(grid, c.shape, p)}")
-    np.multiply(work.forward, c, out=work.pair)  # fine*(c, u_x)
+    np.multiply(work.symbol, c, out=work.triple)  # fine*(c, u_x) and L c
     # irfft pads the spectrum with zeros itself and carries 1/fine
-    np.fft.irfft(work.pair, work.samples.shape[-1], axis=-1, out=work.samples[:2])
-    w, wx, w2, inner = work.samples
-    np.multiply(w, w, out=w2)
-    np.multiply(wx, 0.5, out=inner)
-    inner *= wx
+    np.fft.irfft(work.pair, work.fine, axis=-1, out=work.first)
+    np.multiply(work.first, work.first, out=work.squares)  # u^2, u_x^2
+    w, wx, w2, inner = work.rows
+    inner *= 0.5
     inner += w2  # u^2 + u_x^2/2
     wx *= w  # u u_x
-    if p.beta != 0.0 or p.gamma != 0.0:  # inner -= u^2 u (beta/3 + (gamma/4) u)
+    if work.quartic:  # inner -= u^2 u (beta/3 + (gamma/4) u)
         w2 *= w
-        w *= p.gamma / 4.0
-        w += p.beta / 3.0
+        w *= work.gamma4
+        w += work.beta3
         w2 *= w
         inner -= w2
     # u u_x and the inner term, rows 1 and 3, go back in one rfft
-    half = grid.n_points // 2
-    fused = np.fft.rfft(work.samples[1::2], axis=-1, out=work.spectrum)[..., : half + 1]
+    np.fft.rfft(work.odd, axis=-1, out=work.spectrum)
+    fused = work.fused
     fused *= work.back  # now -u u_x and -(1 - d_xx)^{-1} d_x inner; L c holds the rest of Q
-    out = work.linear * c
-    out += fused[1]
+    out = fused[1] + work.linear_c
     out += fused[0]
-    out[..., half] = 0.0
+    out[..., work.half] = 0.0
     return u.with_coeffs(out)
 
 

@@ -37,6 +37,7 @@ from chgevrey.integrate import _monitor_weight
 
 GRID = TorusGrid(64)
 P = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, Gamma_coef=0.5, lam=1.0)
+BENCH_QUARTIC = ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05, lam=1.0)
 
 
 def rk4_poly(z: float) -> float:
@@ -200,8 +201,10 @@ def record_buffer_sets(monkeypatch) -> list:
 
 
 def held_buffers(built: list) -> list:
-    held = ("pair", "samples", "spectrum", "forward", "linear", "back")
-    return [getattr(work, name) for work in built for name in held]
+    """Every array each plan holds, alone or in a tuple: buffers, views and symbols."""
+    values = [v for work in built for v in vars(work).values()]
+    held = [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
+    return [a for a in held if isinstance(a, np.ndarray)]
 
 
 @pytest.mark.parametrize("size", [None, 3])
@@ -216,6 +219,9 @@ def test_a_march_builds_one_buffer_set_and_no_state_shares_it(monkeypatch, size)
     stepped = step_rk4(u0, P, 0.01, work=built[0]).coeffs
     assert not any(np.shares_memory(stepped, buf) for buf in held_buffers(built))
     assert stepped.tobytes() == traj.states.coeffs[1].tobytes()
+    # a second step on the same plan leaves the first one's result as it was
+    step_rk4(traj.states[-1], P, 0.02, work=built[0])
+    assert stepped.tobytes() == traj.states.coeffs[1].tobytes()
     assert len(built) == 1
 
 
@@ -226,6 +232,45 @@ def test_a_step_without_a_plan_builds_one_for_its_four_stages(monkeypatch, size)
     alone = step_rk4(u0, P, 0.01).coeffs
     assert len(built) == 1
     assert alone.tobytes() == step_rk4(u0, P, 0.01, work=RhsWork(u0, P)).coeffs.tobytes()
+
+
+# --- the RK4 step against its textbook form ------------------------------------
+
+
+def textbook_rk4(u: SpectralField, p: ModelParams, dt: float) -> np.ndarray:
+    """One classical RK4 step written out: each stage from a fresh plan, and the
+    combination k1 + 2 k2 + 2 k3 + k4 in step_rk4's order; the mean made real."""
+    c = u.coeffs
+    f = lambda coeffs: rhs(u.with_coeffs(coeffs), p, work=None).coeffs
+    k1 = f(c)
+    k2 = f(c + (0.5 * dt) * k1)
+    k3 = f(c + (0.5 * dt) * k2)
+    k4 = f(c + dt * k3)
+    out = (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6.0) + c
+    out.imag[..., 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("p", [ModelParams(lam=0.1), BENCH_QUARTIC], ids=["CH", "quartic"])
+@pytest.mark.parametrize("size", [None, 3])
+def test_step_rk4_is_the_textbook_step_bit_for_bit(p, size):
+    u = 0.1 * random_field(GRID, np.random.default_rng(5), band=20, size=size)
+    work = RhsWork(u, p)
+    for dt in (0.01, 0.0037):
+        assert step_rk4(u, p, dt, work=work).coeffs.tobytes() == textbook_rk4(u, p, dt).tobytes()
+        assert step_rk4(u, p, dt).coeffs.tobytes() == textbook_rk4(u, p, dt).tobytes()
+
+
+@pytest.mark.parametrize("p", [ModelParams(lam=0.1), BENCH_QUARTIC], ids=["CH", "quartic"])
+def test_a_march_with_a_shortened_last_step_is_textbook_steps_bit_for_bit(p):
+    u0 = 0.1 * random_field(GRID, np.random.default_rng(6), band=20)
+    cfg = SolverConfig(dt=0.01, t_end=0.035)
+    traj = integrate(u0, p, cfg)
+    assert len(traj.times) == 5 and traj.times[-1] == cfg.t_end
+    u = u0
+    for dt, state in zip((0.01, 0.01, 0.01, cfg.t_end - 3 * cfg.dt), traj.states.coeffs[1:]):
+        u = u.with_coeffs(textbook_rk4(u, p, dt))
+        assert state.tobytes() == u.coeffs.tobytes()
 
 
 def test_the_norms_of_a_batched_trajectory_are_those_of_each_run():
@@ -280,8 +325,6 @@ def test_blowup_lists_every_row_that_crossed_at_the_failing_step():
 
 
 # --- the H^1 energy law --------------------------------------------------------
-
-BENCH_QUARTIC = ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05, lam=1.0)
 
 
 def h1_energy(states: SpectralField) -> np.ndarray:

@@ -276,8 +276,10 @@ def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p):
 # --- the rhs plan: held buffers and symbols ------------------------------------
 
 
-def buffers(work: RhsWork) -> tuple:
-    return work.pair, work.samples, work.spectrum, work.forward, work.linear, work.back
+def buffers(work: RhsWork) -> list:
+    """Every array the plan holds, alone or in a tuple: buffers, views and symbols."""
+    held = [a for v in vars(work).values() for a in (v if isinstance(v, tuple) else (v,))]
+    return [a for a in held if isinstance(a, np.ndarray)]
 
 
 def full_band_batch(grid: TorusGrid, rng: np.random.Generator, lead: tuple) -> SpectralField:
@@ -330,16 +332,18 @@ def test_a_buffer_set_for_another_shape_or_padded_size_is_refused():
 def test_the_plan_symbols_are_read_only():
     p = ModelParams(alpha=0.1, beta=0.3, Gamma_coef=-0.4, lam=0.7)
     work = RhsWork(full_band_field(GRID, 0, decay=1.0), p)
-    for symbol in (work.forward, work.linear, work.back):
+    read_only = [a for a in buffers(work) if not a.flags.writeable]
+    assert len(read_only) == 2 and read_only[0] is work.symbol and read_only[1] is work.back
+    for symbol in read_only:
         with pytest.raises(ValueError, match="read-only"):
             symbol[..., 0] = 1.0
     # the closed forms from i*k and i*k/(1 + k^2) on modes 0 .. n/2, bit for bit
     k, fine = GRID.wavenumbers, work.samples.shape[-1]
     ik, nonlocal_ = 1j * k, 1j * k / (1.0 + k * k)
     ones = np.ones_like(ik)
+    linear = -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_)
     closed = {
-        "forward": np.array([fine * ones, fine * ik]),
-        "linear": -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_),
+        "symbol": np.array([fine * ones, fine * ik, linear]),  # forward pair, then L
         "back": np.array([(-1.0 / fine) * ones, -nonlocal_ / fine]),
     }
     for name, expected in closed.items():

@@ -118,3 +118,14 @@ def test_imports_run_one_way():
         imports = list(_relative_imports(ast.parse((SRC / f"{name}.py").read_text())))
         assert [module for module, inside in imports if inside] == [], name
         assert {module for module, _ in imports} <= set(IMPORT_ORDER[:position]), name
+
+
+def test_only_integrate_shadows_its_submodule_on_the_package():
+    # the star imports bind the function integrate over the package attribute of
+    # its module; a monkeypatch of that module must go through sys.modules
+    package = importlib.import_module("chgevrey")
+    modules = [path.stem for path in SRC.glob("*.py") if path.stem != "__init__"]
+    loaded = {name: importlib.import_module(f"chgevrey.{name}") for name in modules}
+    shadowed = {name for name in modules if getattr(package, name, loaded[name]) is not loaded[name]}
+    assert shadowed == {"integrate"}
+    assert package.integrate is loaded["integrate"].integrate
