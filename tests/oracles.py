@@ -12,6 +12,9 @@ r"""Reference implementations that the tests judge the toolkit against.
 * ``formulation_residual`` sets the evolved nonlocal form against the local
   form of the equation.
 * ``delta_of_tau_window`` is the real-root window of ``delta_of_tau``.
+* ``peakon`` is the periodic Camassa-Holm peakon carried through the
+  dissipation map: an exact weak solution, in H^s only for s < 3/2, that
+  the march must converge to at first order.
 * ``ea_norm_unfolded`` is the weighted sup norm summed over the unfolded
   n-mode layout with ``logsumexp_port``, SciPy 1.17's ``logsumexp`` repeated
   operation for operation: the plain form that ``ea_norm`` must equal bit for
@@ -31,6 +34,7 @@ from chgevrey import (
     ModelParams,
     NormOverflowError,
     SpectralField,
+    TorusGrid,
     derivative,
     helmholtz_inv,
     product,
@@ -143,6 +147,18 @@ def formulation_residual(u: SpectralField, p: ModelParams) -> float:
 def delta_of_tau_window(delta: float, sigma: float, a: float) -> float:
     """Largest tau for which the schedule's inner root stays real: a(1-delta)^sigma."""
     return a * (1.0 - delta) ** sigma
+
+
+def peakon(grid: TorusGrid, a: float, lam: float, t: float) -> SpectralField:
+    """The CH peakon u = a e^(-lam t) cosh(pi - |x - q|)/cosh(pi) on period 2 pi,
+    |.| taken mod 2 pi and q(t) = a (1 - e^(-lam t))/lam, at time t: modes
+    c_m = a e^(-lam t) (tanh(pi)/pi)/(1 + m^2) e^(-i m q) for m < n/2, slot n/2 zero."""
+    m = np.arange(grid.n_points // 2 + 1)
+    decay = math.exp(-lam * t)
+    q = a * (1.0 - decay) / lam
+    c = a * decay * (math.tanh(math.pi) / math.pi) / (1.0 + m * m) * np.exp(-1j * m * q)
+    c[-1] = 0.0
+    return SpectralField(grid, c)
 
 
 def logsumexp_port(a: np.ndarray) -> np.ndarray:

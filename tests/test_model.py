@@ -17,6 +17,8 @@ from chgevrey.model import (
     ModelParams,
     RhsWork,
     functional_H,
+    irfft,
+    rfft_n_even,
     rhs,
     small_data_check,
 )
@@ -348,6 +350,25 @@ def test_the_plan_symbols_are_read_only():
     }
     for name, expected in closed.items():
         assert np.array_equal(getattr(work, name).view(float), expected.view(float)), name
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "batch"])
+@pytest.mark.parametrize(
+    "p, pad", [(FREE, 1.5), (ModelParams(beta=0.3, gamma=0.2), 2.5)], ids=["3n/2", "5n/2"]
+)
+def test_the_plan_kernels_give_np_fft_bit_for_bit(lead, p, pad):
+    # rhs calls NumPy's private pocketfft gufuncs past np.fft's wrapper; a NumPy
+    # that changes their signature or scaling must fail here, not move results
+    u = full_band_batch(GRID, np.random.default_rng(5), lead)
+    work = RhsWork(u, p)
+    fine = work.samples.shape[-1]
+    assert fine == pad * GRID.n_points and work.inv_fine == 1.0 / fine
+    np.multiply(work.symbol, u.coeffs, out=work.triple)
+    irfft(work.pair, work.inv_fine, out=work.first)
+    assert work.first.tobytes() == np.fft.irfft(work.pair, fine, axis=-1).tobytes()
+    work.samples[...] = np.random.default_rng(6).standard_normal(work.samples.shape)
+    rfft_n_even(work.odd, 1.0, out=work.spectrum)
+    assert work.spectrum.tobytes() == np.fft.rfft(work.odd, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("name, value", [("alpha", math.nan), ("lam", math.inf)])

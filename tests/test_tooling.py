@@ -1,6 +1,7 @@
 """The traced benchmark patches chgevrey by name; every name it patches must
 still resolve, so a refactor cannot silently drop a layer from the trace.
-The package's imports run one way, so no module needs a deferred import."""
+The package's imports run one way, so no module needs a deferred import, and
+only ``model`` reaches into NumPy's private FFT kernels."""
 
 import ast
 import importlib
@@ -118,6 +119,29 @@ def test_imports_run_one_way():
         imports = list(_relative_imports(ast.parse((SRC / f"{name}.py").read_text())))
         assert [module for module, inside in imports if inside] == [], name
         assert {module for module, _ in imports} <= set(IMPORT_ORDER[:position]), name
+
+
+def _imported_modules(tree) -> set:
+    """Every absolute module an import statement in ``tree`` names, and each
+    ``module.name`` that a ``from module import name`` binds."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_model_imports_the_private_pocketfft_kernels():
+    private = "numpy.fft._pocketfft_umath"
+    importers = {
+        path.stem
+        for path in SRC.glob("*.py")
+        if any(name.startswith(private) for name in _imported_modules(ast.parse(path.read_text())))
+    }
+    assert importers == {"model"}
 
 
 def test_only_integrate_shadows_its_submodule_on_the_package():
