@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._numerics import logsumexp_modes
 from .model import ModelParams, functional_H
 from .spectral import (
     GevreyIndex,
@@ -38,6 +37,7 @@ from .spectral import (
     SpectralField,
     _gevrey_norm,
     gevrey_norm,
+    logsumexp_modes,
     sobolev_norm,
 )
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numerics import cumulative_trapezoid
 from .analyticity import WindowError, _closed_window, ea_norm, existence_window, window_norm
 from .model import ModelParams, RhsWork, rhs
 from .spectral import (
@@ -139,12 +138,10 @@ def _step_count(t_end: float, dt: float) -> tuple:
 
 
 def _monitor_weight(grid: TorusGrid, s: float) -> np.ndarray:
-    """w_m = mult_m (1 + k_m^2)^s on slots 0 .. n/2, mult (1, 2, ..., 2, 1) as slot m
-    stands for modes +-m: sqrt(|c|^2 @ w) is sobolev_norm up to rounding."""
-    mult = np.full(grid.n_points // 2 + 1, 2.0)
-    mult[[0, -1]] = 1.0
+    """w_m = mult_m (1 + k_m^2)^s on slots 0 .. n/2, mult the grid's slot
+    multiplicity: sqrt(|c|^2 @ w) is sobolev_norm up to rounding."""
     with np.errstate(over="ignore"):
-        return mult * (1.0 + grid.wavenumbers**2) ** s
+        return grid.multiplicity * (1.0 + grid.wavenumbers**2) ** s
 
 
 def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajectory:
@@ -192,6 +189,14 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
 
 
 # --- integral-equation iteration ----------------------------------------------
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of the rows of the 2-D ``y`` over ``x``, from 0:
+    SciPy 1.17's ``cumulative_trapezoid(y, x, axis=0, initial=0)`` bit for bit."""
+    steps = np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0
+    total = np.cumsum(steps, axis=0)
+    return np.concatenate((np.zeros_like(total[:1]), total))
 
 
 @dataclass

@@ -16,6 +16,9 @@ Conventions
   ``2*pi`` measure factor.  With this choice the squared ``s=0`` norm
   equals the mean of ``|f|^2`` over the collocation points (discrete
   Parseval).
+* Slot ``m`` stands for modes ``+-m``: a mode sum runs over the layout of
+  ``_unfold`` (``0 .. n/2``, then ``n/2-1 .. 1``) or weighs slot ``m`` by
+  ``TorusGrid.multiplicity`` ``(1, 2, ..., 2, 1)``; no other module builds either.
 * Exponential weights ``exp(delta*(1+k^2)^(1/(2*sigma)))`` are evaluated in
   log space per mode so that heavy weights on tiny coefficients do not
   overflow prematurely.
@@ -31,13 +34,12 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-
-from ._numerics import logsumexp_modes
 
 __all__ = [
     "TorusGrid",
@@ -98,6 +100,11 @@ class TorusGrid:
     @property
     def wavenumbers(self) -> np.ndarray:
         return self._wavenumbers
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """Read-only count (1, 2, ..., 2, 1) of the modes each slot stands for."""
+        return _slot_multiplicity(self.n_points // 2 + 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -290,11 +297,46 @@ def helmholtz_inv(field: SpectralField) -> SpectralField:
 
 
 def _unfold(a: np.ndarray) -> np.ndarray:
-    """Per-mode values over modes 0 .. n/2 laid out over all n modes in FFT
-    order (0 .. n/2, then -n/2+1 .. -1), mode -m conjugating mode m.  The mode
-    sums run over this layout, in this order; ``logsumexp_modes`` sums its
-    exponentials in this order without unfolding the values it takes."""
+    """Per-mode values over modes 0 .. n/2 laid out over all n modes in FFT order
+    (0 .. n/2, then -n/2+1 .. -1, mode -m conjugating mode m): the mode sums' order."""
     return np.concatenate((a, np.conj(a[..., -2:0:-1])), axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_multiplicity(slots: int) -> np.ndarray:
+    """How often each of ``slots`` stored slots appears in ``_unfold``; read-only."""
+    mult = np.full(slots, 2.0)
+    mult[[0, -1]] = 1.0
+    mult.flags.writeable = False
+    return mult
+
+
+def logsumexp_modes(h: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over all n modes, for ``h`` the per-mode values on the
+    stored modes 0 .. n/2 (last axis) and ``a = _unfold(h)``; a 1-D input gives
+    a 0-d array.  It is SciPy 1.17's ``logsumexp(a, axis=-1)`` bit for bit, so
+    results do not depend on the installed SciPy: the tied maxima count as
+    ``m``, the tie mask times the slot multiplicities (exact, so SciPy's float
+    sum of the unfolded mask); the result is log1p(s/m) + log(m) + max with s
+    the sum of the shifted rest (Blanchard, Higham & Higham 2021); only the
+    exponentials are unfolded, so the one sum adds SciPy's terms in SciPy's
+    order, and the in-place steps are SciPy's operations on the same operands.
+    Rows where that is not finite (all -inf, or holding +inf or NaN) fall back
+    to log(sum(exp(a))), computed for those rows alone.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h_max = np.max(h, axis=-1, keepdims=True)
+        tied = h == h_max
+        m = (tied @ _slot_multiplicity(h.shape[-1]))[..., None]
+        shifted = np.where(tied, -np.inf, h)
+        shifted -= h_max
+        s = np.sum(_unfold(np.exp(shifted, out=shifted)), axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + h_max
+        bad = ~np.isfinite(out[..., 0])
+        if np.any(bad):
+            out[bad] = np.log(np.sum(_unfold(np.exp(h[bad])), axis=-1, keepdims=True))
+    return out[..., 0]
 
 
 def sobolev_norm(field: SpectralField, s: float) -> float | np.ndarray:

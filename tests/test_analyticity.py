@@ -46,7 +46,7 @@ from chgevrey import (
     track_radius,
     width_bound,
 )
-from chgevrey._numerics import logsumexp_modes
+from chgevrey.spectral import logsumexp_modes
 
 from oracles import delta_of_tau_window, ea_norm_unfolded
 

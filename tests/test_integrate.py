@@ -175,6 +175,13 @@ def test_the_monitor_weight_gives_the_sobolev_norm(n, s):
         np.testing.assert_allclose(monitor, sobolev_norm(u, s), rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("s", [0.0, 2.0, 2.5])
+def test_the_monitor_weight_reads_the_grid_multiplicity(s):
+    grid = TorusGrid(64, period=3.0)
+    expected = grid.multiplicity * (1.0 + grid.wavenumbers**2) ** s
+    assert _monitor_weight(grid, s).tobytes() == expected.tobytes()
+
+
 def test_a_batch_marches_each_row_as_it_marches_alone():
     rng = np.random.default_rng(8)
     singles = [0.1 * random_field(GRID, rng, band=12) for _ in range(3)]

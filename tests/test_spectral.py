@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from chgevrey import verify
 from chgevrey.analyticity import window_norm
 from chgevrey.cli import InitialDataSpec
-from chgevrey.integrate import step_rk4
+from chgevrey.integrate import cumulative_trapezoid, step_rk4
 from chgevrey.model import ModelParams, functional_H, rhs
 from chgevrey.spectral import (
     GevreyIndex,
@@ -31,6 +31,7 @@ from chgevrey.spectral import (
     gevrey_norm,
     gevrey_norm_bar,
     helmholtz_inv,
+    logsumexp_modes,
     product,
     random_field,
     sobolev_norm,
@@ -603,11 +604,30 @@ def _hex(values):
     return [float.hex(v) for v in flat.ravel().tolist()]
 
 
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_the_slot_multiplicity_counts_each_slot_in_the_unfolded_layout(n):
+    mult = TorusGrid(n).multiplicity
+    assert mult.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
+    assert mult.sum() == n
+    assert mult.tolist() == np.bincount(_unfold(np.arange(n // 2 + 1))).tolist()
+    assert TorusGrid(n, period=3.0).multiplicity is mult  # one array per size
+    with pytest.raises(ValueError, match="read-only"):
+        mult[1] = 3.0
+
+
+def test_logsumexp_leaves_the_multiplicity_unchanged():
+    mult = TorusGrid(16).multiplicity
+    before = mult.tobytes()
+    rows = np.random.default_rng(1).normal(size=(4, 9))
+    rows[1] = 2.0  # every slot tied
+    logsumexp_modes(rows)
+    logsumexp_modes(rows[0])
+    assert mult.tobytes() == before and not mult.flags.writeable
+
+
 def test_logsumexp_port_equals_scipy_bit_for_bit():
     pytest.importorskip("scipy", minversion="1.17")
     from scipy.special import logsumexp as scipy_logsumexp
-
-    from chgevrey._numerics import logsumexp_modes
 
     rng = np.random.default_rng(7)
     cases = []
@@ -645,8 +665,6 @@ def test_logsumexp_port_equals_scipy_bit_for_bit():
 
 
 def test_logsumexp_keeps_its_recorded_values_without_scipy():
-    from chgevrey._numerics import logsumexp_modes
-
     inf, nan = np.inf, np.nan
     rows = np.array(
         [
@@ -680,8 +698,6 @@ def test_trapezoid_ports_equal_scipy_bit_for_bit():
     pytest.importorskip("scipy", minversion="1.17")
     from scipy import integrate
 
-    from chgevrey._numerics import cumulative_trapezoid, trapezoid
-
     rng = np.random.default_rng(11)
     for _ in range(100):
         nodes = int(rng.integers(2, 60))
@@ -689,4 +705,5 @@ def test_trapezoid_ports_equal_scipy_bit_for_bit():
         y = rng.normal(size=(nodes, 17)) + 1j * rng.normal(size=(nodes, 17))
         expected = integrate.cumulative_trapezoid(y, x, axis=0, initial=0.0)
         assert _hex(cumulative_trapezoid(y, x)) == _hex(expected)
-        assert _hex(trapezoid(y[:, 0].real, x)) == _hex(integrate.trapezoid(y[:, 0].real, x))
+        y0 = y[:, 0].real
+        assert _hex(verify.trapezoid(y0, x)) == _hex(integrate.trapezoid(y0, x))

@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "chgevrey"
 # each module imports only the ones before it; the package's __init__
 # star-imports every module but cli
 IMPORT_ORDER = (
-    "_numerics", "spectral", "model", "analyticity", "integrate", "verify", "__init__", "cli",
+    "spectral", "model", "analyticity", "integrate", "verify", "__init__", "cli",
 )
 
 
