@@ -225,9 +225,13 @@ def window_norm(u: SpectralField, sigma: float, s: float) -> float | np.ndarray:
 def existence_window(u0: SpectralField, sigma: float, s: float, c_prime: float = 1.0) -> float:
     """Fixed-point existence window of the datum, which a Picard horizon must
     not exceed: the closed-form lifespan bound of its ``window_norm`` over
-    2^sigma - 1."""
+    2^sigma - 1, finite wherever that closed form is."""
     norm0 = window_norm(u0, sigma, s)
-    return lifespan_bounds(norm0, sigma, c_prime).T0_closed_form / (2.0**sigma - 1.0)
+    if norm0 == math.inf:
+        raise NormOverflowError("existence window: the datum's window norm overflowed")
+    if not (c_prime > 0.0):
+        raise ValueError(f"c_prime must be positive, got {c_prime}")
+    return _closed_window(1.0 + norm0, sigma, c_prime)[2] / (2.0**sigma - 1.0)
 
 
 # --- shrinking-width schedule -------------------------------------------------

@@ -150,6 +150,8 @@ class InitialDataSpec:
                     ) from err
                 if not (math.isfinite(re_part) and math.isfinite(im_part)):
                     raise ConfigError(f"initial_data.path: line {lineno} is not finite")
+                if mode == 0 and im_part != 0.0:  # the mean of a real field is real
+                    raise ConfigError(f"initial_data.path: line {lineno}, mode 0, is not real")
                 if mode >= grid.n_points // 2:  # slot n/2 holds zero
                     raise ConfigError(
                         f"initial_data.path: line {lineno} exceeds the modes 0 .. n/2 - 1 "

@@ -299,14 +299,14 @@ def helmholtz_inv(field: SpectralField) -> SpectralField:
 def _unfold(a: np.ndarray) -> np.ndarray:
     """Per-mode values over modes 0 .. n/2 laid out over all n modes in FFT order
     (0 .. n/2, then -n/2+1 .. -1, mode -m conjugating mode m): the mode sums' order."""
-    return np.concatenate((a, np.conj(a[..., -2:0:-1])), axis=-1)
+    tail = a[..., -2:0:-1]  # conjugating a real tail would only copy it
+    return np.concatenate((a, np.conj(tail) if np.iscomplexobj(a) else tail), axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _slot_multiplicity(slots: int) -> np.ndarray:
     """How often each of ``slots`` stored slots appears in ``_unfold``; read-only."""
-    mult = np.full(slots, 2.0)
-    mult[[0, -1]] = 1.0
+    mult = np.bincount(_unfold(np.arange(slots))).astype(float)
     mult.flags.writeable = False
     return mult
 

@@ -281,6 +281,25 @@ def test_lifespan_overflow_raises_the_norm_error():
     assert 0.0 < lb.T0_closed_form <= lb.T0_min_formula * (1.0 + 1e-9)
 
 
+def test_existence_window_stays_finite_where_its_closed_form_is():
+    # at this window norm the min form's L*R overflows and the closed form does not
+    u0 = field_from_modes(TorusGrid(64), {30: 1e49})
+    norm0 = analyticity.window_norm(u0, 1.0, 2.0)
+    assert 1e65 < norm0 < 1e66
+    with pytest.raises(NormOverflowError):
+        lifespan_bounds(norm0, 1.0)
+    window = analyticity.existence_window(u0, 1.0, 2.0)
+    assert window == analyticity._closed_window(1.0 + norm0, 1.0, 1.0)[2] > 0.0
+    with pytest.raises(ValueError, match="c_prime"):
+        analyticity.existence_window(u0, 1.0, 2.0, c_prime=0.0)
+    # below the overflow the window is the lifespan bound's closed form, as before
+    small = field_from_modes(TorusGrid(64), {3: 0.1})
+    for sigma in (1.0, 1.5, 2.0):
+        lb = lifespan_bounds(analyticity.window_norm(small, sigma, 2.0), sigma, 1.3)
+        window = analyticity.existence_window(small, sigma, 2.0, c_prime=1.3)
+        assert window == lb.T0_closed_form / (2.0**sigma - 1.0)
+
+
 # --- width schedule -------------------------------------------------------------
 
 

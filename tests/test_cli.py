@@ -511,6 +511,21 @@ def test_coeff_file_rejects_garbage(tmp_path):
         InitialDataSpec("coeff_file", path=str(path)).build(grid)
 
 
+def test_coeff_file_rejects_a_complex_mean(tmp_path, capsys):
+    # the field has no imaginary mean: to_physical would drop it and the first
+    # RK4 step would zero it, after the t = 0 norms had counted it
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("# the mean\n0.5 0.3\n0.05 0\n")
+    cfg = write_config(
+        tmp_path, initial_data={"name": "coeff_file", "path": str(coeffs)}, grid={"n_points": 32}
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "initial_data.path: line 2, mode 0" in capsys.readouterr().err
+    coeffs.write_text("0.5 -0.0\n0.05 0.3\n")  # a signed zero is real; mode 1 may be complex
+    u = InitialDataSpec("coeff_file", path=str(coeffs)).build(TorusGrid(32))
+    assert u.coeff(0) == 0.5 and u.coeff(1) == complex(0.05, 0.3)
+
+
 # --- end-to-end runs ------------------------------------------------------------
 
 

@@ -395,7 +395,8 @@ def _full_band(seed: int) -> SpectralField:
 
 def _coeff_file_datum(tmp_path) -> SpectralField:
     path = tmp_path / "coeffs.txt"
-    path.write_text("".join(f"{0.5**m} {0.25**m}\n" for m in range(8)))
+    # the mean is real; the modes above it are complex
+    path.write_text("".join(f"{0.5**m} {0.25**m if m else 0.0}\n" for m in range(8)))
     return InitialDataSpec("coeff_file", path=str(path)).build(_N16)
 
 
@@ -609,7 +610,6 @@ def test_the_slot_multiplicity_counts_each_slot_in_the_unfolded_layout(n):
     mult = TorusGrid(n).multiplicity
     assert mult.tolist() == [1.0] + [2.0] * (n // 2 - 1) + [1.0]
     assert mult.sum() == n
-    assert mult.tolist() == np.bincount(_unfold(np.arange(n // 2 + 1))).tolist()
     assert TorusGrid(n, period=3.0).multiplicity is mult  # one array per size
     with pytest.raises(ValueError, match="read-only"):
         mult[1] = 3.0
