@@ -150,13 +150,13 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
 
 @dataclass(frozen=True)
 class LifespanBounds:
-    """Constants of the fixed-point existence argument for one datum."""
+    """Constants of the fixed-point existence argument for one datum; a
+    constant past the float range reads inf."""
 
     L: float
     M: float
     R: float
     D_sigma: float
-    T0_min_formula: float
     T0_closed_form: float
 
 
@@ -166,9 +166,15 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
     R = 1 + ||u0||;  base = C'(e^-sigma sigma^sigma + 2);
     L = 2^4 base R^4;  M = (base/2)||u0|| R^4;
     D_sigma = 1/(2^sigma - 2 + 2^-(sigma+1));
-    T0 = min(1/(2^(2sigma+4) L), (2^sigma-1)R / ((2^sigma-1) 2^(2sigma+3) L R + M D_sigma))
-    and the closed form 1/(2^(2sigma+8) base R^4), which the min never beats.
-    An infinite norm, or a constant past the float range, raises NormOverflowError.
+    T0 = 1/(2^(2sigma+8) base R^4).
+
+    The paper's window is min(1/(2^(2sigma+4) L), (2^sigma-1)R /
+    ((2^sigma-1) 2^(2sigma+3) L R + M D_sigma)).  Its first branch is T0 with
+    only powers of 2 moved, and the second is never smaller: that needs
+    (2^sigma-1) 2^(2sigma+8) R >= ||u0|| D_sigma, where R > ||u0||, D_sigma <= 4
+    and the left factor is at least 1024.  So T0 is the min, without forming
+    L*R, which overflows first.  An infinite norm, or a window that underflows
+    to zero, raises NormOverflowError.
     """
     if not (u0_norm >= 0.0):
         raise ValueError(f"norm must be nonnegative, got {u0_norm}")
@@ -179,32 +185,21 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
     if not (c_prime > 0.0):
         raise ValueError(f"c_prime must be positive, got {c_prime}")
     R = 1.0 + u0_norm
-    base, r4, t0_closed = _closed_window(R, sigma, c_prime)
-    L = 2.0**4 * base * r4
-    M = 0.5 * base * u0_norm * r4
-    D_sigma = 1.0 / (2.0**sigma - 2.0 + 2.0 ** -(sigma + 1.0))
-    two_sig = 2.0**sigma - 1.0
-    t0_min = min(
-        1.0 / (2.0 ** (2 * sigma + 4) * L),
-        two_sig * R / (two_sig * 2.0 ** (2 * sigma + 3) * L * R + M * D_sigma),
-    )
-    if not t0_min > 0.0:  # L*R or M overflowed where the closed form did not
-        raise NormOverflowError(f"existence-window constants at norm {u0_norm:.3g} overflowed")
-    assert t0_closed <= t0_min * (1.0 + 1e-9), "closed form must not beat the min"
+    base, r4, t0 = _closed_window(R, sigma, c_prime)
     return LifespanBounds(
-        L=L,
-        M=M,
+        L=2.0**4 * base * r4,
+        M=0.5 * base * u0_norm * r4,
         R=R,
-        D_sigma=D_sigma,
-        T0_min_formula=t0_min,
-        T0_closed_form=t0_closed,
+        D_sigma=1.0 / (2.0**sigma - 2.0 + 2.0 ** -(sigma + 1.0)),
+        T0_closed_form=t0,
     )
 
 
 def _closed_window(R: float, sigma: float, c_prime: float) -> tuple:
     """(base, R^4, T0) of the closed-form window T0 = 1/(2^(2sigma+8) base R^4),
-    base = C'(e^-sigma sigma^sigma + 2); NormOverflowError where a power
-    leaves the float range or the window underflows to zero."""
+    base = C'(e^-sigma sigma^sigma + 2); NormOverflowError naming the window
+    norm R - 1 where a power leaves the float range or the window underflows
+    to zero."""
     try:
         base = c_prime * (math.exp(-sigma) * sigma**sigma + 2.0)
         r4 = R**4
@@ -212,7 +207,7 @@ def _closed_window(R: float, sigma: float, c_prime: float) -> tuple:
     except OverflowError:  # a float power raises where its inputs were finite
         t0 = 0.0
     if not t0 > 0.0:
-        raise NormOverflowError(f"existence window at R = {R:.3g} overflowed")
+        raise NormOverflowError(f"existence window at window norm {R - 1.0:.3g} underflows to 0")
     return base, r4, t0
 
 
@@ -287,8 +282,17 @@ def ea_norm(
     score is -inf), so a batch whose admissible rows are all zero reads 0.0.
     Reads NaN when an admissible row scores NaN.  Raises WindowError when no
     (time, width) pair is admissible.  The window shrinks as the width
-    grows, so the first width decides admissibility, and the scan stops at
-    the first width below whose window no nonzero row lies.
+    grows, so the first width decides admissibility.
+
+    The scan runs from the widest width down, where a difference of
+    rounding-level noise in the top modes peaks.  Each row's log-sum-exp
+    over its n unfolded modes is bracketed exactly by its largest term:
+    top <= LSE <= top + log n.  The running sup is raised to the largest
+    lower bound, and the log-sum-exp is computed only for rows whose upper
+    bound is not below it (a NaN row always is).  Rounded addition is
+    monotone and the computed tail log1p(s/m) + log m exceeds log n by at
+    most about n*eps, which the margin covers, so a skipped pair scores
+    strictly below the sup and the result is the full scan's bit for bit.
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a}")
@@ -306,20 +310,26 @@ def ea_norm(
     gevrey_root = (1.0 + k2) ** (1.0 / (2.0 * sigma))
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(fields.coeffs[live]))
+    n = fields.grid.n_points
+    tail_max = math.log(n) + 1e-9 + n * 2.0**-52  # log n plus the tail's rounding
     best = -np.inf
-    for delta in EA_DELTA_GRID:
+    for delta in EA_DELTA_GRID[::-1]:
         shrink = a * (1.0 - delta) ** sigma
         mask = t_live < shrink / (2.0**sigma - 1.0)
         if not np.any(mask):
-            break
+            continue
         terms = log_mag2[mask]  # a copy
         terms += sobolev_w + 2.0 * delta * gevrey_root
-        score = (
-            0.5 * logsumexp_modes(terms)
-            + sigma * math.log(1.0 - delta)
-            + 0.5 * np.log1p(-t_live[mask] / shrink)
-        )
-        best = np.maximum(best, np.max(score))  # a NaN score stays NaN
+        width_c = sigma * math.log(1.0 - delta)
+        time_c = 0.5 * np.log1p(-t_live[mask] / shrink)
+        top = terms.max(axis=-1)
+        best = np.maximum(best, (0.5 * top + width_c + time_c).max())
+        keep = ~(0.5 * (top + tail_max) + width_c + time_c < best)
+        if keep.any():
+            if not keep.all():
+                terms, time_c = terms[keep], time_c[keep]
+            score = 0.5 * logsumexp_modes(terms) + width_c + time_c
+            best = np.maximum(best, np.max(score))  # a NaN score stays NaN
     if best == -np.inf:
         return 0.0
     try:

@@ -440,8 +440,7 @@ def _run_lifespan(cfg: RunConfig, out: Path) -> int:
     norm = window_norm(u0, cfg.gevrey.sigma, cfg.gevrey.s)
     bounds = lifespan_bounds(norm, cfg.gevrey.sigma, cfg.c_prime)
     print(f"datum norm        = {norm:.6e}")
-    print(f"T0 (closed form)  = {bounds.T0_closed_form:.6e}")
-    print(f"T0 (min form)     = {bounds.T0_min_formula:.6e}")
+    print(f"T0                = {bounds.T0_closed_form:.6e}")
     print(
         f"L = {bounds.L:.6e}, M = {bounds.M:.6e}, "
         f"R = {bounds.R:.6g}, D_sigma = {bounds.D_sigma:.6g}"

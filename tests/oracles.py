@@ -180,30 +180,34 @@ def logsumexp_port(a: np.ndarray) -> np.ndarray:
     return out[..., 0]
 
 
-def ea_norm_unfolded(times, fields: SpectralField, a: float, sigma: float, s: float) -> float:
-    """The weighted sup norm of ``ea_norm``, every row scored over the
-    unfolded n-mode layout at each width."""
+def ea_pair_scores(times, fields: SpectralField, a: float, sigma: float, s: float) -> np.ndarray:
+    """The log score of every (width, time) pair of ``ea_norm``, one row per
+    width of ``EA_DELTA_GRID``, each row scored over the unfolded n-mode
+    layout; an inadmissible pair scores -inf, and so does an all-zero row."""
     t_arr = np.abs(np.asarray(times, dtype=float))
     k2 = _unfold(fields.grid.wavenumbers**2)
     with np.errstate(divide="ignore"):
         log_mag2 = _unfold(2.0 * np.log(np.abs(fields.coeffs)))
-    best = -np.inf
-    admissible = False
-    for delta in EA_DELTA_GRID:
+    scores = np.full((len(EA_DELTA_GRID), len(t_arr)), -np.inf)
+    for j, delta in enumerate(EA_DELTA_GRID):
         shrink = a * (1.0 - delta) ** sigma
         mask = t_arr < shrink / (2.0**sigma - 1.0)
-        if not np.any(mask):
-            continue
-        admissible = True
         log_w = s * np.log1p(k2) + 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
         terms = log_mag2[mask]
         terms += log_w
-        score = (
+        scores[j, mask] = (
             0.5 * logsumexp_port(terms)
             + sigma * math.log(1.0 - delta)
             + 0.5 * np.log1p(-t_arr[mask] / shrink)
         )
-        best = np.maximum(best, np.max(score))  # a NaN score stays NaN
+    return scores
+
+
+def ea_norm_unfolded(times, fields: SpectralField, a: float, sigma: float, s: float) -> float:
+    """The weighted sup norm of ``ea_norm``: the largest of ``ea_pair_scores``."""
+    t_arr = np.abs(np.asarray(times, dtype=float))
+    admissible = np.any(t_arr < a * (1.0 - EA_DELTA_GRID[0]) ** sigma / (2.0**sigma - 1.0))
+    best = np.max(ea_pair_scores(times, fields, a, sigma, s), initial=-np.inf)  # NaN stays NaN
     if not admissible:
         raise WindowError("no admissible (time, width) pair on the grid")
     if best == -np.inf:

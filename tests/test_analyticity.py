@@ -9,6 +9,7 @@ to a finite max computable with plain floats.
 
 import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ from chgevrey import (
 )
 from chgevrey.spectral import logsumexp_modes
 
-from oracles import delta_of_tau_window, ea_norm_unfolded
+from oracles import delta_of_tau_window, ea_norm_unfolded, ea_pair_scores
 
 GRID = TorusGrid(64)
 P = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, Gamma_coef=0.5, lam=1.0)
@@ -238,12 +239,24 @@ def test_lifespan_constants_for_zero_datum():
     assert abs(lb.T0_closed_form - 4.12420701417e-4) <= 1e-11
 
 
+def _min_form(lb, sigma):
+    """The paper's window min(1/(2^(2sigma+4) L), (2^sigma-1)R /
+    ((2^sigma-1) 2^(2sigma+3) L R + M D_sigma)), by hand from the constants."""
+    two_sig = 2.0**sigma - 1.0
+    first = 1.0 / (2.0 ** (2 * sigma + 4) * lb.L)
+    second = two_sig * lb.R / (two_sig * 2.0 ** (2 * sigma + 3) * lb.L * lb.R + lb.M * lb.D_sigma)
+    return first, second
+
+
 def test_lifespan_closed_form_equals_first_min_branch():
+    # the first branch is the closed form with powers of 2 moved, and the second
+    # never undercuts it: (2^sigma-1) 2^(2sigma+8) R >= ||u0|| D_sigma
     for norm in (0.0, 0.3, 1.0, 7.5):
         lb = lifespan_bounds(norm, sigma=1.0)
-        first_branch = 1.0 / (2.0**6 * lb.L)
+        first_branch, second_branch = _min_form(lb, 1.0)
         assert abs(lb.T0_closed_form - first_branch) <= 1e-15 * first_branch
-        assert lb.T0_closed_form <= lb.T0_min_formula * (1.0 + 1e-9)
+        assert second_branch >= first_branch
+        assert (2.0 - 1.0) * 2.0**10 * lb.R >= norm * lb.D_sigma
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,8 +266,9 @@ def test_lifespan_closed_form_equals_first_min_branch():
 )
 def test_lifespan_closed_form_never_beats_the_min(norm, sigma):
     lb = lifespan_bounds(norm, sigma)
-    assert lb.T0_closed_form <= lb.T0_min_formula * (1.0 + 1e-9)
-    assert lb.T0_closed_form > 0.0
+    first_branch, second_branch = _min_form(lb, sigma)
+    assert lb.T0_closed_form == pytest.approx(min(first_branch, second_branch), rel=1e-14)
+    assert lb.D_sigma <= 4.0 and lb.T0_closed_form > 0.0
 
 
 def test_lifespan_shrinks_with_the_datum():
@@ -272,13 +286,15 @@ def test_lifespan_validation():
 
 
 def test_lifespan_overflow_raises_the_norm_error():
-    # R^4 past the float range; R^4 finite but M = (base/2)||u0|| R^4 not;
-    # sigma^sigma past the float range
-    for norm, sigma in ((1e100, 1.0), (1e70, 1.0), (1.0, 200.0)):
-        with pytest.raises(NormOverflowError):
+    # R^4 past the float range; sigma^sigma past the float range: the window
+    # underflows, and the message names the window norm
+    for norm, sigma in ((1e100, 1.0), (1.0, 200.0)):
+        with pytest.raises(NormOverflowError, match=re.escape(f"window norm {norm:.3g}")):
             lifespan_bounds(norm, sigma)
-    lb = lifespan_bounds(1e60, 1.0)  # the largest norms stay finite and positive
-    assert 0.0 < lb.T0_closed_form <= lb.T0_min_formula * (1.0 + 1e-9)
+    # R^4 finite but M = (base/2)||u0|| R^4 not: M reads inf, the window is finite
+    lb = lifespan_bounds(1e70, 1.0)
+    assert lb.M == math.inf and math.isfinite(lb.L)
+    assert lb.T0_closed_form == analyticity._closed_window(1.0 + 1e70, 1.0, 1.0)[2] > 0.0
 
 
 def test_existence_window_stays_finite_where_its_closed_form_is():
@@ -286,13 +302,12 @@ def test_existence_window_stays_finite_where_its_closed_form_is():
     u0 = field_from_modes(TorusGrid(64), {30: 1e49})
     norm0 = analyticity.window_norm(u0, 1.0, 2.0)
     assert 1e65 < norm0 < 1e66
-    with pytest.raises(NormOverflowError):
-        lifespan_bounds(norm0, 1.0)
     window = analyticity.existence_window(u0, 1.0, 2.0)
     assert window == analyticity._closed_window(1.0 + norm0, 1.0, 1.0)[2] > 0.0
+    assert window == lifespan_bounds(norm0, 1.0).T0_closed_form
     with pytest.raises(ValueError, match="c_prime"):
         analyticity.existence_window(u0, 1.0, 2.0, c_prime=0.0)
-    # below the overflow the window is the lifespan bound's closed form, as before
+    # and the window is the lifespan bound's closed form at every sigma
     small = field_from_modes(TorusGrid(64), {3: 0.1})
     for sigma in (1.0, 1.5, 2.0):
         lb = lifespan_bounds(analyticity.window_norm(small, sigma, 2.0), sigma, 1.3)
@@ -443,6 +458,42 @@ def test_sup_norm_equals_the_unfolded_oracle_bit_for_bit():
         outcomes.add(got if got in ("WindowError", "NormOverflowError", "0x0.0p+0") else "finite")
     assert outcomes == {"WindowError", "NormOverflowError", "0x0.0p+0", "finite"}
 
+    # peaked batches: small rounding-level noise, heaviest in the top modes,
+    # whose sup sits at the wide widths; then rows 0 and 1 tie for the sup
+    ramp = np.linspace(0.0, 1.0, half + 1) ** 4
+    for case in range(48):
+        sigma, s = [(1.0, 0.0), (1.0, 2.0), (2.0, 0.0), (2.0, 2.0)][case % 4]
+        rows_ = int(rng.integers(2, 33))
+        times = rng.uniform(0.0, 0.01, rows_)
+        scale = 10.0 ** rng.uniform(-40.0, -10.0, (rows_, 1))
+        coeffs = scale * ramp * rng.standard_normal((rows_, half + 1))
+        coeffs[:, half] = 0.0
+        if case % 2:
+            coeffs[:2] = coeffs[0] * (1e3 * scale.max() / scale[0, 0])
+            times[:2] = [0.1 * times[0], -0.1 * times[0]]
+        fields = SpectralField(grid, coeffs)
+        got = _norm_or_error(ea_norm, times, fields, a=1.0, sigma=sigma, s=s)
+        assert got == _norm_or_error(ea_norm_unfolded, times, fields, 1.0, sigma, s)
+        scores = ea_pair_scores(times, fields, 1.0, sigma, s)
+        peak = np.argmax(np.max(scores, axis=1))
+        assert analyticity.EA_DELTA_GRID[peak] > 0.5  # the sup lies at a wide width
+        if case % 2:
+            assert np.max(scores[:, 0]) == np.max(scores[:, 1]) == np.max(scores)
+
+    # at t = 0.94 only the narrowest width is admissible; there a flat row's
+    # n - 1 equal terms (slot n/2 holds zero) lie log(n - 1) - 1e-6 below a
+    # mean-only row's one term, so only the flat row's full tail lifts it above
+    k2 = grid.wavenumbers**2
+    flat = np.exp(-0.5 * (2.0 * np.log1p(k2) + 2.0 * 0.05 * np.sqrt(1.0 + k2)))
+    flat[half] = 0.0
+    spike = np.zeros(half + 1)
+    spike[0] = flat[0] * math.sqrt((grid.n_points - 1) * math.exp(-1e-6))
+    fields = SpectralField(grid, np.stack([spike, flat]))
+    times = [0.94, -0.94]
+    scores = ea_pair_scores(times, fields, 1.0, 1.0, 2.0)
+    assert np.max(scores[:, 1]) == np.max(scores) > np.max(scores[:, 0])
+    assert ea_norm(times, fields, 1.0, 1.0, 2.0) == ea_norm_unfolded(times, fields, 1.0, 1.0, 2.0)
+
     # the one admissible row is zero; the nonzero row lies past every window
     u = field_from_modes(grid, {1: 1e300, 3: 1e-300})
     only_zero = rows(0.0 * u, u)
@@ -464,10 +515,29 @@ def test_zero_rows_count_for_admissibility_but_never_reach_the_log_sum_exp(monke
     got = ea_norm(times, fields, a=1.0, sigma=1.0, s=2.0)
     assert float.hex(got) == float.hex(ea_norm_unfolded(times, fields, 1.0, 1.0, 2.0))
     assert not any(np.any(np.all(terms == -np.inf, axis=-1)) for terms in seen)
+    # each scored row is the terms of a live admissible (width, time) pair; rows
+    # 0 and 7 hold the same field, so a scored row stands for the best-scoring
+    # pair it matches that is not yet taken
     live = np.array([True, False, True, False, True, True, False, True])
-    scored = [int(np.sum(live & (times < 1.0 - d))) for d in analyticity.EA_DELTA_GRID]
-    assert [len(terms) for terms in seen] == [k for k in scored if k]
-    assert sum(scored) == sum(len(terms) for terms in seen) > 0
+    scores = ea_pair_scores(times, fields, 1.0, 1.0, 2.0)
+    unscored = {
+        (j, r)
+        for j, d in enumerate(analyticity.EA_DELTA_GRID)
+        for r in range(len(times))
+        if live[r] and times[r] < 1.0 - d
+    }
+    k2 = GRID.wavenumbers**2
+    weights = [2.0 * np.log1p(k2) + 2.0 * d * np.sqrt(1.0 + k2) for d in analyticity.EA_DELTA_GRID]
+    with np.errstate(divide="ignore"):
+        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs))
+    scored = [row for terms in seen for row in terms]
+    for row in scored:
+        match = [(j, r) for j, r in unscored if np.allclose(row, log_mag2[r] + weights[j])]
+        assert match, "a scored row is no live admissible pair"
+        unscored.remove(max(match, key=lambda jr: scores[jr]))
+    assert 0 < len(scored) and unscored
+    # a pair left out of the log-sum-exp scores strictly below the sup
+    assert all(scores[jr] < np.max(scores) for jr in unscored)
     # admissibility is decided on all times, zero rows included
     assert ea_norm([0.01, 0.97], rows(0.0 * u, u), a=1.0, sigma=1.0, s=2.0) == 0.0
     with pytest.raises(WindowError):

@@ -41,7 +41,11 @@ from chgevrey.cli import (
     main,
     parse_config,
 )
+from chgevrey.analyticity import EA_DELTA_GRID
+from chgevrey.spectral import logsumexp_modes
 from chgevrey.verify import EmpiricalConstants, load_pins, save_pins, verify_H_monotone
+
+from oracles import ea_norm_unfolded
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -554,6 +558,23 @@ def test_lifespan_evaluates_the_window_of_the_width_one_norm(tmp_path):
     assert report["T0_closed_form"] / (2.0 ** report["sigma"] - 1.0) == window
 
 
+def test_lifespan_of_a_datum_past_the_min_forms_range_exits_zero(tmp_path, capsys):
+    # window norm 1.38e65: the min form's L*R and M overflowed here, and the
+    # closed form is finite; M reads inf, which the report writes as null
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("0 0\n" * 30 + "1e49 0\n")
+    cfg = write_config(
+        tmp_path, initial_data={"name": "coeff_file", "path": str(coeffs)}, grid={"n_points": 64}
+    )
+    assert main(["lifespan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    u0 = field_from_modes(TorusGrid(64), {30: 1e49})
+    assert report["u0_norm"] == window_norm(u0, 1.0, 2.0)
+    assert report["T0_closed_form"] == existence_window(u0, sigma=1.0, s=2.0) > 0.0
+    assert report["M"] is None and "T0_min_formula" not in report
+    assert capsys.readouterr().out.count("T0") == 1
+
+
 def test_trajectory_csv_writes_every_value_at_17_significant_digits(tmp_path):
     # the row format is "%.17g" per value: shortest round trip of the specials too
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0, 12345678.9]
@@ -1056,6 +1077,43 @@ def test_the_picard_floor_is_scaled_by_the_datum_row_alone(tmp_path, monkeypatch
     times = np.linspace(0.0, T, n_nodes)
     expected = 1e3 * np.finfo(float).eps * ea_norm(times, copies, T, sigma, s)
     assert float.hex(res.floor) == float.hex(expected) and res.floor > 0.0
+
+
+def test_the_sup_norm_skips_most_pairs_of_picard_differences_past_convergence(
+    tmp_path, monkeypatch
+):
+    # past convergence the iterate differences are rounding noise that peaks at
+    # wide widths, so the log-sum-exp runs on few (time, width) pairs; each value
+    # is the full unfolded scan's bit for bit
+    cfg = parse_config(write_config(tmp_path, **GOLDEN_CONFIGS["picard"]))
+    u0 = cfg.initial_data.build(cfg.grid)
+    sigma, s, n_nodes = cfg.gevrey.sigma, cfg.gevrey.s, cfg.picard.n_nodes
+    T = existence_window(u0, sigma, s, cfg.c_prime) / 2.0
+    batches = []
+
+    def spy(times, fields, *args):
+        batches.append((times, fields))
+        return ea_norm(times, fields, *args)
+
+    monkeypatch.setattr(sys.modules["chgevrey.integrate"], "ea_norm", spy)
+    res = picard_iterate(u0, cfg.model, sigma, s, T, 8, n_nodes=n_nodes, c_prime=cfg.c_prime)
+    noise = batches[res.converged_at + 1 :]  # batches[0] is the datum's floor scale
+    assert len(noise) == 8 - res.converged_at >= 3
+    scored = []
+
+    def lse_spy(terms):
+        scored.append(len(terms))
+        return logsumexp_modes(terms)
+
+    monkeypatch.setattr(sys.modules["chgevrey.analyticity"], "logsumexp_modes", lse_spy)
+    window = T * (1.0 - EA_DELTA_GRID) ** sigma / (2.0**sigma - 1.0)
+    pairs = 0
+    for times, diff in noise:
+        got = ea_norm(times, diff, T, sigma, s)
+        assert float.hex(got) == float.hex(ea_norm_unfolded(times, diff, T, sigma, s))
+        live = np.any(diff.coeffs != 0.0, axis=-1)
+        pairs += int(np.sum(live & (times < window[:, None])))
+    assert 0 < sum(scored) < pairs / 4
 
 
 def test_an_old_dealias_key_is_ignored_with_a_warning(tmp_path):
