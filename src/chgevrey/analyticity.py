@@ -211,6 +211,14 @@ def _closed_window(R: float, sigma: float, c_prime: float) -> tuple:
     return base, r4, t0
 
 
+def _log10_window(u0_norm: float, sigma: float, c_prime: float) -> float:
+    """log10 of the closed-form window T0 of ``lifespan_bounds``, formed in log
+    space, so it stays finite for a finite norm where T0 underflows."""
+    log_base = math.log(c_prime) + np.logaddexp(sigma * math.log(sigma) - sigma, math.log(2.0))
+    log_t0 = -((2.0 * sigma + 8.0) * math.log(2.0) + log_base + 4.0 * math.log1p(u0_norm))
+    return float(log_t0 / math.log(10.0))
+
+
 def window_norm(u: SpectralField, sigma: float, s: float) -> float | np.ndarray:
     """Gevrey norm at width 1, the norm the existence window is stated in;
     one value per row of a batch."""
@@ -284,15 +292,16 @@ def ea_norm(
     (time, width) pair is admissible.  The window shrinks as the width
     grows, so the first width decides admissibility.
 
-    The scan runs from the widest width down, where a difference of
-    rounding-level noise in the top modes peaks.  Each row's log-sum-exp
-    over its n unfolded modes is bracketed exactly by its largest term:
-    top <= LSE <= top + log n.  The running sup is raised to the largest
-    lower bound, and the log-sum-exp is computed only for rows whose upper
-    bound is not below it (a NaN row always is).  Rounded addition is
-    monotone and the computed tail log1p(s/m) + log m exceeds log n by at
-    most about n*eps, which the margin covers, so a skipped pair scores
-    strictly below the sup and the result is the full scan's bit for bit.
+    The admissible (width, live row) pairs come from one comparison.  Each
+    pair's log-sum-exp over its n unfolded modes is bracketed exactly by its
+    largest term: top <= LSE <= top + log n, whatever order the pairs are
+    taken in.  So the largest lower bound over all pairs is taken first, and
+    the log-sum-exp is computed only for pairs whose upper bound is not below
+    it (a NaN pair always is).  Rounded addition is monotone and the computed
+    tail log1p(s/m) + log m exceeds log n by at most about n*eps, which the
+    margin covers, so a skipped pair scores strictly below the sup and the
+    result is the full scan's bit for bit.  Both passes gather their pairs
+    in blocks of at most max(live rows, 1024), so memory stays bounded.
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a}")
@@ -301,37 +310,40 @@ def ea_norm(
     t_arr = np.abs(np.asarray(times, dtype=float))
     if t_arr.ndim != 1 or fields.coeffs.shape[:-1] != t_arr.shape:
         raise ValueError("times and the rows of fields must be parallel")
-    if not np.any(t_arr < a * (1.0 - EA_DELTA_GRID[0]) ** sigma / (2.0**sigma - 1.0)):
+    # per width, as scalars: np.power and np.log on an array may round differently
+    shrink = np.array([a * (1.0 - delta) ** sigma for delta in EA_DELTA_GRID])
+    width_c = np.array([sigma * math.log(1.0 - delta) for delta in EA_DELTA_GRID])
+    window = shrink / (2.0**sigma - 1.0)
+    if not np.any(t_arr < window[0]):
         raise WindowError("no admissible (time, width) pair on the grid")
     live = np.any(fields.coeffs != 0.0, axis=-1)
     t_live = t_arr[live]
+    widths, rows = np.nonzero(t_live < window[:, None])
+    if rows.size == 0:
+        return 0.0
     k2 = fields.grid.wavenumbers**2
-    sobolev_w = s * np.log1p(k2)
     gevrey_root = (1.0 + k2) ** (1.0 / (2.0 * sigma))
+    log_w = s * np.log1p(k2) + (2.0 * EA_DELTA_GRID)[:, None] * gevrey_root
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(fields.coeffs[live]))
+    pair_c = width_c[widths]
+    time_c = 0.5 * np.log1p(-t_live[rows] / shrink[widths])
+    block = max(t_live.size, 1024)
+
+    def terms(pairs):
+        return log_mag2[rows[pairs]] + log_w[widths[pairs]]
+
+    top = np.concatenate(
+        [terms(slice(i, i + block)).max(axis=-1) for i in range(0, rows.size, block)]
+    )
     n = fields.grid.n_points
     tail_max = math.log(n) + 1e-9 + n * 2.0**-52  # log n plus the tail's rounding
-    best = -np.inf
-    for delta in EA_DELTA_GRID[::-1]:
-        shrink = a * (1.0 - delta) ** sigma
-        mask = t_live < shrink / (2.0**sigma - 1.0)
-        if not np.any(mask):
-            continue
-        terms = log_mag2[mask]  # a copy
-        terms += sobolev_w + 2.0 * delta * gevrey_root
-        width_c = sigma * math.log(1.0 - delta)
-        time_c = 0.5 * np.log1p(-t_live[mask] / shrink)
-        top = terms.max(axis=-1)
-        best = np.maximum(best, (0.5 * top + width_c + time_c).max())
-        keep = ~(0.5 * (top + tail_max) + width_c + time_c < best)
-        if keep.any():
-            if not keep.all():
-                terms, time_c = terms[keep], time_c[keep]
-            score = 0.5 * logsumexp_modes(terms) + width_c + time_c
-            best = np.maximum(best, np.max(score))  # a NaN score stays NaN
-    if best == -np.inf:
-        return 0.0
+    best = np.max(0.5 * top + pair_c + time_c)  # a NaN pair makes it NaN
+    kept = np.flatnonzero(~(0.5 * (top + tail_max) + pair_c + time_c < best))
+    for i in range(0, kept.size, block):
+        pairs = kept[i : i + block]
+        score = 0.5 * logsumexp_modes(terms(pairs)) + pair_c[pairs] + time_c[pairs]
+        best = np.maximum(best, np.max(score))  # a NaN score stays NaN
     try:
         value = math.exp(best)
     except OverflowError:

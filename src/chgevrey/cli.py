@@ -37,6 +37,7 @@ from .analyticity import (
     CalibrationError,
     RadiusRecord,
     WindowError,
+    _log10_window,
     calibrate_radius_constant,
     existence_window,
     lifespan_bounds,
@@ -437,18 +438,27 @@ def _run_verify(cfg: RunConfig, out: Path, pins) -> int:
 
 def _run_lifespan(cfg: RunConfig, out: Path) -> int:
     u0 = cfg.initial_data.build(cfg.grid)
-    norm = window_norm(u0, cfg.gevrey.sigma, cfg.gevrey.s)
-    bounds = lifespan_bounds(norm, cfg.gevrey.sigma, cfg.c_prime)
+    sigma = cfg.gevrey.sigma
+    norm = window_norm(u0, sigma, cfg.gevrey.s)
+    report = {"u0_norm": norm, "sigma": sigma, "c_prime": cfg.c_prime}
     print(f"datum norm        = {norm:.6e}")
+    try:
+        bounds = lifespan_bounds(norm, sigma, cfg.c_prime)
+    except NormOverflowError:
+        if norm == math.inf:
+            raise
+        # the window underflows: its closed form still has a logarithm
+        log10_t0 = _log10_window(norm, sigma, cfg.c_prime)
+        print(f"T0                = 10^{log10_t0:.6g}, below the float range")
+        print("the datum is far outside the width-1 Gevrey class")
+        _write_json(out / "report.json", {**report, "T0_closed_form": None, "log10_T0": log10_t0})
+        return 0
     print(f"T0                = {bounds.T0_closed_form:.6e}")
     print(
         f"L = {bounds.L:.6e}, M = {bounds.M:.6e}, "
         f"R = {bounds.R:.6g}, D_sigma = {bounds.D_sigma:.6g}"
     )
-    _write_json(
-        out / "report.json",
-        {"u0_norm": norm, "sigma": cfg.gevrey.sigma, "c_prime": cfg.c_prime, **asdict(bounds)},
-    )
+    _write_json(out / "report.json", {**report, **asdict(bounds)})
     return 0
 
 

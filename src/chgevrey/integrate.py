@@ -193,10 +193,15 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of the rows of the 2-D ``y`` over ``x``, from 0:
-    SciPy 1.17's ``cumulative_trapezoid(y, x, axis=0, initial=0)`` bit for bit."""
-    steps = np.diff(x)[:, None] * (y[1:] + y[:-1]) / 2.0
-    total = np.cumsum(steps, axis=0)
-    return np.concatenate((np.zeros_like(total[:1]), total))
+    SciPy 1.17's ``cumulative_trapezoid(y, x, axis=0, initial=0)`` bit for bit,
+    SciPy's operations in SciPy's order, written into one fresh array."""
+    out = np.empty(y.shape, np.result_type(y, x))
+    out[0] = 0.0
+    steps = np.add(y[1:], y[:-1], out=out[1:])
+    steps *= np.diff(x)[:, None]
+    steps /= 2.0
+    np.cumsum(steps, axis=0, out=steps)
+    return out
 
 
 @dataclass
@@ -231,13 +236,15 @@ def picard_iterate(
 ) -> PicardResult:
     """Iterate u_{n+1}(t) = u0 + int_0^t F(u_n) dtau on [0, T].
 
-    The zeroth iterate is the constant-in-time datum; integrals use composite
-    trapezoid on ``n_nodes`` uniform nodes, and F is evaluated on all nodes
-    as one batch.  ``T`` must sit inside the fixed-point existence window
-    computed from the datum, else WindowError is raised (disable with
-    ``enforce_window=False`` to study divergence).  The convergence floor is
-    1e3 eps times the weighted sup norm of the zeroth iterate, taken on its
-    t = 0 row, where that sup sits.
+    The zeroth iterate is the constant-in-time datum, so F of it is one
+    ``rhs`` row broadcast over the nodes; later iterates evaluate F on all
+    nodes as one batch, whose rows are each the one-row call bit for bit.
+    Integrals use composite trapezoid on ``n_nodes`` uniform nodes.  ``T``
+    must sit inside the fixed-point existence window computed from the
+    datum, else WindowError is raised (disable with ``enforce_window=False``
+    to study divergence).  The convergence floor is 1e3 eps times the
+    weighted sup norm of the zeroth iterate, taken on its t = 0 row, where
+    that sup sits.
     """
     if n_nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
@@ -266,7 +273,10 @@ def picard_iterate(
     for it in range(1, n_iters + 1):
         # an overflowing node turns NaN downstream; diverged_at reports it
         with np.errstate(invalid="ignore"):
-            f_nodes = rhs(final, p, work=work).coeffs
+            if it == 1:
+                f_nodes = np.broadcast_to(rhs(u0, p).coeffs, final.coeffs.shape)
+            else:
+                f_nodes = rhs(final, p, work=work).coeffs
             integral = cumulative_trapezoid(f_nodes, times)
         # one finite check per iterate stands for the check of each node's field
         coeffs = u0.coeffs + integral

@@ -297,6 +297,18 @@ def test_lifespan_overflow_raises_the_norm_error():
     assert lb.T0_closed_form == analyticity._closed_window(1.0 + 1e70, 1.0, 1.0)[2] > 0.0
 
 
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 3.5])
+def test_the_log_window_is_the_log_of_the_closed_form(sigma):
+    for norm in (0.0, 0.5, 3.0, 1e10, 1e60):
+        for c_prime in (1.0, 1.3):
+            t0 = analyticity._closed_window(1.0 + norm, sigma, c_prime)[2]
+            log10_t0 = analyticity._log10_window(norm, sigma, c_prime)
+            assert log10_t0 == pytest.approx(math.log10(t0), rel=1e-14, abs=1e-13)
+    # finite where the closed form underflows or sigma^sigma overflows
+    assert math.isfinite(analyticity._log10_window(1e100, sigma, 1.0))
+    assert math.isfinite(analyticity._log10_window(1.0, 200.0, 1.0))
+
+
 def test_existence_window_stays_finite_where_its_closed_form_is():
     # at this window norm the min form's L*R overflows and the closed form does not
     u0 = field_from_modes(TorusGrid(64), {30: 1e49})
@@ -499,6 +511,42 @@ def test_sup_norm_equals_the_unfolded_oracle_bit_for_bit():
     only_zero = rows(0.0 * u, u)
     assert ea_norm([0.01, 0.97], only_zero, a=1.0, sigma=1.0, s=2.0) == 0.0
     assert ea_norm_unfolded([0.01, 0.97], only_zero, 1.0, 1.0, 2.0) == 0.0
+
+
+def test_sup_norm_equals_the_oracle_when_its_pairs_span_many_blocks(monkeypatch):
+    # the pairs are bounded and scored in blocks of max(live rows, 1024):
+    # batches of over 3000 rows take several blocks in each pass
+    calls = []
+
+    def spy(terms):
+        calls.append(len(terms))
+        return logsumexp_modes(terms)
+
+    monkeypatch.setattr(analyticity, "logsumexp_modes", spy)
+    rng = np.random.default_rng(31)
+    grid = TorusGrid(16)
+    u = field_from_modes(grid, {1: 0.5, 2: 0.2, 3: 0.05})
+    for case in range(4):
+        sigma, s = [(1.0, 2.0), (2.0, 0.0)][case % 2]
+        size = 3000 + 500 * case
+        times = rng.uniform(-1.0, 1.0, size)  # unsorted, of both signs
+        coeffs = u.coeffs * (1.0 + 0.1 * rng.random((size, 1)))
+        coeffs[rng.random(size) < 0.2] = 0.0  # zero rows
+        if case >= 2:
+            coeffs[-1, 2] = np.nan  # a NaN row late in the batch
+            times[-1] = 0.1
+        fields = u.with_coeffs(coeffs)
+        calls.clear()
+        got = ea_norm(times, fields, a=1.0, sigma=sigma, s=s)
+        assert float.hex(got) == float.hex(ea_norm_unfolded(times, fields, 1.0, sigma, s))
+        assert math.isnan(got) == (case >= 2)
+        live = int(np.count_nonzero(np.any(coeffs != 0.0, axis=-1)))
+        assert len(calls) > 1 and max(calls) == live  # full blocks, then the rest
+    # one row, and one live row among zero rows
+    for fields in (rows(u), rows(0.0 * u, u, 0.0 * u)):
+        times = np.linspace(-0.3, 0.2, len(fields.coeffs))
+        got = ea_norm(times, fields, a=1.0, sigma=1.0, s=2.0)
+        assert float.hex(got) == float.hex(ea_norm_unfolded(times, fields, 1.0, 1.0, 2.0))
 
 
 def test_zero_rows_count_for_admissibility_but_never_reach_the_log_sum_exp(monkeypatch):

@@ -45,7 +45,7 @@ from chgevrey.analyticity import EA_DELTA_GRID
 from chgevrey.spectral import logsumexp_modes
 from chgevrey.verify import EmpiricalConstants, load_pins, save_pins, verify_H_monotone
 
-from oracles import ea_norm_unfolded
+from oracles import ea_norm_unfolded, peakon
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -575,6 +575,29 @@ def test_lifespan_of_a_datum_past_the_min_forms_range_exits_zero(tmp_path, capsy
     assert capsys.readouterr().out.count("T0") == 1
 
 
+@pytest.mark.parametrize("datum", ["peakon", "bump"])
+def test_lifespan_reports_the_log_of_a_window_below_the_float_range(tmp_path, capsys, datum):
+    # window norms 1.34e110 (the peakon at n = 512) and 1.14e212 (the bump of
+    # OVERFLOWING_BUMP): T0 underflows, which used to exit 2
+    config = OVERFLOWING_BUMP
+    if datum == "peakon":
+        coeffs = tmp_path / "coeffs.txt"
+        modes = peakon(TorusGrid(512), 0.5, 0.1, 0.0).coeffs[:-1]
+        coeffs.write_text("".join(f"{float(z.real)!r} {float(z.imag)!r}\n" for z in modes))
+        config = {"initial_data": {"name": "coeff_file", "path": str(coeffs)}, "grid": {"n_points": 512}}
+    cfg = write_config(tmp_path, **config)
+    assert main(["lifespan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    parsed = parse_config(cfg)
+    norm = window_norm(parsed.initial_data.build(parsed.grid), 1.0, 2.0)
+    assert report["u0_norm"] == norm > 1e110
+    assert report["T0_closed_form"] is None
+    # log10 of 1/(2^10 (e^-1 + 2) R^4), R = 1 + norm
+    expected = -(10.0 * math.log10(2.0) + math.log10(math.exp(-1.0) + 2.0) + 4.0 * math.log10(norm))
+    assert report["log10_T0"] == pytest.approx(expected, rel=1e-14)
+    assert "far outside the width-1 Gevrey class" in capsys.readouterr().out
+
+
 def test_trajectory_csv_writes_every_value_at_17_significant_digits(tmp_path):
     # the row format is "%.17g" per value: shortest round trip of the specials too
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0 / 3.0, 12345678.9]
@@ -719,7 +742,7 @@ def test_radius_blowup_with_an_overflowing_width_bound_is_a_valid_outcome(tmp_pa
     assert "blow-up at t = 0.03" in printed.out and printed.err == ""
 
 
-@pytest.mark.parametrize("subcommand", ["lifespan", "picard", "continuity"])
+@pytest.mark.parametrize("subcommand", ["picard", "continuity"])
 def test_an_overflowing_existence_window_exits_two(tmp_path, capsys, subcommand):
     cfg = write_config(tmp_path, **OVERFLOWING_BUMP)
     code = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "run")])

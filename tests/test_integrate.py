@@ -7,6 +7,8 @@ the advection term and the nonlocal source are both exactly mean free.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from chgevrey import (
     SolverConfig,
     SpectralField,
     TorusGrid,
+    ea_norm,
     estimate_radius,
     field_from_modes,
     functional_H,
@@ -461,9 +464,43 @@ def test_picard_final_iterate_matches_rk4():
 def test_a_picard_run_builds_one_buffer_set_and_its_iterate_does_not_share_it(monkeypatch):
     built = record_buffer_sets(monkeypatch)
     res = picard_iterate(small_datum(), P, sigma=1.0, s=2.0, T=7e-5, n_iters=4, n_nodes=33)
-    assert len(built) == 1
+    # one plan for the nodes, and one for the datum row of the first iterate
+    m = GRID.n_points // 2 + 1
+    assert [work.stage.shape for work in built] == [(33, m), (m,)]
     assert len(res.diffs) == 4
     assert not any(np.shares_memory(res.final.coeffs, buf) for buf in held_buffers(built))
+
+
+def test_a_picard_difference_is_scored_in_bounded_memory(monkeypatch):
+    # the sup norm gathers its (time, width) pairs in blocks; gathering all
+    # of them at once peaked at about 5 MB on this (512, 33) difference
+    scored = []
+
+    def spy(times, fields, *args):
+        scored.append((times, fields, args))
+        return ea_norm(times, fields, *args)
+
+    monkeypatch.setattr(sys.modules["chgevrey.integrate"], "ea_norm", spy)
+    picard_iterate(small_datum(), BENCH_QUARTIC, 1.0, 2.0, T=7e-5, n_iters=1, n_nodes=512)
+    times, diff, args = scored[-1]
+    assert diff.coeffs.shape == (512, 33)
+    tracemalloc.start()
+    try:
+        ea_norm(times, diff, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
+@pytest.mark.parametrize("p", [ModelParams(lam=0.1), BENCH_QUARTIC], ids=["CH", "quartic"])
+def test_the_first_iterate_takes_one_rhs_row_for_every_node(p):
+    # the zeroth iterate is the datum at every node, so picard_iterate
+    # broadcasts rhs of the datum alone; the batch gives that row bit for bit
+    u0 = 0.1 * random_field(GRID, np.random.default_rng(5), band=12)
+    nodes = u0.with_coeffs(np.broadcast_to(u0.coeffs, (65,) + u0.coeffs.shape))
+    row = rhs(u0, p).coeffs.tobytes()
+    assert all(f.tobytes() == row for f in rhs(nodes, p).coeffs)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

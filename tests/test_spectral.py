@@ -703,7 +703,9 @@ def test_trapezoid_ports_equal_scipy_bit_for_bit():
         nodes = int(rng.integers(2, 60))
         x = np.cumsum(rng.uniform(0.0, 0.3, nodes))
         y = rng.normal(size=(nodes, 17)) + 1j * rng.normal(size=(nodes, 17))
-        expected = integrate.cumulative_trapezoid(y, x, axis=0, initial=0.0)
-        assert _hex(cumulative_trapezoid(y, x)) == _hex(expected)
+        for ys in (y, np.broadcast_to(y[0], y.shape)):  # the zero-stride first iterate
+            expected = integrate.cumulative_trapezoid(ys, x, axis=0, initial=0.0)
+            got = cumulative_trapezoid(ys, x)
+            assert _hex(got) == _hex(expected) and got.flags.owndata
         y0 = y[:, 0].real
         assert _hex(verify.trapezoid(y0, x)) == _hex(integrate.trapezoid(y0, x))
