@@ -5,8 +5,8 @@ Three ingredients live here:
 * ``estimate_radius`` reads the exponential decay rate of Fourier
   coefficients off a least-squares fit of log|c_m| against |k_m|^(1/sigma),
   for a field or each row of a (T, n/2 + 1) batch: one masked closed-form line
-  per row, computed on the whole batch at once, so a batched row equals the
-  single-field call bit for bit.
+  per row, computed on the whole batch at once; a field is fitted as a
+  one-row batch.
 * ``lifespan_bounds`` / ``delta_of_tau`` / ``ea_norm`` render the fixed-point
   existence window, the shrinking-width schedule, and the weighted sup norm
   over (time, width) pairs at desk scale.
@@ -48,7 +48,6 @@ __all__ = [
     "RadiusEstimate",
     "LifespanBounds",
     "RadiusRecord",
-    "InsufficientDecayError",
     "WindowError",
     "CalibrationError",
     "estimate_radius",
@@ -69,10 +68,6 @@ NOISE_FLOOR = 1e-14  # estimate_radius fits coefficients above this share of the
 MIN_MODES = 8  # and needs at least this many of them
 
 
-class InsufficientDecayError(ValueError):
-    """Too few coefficients above the noise floor to fit a decay rate."""
-
-
 class WindowError(ValueError):
     """A time/width argument fell outside its admissible window."""
 
@@ -86,8 +81,8 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadiusEstimate:
-    """Fitted decay rate: log|c_m| ~ intercept - delta_fit * |k_m|^(1/sigma);
-    arrays with one entry per row for a batch."""
+    """Fitted decay rate: log|c_m| ~ intercept - delta_fit * |k_m|^(1/sigma) over
+    modes ``modes_used`` = (first, last); NaN where unfitted, arrays for a batch."""
 
     delta_fit: float
     intercept: float
@@ -100,11 +95,11 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
 
     Modes 0 and 1 are excluded (they pollute the intercept); the scan walks
     upward and stops at the first coefficient below ``NOISE_FLOOR`` relative
-    to the largest one, at slot n/2 (which holds zero) at the latest.  Fewer
-    than ``MIN_MODES`` usable modes, or a zero field, raises
-    InsufficientDecayError.  On a (T, n/2 + 1) batch every field of the
-    estimate is an array with one entry per row (``modes_used`` a pair of
-    float arrays), and a row that would raise is NaN throughout.
+    to the largest one, at slot n/2 (which holds zero) at the latest.  A field
+    is fitted as a one-row batch and returns that row as floats; on a
+    (T, n/2 + 1) batch each field of the estimate holds one entry per row.  A
+    row with fewer than ``MIN_MODES`` usable modes, or a zero row, is NaN
+    throughout, ``modes_used`` included: the fit never raises on its data.
 
     Every row is fitted at once: the modes past a row's stop are masked out,
     and the slope is the ratio of the sums sum(dx*dy) / sum(dx*dx) of the
@@ -132,17 +127,10 @@ def estimate_radius(field: SpectralField, sigma: float = 1.0) -> RadiusEstimate:
         dy = np.where(used, y - y_bar[:, None], 0.0)
         slope = (dx * dy).sum(axis=-1) / (dx * dx).sum(axis=-1)
         residual = np.sqrt(np.square(slope[:, None] * dx - dy).sum(axis=-1) / counts)
-        fit = np.where(fitted, [-slope, y_bar - slope * x_bar, residual], math.nan)
-    if field.coeffs.ndim == 2:
-        modes_used = (np.where(fitted, 2.0, math.nan), np.where(fitted, counts + 1.0, math.nan))
-        return RadiusEstimate(*fit, modes_used)
-    if floor[0] == 0.0:
-        raise InsufficientDecayError("field is identically zero")
-    if counts[0] < MIN_MODES:
-        raise InsufficientDecayError(
-            f"only {counts[0]} modes above the noise floor; need {MIN_MODES}"
-        )
-    return RadiusEstimate(*fit[:, 0].tolist(), (2, int(counts[0]) + 1))
+        line = [-slope, y_bar - slope * x_bar, residual, np.full_like(slope, 2.0), counts + 1.0]
+        fit = np.where(fitted, line, math.nan)
+    rows = fit if field.coeffs.ndim == 2 else fit[:, 0].tolist()
+    return RadiusEstimate(*rows[:3], tuple(rows[3:]))
 
 
 # --- existence window ---------------------------------------------------------
@@ -173,17 +161,11 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
     only powers of 2 moved, and the second is never smaller: that needs
     (2^sigma-1) 2^(2sigma+8) R >= ||u0|| D_sigma, where R > ||u0||, D_sigma <= 4
     and the left factor is at least 1024.  So T0 is the min, without forming
-    L*R, which overflows first.  An infinite norm, or a window that underflows
-    to zero, raises NormOverflowError.
+    L*R, which overflows first.  A negative norm raises ValueError here; the
+    window's own checks are ``_closed_window``'s.
     """
     if not (u0_norm >= 0.0):
         raise ValueError(f"norm must be nonnegative, got {u0_norm}")
-    if u0_norm == math.inf:
-        raise NormOverflowError("existence window: the datum's window norm overflowed")
-    if not (sigma >= 1.0):
-        raise ValueError(f"sigma must be >= 1, got {sigma}")
-    if not (c_prime > 0.0):
-        raise ValueError(f"c_prime must be positive, got {c_prime}")
     R = 1.0 + u0_norm
     base, r4, t0 = _closed_window(R, sigma, c_prime)
     return LifespanBounds(
@@ -197,9 +179,16 @@ def lifespan_bounds(u0_norm: float, sigma: float, c_prime: float = 1.0) -> Lifes
 
 def _closed_window(R: float, sigma: float, c_prime: float) -> tuple:
     """(base, R^4, T0) of the closed-form window T0 = 1/(2^(2sigma+8) base R^4),
-    base = C'(e^-sigma sigma^sigma + 2); NormOverflowError naming the window
-    norm R - 1 where a power leaves the float range or the window underflows
-    to zero."""
+    base = C'(e^-sigma sigma^sigma + 2); the one check of the window's inputs.
+    In order: an infinite R raises NormOverflowError, sigma < 1 or c_prime not
+    > 0 ValueError, and a window that underflows to zero NormOverflowError
+    naming the window norm R - 1."""
+    if R == math.inf:
+        raise NormOverflowError("existence window: the datum's window norm overflowed")
+    if not (sigma >= 1.0):
+        raise ValueError(f"sigma must be >= 1, got {sigma}")
+    if not (c_prime > 0.0):
+        raise ValueError(f"c_prime must be positive, got {c_prime}")
     try:
         base = c_prime * (math.exp(-sigma) * sigma**sigma + 2.0)
         r4 = R**4
@@ -227,14 +216,9 @@ def window_norm(u: SpectralField, sigma: float, s: float) -> float | np.ndarray:
 
 def existence_window(u0: SpectralField, sigma: float, s: float, c_prime: float = 1.0) -> float:
     """Fixed-point existence window of the datum, which a Picard horizon must
-    not exceed: the closed-form lifespan bound of its ``window_norm`` over
-    2^sigma - 1, finite wherever that closed form is."""
-    norm0 = window_norm(u0, sigma, s)
-    if norm0 == math.inf:
-        raise NormOverflowError("existence window: the datum's window norm overflowed")
-    if not (c_prime > 0.0):
-        raise ValueError(f"c_prime must be positive, got {c_prime}")
-    return _closed_window(1.0 + norm0, sigma, c_prime)[2] / (2.0**sigma - 1.0)
+    not exceed: the closed-form lifespan bound (``_closed_window``) of its
+    ``window_norm`` over 2^sigma - 1, finite wherever that closed form is."""
+    return _closed_window(1.0 + window_norm(u0, sigma, s), sigma, c_prime)[2] / (2.0**sigma - 1.0)
 
 
 # --- shrinking-width schedule -------------------------------------------------

@@ -18,7 +18,6 @@ from .analyticity import WindowError, _closed_window, ea_norm, existence_window,
 from .model import ModelParams, RhsWork, rhs
 from .spectral import (
     GridMismatchError,
-    NormOverflowError,
     SpectralField,
     TorusGrid,
     to_physical,
@@ -346,8 +345,6 @@ def continuity_experiment(
     # row 0 is the limit, row i + 1 the perturbed datum #i
     data = SpectralField(grid, np.vstack([u0_limit.coeffs, *(u.coeffs for u in u0_sequence)]))
     worst = float(np.max(window_norm(data, sigma, s)))
-    if not math.isfinite(worst):
-        raise NormOverflowError(f"window norm of a datum overflowed (sigma={sigma}, s={s})")
     T = _closed_window(2.0 + worst, sigma, c_prime)[2]
     dt = min(cfg.dt, T / 64.0)
     try:

@@ -25,7 +25,6 @@ from chgevrey import (
     Trajectory,
     GevreyIndex,
     GridMismatchError,
-    InsufficientDecayError,
     ModelParams,
     NormOverflowError,
     SolverConfig,
@@ -92,15 +91,22 @@ def test_fit_needs_eight_modes():
     est = estimate_radius(enough, sigma=1.0)
     assert est.modes_used == (2, 9)
     too_few = field_from_modes(GRID, {m: math.exp(-0.4 * m) for m in range(9)})
-    with pytest.raises(InsufficientDecayError):
-        estimate_radius(too_few, sigma=1.0)
+    _assert_unfitted(too_few)
+
+
+def _assert_unfitted(field):
+    """The fit of a single field it cannot fit reads NaN floats throughout,
+    with no RuntimeWarning from the masked arithmetic."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_radius(field, sigma=1.0)
+    values = (est.delta_fit, est.intercept, est.residual, *est.modes_used)
+    assert all(isinstance(v, float) and math.isnan(v) for v in values)
 
 
 def test_fit_rejects_single_mode_and_zero_fields():
-    with pytest.raises(InsufficientDecayError):
-        estimate_radius(field_from_modes(GRID, {1: 0.5}), sigma=1.0)
-    with pytest.raises(InsufficientDecayError):
-        estimate_radius(field_from_modes(GRID, {}), sigma=1.0)
+    _assert_unfitted(field_from_modes(GRID, {1: 0.5}))
+    _assert_unfitted(field_from_modes(GRID, {}))
     with pytest.raises(ValueError, match="sigma must be >= 1"):
         estimate_radius(exp_decay_field(), sigma=0.5)
 
@@ -169,16 +175,11 @@ def test_batched_fit_rows_equal_single_field_calls(sigma, period):
             batch.delta_fit[i], batch.intercept[i], batch.residual[i],
             batch.modes_used[0][i], batch.modes_used[1][i],
         )
-        try:
-            est = estimate_radius(field, sigma)
-        except InsufficientDecayError:
-            assert all(math.isnan(v) for v in row)
-            seen.add("raised")
-            continue
+        est = estimate_radius(field, sigma)
         assert _hexes(*row) == _hexes(est.delta_fit, est.intercept, est.residual, *est.modes_used)
-        seen.add(est.modes_used[1])
-    # the floor stop, the stop at slot n/2 and the raising rows were all exercised
-    assert {10, grid.n_points // 2 - 1, "raised"} <= seen
+        seen.add("nan row" if math.isnan(est.delta_fit) else est.modes_used[1])
+    # the floor stop, the stop at slot n/2 and the unfitted NaN rows were all exercised
+    assert {10, grid.n_points // 2 - 1, "nan row"} <= seen
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
@@ -759,10 +760,7 @@ def _walk_states(traj, p, sigma, s, delta0, c_cal):
             f_sq_new = f_sq + c_cal * dt * (b_old**5 + b**5)
             theta *= math.exp(-4.0 * c_cal * dt * (f_sq**1.5 + f_sq_new**1.5))
             theta, f_sq = max(theta, 1e-300), f_sq_new
-        try:
-            fit = estimate_radius(u, sigma).delta_fit
-        except InsufficientDecayError:
-            fit = math.nan
+        fit = estimate_radius(u, sigma).delta_fit
         gevrey = gevrey_norm(u, GevreyIndex(sigma, theta, s))
         records.append((t, b - 1.0, gevrey, fit, theta, math.sqrt(f_sq), b, float(h_col[j])))
         prev = (t, b)
@@ -882,3 +880,30 @@ def test_continuity_needs_one_grid_for_all_data():
         continuity_experiment(
             [other], limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
         )
+
+
+@pytest.mark.parametrize("c_prime", [0.0, -1.0, math.nan])
+def test_continuity_rejects_a_c_prime_that_is_not_positive(c_prime):
+    limit = field_from_modes(TorusGrid(32), {1: 0.005})
+    with pytest.raises(ValueError, match="c_prime must be positive"):
+        continuity_experiment(
+            [limit], limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0),
+            c_prime=c_prime,
+        )
+
+
+def test_an_infinite_window_norm_raises_one_message_everywhere():
+    # exp(2 * 2000) leaves the float range: the width-1 norm of mode 2000 is inf
+    u0 = field_from_modes(TorusGrid(4096), {2000: 1.0})
+    assert analyticity.window_norm(u0, 1.0, 2.0) == math.inf
+    calls = (
+        lambda: lifespan_bounds(math.inf, 1.0),
+        lambda: analyticity.existence_window(u0, 1.0, 2.0),
+        lambda: continuity_experiment(
+            [u0], u0, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
+        ),
+    )
+    for call in calls:
+        with pytest.raises(NormOverflowError) as info:
+            call()
+        assert str(info.value) == "existence window: the datum's window norm overflowed"

@@ -752,7 +752,7 @@ def test_an_overflowing_existence_window_exits_two(tmp_path, capsys, subcommand)
     assert not (tmp_path / "run" / "report.json").exists()
 
 
-@pytest.mark.parametrize("subcommand", ["lifespan", "picard"])
+@pytest.mark.parametrize("subcommand", ["lifespan", "picard", "continuity"])
 def test_an_infinite_window_norm_exits_two(tmp_path, capsys, subcommand):
     # at n = 2048 the width-1 norm of the bump's rounding noise reads inf
     cfg = write_config(tmp_path, **{**OVERFLOWING_BUMP, "grid": {"n_points": 2048}})

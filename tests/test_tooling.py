@@ -153,3 +153,29 @@ def test_only_integrate_shadows_its_submodule_on_the_package():
     shadowed = {name for name in modules if getattr(package, name, loaded[name]) is not loaded[name]}
     assert shadowed == {"integrate"}
     assert package.integrate is loaded["integrate"].integrate
+
+
+def _unused_imports(tree) -> list:
+    """Names an import statement in ``tree`` binds that the module never reads
+    and its ``__all__`` does not export; star and ``__future__`` imports bind
+    none to check."""
+    bound, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            read.update(getattr(elt, "value", None) for elt in getattr(node.value, "elts", ()))
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_used():
+    unused = {
+        path.stem: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert unused == {}
