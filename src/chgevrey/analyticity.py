@@ -281,11 +281,12 @@ def ea_norm(
     largest term: top <= LSE <= top + log n, whatever order the pairs are
     taken in.  So the largest lower bound over all pairs is taken first, and
     the log-sum-exp is computed only for pairs whose upper bound is not below
-    it (a NaN pair always is).  Rounded addition is monotone and the computed
-    tail log1p(s/m) + log m exceeds log n by at most about n*eps, which the
-    margin covers, so a skipped pair scores strictly below the sup and the
-    result is the full scan's bit for bit.  Both passes gather their pairs
-    in blocks of at most max(live rows, 1024), so memory stays bounded.
+    it (a NaN pair always is), nor below the best score of the blocks already
+    scored.  Rounded addition is monotone and the computed tail
+    log1p(s/m) + log m exceeds log n by at most about n*eps, which the margin
+    covers, so a skipped pair scores strictly below the sup and the result is
+    the full scan's bit for bit.  Both passes gather their pairs in blocks of
+    at most max(live rows, 1024), so memory stays bounded.
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a}")
@@ -323,11 +324,14 @@ def ea_norm(
     n = fields.grid.n_points
     tail_max = math.log(n) + 1e-9 + n * 2.0**-52  # log n plus the tail's rounding
     best = np.max(0.5 * top + pair_c + time_c)  # a NaN pair makes it NaN
-    kept = np.flatnonzero(~(0.5 * (top + tail_max) + pair_c + time_c < best))
+    upper = 0.5 * (top + tail_max) + pair_c + time_c
+    kept = np.flatnonzero(~(upper < best))
     for i in range(0, kept.size, block):
         pairs = kept[i : i + block]
-        score = 0.5 * logsumexp_modes(terms(pairs)) + pair_c[pairs] + time_c[pairs]
-        best = np.maximum(best, np.max(score))  # a NaN score stays NaN
+        pairs = pairs[~(upper[pairs] < best)]  # best has risen with the blocks before
+        if pairs.size:
+            score = 0.5 * logsumexp_modes(terms(pairs)) + pair_c[pairs] + time_c[pairs]
+            best = np.maximum(best, np.max(score))  # a NaN score stays NaN
     try:
         value = math.exp(best)
     except OverflowError:

@@ -347,23 +347,33 @@ def sobolev_norm(field: SpectralField, s: float) -> float | np.ndarray:
     return np.sqrt(total) if total.ndim else math.sqrt(total)
 
 
-def _sqrt_exp(total: float) -> float:
-    # math.exp per value: np.exp rounds differently on a few percent of inputs
-    try:
-        return math.exp(0.5 * total)
-    except OverflowError:
-        return math.inf
+_LOG_FLOAT_MAX = 709.782712893384  # log of the largest double, rounded down
 
 
-def _weighted_norm(field: SpectralField, s: float, log_weight2: np.ndarray) -> float | np.ndarray:
-    """sqrt(sum (1+k^2)^s w^2 |c|^2) with the sum taken in log space."""
-    k2 = field.grid.wavenumbers**2
+def _sqrt_exp(total: np.ndarray) -> np.ndarray:
+    """exp(total/2) value by value, in the shape of ``total``: math.exp's
+    values (np.exp rounds differently on a few percent of inputs), and inf
+    wherever math.exp would overflow."""
+    half = 0.5 * total
+    half = np.where(half > _LOG_FLOAT_MAX, np.inf, half)
+    return np.array(list(map(math.exp, half.ravel().tolist()))).reshape(half.shape)
+
+
+def _weighted_norm(field: SpectralField, rows) -> list:
+    """sqrt(sum (1+k^2)^s w^2 |c|^2) for each ``(s, log w^2)`` of ``rows``: a
+    float per row for a single field, an array per row for a batch.  Each sum
+    is taken in log space, from one pass over log |c|^2 and log(1+k^2)."""
+    log_k2 = np.log1p(field.grid.wavenumbers**2)
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(field.coeffs))  # -inf where c vanishes
-    total = logsumexp_modes(s * np.log1p(k2) + log_weight2 + log_mag2)
-    if total.ndim:
-        return np.array([_sqrt_exp(t) for t in total.ravel().tolist()]).reshape(total.shape)
-    return _sqrt_exp(float(total))
+    totals = [logsumexp_modes(s * log_k2 + log_weight2 + log_mag2) for s, log_weight2 in rows]
+    roots = _sqrt_exp(np.stack(totals))
+    return roots.tolist() if roots.ndim == 1 else list(roots)
+
+
+def _log_weight2(k2: np.ndarray, sigma: float, delta: float | np.ndarray) -> np.ndarray:
+    """log of the squared Gevrey weight, 2*delta*(1+k^2)^(1/(2*sigma))."""
+    return 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
 
 
 def _gevrey_norm(
@@ -372,21 +382,30 @@ def _gevrey_norm(
     """gevrey_norm at the width ``delta``: a scalar, or an (N, 1) column with
     one width per row of an (N, n/2 + 1) batch.  A field or a row that
     overflows reads inf."""
-    k2 = field.grid.wavenumbers**2
-    lw2 = 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
-    return _weighted_norm(field, s, lw2)
+    return _weighted_norm(field, [(s, _log_weight2(field.grid.wavenumbers**2, sigma, delta))])[0]
+
+
+def _gevrey_norms(field: SpectralField, smooth=(), bar=()) -> tuple:
+    """({index: gevrey_norm(field, index)} over ``smooth``, {index:
+    gevrey_norm_bar(field, index)} over ``bar``): each distinct index is scored
+    once, and every score comes from one pass over the field."""
+    smooth, bar = dict.fromkeys(smooth), dict.fromkeys(bar)
+    k = field.grid.wavenumbers
+    k2 = k**2
+    rows = [(i.s, _log_weight2(k2, i.sigma, i.delta)) for i in smooth]
+    rows += [(i.s, 2.0 * i.delta * k ** (1.0 / i.sigma)) for i in bar]
+    norms = _weighted_norm(field, rows)
+    return dict(zip(smooth, norms)), dict(zip(bar, norms[len(smooth) :]))
 
 
 def gevrey_norm(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """sqrt(sum (1+k^2)^s exp(2*delta*(1+k^2)^(1/(2*sigma))) |c_m|^2)."""
-    return _gevrey_norm(field, index.sigma, index.delta, index.s)
+    return _gevrey_norms(field, [index])[0][index]
 
 
 def gevrey_norm_bar(field: SpectralField, index: GevreyIndex) -> float | np.ndarray:
     """Bar variant: weight exp(2*delta*|k|^(1/sigma)) in place of the smooth one."""
-    k = field.grid.wavenumbers
-    lw2 = 2.0 * index.delta * k ** (1.0 / index.sigma)
-    return _weighted_norm(field, index.s, lw2)
+    return _gevrey_norms(field, bar=[index])[1][index]
 
 
 # --- products -----------------------------------------------------------------

@@ -33,11 +33,11 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     _gevrey_norm,
+    _gevrey_norms,
     _unfold,
     derivative,
     field_from_modes,
     gevrey_norm,
-    gevrey_norm_bar,
     helmholtz_inv,
     product,
     random_field,
@@ -172,9 +172,8 @@ def verify_embedding(ensemble_size: int = 100, seed: int = DEFAULT_SEED) -> Veri
     """Norm monotonicity between nested weighted spaces: the norm with the
     pointwise-larger weight dominates, so ratio weaker/stronger <= 1."""
     u = _ensemble(seed, ensemble_size)
-    ratios = [
-        _ratio(gevrey_norm(u, weak), gevrey_norm(u, strong)) for strong, weak in _EMBEDDING_PAIRS
-    ]
+    norms, _ = _gevrey_norms(u, [index for pair in _EMBEDDING_PAIRS for index in pair])
+    ratios = [_ratio(norms[weak], norms[strong]) for strong, weak in _EMBEDDING_PAIRS]
     return _report("embedding", (ratios, 1.0 + EXACT_SLACK))
 
 
@@ -210,25 +209,31 @@ def verify_derivative_bound(
     s = 2.0
     u = _ensemble(seed, ensemble_size)
     du = derivative(u)
+    # widths delta > delta' > 0; 0.6 and 0.1 each recur, and are scored once
+    cases = [
+        (sigma, hi, lo) for sigma in (1.0, 2.0) for hi, lo in ((0.6, 0.5), (0.6, 0.1), (0.2, 0.1))
+    ]
+    index = GevreyIndex(1.0, 0.5, s)
+    ref, ref1 = GevreyIndex(1.0, 0.5, s - 2.0), GevreyIndex(1.0, 0.5, s - 1.0)
+    u_norms, u_bar = _gevrey_norms(
+        u, (ref, ref1), [GevreyIndex(sigma, hi, s) for sigma, hi, _ in cases]
+    )
+    _, du_bar = _gevrey_norms(du, bar=[GevreyIndex(sigma, lo, s) for sigma, _, lo in cases])
     sharp, operator = [], []
-    for sigma in (1.0, 2.0):
-        for hi, lo in ((0.6, 0.5), (0.6, 0.1), (0.2, 0.1)):  # widths delta > delta' > 0
-            bound = derivative_constant_bound(sigma, hi - lo)
-            sharp.append(sharp_derivative_constant(GRID, sigma, hi - lo) / bound)
-            denom = gevrey_norm_bar(u, GevreyIndex(sigma, hi, s))
-            operator.append(_ratio(gevrey_norm_bar(du, GevreyIndex(sigma, lo, s)), bound * denom))
+    for sigma, hi, lo in cases:
+        bound = derivative_constant_bound(sigma, hi - lo)
+        sharp.append(sharp_derivative_constant(GRID, sigma, hi - lo) / bound)
+        denom = u_bar[GevreyIndex(sigma, hi, s)]
+        operator.append(_ratio(du_bar[GevreyIndex(sigma, lo, s)], bound * denom))
 
     k2 = GRID.wavenumbers**2
     symbols = [
         np.any(1.0 / (1.0 + k2) > (1.0 + k2) ** -1.0 * (1.0 + EXACT_SLACK)),
         np.any(GRID.wavenumbers / (1.0 + k2) > (1.0 + k2) ** -0.5 * (1.0 + EXACT_SLACK)),
     ]
-    index = GevreyIndex(1.0, 0.5, s)
-    ref = gevrey_norm(u, GevreyIndex(1.0, 0.5, s - 2.0))
     got = gevrey_norm(helmholtz_inv(u), index)
-    identity = np.abs(got - ref) > EXACT_SLACK * np.maximum(ref, 1.0)
-    ref1 = gevrey_norm(u, GevreyIndex(1.0, 0.5, s - 1.0))
-    smoothing = gevrey_norm(helmholtz_inv(du), index) > ref1 * (1.0 + EXACT_SLACK)
+    identity = np.abs(got - u_norms[ref]) > EXACT_SLACK * np.maximum(u_norms[ref], 1.0)
+    smoothing = gevrey_norm(helmholtz_inv(du), index) > u_norms[ref1] * (1.0 + EXACT_SLACK)
     return _report(
         "derivative_bound",
         (sharp, 1.0 + EXACT_SLACK),
@@ -243,12 +248,12 @@ def verify_norm_equivalence(
     """Peaked-weight norm sandwich: bar <= smooth <= e^delta * bar; a case's
     ratio is the worse of its two sides."""
     u = _ensemble(seed, ensemble_size)
-    ratios = []
-    for sigma, delta, s in ((1.0, 0.3, 0.0), (1.0, 1.0, 2.0), (2.0, 0.7, 1.0)):
-        index = GevreyIndex(sigma, delta, s)
-        bar = gevrey_norm_bar(u, index)
-        smooth = gevrey_norm(u, index)
-        ratios.append(np.maximum(_ratio(bar, smooth), _ratio(smooth, math.exp(index.delta) * bar)))
+    indices = [GevreyIndex(*sds) for sds in ((1.0, 0.3, 0.0), (1.0, 1.0, 2.0), (2.0, 0.7, 1.0))]
+    smooth, bar = _gevrey_norms(u, indices, indices)
+    ratios = [
+        np.maximum(_ratio(bar[i], smooth[i]), _ratio(smooth[i], math.exp(i.delta) * bar[i]))
+        for i in indices
+    ]
     return _report("norm_equivalence", (ratios, 1.0 + EXACT_SLACK))
 
 
@@ -261,13 +266,16 @@ def verify_interpolation(ensemble_size: int = 200, seed: int = DEFAULT_SEED) -> 
     sigma, s = 1.0, 2.0
     u = _ensemble(seed, ensemble_size)
     hs = sobolev_norm(u, s)
+    cases = [
+        (GevreyIndex(sigma, delta, s), GevreyIndex(sigma, delta, s + l_exp / (2.0 * sigma)), l_exp)
+        for delta in (0.1, 0.5, 1.0)
+        for l_exp in (1.0, 2.0 / 3.0, 0.5, 0.4)
+    ]
+    norms, _ = _gevrey_norms(u, [index for lhs, bumped, _ in cases for index in (lhs, bumped)])
     ratios = []
-    for delta in (0.1, 0.5, 1.0):
-        lhs = gevrey_norm(u, GevreyIndex(sigma, delta, s))
-        for l_exp in (1.0, 2.0 / 3.0, 0.5, 0.4):
-            bumped = gevrey_norm(u, GevreyIndex(sigma, delta, s + l_exp / (2.0 * sigma)))
-            rhs = math.sqrt(math.e) * hs + (2.0 * delta) ** (l_exp / 2.0) * bumped
-            ratios.append(_ratio(lhs, rhs))
+    for lhs, bumped, l_exp in cases:
+        rhs = math.sqrt(math.e) * hs + (2.0 * lhs.delta) ** (l_exp / 2.0) * norms[bumped]
+        ratios.append(_ratio(norms[lhs], rhs))
     return _report("interpolation", (ratios, 1.0 + EXACT_SLACK))
 
 
@@ -352,21 +360,27 @@ def verify_algebra(
     half = GRID.n_points // 2
     top_mag2 = np.abs(np.sum(f.coeffs[:, 1:half] * g.coeffs[:, half - 1 : 0 : -1], axis=-1)) ** 2
     top_k2 = GRID.wavenumbers[half] ** 2
-
-    def fg_norm(index: GevreyIndex) -> np.ndarray:
+    # (plain, tame) index pairs; the tame index at s = 2 is the plain one at s = 1
+    cases = [
+        (GevreyIndex(sigma, delta, s), GevreyIndex(sigma, delta, s - 1.0))
+        for s in (1.0, 2.0)
+        for delta, sigma in ((0.0, 1.0), (0.3, 1.0))
+    ]
+    every = [index for pair in cases for index in pair]
+    f_norms, _ = _gevrey_norms(f, [plain for plain, _ in cases])
+    g_norms, _ = _gevrey_norms(g, every)
+    fg_norms = {}
+    for index, norm in _gevrey_norms(fg, every)[0].items():
         weight = (1.0 + top_k2) ** index.s * math.exp(
             2.0 * index.delta * (1.0 + top_k2) ** (1.0 / (2.0 * index.sigma))
         )
-        return np.sqrt(gevrey_norm(fg, index) ** 2 + weight * top_mag2)
+        fg_norms[index] = np.sqrt(norm**2 + weight * top_mag2)
 
     plain_ratios, tame_ratios = [], []
-    for s in (1.0, 2.0):
-        for delta, sigma in ((0.0, 1.0), (0.3, 1.0)):
-            plain = GevreyIndex(sigma, delta, s)
-            tame = GevreyIndex(sigma, delta, s - 1.0)
-            nf = gevrey_norm(f, plain)
-            plain_ratios.append(_ratio(fg_norm(plain), nf * gevrey_norm(g, plain)))
-            tame_ratios.append(_ratio(fg_norm(tame), nf * gevrey_norm(g, tame)))
+    for plain, tame in cases:
+        nf = f_norms[plain]
+        plain_ratios.append(_ratio(fg_norms[plain], nf * g_norms[plain]))
+        tame_ratios.append(_ratio(fg_norms[tame], nf * g_norms[tame]))
     return _report("algebra", (plain_ratios, "C_s_algebra"), (tame_ratios, "C_bar_s"), pins=pins)
 
 
@@ -387,32 +401,28 @@ def verify_symbol_lemma(
     with W(x) = (1+x^2)^{s/2} e^{delta (1+x^2)^{1/(2 sigma)}},
     A = 1+(xi-eta)^2, B = 1+eta^2.
     """
+    # every factor depends on xi, on eta or on xi - eta alone, so each is
+    # evaluated on its axis: the 2 extent + 1 values of xi (and of eta) or the
+    # 4 extent + 1 differences, gathered to the grid for the sums and the ratio
     xi = np.arange(-extent, extent + 1, dtype=float)
-    xg, eg = np.meshgrid(xi, xi, indexing="ij")
+    gap = np.arange(-2 * extent, 2 * extent + 1, dtype=float)
+    at_gap = np.subtract.outer(np.arange(xi.size), np.arange(xi.size)) + 2 * extent
+    a2 = 1.0 + gap**2
+    b2 = 1.0 + xi**2
     ratios = []
     for delta, sigma, s in params:
         if not (s > 1.0):
             raise ValueError(f"the symbol estimate needs s > 1, got {s}")
-
-        def weight(x):
-            return (1.0 + x**2) ** (s / 2.0) * np.exp(
-                delta * (1.0 + x**2) ** (1.0 / (2.0 * sigma))
-            )
-
-        lhs = np.abs(weight(xg) - weight(eg))
-        a2 = 1.0 + (xg - eg) ** 2
-        b2 = 1.0 + eg**2
+        weight = b2 ** (s / 2.0) * np.exp(delta * b2 ** (1.0 / (2.0 * sigma)))
+        lhs = np.abs(weight[:, None] - weight)
         half = (s - 1.0) / 2.0
         bump = half + 1.0 / (2.0 * sigma)
-        bracket = (
-            a2**half
-            + b2**half
-            + delta
-            * (a2**bump + b2**bump)
-            * np.exp(delta * a2 ** (1.0 / (2.0 * sigma)))
-        )
+        a_exp = np.exp(delta * a2 ** (1.0 / (2.0 * sigma)))
+        bracket = (a2**half)[at_gap] + b2**half + delta * (
+            (a2**bump)[at_gap] + b2**bump
+        ) * a_exp[at_gap]
         # the diagonal xi = eta is 0/0: counted, never compared
-        ratios.append(_ratio(lhs, np.abs(xg - eg) * bracket))
+        ratios.append(_ratio(lhs, np.abs(gap)[at_gap] * bracket))
     return _report("symbol_lemma", (ratios, "C_sym_lemma"), pins=pins)
 
 
@@ -461,26 +471,26 @@ def verify_commutator_estimate(
     one = field_from_modes(GRID, {0: 1.0}).coeffs
     u = SpectralField(GRID, np.vstack([drawn[0:n_drawn:2], np.tile(one, (10, 1))]))
     v = SpectralField(GRID, np.vstack([drawn[1:n_drawn:2], drawn[n_drawn:]]))
-    pairs = ((u, v), (derivative(u), u))
-    # each form's product and H^s norms, which no delta changes
-    forms = [(a, b, product(a, b), sobolev_norm(a, s), sobolev_norm(b, s)) for a, b in pairs]
+    du = derivative(u)
+    deltas = (0.0, 0.25, 60.0)
+    indices = [
+        GevreyIndex(sigma, delta, s + bump) for delta in deltas for bump in (0.0, 1.0 / sigma)
+    ]
+    # each field's H^s and weighted norms, taken once: u is in both forms
+    hs = {x: sobolev_norm(x, s) for x in (u, v, du)}
+    gevrey = {x: _gevrey_norms(x, indices)[0] for x in (u, v, du)}
+    forms = [(a, b, product(a, b)) for a, b in ((u, v), (du, u))]
     ratios, skipped = [], 0
-    for delta in (0.0, 0.25, 60.0):
+    for delta in deltas:
         plain = GevreyIndex(sigma, delta, s)
         bumped = GevreyIndex(sigma, delta, s + 1.0 / sigma)
         with np.errstate(over="ignore", invalid="ignore"):
             w = (1.0 + k2) ** s * np.exp(2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma)))
-        for a, b, ab, a_s, b_s in forms:
+        for a, b, ab in forms:
             with np.errstate(over="ignore", invalid="ignore"):
                 pairing = np.sum(_unfold(w * ab.coeffs * np.conj(b.coeffs)), axis=-1)
-            norms = (
-                a_s,
-                b_s,
-                gevrey_norm(a, plain),
-                gevrey_norm(b, bumped),
-                gevrey_norm(a, bumped),
-                gevrey_norm(b, plain),
-            )
+            na, nb = gevrey[a], gevrey[b]
+            norms = (hs[a], hs[b], na[plain], nb[bumped], na[bumped], nb[plain])
             for case in zip(pairing.tolist(), *(norm.tolist() for norm in norms)):
                 try:
                     ratios.append(_pairing_ratio(delta, *case))

@@ -19,6 +19,10 @@ r"""Reference implementations that the tests judge the toolkit against.
   n-mode layout with ``logsumexp_port``, SciPy 1.17's ``logsumexp`` repeated
   operation for operation: the plain form that ``ea_norm`` must equal bit for
   bit.
+* ``symbol_lemma_ratios`` is ``verify_symbol_lemma``'s ratio arrays on the
+  full (xi, eta) meshgrid, every factor evaluated on the grid: the plain
+  transcription that the suite's evaluation on the axes must equal bit for
+  bit.
 
 None of them is library API; they live here so that they keep judging.
 """
@@ -219,3 +223,33 @@ def ea_norm_unfolded(times, fields: SpectralField, a: float, sigma: float, s: fl
     if math.isinf(value):
         raise NormOverflowError("weighted sup norm overflowed")
     return value
+
+
+def symbol_lemma_ratios(extent: int, params) -> list:
+    """|W(xi) - W(eta)| / (|xi - eta| bracket) on [-extent, extent]^2, one array
+    per (delta, sigma, s) of ``params``, every factor taken on the meshgrid."""
+    xi = np.arange(-extent, extent + 1, dtype=float)
+    xg, eg = np.meshgrid(xi, xi, indexing="ij")
+    ratios = []
+    for delta, sigma, s in params:
+
+        def weight(x):
+            return (1.0 + x**2) ** (s / 2.0) * np.exp(
+                delta * (1.0 + x**2) ** (1.0 / (2.0 * sigma))
+            )
+
+        lhs = np.abs(weight(xg) - weight(eg))
+        a2 = 1.0 + (xg - eg) ** 2
+        b2 = 1.0 + eg**2
+        half = (s - 1.0) / 2.0
+        bump = half + 1.0 / (2.0 * sigma)
+        bracket = (
+            a2**half
+            + b2**half
+            + delta
+            * (a2**bump + b2**bump)
+            * np.exp(delta * a2 ** (1.0 / (2.0 * sigma)))
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios.append(lhs / (np.abs(xg - eg) * bracket))
+    return ratios

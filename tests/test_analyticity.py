@@ -516,8 +516,12 @@ def test_sup_norm_equals_the_unfolded_oracle_bit_for_bit():
 
 def test_sup_norm_equals_the_oracle_when_its_pairs_span_many_blocks(monkeypatch):
     # the pairs are bounded and scored in blocks of max(live rows, 1024):
-    # batches of over 3000 rows take several blocks in each pass
+    # batches of over 3000 rows take several blocks in each pass.  Each block
+    # drops the pairs below the best score so far, so no case scores more rows
+    # than the prune by the largest lower bound alone did (the counts below),
+    # and the finite cases score fewer; a NaN row stops the pruning
     calls = []
+    rows_under_the_lower_bound_alone = (20560, 5644, 31320, 7677)
 
     def spy(terms):
         calls.append(len(terms))
@@ -543,6 +547,8 @@ def test_sup_norm_equals_the_oracle_when_its_pairs_span_many_blocks(monkeypatch)
         assert math.isnan(got) == (case >= 2)
         live = int(np.count_nonzero(np.any(coeffs != 0.0, axis=-1)))
         assert len(calls) > 1 and max(calls) == live  # full blocks, then the rest
+        assert sum(calls) <= rows_under_the_lower_bound_alone[case]
+        assert (sum(calls) < rows_under_the_lower_bound_alone[case]) == (case < 2)
     # one row, and one live row among zero rows
     for fields in (rows(u), rows(0.0 * u, u, 0.0 * u)):
         times = np.linspace(-0.3, 0.2, len(fields.coeffs))

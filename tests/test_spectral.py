@@ -25,6 +25,7 @@ from chgevrey.spectral import (
     SpectralField,
     TorusGrid,
     _gevrey_norm,
+    _sqrt_exp,
     _unfold,
     derivative,
     field_from_modes,
@@ -290,6 +291,29 @@ def test_an_overflowing_width_leaves_the_other_rows_as_they_are():
     pair = SpectralField(GRID, np.array([cos_field(1).coeffs, cos_field(1).coeffs]))
     batched = _gevrey_norm(pair, 1.0, np.array([[1000.0], [0.5]]), 0.0)
     assert batched.tolist() == [math.inf, gevrey_norm(cos_field(1), GevreyIndex(1.0, 0.5, 0.0))]
+
+
+def test_the_norm_tail_is_math_exp_of_each_half_total():
+    # one vectorized tail for every total of a call: math.exp's rounding, not
+    # np.exp's, and inf wherever math.exp overflows
+    def one(total):
+        try:
+            return math.exp(0.5 * total)
+        except OverflowError:
+            return math.inf
+
+    edge = 2.0 * 709.782712893384  # twice log of the largest double, rounded down
+    past = np.nextafter(edge, np.inf)
+    special = [edge, past, np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -1400.0, 1e308]
+    rng = np.random.default_rng(5)
+    grid = np.concatenate([special, rng.uniform(-1500.0, 1500.0, 400)]).reshape(41, 10)
+    for total in [np.array(t) for t in special] + [grid]:
+        got = _sqrt_exp(total)
+        assert got.shape == total.shape
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            one(t).hex() for t in total.ravel().tolist()
+        ]
+    assert math.isfinite(_sqrt_exp(np.array(edge))) and _sqrt_exp(np.array(past)) == math.inf
 
 
 def test_parseval_mean_square():

@@ -22,7 +22,7 @@ from chgevrey import (
     integrate,
     sobolev_norm,
 )
-from chgevrey import verify
+from chgevrey import spectral, verify
 from chgevrey.verify import (
     PIN_FILE,
     SAFETY_FACTOR,
@@ -46,7 +46,7 @@ from chgevrey.verify import (
     verify_symbol_lemma,
 )
 
-from oracles import full_band, product_direct
+from oracles import full_band, product_direct, symbol_lemma_ratios
 
 GRID = TorusGrid(64)
 
@@ -222,6 +222,33 @@ def test_symbol_lemma_zero_width_oracle():
     assert worst < 2.0
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"extent": 16}, {"extent": 24, "params": ((0.4, 2.0, 3.5),)}],
+    ids=["defaults", "extent-16", "sigma-2"],
+)
+def test_symbol_lemma_ratios_equal_the_meshgrid_oracle_bit_for_bit(monkeypatch, kwargs):
+    # the suite takes each factor on the axis it depends on (xi, eta or
+    # xi - eta); the meshgrid transcription takes all of them on the grid
+    groups = []
+    report = verify._report
+
+    def spy(suite, *args, **kw):
+        groups.extend(args)
+        return report(suite, *args, **kw)
+
+    monkeypatch.setattr(verify, "_report", spy)
+    verify_symbol_lemma(**kwargs)
+    (ratios, _), = groups
+    extent, params = kwargs.get("extent", 64), kwargs.get("params", verify._SYMBOL_PARAMS)
+    expected = symbol_lemma_ratios(extent, params)
+    assert len(ratios) == len(expected)
+    for got, want in zip(ratios, expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.all(np.isnan(np.diagonal(got)))  # 0/0 on xi = eta
+        assert np.count_nonzero(np.isnan(got)) == len(got)
+
+
 def test_commutator_regression_and_skip_count(pins):
     report = verify_commutator_estimate(ensemble_size=30, pins=pins)
     worst = report.worst_ratio
@@ -323,6 +350,52 @@ def test_seed_42_run_builds_a_dozen_fields_not_one_per_ensemble_row(monkeypatch,
     monkeypatch.setattr(SpectralField, "__post_init__", counting)
     run_all_suites(seed=42, pins=pins)
     assert 0 < len(builds) <= 12
+
+
+def test_each_suite_takes_log_mag2_once_per_field_and_keeps_nothing_across_calls(
+    monkeypatch, pins
+):
+    # every Gevrey norm of a field comes from one pass over its log|c|^2 (one
+    # _weighted_norm call) that scores each distinct index once; a second run
+    # makes every pass again, so no norm outlives its call.  verify_ea_integral
+    # takes one pass per target width, as its widths change from row to row
+    passes, suite = [], [None]
+    weighted = spectral._weighted_norm
+
+    def counting(field, rows):
+        passes.append((suite[0], field.coeffs.tobytes(), len(rows)))
+        return weighted(field, rows)
+
+    def entering(name, run):
+        def wrapped(*args, **kwargs):
+            suite[0] = name
+            return run(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(spectral, "_weighted_norm", counting)
+    for name in [n for n in verify.__all__ if n.startswith("verify_")]:
+        monkeypatch.setattr(verify, name, entering(name, getattr(verify, name)))
+    first = run_all_suites(seed=42, pins=pins)
+    first_passes = passes[:]
+    passes.clear()
+    second = run_all_suites(seed=42, pins=pins)
+    assert passes == first_passes and first == second
+    per_suite = {}
+    for name, coeffs, _ in passes:
+        per_suite.setdefault(name, []).append(coeffs)
+    assert {name: len(fields) for name, fields in per_suite.items()} == {
+        "verify_embedding": 1,
+        "verify_derivative_bound": 4,  # u, u_x and their (1 - d_xx)^-1 images
+        "verify_algebra": 3,  # f, g and fg
+        "verify_norm_equivalence": 1,
+        "verify_commutator_estimate": 3,  # u, v and u_x
+        "verify_interpolation": 1,
+        "verify_ea_integral": 2,
+    }
+    for name, fields in per_suite.items():
+        assert name == "verify_ea_integral" or len(set(fields)) == len(fields)
+    assert sum(rows for *_, rows in passes) == 78  # each distinct index once
 
 
 def test_every_suite_returns_a_report_and_the_pinned_ones_measure_their_pins(pins):
