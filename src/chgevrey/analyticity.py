@@ -276,17 +276,17 @@ def ea_norm(
     (time, width) pair is admissible.  The window shrinks as the width
     grows, so the first width decides admissibility.
 
-    The admissible (width, live row) pairs come from one comparison.  Each
-    pair's log-sum-exp over its n unfolded modes is bracketed exactly by its
-    largest term: top <= LSE <= top + log n, whatever order the pairs are
-    taken in.  So the largest lower bound over all pairs is taken first, and
-    the log-sum-exp is computed only for pairs whose upper bound is not below
-    it (a NaN pair always is), nor below the best score of the blocks already
-    scored.  Rounded addition is monotone and the computed tail
-    log1p(s/m) + log m exceeds log n by at most about n*eps, which the margin
-    covers, so a skipped pair scores strictly below the sup and the result is
-    the full scan's bit for bit.  Both passes gather their pairs in blocks of
-    at most max(live rows, 1024), so memory stays bounded.
+    The admissible (width, live row) pairs come from one comparison, and
+    ``_lse_upper`` bounds every pair's log-sum-exp from above in one matrix
+    product.  The pair with the largest bound is scored first (a NaN bound,
+    whose pair scores NaN, is the largest), and its score starts the best.
+    Then the log-sum-exp is computed, in blocks of at most
+    max(live rows, 1024) pairs, only for the pairs whose bound is not below
+    the best score so far.  Rounded addition is monotone, so a skipped pair
+    scores strictly below the sup; once the best is NaN nothing else is
+    scored, as the value is NaN whatever follows.  A row's log-sum-exp does
+    not depend on the rows scored with it, so the result is the full scan's
+    bit for bit.
     """
     if not (a > 0.0):
         raise ValueError(f"a must be positive, got {a}")
@@ -314,24 +314,21 @@ def ea_norm(
     pair_c = width_c[widths]
     time_c = 0.5 * np.log1p(-t_live[rows] / shrink[widths])
     block = max(t_live.size, 1024)
+    upper = 0.5 * _lse_upper(log_mag2, log_w, rows, widths, fields.grid, block) + pair_c + time_c
 
-    def terms(pairs):
-        return log_mag2[rows[pairs]] + log_w[widths[pairs]]
+    def score(pairs):
+        lse = logsumexp_modes(log_mag2[rows[pairs]] + log_w[widths[pairs]])
+        return np.max(0.5 * lse + pair_c[pairs] + time_c[pairs])  # a NaN score stays NaN
 
-    top = np.concatenate(
-        [terms(slice(i, i + block)).max(axis=-1) for i in range(0, rows.size, block)]
-    )
-    n = fields.grid.n_points
-    tail_max = math.log(n) + 1e-9 + n * 2.0**-52  # log n plus the tail's rounding
-    best = np.max(0.5 * top + pair_c + time_c)  # a NaN pair makes it NaN
-    upper = 0.5 * (top + tail_max) + pair_c + time_c
-    kept = np.flatnonzero(~(upper < best))
+    first = np.argmax(upper)  # the first NaN bound, if there is one
+    best = score([first])
+    upper[first] = -np.inf
+    kept = np.flatnonzero(upper >= best)  # nothing once best is NaN
     for i in range(0, kept.size, block):
         pairs = kept[i : i + block]
-        pairs = pairs[~(upper[pairs] < best)]  # best has risen with the blocks before
+        pairs = pairs[upper[pairs] >= best]  # best has risen with the blocks before
         if pairs.size:
-            score = 0.5 * logsumexp_modes(terms(pairs)) + pair_c[pairs] + time_c[pairs]
-            best = np.maximum(best, np.max(score))  # a NaN score stays NaN
+            best = np.maximum(best, score(pairs))
     try:
         value = math.exp(best)
     except OverflowError:
@@ -339,6 +336,53 @@ def ea_norm(
     if math.isinf(value):
         raise NormOverflowError("weighted sup norm overflowed")
     return value
+
+
+def _lse_upper(log_mag2, log_w, rows, widths, grid, block) -> np.ndarray:
+    """Upper bounds on logsumexp_modes(log_mag2[r] + log_w[w]), one per pair
+    (r, w) of ``rows`` and ``widths``: the computed value never exceeds them.
+
+    With rho the row maxima of log_mag2 and omega the width maxima of log_w,
+    one product P = (exp(log_mag2 - rho) * multiplicity) @ exp(log_w - omega).T
+    holds each pair's sum of exp(term - rho - omega) over the n unfolded modes.
+    The bound is log P + rho + omega plus the margin
+    1e-9 + 2^-48 (|rho| + |omega| + n), which covers, with u = 2^-53:
+
+    * the product's shifts and exps: a product term of at least 2^-1020 has
+      two normal factors, each shift off by at most 709u and each exp by a
+      few ulps; the smaller terms together lose under n 2^-1020, which is
+      below n 2^-120 of a sum of at least 2^-900;
+    * the product's sum of nonnegative terms: n u relative, in any order;
+    * the log and the add-back of rho + omega: u (|log P| + |rho| + |omega|)
+      a rounding, with |log P| <= 624;
+    * the scorer's own rounding: its terms fl(lm2 + lw) are off by u |term|,
+      at most u (|rho| + |omega| + 3000) for each term within e^-3000 of
+      rho + omega (the rest are negligible against 2^-900), and its shifts,
+      exps, sum and final log1p(s/m) + log m + max add at most
+      (750 + n) u + u (|rho| + |omega| + log n).
+
+    In all under 5u (|rho| + |omega|) + (6500 + 2n) u: 2^-48 is 32u, and 1e-9
+    is over 1000 times 6500u.  A pair whose P is below 2^-900 (its terms may
+    have underflowed) or NaN (its row holds a NaN or an inf) keeps instead the
+    bracket top + log n of its largest term, which holds in any summation
+    order; it is taken for those pairs alone, ``block`` pairs at a time.
+    """
+    n = grid.n_points
+    rho = np.max(log_mag2, axis=-1)
+    omega = np.max(log_w, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.exp(log_mag2 - rho[:, None]) * grid.multiplicity
+        sums = (scaled @ np.exp(log_w - omega[:, None]).T)[rows, widths]
+        rho += 1e-9 + 2.0**-48 * (np.abs(rho) + n)
+        omega += 2.0**-48 * np.abs(omega)
+        bound = np.log(sums) + rho[rows] + omega[widths]
+    tail_max = math.log(n) + 1e-9 + n * 2.0**-52  # log n plus the tail's rounding
+    fallback = np.flatnonzero(~(sums >= 2.0**-900))
+    for i in range(0, fallback.size, block):
+        pairs = fallback[i : i + block]
+        top = (log_mag2[rows[pairs]] + log_w[widths[pairs]]).max(axis=-1)
+        bound[pairs] = top + tail_max
+    return bound
 
 
 # --- width lower-bound ODE ----------------------------------------------------
@@ -427,7 +471,7 @@ def _radius_records(traj, sigma, s, thetas, f_vals, b_col, h_col, fits) -> list:
     """Every state's Gevrey norm at its theory width, in one call with one
     width per row, and the records of all columns."""
     times = [float(t) for t in traj.times]
-    gevrey = _gevrey_norm(traj.states, sigma, np.array(thetas)[:, None], s)
+    (gevrey,) = _gevrey_norm(traj.states, sigma, [np.array(thetas)[:, None]], s)
     if not np.all(np.isfinite(gevrey)):
         raise NormOverflowError("Gevrey norm at delta_theory overflowed")
     return [

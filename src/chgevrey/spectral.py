@@ -376,13 +376,12 @@ def _log_weight2(k2: np.ndarray, sigma: float, delta: float | np.ndarray) -> np.
     return 2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma))
 
 
-def _gevrey_norm(
-    field: SpectralField, sigma: float, delta: float | np.ndarray, s: float
-) -> float | np.ndarray:
-    """gevrey_norm at the width ``delta``: a scalar, or an (N, 1) column with
-    one width per row of an (N, n/2 + 1) batch.  A field or a row that
-    overflows reads inf."""
-    return _weighted_norm(field, [(s, _log_weight2(field.grid.wavenumbers**2, sigma, delta))])[0]
+def _gevrey_norm(field: SpectralField, sigma: float, deltas, s: float) -> list:
+    """gevrey_norm at each width of ``deltas``, all from one pass over the
+    field; a width is a scalar, or an (N, 1) column with one width per row of
+    an (N, n/2 + 1) batch.  A field or a row that overflows reads inf."""
+    k2 = field.grid.wavenumbers**2
+    return _weighted_norm(field, [(s, _log_weight2(k2, sigma, delta)) for delta in deltas])
 
 
 def _gevrey_norms(field: SpectralField, smooth=(), bar=()) -> tuple:

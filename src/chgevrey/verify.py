@@ -305,14 +305,21 @@ def verify_ea_integral(
     times = np.asarray(traj.times, dtype=float)
     sup_norm = ea_norm(times, traj.states, 1.0, sigma, s)
     d_sigma = 1.0 / (2.0**sigma - 2.0 + 2.0 ** -(sigma + 1.0))
+    shrinks = [(1.0 - delta) ** sigma for delta in delta_list]  # a (1-delta)^sigma with a = 1
+    windows = [shrink * min(1.0, d_sigma / (2.0**sigma - 1.0)) for shrink in shrinks]
+    rows = np.flatnonzero(times < max(windows))
+    recorded = times[rows]
+    # one width column per target width, scored in one pass over the states;
+    # a row past a width's window holds that width and is dropped below
+    columns = [
+        np.array([delta_of_tau(t, delta, sigma, 1.0) if t < window else delta for t in recorded])
+        for delta, window in zip(delta_list, windows)
+    ]
+    all_norms = _gevrey_norm(traj.states[rows], sigma, [col[:, None] for col in columns], s)
     ratios = []
-    for delta in delta_list:
-        shrink = (1.0 - delta) ** sigma  # a (1-delta)^sigma with a = 1
-        window = shrink * min(1.0, d_sigma / (2.0**sigma - 1.0))
-        rows = np.flatnonzero(times < window)
-        kept = times[rows]
-        widths = np.array([delta_of_tau(t, delta, sigma, 1.0) for t in kept])
-        norms = _gevrey_norm(traj.states[rows], sigma, widths[:, None], s)
+    for delta, shrink, window, col, norms in zip(delta_list, shrinks, windows, columns, all_norms):
+        inside = recorded < window
+        kept, widths, norms = recorded[inside], col[inside], norms[inside]
         if not np.all(np.isfinite(norms)):
             raise NormOverflowError("Gevrey norm at delta(tau) overflowed")
         integrand = norms / (widths - delta) ** sigma

@@ -515,13 +515,12 @@ def test_sup_norm_equals_the_unfolded_oracle_bit_for_bit():
 
 
 def test_sup_norm_equals_the_oracle_when_its_pairs_span_many_blocks(monkeypatch):
-    # the pairs are bounded and scored in blocks of max(live rows, 1024):
-    # batches of over 3000 rows take several blocks in each pass.  Each block
-    # drops the pairs below the best score so far, so no case scores more rows
-    # than the prune by the largest lower bound alone did (the counts below),
-    # and the finite cases score fewer; a NaN row stops the pruning
+    # batches of over 3000 rows: the one-product bound leaves only the pair
+    # that holds the sup, where pruning by the top + log n bracket alone
+    # scored thousands of rows in several blocks (the counts below); a NaN
+    # row's bound is NaN, so it is scored first and ends the scoring
     calls = []
-    rows_under_the_lower_bound_alone = (20560, 5644, 31320, 7677)
+    rows_at_the_bracket_prune = (16456, 5233, 31320, 7677)
 
     def spy(terms):
         calls.append(len(terms))
@@ -545,10 +544,24 @@ def test_sup_norm_equals_the_oracle_when_its_pairs_span_many_blocks(monkeypatch)
         got = ea_norm(times, fields, a=1.0, sigma=sigma, s=s)
         assert float.hex(got) == float.hex(ea_norm_unfolded(times, fields, 1.0, sigma, s))
         assert math.isnan(got) == (case >= 2)
-        live = int(np.count_nonzero(np.any(coeffs != 0.0, axis=-1)))
-        assert len(calls) > 1 and max(calls) == live  # full blocks, then the rest
-        assert sum(calls) <= rows_under_the_lower_bound_alone[case]
-        assert (sum(calls) < rows_under_the_lower_bound_alone[case]) == (case < 2)
+        assert calls == [1] and sum(calls) < rows_at_the_bracket_prune[case]
+    # cos x at t = 0 and s = 0 scores delta 2^(1/(2 sigma)) + sigma log(1 - delta)
+    # up to a constant, which ties at widths 0.05 and 0.1 where 2^(1/(2 sigma))
+    # / sigma = 20 log(0.95 / 0.9): 1100 equal rows leave 2 * 1100 - 1 pairs
+    # within the margin after the first, two blocks of at most 1100
+    lo, hi = 1.0, 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 2.0 ** (0.5 / mid) / mid > 20.0 * math.log(0.95 / 0.9) else (lo, mid)
+    cos = field_from_modes(grid, {1: 0.5})
+    fields = cos.with_coeffs(np.repeat(cos.coeffs[None], 1100, axis=0))
+    times = np.zeros(1100)
+    scores = ea_pair_scores(times, fields, 1.0, lo, 0.0)
+    assert abs(scores[0, 0] - scores[1, 0]) < 1e-12 and scores[1, 0] > scores[2, 0]
+    calls.clear()
+    got = ea_norm(times, fields, a=1.0, sigma=lo, s=0.0)
+    assert float.hex(got) == float.hex(ea_norm_unfolded(times, fields, 1.0, lo, 0.0))
+    assert calls == [1, 1100, 1099]
     # one row, and one live row among zero rows
     for fields in (rows(u), rows(0.0 * u, u, 0.0 * u)):
         times = np.linspace(-0.3, 0.2, len(fields.coeffs))
@@ -597,6 +610,102 @@ def test_zero_rows_count_for_admissibility_but_never_reach_the_log_sum_exp(monke
     assert ea_norm([0.01, 0.97], rows(0.0 * u, u), a=1.0, sigma=1.0, s=2.0) == 0.0
     with pytest.raises(WindowError):
         ea_norm([0.96], rows(0.0 * u), a=1.0, sigma=1.0, s=0.0)
+
+
+def _stress_batch(rng, grid, kind):
+    """A batch of 2-8 rows of one of four kinds, with its times."""
+    half = grid.n_points // 2
+    size = int(rng.integers(2, 9))
+    m = np.arange(half + 1)
+    top = rng.uniform(-300.0, 100.0, (size, 1))  # log10 of each row's largest |c|
+    if kind == 0:  # random magnitudes spread over 8 decades below the top
+        log10_mags = top + rng.uniform(-8.0, 0.0, (size, half + 1))
+    elif kind == 1:  # steep decay: the product's sums underflow at the wide widths
+        log10_mags = top - rng.uniform(0.2, 2.0, (size, 1)) * m
+    elif kind == 2:  # rounding-level noise, heaviest in the top modes
+        log10_mags = top + 4.0 * (m / half) ** 4 - 4.0
+    else:  # flat rows, every term equal
+        log10_mags = np.broadcast_to(top, (size, half + 1))
+    phases = np.exp(2j * np.pi * rng.random((size, half + 1)))
+    coeffs = 10.0 ** np.maximum(log10_mags, -320.0) * phases
+    coeffs[:, 0] = coeffs[:, 0].real
+    coeffs[:, half] = 0.0
+    coeffs[rng.random((size, half + 1)) < 0.1] = 0.0  # vanishing coefficients
+    coeffs[rng.random(size) < 0.2] = 0.0  # zero rows
+    times = rng.uniform(-0.6, 0.6, size)
+    times[rng.random(size) < 0.2] = 0.0
+    if kind == 3:  # equal rows at +t and -t tie
+        coeffs[1], times[1] = coeffs[0], -times[0]
+    spoil = rng.random()
+    if spoil < 0.15:
+        coeffs[-1, int(rng.integers(half))] = np.nan
+    elif spoil < 0.3:
+        coeffs[-1, int(rng.integers(half))] = np.inf
+    return times, SpectralField(grid, np.zeros(half + 1)).with_coeffs(coeffs)
+
+
+def test_every_pair_lies_within_its_bound_and_the_sup_is_the_oracles():
+    # the one-product bound, and the top + log n bracket it falls back to, hold
+    # every (width, live row) pair's computed log-sum-exp on batches from n = 8
+    # to 1024 with magnitudes from 1e-320 to 1e100, zero modes and rows, NaN
+    # and inf rows and tied sups; each value is the unfolded oracle's bit for bit
+    rng = np.random.default_rng(53)
+    loose = tight = tied = batches = 0
+    for n in (8, 16, 64, 256, 1024):
+        grid = TorusGrid(n)
+        k2 = grid.wavenumbers**2
+        for sigma in (1.0, 1.5, 2.0, 3.0):
+            gevrey_root = (1.0 + k2) ** (1.0 / (2.0 * sigma))
+            for s in (0.0, 1.0, 2.0, 3.5):
+                times, fields = _stress_batch(rng, grid, kind=batches % 4)
+                batches += 1
+                got = _norm_or_error(ea_norm, times, fields, a=1.0, sigma=sigma, s=s)
+                assert got == _norm_or_error(ea_norm_unfolded, times, fields, 1.0, sigma, s)
+                scores = ea_pair_scores(times, fields, 1.0, sigma, s)
+                tied += np.isfinite(np.max(scores)) and np.sum(scores == np.max(scores)) > 1
+                live = fields.coeffs[np.any(fields.coeffs != 0.0, axis=-1)]
+                with np.errstate(divide="ignore"):
+                    log_mag2 = 2.0 * np.log(np.abs(live))
+                log_w = s * np.log1p(k2) + (2.0 * analyticity.EA_DELTA_GRID)[:, None] * gevrey_root
+                widths, pair_rows = np.indices((len(log_w), len(live))).reshape(2, -1)
+                bound = analyticity._lse_upper(log_mag2, log_w, pair_rows, widths, grid, 1024)
+                exact = logsumexp_modes(log_mag2[pair_rows] + log_w[widths])
+                assert not np.any(exact > bound)
+                assert np.array_equal(np.isnan(bound), np.isnan(exact))
+                finite = np.isfinite(exact)
+                gap = bound[finite] - exact[finite]
+                loose += np.sum(gap > 1.0)  # the top + log n fallback
+                tight += np.sum(gap < 1e-6)
+    assert loose > 0 and tight > 0 and tied > 0
+
+
+def test_a_datum_past_the_product_bound_scores_no_more_rows_than_the_bracket_did(monkeypatch):
+    # at n = 1024 an e^-m datum's wide-width sums underflow below 2^-900, so
+    # those pairs keep the top + log n bracket; the rows scored stay at or
+    # under the counts that pruning by the bracket alone scored
+    calls = []
+
+    def spy(terms):
+        calls.append(len(terms))
+        return logsumexp_modes(terms)
+
+    monkeypatch.setattr(analyticity, "logsumexp_modes", spy)
+    grid = TorusGrid(1024)
+    u = field_from_modes(grid, {m: math.exp(-m) for m in range(512)})
+    fields = u.with_coeffs(u.coeffs * (1.0 + 0.01 * np.arange(32))[:, None])
+    times = np.linspace(0.0, 0.5, 32)
+    k2 = grid.wavenumbers**2
+    with np.errstate(divide="ignore"):
+        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs))
+    scaled = np.exp(log_mag2 - log_mag2.max(axis=-1, keepdims=True)) * grid.multiplicity
+    for s, rows_by_the_bracket in ((2.0, 460), (0.0, 462)):
+        calls.clear()
+        got = ea_norm(times, fields, a=1.0, sigma=1.0, s=s)
+        assert float.hex(got) == float.hex(ea_norm_unfolded(times, fields, 1.0, 1.0, s))
+        assert 0 < sum(calls) <= rows_by_the_bracket
+        log_w = s * np.log1p(k2) + 2.0 * analyticity.EA_DELTA_GRID[:, None] * np.sqrt(1.0 + k2)
+        sums = scaled @ np.exp(log_w.T - log_w.max(axis=-1))
+        assert np.any(sums < 2.0**-900)  # the fallback is taken
 
 
 def test_sup_norm_reads_nan_when_an_admissible_row_is_nan():

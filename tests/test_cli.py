@@ -1,6 +1,7 @@
 """Config parsing, generator construction, artifact layout, and exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -1137,6 +1138,35 @@ def test_the_sup_norm_skips_most_pairs_of_picard_differences_past_convergence(
         live = np.any(diff.coeffs != 0.0, axis=-1)
         pairs += int(np.sum(live & (times < window[:, None])))
     assert 0 < sum(scored) < pairs / 4
+
+
+def test_the_sup_norm_scores_at_most_two_rows_per_call_on_the_picard_bench_config(
+    tmp_path, monkeypatch
+):
+    # the bench's picard workload (n = 64, 8 iterates x 512 nodes) at seeds 0
+    # and 7: the one-product bound leaves the pair that holds the sup, where
+    # pruning by the top + log n bracket alone scored 8316 rows per op at seed 0
+    spec = importlib.util.spec_from_file_location(
+        "chgevrey_bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scored = []
+
+    def spy(*args):
+        scored.append(0)
+        return ea_norm(*args)
+
+    def lse_spy(terms):
+        scored[-1] += len(terms)
+        return logsumexp_modes(terms)
+
+    monkeypatch.setattr(sys.modules["chgevrey.integrate"], "ea_norm", spy)
+    monkeypatch.setattr(sys.modules["chgevrey.analyticity"], "logsumexp_modes", lse_spy)
+    for seed in (workloads.DEFAULT_SEED, workloads.HELDOUT_SEED):
+        scored.clear()
+        assert main(workloads.write_inputs("picard", seed, tmp_path / str(seed))) == 0
+        assert len(scored) >= 8 and max(scored) <= 2
 
 
 def test_an_old_dealias_key_is_ignored_with_a_warning(tmp_path):

@@ -289,7 +289,7 @@ def test_an_overflowing_norm_reads_inf_alone_and_in_its_batch_row(norm, over, ca
 
 def test_an_overflowing_width_leaves_the_other_rows_as_they_are():
     pair = SpectralField(GRID, np.array([cos_field(1).coeffs, cos_field(1).coeffs]))
-    batched = _gevrey_norm(pair, 1.0, np.array([[1000.0], [0.5]]), 0.0)
+    (batched,) = _gevrey_norm(pair, 1.0, [np.array([[1000.0], [0.5]])], 0.0)
     assert batched.tolist() == [math.inf, gevrey_norm(cos_field(1), GevreyIndex(1.0, 0.5, 0.0))]
 
 
@@ -572,7 +572,7 @@ def test_batched_rows_equal_single_calls_bit_for_bit(n, rows, seed, sigma, delta
         assert batched.tolist() == [norm(u) for u in singles[:rows]]
     # one width per row: row i is the single call at width i
     widths = rng.uniform(0.0, 4.0, rows)
-    batched = _gevrey_norm(f, sigma, widths[:, None], s)
+    (batched,) = _gevrey_norm(f, sigma, [widths[:, None]], s)
     assert batched.tolist() == [
         gevrey_norm(u, GevreyIndex(sigma, w, s)) for u, w in zip(singles[:rows], widths.tolist())
     ]

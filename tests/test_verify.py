@@ -358,7 +358,7 @@ def test_each_suite_takes_log_mag2_once_per_field_and_keeps_nothing_across_calls
     # every Gevrey norm of a field comes from one pass over its log|c|^2 (one
     # _weighted_norm call) that scores each distinct index once; a second run
     # makes every pass again, so no norm outlives its call.  verify_ea_integral
-    # takes one pass per target width, as its widths change from row to row
+    # scores its two target widths, one width column each, in one pass
     passes, suite = [], [None]
     weighted = spectral._weighted_norm
 
@@ -391,10 +391,10 @@ def test_each_suite_takes_log_mag2_once_per_field_and_keeps_nothing_across_calls
         "verify_norm_equivalence": 1,
         "verify_commutator_estimate": 3,  # u, v and u_x
         "verify_interpolation": 1,
-        "verify_ea_integral": 2,
+        "verify_ea_integral": 1,
     }
     for name, fields in per_suite.items():
-        assert name == "verify_ea_integral" or len(set(fields)) == len(fields)
+        assert len(set(fields)) == len(fields)
     assert sum(rows for *_, rows in passes) == 78  # each distinct index once
 
 
