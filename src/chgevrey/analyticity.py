@@ -36,6 +36,7 @@ from .spectral import (
     NormOverflowError,
     SpectralField,
     _gevrey_norm,
+    _log_weight2,
     gevrey_norm,
     logsumexp_modes,
     sobolev_norm,
@@ -307,8 +308,7 @@ def ea_norm(
     if rows.size == 0:
         return 0.0
     k2 = fields.grid.wavenumbers**2
-    gevrey_root = (1.0 + k2) ** (1.0 / (2.0 * sigma))
-    log_w = s * np.log1p(k2) + (2.0 * EA_DELTA_GRID)[:, None] * gevrey_root
+    log_w = s * np.log1p(k2) + _log_weight2(k2, sigma, EA_DELTA_GRID[:, None])
     with np.errstate(divide="ignore"):
         log_mag2 = 2.0 * np.log(np.abs(fields.coeffs[live]))
     pair_c = width_c[widths]

@@ -10,10 +10,13 @@ continuity  integrate perturbed data and compare against the limit run
 picard      run the fixed-point iteration and report contraction ratios
 
 Every run resolves its configuration, writes ``metadata.json`` first (crash
-forensics), then dispatches.  ``trajectory.csv`` and ``report.json`` are
-deterministic for a fixed config and seed.  Exit codes: 0 success (including
-blow-up, which is a valid outcome and lands in the metadata), 1 violated
-assertion, 2 bad input (including a datum whose norms leave the float range).
+forensics), then calls the subcommand's runner from ``_RUNNERS``, the one list
+of subcommands.  A runner takes ``(cfg, out, pins)`` and returns its exit code
+and its report; ``run`` alone writes the report, when there is one, to
+``report.json``.  ``trajectory.csv`` and ``report.json`` are deterministic for
+a fixed config and seed.  Exit codes: 0 success (including blow-up, which is a
+valid outcome and lands in the metadata), 1 violated assertion, 2 bad input
+(including a datum whose norms leave the float range).
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from .verify import (
     save_pins,
 )
 
-SUBCOMMANDS = ("simulate", "verify", "lifespan", "radius", "continuity", "picard")
 CSV_HEADER = "t,sobolev,gevrey,delta_fit,delta_theory,f,b,H"
 GENERATORS = ("cosine", "gaussian_bump", "exp_decay_modes", "coeff_file")
 
@@ -209,9 +211,9 @@ _READERS = {
 _RENAMED = {"Gamma_coef": "Gamma", "lam": "lambda"}
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 # the ranges only the CLI owns, as (predicate, what the value must be); every
-# other range is checked by the dataclass that holds the value
+# other range is checked by the dataclass that holds the value.  The subcommand's
+# joins them below the runner table, which lists the subcommands.
 _CHECKS = {
-    "subcommand": (lambda v: v in SUBCOMMANDS, f"must be one of {', '.join(SUBCOMMANDS)}"),
     "initial_data.name": (lambda v: v in GENERATORS, f"must be one of {', '.join(GENERATORS)}"),
     "c_prime": _POSITIVE,
     "picard.n_iters": (lambda v: v >= 1, "must be at least 1"),
@@ -403,7 +405,7 @@ def _march(cfg: RunConfig, out: Path, pins, diagnose: Callable) -> tuple:
         return None, blowup_time
 
 
-def _run_simulate(cfg: RunConfig, out: Path, pins) -> int:
+def _run_simulate(cfg: RunConfig, out: Path, pins) -> tuple:
     sigma, s, delta0 = cfg.gevrey.sigma, cfg.gevrey.s, cfg.gevrey.delta
     records, blowup_time = _march(
         cfg, out, pins, lambda traj: track_radius(traj, cfg.model, sigma, s, delta0, c_cal=1.0)
@@ -417,26 +419,20 @@ def _run_simulate(cfg: RunConfig, out: Path, pins) -> int:
             f"integrated to t = {final.t:.6g}: "
             f"sobolev = {final.sobolev_s:.6e}, H = {final.H_val:.6e}"
         )
-    return 0
+    return 0, None
 
 
-def _run_verify(cfg: RunConfig, out: Path, pins) -> int:
+def _run_verify(cfg: RunConfig, out: Path, pins) -> tuple:
     reports = run_all_suites(seed=cfg.seed, pins=pins)
     for report in reports:
         print(report.line())
-    blob = {
-        r.suite: {
-            "cases": r.cases,
-            "violations": r.violations,
-            "worst_ratio": r.worst_ratio,
-        }
+    return (1 if any(r.status == "fail" for r in reports) else 0), {
+        r.suite: {"cases": r.cases, "violations": r.violations, "worst_ratio": r.worst_ratio}
         for r in reports
     }
-    _write_json(out / "report.json", blob)
-    return 1 if any(r.status == "fail" for r in reports) else 0
 
 
-def _run_lifespan(cfg: RunConfig, out: Path) -> int:
+def _run_lifespan(cfg: RunConfig, out: Path, pins) -> tuple:
     u0 = cfg.initial_data.build(cfg.grid)
     sigma = cfg.gevrey.sigma
     norm = window_norm(u0, sigma, cfg.gevrey.s)
@@ -451,18 +447,16 @@ def _run_lifespan(cfg: RunConfig, out: Path) -> int:
         log10_t0 = _log10_window(norm, sigma, cfg.c_prime)
         print(f"T0                = 10^{log10_t0:.6g}, below the float range")
         print("the datum is far outside the width-1 Gevrey class")
-        _write_json(out / "report.json", {**report, "T0_closed_form": None, "log10_T0": log10_t0})
-        return 0
+        return 0, {**report, "T0_closed_form": None, "log10_T0": log10_t0}
     print(f"T0                = {bounds.T0_closed_form:.6e}")
     print(
         f"L = {bounds.L:.6e}, M = {bounds.M:.6e}, "
         f"R = {bounds.R:.6g}, D_sigma = {bounds.D_sigma:.6g}"
     )
-    _write_json(out / "report.json", {**report, **asdict(bounds)})
-    return 0
+    return 0, {**report, **asdict(bounds)}
 
 
-def _run_radius(cfg: RunConfig, out: Path, pins) -> int:
+def _run_radius(cfg: RunConfig, out: Path, pins) -> tuple:
     sigma, s, delta0 = cfg.gevrey.sigma, cfg.gevrey.s, cfg.gevrey.delta
     try:
         result, blowup_time = _march(
@@ -475,31 +469,27 @@ def _run_radius(cfg: RunConfig, out: Path, pins) -> int:
         )
     except CalibrationError as err:
         print(f"calibration failed: {err}", file=sys.stderr)
-        return 1
+        return 1, None
     c_cal, records = result or (None, [])
     final = records[-1] if records else None
     _write_trajectory_csv(out / "trajectory.csv", records)
-    _write_json(
-        out / "report.json",
-        {
-            "c_cal": c_cal,
-            "delta0": delta0,
-            "final_delta_fit": final.delta_fit if final else None,
-            "final_delta_theory": final.delta_theory if final else None,
-            "blowup_time": blowup_time,
-        },
-    )
     if final is None:
         print(f"blow-up at t = {blowup_time:.6g}; the norms overflowed, nothing to calibrate")
-        return 0
-    print(
-        f"c_cal = {c_cal:.6g}; at t = {final.t:.6g}: "
-        f"delta_fit = {final.delta_fit:.6g}, delta_theory = {final.delta_theory:.6g}"
-    )
-    return 0
+    else:
+        print(
+            f"c_cal = {c_cal:.6g}; at t = {final.t:.6g}: "
+            f"delta_fit = {final.delta_fit:.6g}, delta_theory = {final.delta_theory:.6g}"
+        )
+    return 0, {
+        "c_cal": c_cal,
+        "delta0": delta0,
+        "final_delta_fit": final.delta_fit if final else None,
+        "final_delta_theory": final.delta_theory if final else None,
+        "blowup_time": blowup_time,
+    }
 
 
-def _run_continuity(cfg: RunConfig, out: Path) -> int:
+def _run_continuity(cfg: RunConfig, out: Path, pins) -> tuple:
     limit = cfg.initial_data.build(cfg.grid)
     try:
         bumps = SpectralField(
@@ -524,25 +514,21 @@ def _run_continuity(cfg: RunConfig, out: Path) -> int:
         )
     except ExperimentError as err:
         print(f"continuity experiment failed: {err}", file=sys.stderr)
-        return 1
+        return 1, None
     for amp, dist, bound in zip(
         cfg.continuity.amplitudes, report.distances, report.bounds
     ):
         print(f"amplitude {amp:.3e}: distance = {dist:.6e} (bound {bound:.6e})")
-    _write_json(
-        out / "report.json",
-        {
-            "horizon": report.T,
-            "amplitudes": list(cfg.continuity.amplitudes),
-            "distances": report.distances,
-            "bounds": report.bounds,
-            "within_bounds": report.within_bounds,
-        },
-    )
-    return 0 if all(report.within_bounds) else 1
+    return (0 if all(report.within_bounds) else 1), {
+        "horizon": report.T,
+        "amplitudes": list(cfg.continuity.amplitudes),
+        "distances": report.distances,
+        "bounds": report.bounds,
+        "within_bounds": report.within_bounds,
+    }
 
 
-def _run_picard(cfg: RunConfig, out: Path) -> int:
+def _run_picard(cfg: RunConfig, out: Path, pins) -> tuple:
     u0 = cfg.initial_data.build(cfg.grid)
     sigma, s = cfg.gevrey.sigma, cfg.gevrey.s
     horizon = cfg.picard.horizon
@@ -565,40 +551,44 @@ def _run_picard(cfg: RunConfig, out: Path) -> int:
     print("ratios:     ", " ".join(f"{r:.4f}" for r in result.ratios))
     if result.converged_at is not None:
         print(f"converged to the difference floor at iterate {result.converged_at}")
-    _write_json(
-        out / "report.json",
-        {
-            "horizon": horizon,
-            "diffs": result.diffs,
-            "ratios": result.ratios,
-            "floor": result.floor,
-            "converged_at": result.converged_at,
-            "diverged_at": result.diverged_at,
-        },
-    )
-    return 0 if result.diverged_at is None else 1
+    return (0 if result.diverged_at is None else 1), {
+        "horizon": horizon,
+        "diffs": result.diffs,
+        "ratios": result.ratios,
+        "floor": result.floor,
+        "converged_at": result.converged_at,
+        "diverged_at": result.diverged_at,
+    }
+
+
+# the one list of subcommands: argparse's choices and the config's check read it
+_RUNNERS = {
+    "simulate": _run_simulate,
+    "verify": _run_verify,
+    "lifespan": _run_lifespan,
+    "radius": _run_radius,
+    "continuity": _run_continuity,
+    "picard": _run_picard,
+}
+SUBCOMMANDS = tuple(_RUNNERS)
+_CHECKS["subcommand"] = (lambda v: v in _RUNNERS, f"must be one of {', '.join(SUBCOMMANDS)}")
 
 
 def run(cfg: RunConfig, pins: EmpiricalConstants | None = None) -> int:
-    """Dispatch one subcommand; writes metadata before any long computation."""
+    """Run one subcommand: check its name, write metadata before any long
+    computation, call its runner and write the report it returns."""
+    runner = _RUNNERS.get(cfg.subcommand)
+    if runner is None:  # before anything lands on disk
+        raise ConfigError(f"subcommand: unknown subcommand {cfg.subcommand!r}")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     if pins is None:
         pins = load_pins()
     _write_metadata(out, cfg, pins)
-    if cfg.subcommand == "simulate":
-        return _run_simulate(cfg, out, pins)
-    if cfg.subcommand == "verify":
-        return _run_verify(cfg, out, pins)
-    if cfg.subcommand == "lifespan":
-        return _run_lifespan(cfg, out)
-    if cfg.subcommand == "radius":
-        return _run_radius(cfg, out, pins)
-    if cfg.subcommand == "continuity":
-        return _run_continuity(cfg, out)
-    if cfg.subcommand == "picard":
-        return _run_picard(cfg, out)
-    raise ConfigError(f"subcommand: unknown subcommand {cfg.subcommand!r}")
+    code, report = runner(cfg, out, pins)
+    if report is not None:
+        _write_json(out / "report.json", report)
+    return code
 
 
 # --- entry point ----------------------------------------------------------------

@@ -52,12 +52,6 @@ class ModelParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-def _fine_size(n: int, p: ModelParams) -> int:
-    quartic = p.beta != 0.0 or p.gamma != 0.0
-    # pad 5/2 keeps quartic powers alias-free, 3/2 quadratic ones (Orszag)
-    return _padded_size(n, 2.5 if quartic else 1.5)
-
-
 class RhsWork:
     """The plan of ``rhs`` for one run: buffers, views and symbols for one grid, shape of u and p.
 
@@ -80,9 +74,11 @@ class RhsWork:
 
     def __init__(self, u: SpectralField, p: ModelParams):
         grid, shape = u.grid, u.coeffs.shape
-        lead, fine, half = shape[:-1], _fine_size(grid.n_points, p), grid.n_points // 2
-        self.key, self.half, self.inv_fine = (grid, shape, p), half, 1.0 / fine
         self.quartic = p.beta != 0.0 or p.gamma != 0.0
+        # pad 5/2 keeps quartic powers alias-free, 3/2 quadratic ones (Orszag)
+        fine = _padded_size(grid.n_points, 2.5 if self.quartic else 1.5)
+        lead, half = shape[:-1], grid.n_points // 2
+        self.key, self.half, self.inv_fine = (grid, shape, p), half, 1.0 / fine
         self.beta3, self.gamma4 = p.beta / 3.0, p.gamma / 4.0
         self.stage = np.empty(shape, dtype=np.complex128)
         self.triple = np.empty((3,) + shape, dtype=np.complex128)

@@ -171,9 +171,6 @@ class SpectralField:
         _require_same_grid(self, other)
         return self.with_coeffs(self.coeffs - other.coeffs)
 
-    def __neg__(self) -> "SpectralField":
-        return self.with_coeffs(-self.coeffs)
-
     def __mul__(self, scalar) -> "SpectralField":
         if isinstance(scalar, SpectralField):
             raise TypeError("use product() to multiply fields")

@@ -858,6 +858,26 @@ def test_calibration_fails_when_the_datum_is_too_rough():
         calibrate_radius_constant(traj, P, sigma=1.0, s=2.0, delta0=0.5, c_algebra=1.0)
 
 
+def test_calibration_fails_when_no_multiplier_reaches_a_negative_fit():
+    # the start passes (fit 0.8 >= delta0), but the second record grows with
+    # the mode (fit -0.05), below every positive width the bound can give
+    rows = [
+        field_from_modes(GRID, {m: amp * math.exp(rate * m) for m in range(32)}).coeffs
+        for amp, rate in ((0.01, -0.8), (1e-6, 0.05))
+    ]
+    traj = Trajectory(times=np.array([0.0, 0.1]), states=SpectralField(GRID, rows))
+    assert estimate_radius(traj.states, 1.0).delta_fit.tolist() == pytest.approx([0.8, -0.05])
+    with pytest.raises(CalibrationError, match=r"no multiplier up to 2\^60 works"):
+        calibrate_radius_constant(traj, P, sigma=1.0, s=2.0, delta0=0.5, c_algebra=1.0)
+
+
+def test_track_radius_rejects_times_out_of_step_with_the_states():
+    states = SpectralField(GRID, [exp_decay_field().coeffs] * 2)
+    traj = Trajectory(times=np.array([0.0]), states=states)
+    with pytest.raises(ValueError, match="out of step"):
+        track_radius(traj, P, sigma=1.0, s=2.0, delta0=0.5, c_cal=1.0)
+
+
 def _walk_states(traj, p, sigma, s, delta0, c_cal):
     """The original per-state walk of track_radius: one decay fit, one Gevrey
     norm and one trapezoidal width step per recorded state, the step written

@@ -36,11 +36,13 @@ from chgevrey.cli import (
     SUBCOMMANDS,
     ConfigError,
     InitialDataSpec,
+    RunConfig,
     _config_blob,
     _write_json,
     _write_trajectory_csv,
     main,
     parse_config,
+    run,
 )
 from chgevrey.analyticity import EA_DELTA_GRID
 from chgevrey.spectral import logsumexp_modes
@@ -138,6 +140,17 @@ def test_unknown_generator_rejected(tmp_path):
     path = write_config(tmp_path, initial_data={"name": "sawtooth"})
     with pytest.raises(ConfigError, match="initial_data.name"):
         parse_config(path)
+    # a spec made in code skips that check; its builder refuses the name
+    with pytest.raises(ConfigError, match=r"^initial_data\.name: unknown generator 'sawtooth'"):
+        InitialDataSpec("sawtooth").build(TorusGrid(16))
+
+
+def test_run_rejects_an_unknown_subcommand_before_writing_anything(tmp_path):
+    out = tmp_path / "run"
+    cfg = RunConfig(subcommand="nosuch", initial_data=InitialDataSpec("cosine"), output_dir=out)
+    with pytest.raises(ConfigError, match=r"^subcommand: unknown subcommand 'nosuch'"):
+        run(cfg)
+    assert not out.exists()
 
 
 # the resolved minimal config {"initial_data": {"name": "cosine"}}: every key

@@ -222,6 +222,11 @@ def test_symbol_lemma_zero_width_oracle():
     assert worst < 2.0
 
 
+def test_symbol_lemma_rejects_s_at_most_one():
+    with pytest.raises(ValueError, match="s > 1"):
+        verify_symbol_lemma(params=((0.0, 1.0, 1.0),))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{}, {"extent": 16}, {"extent": 24, "params": ((0.4, 2.0, 3.5),)}],
