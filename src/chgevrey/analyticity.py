@@ -296,8 +296,9 @@ def ea_norm(
     t_arr = np.abs(np.asarray(times, dtype=float))
     if t_arr.ndim != 1 or fields.coeffs.shape[:-1] != t_arr.shape:
         raise ValueError("times and the rows of fields must be parallel")
-    # per width, as scalars: np.power and np.log on an array may round differently
-    shrink = np.array([a * (1.0 - delta) ** sigma for delta in EA_DELTA_GRID])
+    # float_power is libm's pow, as Python's float ** is (np.power and ** on an
+    # array are not); np.log rounds unlike math.log, so width_c stays per width
+    shrink = a * np.float_power(1.0 - EA_DELTA_GRID, sigma)
     width_c = np.array([sigma * math.log(1.0 - delta) for delta in EA_DELTA_GRID])
     window = shrink / (2.0**sigma - 1.0)
     if not np.any(t_arr < window[0]):

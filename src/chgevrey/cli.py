@@ -615,16 +615,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _resolve(args) -> tuple[RunConfig, EmpiricalConstants | None]:
+    """The run's config and pins from the parsed command line; any bad input
+    raises ConfigError, before ``run`` writes anything."""
     if args.update_pins and args.subcommand != "verify":
-        print(f"config error: --update-pins is for verify, not {args.subcommand}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--update-pins is for verify, not {args.subcommand}")
+    cfg = parse_config(args.config)
     if cfg.subcommand != args.subcommand:
         if cfg.subcommand != "simulate":  # explicit conflicting value in the file
             warnings.warn(
@@ -637,10 +633,8 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg = replace(cfg, output_dir=Path(args.out))
     if cfg.subcommand == "verify" and cfg.seed < 0:  # the only subcommand that seeds
-        print(f"config error: seed: must be nonnegative, got {cfg.seed}", file=sys.stderr)
-        return 2
-
-    pins: EmpiricalConstants | None = None
+        raise ConfigError(f"seed: must be nonnegative, got {cfg.seed}")
+    pins = None
     try:
         if args.update_pins:
             pins = compute_pins(cfg.seed)
@@ -650,11 +644,14 @@ def main(argv=None) -> int:
         elif args.pins is not None:
             pins = load_pins(args.pins)
     except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"config error: cannot load pins: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"cannot load pins: {err}") from err
+    return cfg, pins
 
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        return run(cfg, pins=pins)
+        return run(*_resolve(args))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

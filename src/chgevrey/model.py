@@ -152,16 +152,14 @@ def functional_H(u: SpectralField, p: ModelParams, s: float) -> float | np.ndarr
         raise ValueError(f"the smallness functional needs s > 3/2, got {s}")
     norms = sobolev_norm(u, s)
     a0, b3, g4 = abs(p.alpha) + abs(p.Gamma_coef), abs(p.beta) / 3.0, abs(p.gamma) / 4.0
-
-    def h(n: float) -> float:
-        # Python float powers per value: numpy's n**2 and n**3 round differently
-        try:
-            return a0 + n + (b3 * n**2 if b3 else 0.0) + (g4 * n**3 if g4 else 0.0)
-        except OverflowError:  # a float power raises where n was finite
-            return math.inf
-
-    values = [h(n) for n in np.ravel(norms).tolist()]
-    return np.array(values).reshape(np.shape(norms)) if np.ndim(norms) else values[0]
+    # float_power is libm's pow, so n^2 and n^3 round as Python's n**2 and n**3;
+    # np.power, np.square and ** on an array do not
+    with np.errstate(over="ignore"):
+        h = a0 + norms
+        for coef, power in ((b3, 2.0), (g4, 3.0)):
+            if coef:
+                h = h + coef * np.float_power(norms, power)
+    return h if np.ndim(h) else float(h)
 
 
 def small_data_check(u0: SpectralField, p: ModelParams, s: float) -> bool:

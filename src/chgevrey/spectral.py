@@ -266,10 +266,10 @@ def random_field(
         band = grid.n_points // 4
     band = min(band, grid.n_points // 2 - 1)
     shape = () if size is None else (size,)
-    # draws c_0, re_1, im_1, re_2, ... row after row; (re/sqrt 2) * m**-decay
-    # with Python's pow rounds exactly as the earlier per-mode construction
+    # draws c_0, re_1, im_1, re_2, ... row after row; float_power is libm's pow
+    # (np.power and ** are not), so the scale rounds as the per-mode m**-decay
     draws = rng.standard_normal(shape + (1 + 2 * band,))
-    scale = np.array([m ** (-decay) for m in range(1, band + 1)])
+    scale = np.float_power(np.arange(1.0, band + 1), -decay)
     c = np.zeros(shape + (grid.n_points // 2 + 1,), dtype=np.complex128)
     c[..., 0] = draws[..., 0]
     c.real[..., 1 : band + 1] = draws[..., 1::2] / math.sqrt(2.0) * scale

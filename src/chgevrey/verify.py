@@ -433,19 +433,6 @@ def verify_symbol_lemma(
     return _report("symbol_lemma", (ratios, "C_sym_lemma"), pins=pins)
 
 
-def _pairing_ratio(delta, pairing, a_s, b_s, a_plain, b_bumped, a_bumped, b_plain) -> float:
-    """One commutator case from its pairing sum and norms; raises OverflowError
-    when one of them overflowed.  Python floats: numpy's complex abs and square
-    round differently from libm's hypot and pow on a few percent of cases."""
-    lhs = abs(pairing)
-    if not all(map(math.isfinite, (lhs, a_s, b_s, a_plain, b_bumped, a_bumped, b_plain))):
-        raise NormOverflowError("pairing overflowed")
-    rhs = a_s * b_s**2 + delta * (a_plain * b_bumped**2 + a_bumped * b_bumped * b_plain)
-    if rhs == 0.0:
-        return math.nan if lhs == 0.0 else math.inf
-    return lhs / rhs
-
-
 def verify_commutator_estimate(
     ensemble_size: int = 100,
     seed: int = DEFAULT_SEED,
@@ -494,16 +481,23 @@ def verify_commutator_estimate(
         with np.errstate(over="ignore", invalid="ignore"):
             w = (1.0 + k2) ** s * np.exp(2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma)))
         for a, b, ab in forms:
-            with np.errstate(over="ignore", invalid="ignore"):
-                pairing = np.sum(_unfold(w * ab.coeffs * np.conj(b.coeffs)), axis=-1)
             na, nb = gevrey[a], gevrey[b]
             norms = (hs[a], hs[b], na[plain], nb[bumped], na[bumped], nb[plain])
-            for case in zip(pairing.tolist(), *(norm.tolist() for norm in norms)):
-                try:
-                    ratios.append(_pairing_ratio(delta, *case))
-                except OverflowError:
-                    skipped += 1
-    return _report("commutator", (ratios, "C_commutator"), pins=pins, skipped=skipped)
+            a_s, b_s, a_plain, b_bumped, a_bumped, b_plain = norms
+            # float_power and hypot are libm's pow and hypot, so they round as
+            # Python's x**2 and abs(complex); np.square, np.power, ** and np.abs do not
+            with np.errstate(over="ignore", invalid="ignore"):
+                pairing = np.sum(_unfold(w * ab.coeffs * np.conj(b.coeffs)), axis=-1)
+                lhs = np.hypot(pairing.real, pairing.imag)
+                b_s2, b_bumped2 = np.float_power([b_s, b_bumped], 2.0)
+                rhs = a_s * b_s2 + delta * (a_plain * b_bumped2 + a_bumped * b_bumped * b_plain)
+            # a case whose pairing, norms or squares overflowed is skipped and counted
+            finite = np.isfinite([lhs, *norms, b_s2, b_bumped2]).all(axis=0)
+            skipped += int(np.count_nonzero(~finite))
+            ratios.append(_ratio(lhs[finite], rhs[finite]))
+    return _report(
+        "commutator", (np.concatenate(ratios), "C_commutator"), pins=pins, skipped=skipped
+    )
 
 
 # --- pin management -------------------------------------------------------------

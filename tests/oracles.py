@@ -23,6 +23,12 @@ r"""Reference implementations that the tests judge the toolkit against.
   full (xi, eta) meshgrid, every factor evaluated on the grid: the plain
   transcription that the suite's evaluation on the axes must equal bit for
   bit.
+* ``pairing_ratio`` is one commutator case scored in Python floats, with
+  libm's hypot (``abs(complex)``) and pow (``x**2``), and an overflow raised;
+  ``commutator_scalar`` scores ``verify_commutator_estimate``'s cases with it,
+  one at a time, as the suite did before it scored them as arrays.
+* ``functional_H_scalar`` is the smallness functional of one H^s norm in
+  Python floats, a float power that overflows reading inf.
 
 None of them is library API; they live here so that they keep judging.
 """
@@ -34,6 +40,7 @@ import math
 import numpy as np
 
 from chgevrey import (
+    GevreyIndex,
     GridMismatchError,
     ModelParams,
     NormOverflowError,
@@ -43,10 +50,12 @@ from chgevrey import (
     helmholtz_inv,
     product,
     rhs,
+    sobolev_norm,
     to_physical,
 )
+from chgevrey import verify
 from chgevrey.analyticity import EA_DELTA_GRID, WindowError
-from chgevrey.spectral import _unfold
+from chgevrey.spectral import _gevrey_norms, _unfold
 
 _DIRECT_MAX_POINTS = 512
 
@@ -253,3 +262,63 @@ def symbol_lemma_ratios(extent: int, params) -> list:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios.append(lhs / (np.abs(xg - eg) * bracket))
     return ratios
+
+
+def pairing_ratio(delta, pairing, a_s, b_s, a_plain, b_bumped, a_bumped, b_plain) -> float:
+    """One commutator case from its pairing sum and norms, in Python floats;
+    raises OverflowError when the pairing, a norm or a square overflowed."""
+    lhs = abs(pairing)
+    if not all(map(math.isfinite, (lhs, a_s, b_s, a_plain, b_bumped, a_bumped, b_plain))):
+        raise NormOverflowError("pairing overflowed")
+    rhs = a_s * b_s**2 + delta * (a_plain * b_bumped**2 + a_bumped * b_bumped * b_plain)
+    if rhs == 0.0:
+        return math.nan if lhs == 0.0 else math.inf
+    return lhs / rhs
+
+
+def commutator_scalar(ensemble_size: int, seed: int) -> tuple:
+    """(cases, skipped, worst ratio) of ``verify_commutator_estimate``, each
+    case scored alone by ``pairing_ratio`` on the suite's fields and norms."""
+    sigma, s, grid = 1.0, 2.0, verify.GRID
+    k2 = grid.wavenumbers**2
+    n_drawn = 2 * ensemble_size
+    drawn = verify._ensemble(seed, n_drawn + 10).coeffs
+    one = np.zeros_like(drawn[0])
+    one[0] = 1.0
+    u = SpectralField(grid, np.vstack([drawn[0:n_drawn:2], np.tile(one, (10, 1))]))
+    v = SpectralField(grid, np.vstack([drawn[1:n_drawn:2], drawn[n_drawn:]]))
+    du = derivative(u)
+    deltas = (0.0, 0.25, 60.0)
+    indices = [GevreyIndex(sigma, d, s + bump) for d in deltas for bump in (0.0, 1.0 / sigma)]
+    ratios, skipped = [], 0
+    for delta in deltas:
+        plain, bumped = GevreyIndex(sigma, delta, s), GevreyIndex(sigma, delta, s + 1.0 / sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = (1.0 + k2) ** s * np.exp(2.0 * delta * (1.0 + k2) ** (1.0 / (2.0 * sigma)))
+        for a, b in ((u, v), (du, u)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                pairing = np.sum(_unfold(w * product(a, b).coeffs * np.conj(b.coeffs)), axis=-1)
+            na, nb = _gevrey_norms(a, indices)[0], _gevrey_norms(b, indices)[0]
+            norms = (
+                sobolev_norm(a, s), sobolev_norm(b, s), na[plain], nb[bumped], na[bumped], nb[plain]
+            )
+            for case in zip(pairing.tolist(), *(norm.tolist() for norm in norms)):
+                try:
+                    ratios.append(pairing_ratio(delta, *case))
+                except OverflowError:
+                    skipped += 1
+    worst = max((r for r in ratios if not math.isnan(r)), default=0.0)
+    return len(ratios) + skipped, skipped, worst
+
+
+def functional_H_scalar(norm: float, p: ModelParams) -> float:
+    """|alpha| + |Gamma| + n + (|beta|/3) n**2 + (|gamma|/4) n**3 at n = ``norm``,
+    a term with a zero coefficient left out; inf where a float power overflows."""
+    b3, g4 = abs(p.beta) / 3.0, abs(p.gamma) / 4.0
+    try:
+        return (
+            abs(p.alpha) + abs(p.Gamma_coef) + norm
+            + (b3 * norm**2 if b3 else 0.0) + (g4 * norm**3 if g4 else 0.0)
+        )
+    except OverflowError:
+        return math.inf

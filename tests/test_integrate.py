@@ -367,6 +367,30 @@ def test_march_keeps_the_h1_energy_law(p):
     assert energy_drift(u, p, 0.01, 1.01 * p.lam) > 1e-3
 
 
+# --- the amplitude symmetry ----------------------------------------------------
+
+
+@pytest.mark.parametrize("a", [2.0, 4.0, 0.5, 0.25])
+def test_the_march_keeps_the_amplitude_symmetry_bit_for_bit(a):
+    # every term of rhs has degree 1 to 4 in u, so a w(a t) solves the model
+    # when w solves it at (alpha/a, beta a, gamma a^2, Gamma/a, lambda/a); at a
+    # power of two every floating-point operation of the march scales exactly
+    p = BENCH_QUARTIC
+    scaled = ModelParams(
+        alpha=p.alpha / a,
+        beta=p.beta * a,
+        gamma=p.gamma * a**2,
+        Gamma_coef=p.Gamma_coef / a,
+        lam=p.lam / a,
+    )
+    u0 = 0.02 * random_field(TorusGrid(128), np.random.default_rng(22))  # RMS about 0.05
+    dt = 1e-3
+    big = integrate(a * u0, p, SolverConfig(dt=dt, t_end=256 * dt))
+    small = integrate(u0, scaled, SolverConfig(dt=a * dt, t_end=256 * a * dt))
+    assert big.times.tobytes() == (small.times / a).tobytes()
+    assert big.states.coeffs.tobytes() == (a * small.states.coeffs).tobytes()
+
+
 # --- the dissipation map ------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chgevrey import model
 from chgevrey.model import (
     ModelParams,
     RhsWork,
@@ -36,10 +37,17 @@ from chgevrey.spectral import (
     to_spectral,
 )
 
-from oracles import formulation_residual, h_of_u, nonlocal_source, product_direct
+from oracles import (
+    formulation_residual,
+    functional_H_scalar,
+    h_of_u,
+    nonlocal_source,
+    product_direct,
+)
 
 GRID = TorusGrid(64)
 FREE = ModelParams(lam=1.0)  # all coupling coefficients zero
+QUARTIC = ModelParams(alpha=0.1, beta=0.3, gamma=0.2, Gamma_coef=0.05, lam=1.0)
 
 
 def constant_field(c, grid=GRID):
@@ -391,6 +399,32 @@ def test_functional_H_frozen_values():
 def test_functional_H_leaves_out_a_zero_power_term_past_the_float_range():
     u = field_from_modes(GRID, {1: 1e110})  # H^2 norm sqrt(8) 1e110, its cube past the range
     assert functional_H(u, ModelParams(alpha=1.0), s=2.0) == 1.0 + sobolev_norm(u, 2.0)
+
+
+def test_functional_H_rows_are_the_scalar_formula_bit_for_bit():
+    # amplitudes from 1e-3 to 1e160: the cube overflows from a norm of ~6e102
+    # on, and past ~1e154 the norm itself reads inf
+    amplitudes = 10.0 ** np.linspace(-3.0, 160.0, 60)
+    u = random_field(GRID, np.random.default_rng(5), size=60)
+    u = u.with_coeffs(u.coeffs * amplitudes[:, None])
+    norms = sobolev_norm(u, 2.0)
+    got = functional_H(u, QUARTIC, s=2.0)
+    want = np.array([functional_H_scalar(n, QUARTIC) for n in norms.tolist()])
+    assert got.tobytes() == want.tobytes()
+    assert np.any(np.isfinite(norms) & np.isinf(got)) and np.isinf(norms[-1])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [QUARTIC, ModelParams(beta=0.3), ModelParams(gamma=0.2), FREE],
+    ids=["quartic", "beta", "gamma", "free"],
+)
+def test_functional_H_of_any_norm_is_the_scalar_formula_bit_for_bit(monkeypatch, p):
+    # norms no field reaches, past sqrt of the float range, where n**2 overflows
+    norms = np.concatenate([10.0 ** np.linspace(-200.0, 200.0, 801), [0.0, np.inf, np.nan]])
+    monkeypatch.setattr(model, "sobolev_norm", lambda u, s: norms)
+    got = functional_H(field_from_modes(GRID, {}), p, s=2.0)
+    assert got.tobytes() == np.array([functional_H_scalar(n, p) for n in norms.tolist()]).tobytes()
 
 
 def test_functional_H_requires_s_above_three_halves():

@@ -1,12 +1,15 @@
 """The traced benchmark patches chgevrey by name; every name it patches must
 still resolve, so a refactor cannot silently drop a layer from the trace.
 The package's imports run one way, so no module needs a deferred import, and
-only ``model`` reaches into NumPy's private FFT kernels."""
+only ``model`` reaches into NumPy's private FFT kernels.  NumPy's
+``float_power`` and ``hypot`` round as libm's ``pow`` and ``hypot``, which
+the array code that replaced per-value Python operators relies on."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -179,3 +182,44 @@ def test_every_imported_name_is_used():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+def _per_value(op, *columns) -> np.ndarray:
+    """op on each value (each tuple of values) as Python numbers; an
+    OverflowError reads inf."""
+    out = []
+    for args in zip(*(column.tolist() for column in columns)):
+        try:
+            out.append(op(*args))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+def test_float_power_and_hypot_round_as_libms_pow_and_hypot():
+    # functional_H, random_field, ea_norm and the commutator suite take powers
+    # with np.float_power and |z| with np.hypot to get the bits of Python's
+    # x**e and abs(complex); np.power, np.square, ** and np.abs on complex
+    # round differently on some values and some SIMD targets
+    rng = np.random.default_rng(37)
+    x = 10.0 ** rng.uniform(-200.0, 200.0, 20_000)
+    y = x[::-1] * rng.choice([-1.0, 1.0], x.size)
+    m = np.arange(1, 20_001)
+    with np.errstate(over="ignore"):
+        checks = {
+            "float_power(x, 2.0) vs x**2": (np.float_power(x, 2.0), _per_value(lambda v: v**2, x)),
+            "float_power(x, 3.0) vs x**3": (np.float_power(x, 3.0), _per_value(lambda v: v**3, x)),
+            "float_power(m, -2.0) vs m**-2.0": (
+                np.float_power(m, -2.0),
+                _per_value(lambda k: k**-2.0, m),
+            ),
+            "hypot(x, y) vs abs(complex(x, y))": (
+                np.hypot(x, y),
+                _per_value(lambda re, im: abs(complex(re, im)), x, y),
+            ),
+        }
+    differ = {
+        name: int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+        for name, (got, want) in checks.items()
+    }
+    assert differ == dict.fromkeys(checks, 0), f"NumPy no longer rounds as libm does: {differ}"

@@ -46,7 +46,7 @@ from chgevrey.verify import (
     verify_symbol_lemma,
 )
 
-from oracles import full_band, product_direct, symbol_lemma_ratios
+from oracles import commutator_scalar, full_band, product_direct, symbol_lemma_ratios
 
 GRID = TorusGrid(64)
 
@@ -277,6 +277,27 @@ def test_commutator_constant_direction_ratio_is_one():
     rhs = sobolev_norm(one, s) * sobolev_norm(v, s) ** 2
     assert abs(lhs / rhs - 1.0) <= 1e-12
     assert fake_pins.C_commutator >= lhs / rhs
+
+
+def test_commutator_scores_its_cases_as_the_scalar_rule_does(monkeypatch):
+    # u rows shrink as v rows grow to ~1e156: the cases run from plain ratios
+    # through 0/0 to a v whose norms are finite but whose square overflows
+    draw = verify._ensemble
+
+    def scaled(seed, count):
+        odd = np.arange(count) % 2 == 1
+        k = np.where(odd, np.linspace(148.0, 156.0, count), -np.linspace(0.0, 160.0, count))
+        return SpectralField(GRID, draw(seed, count).coeffs * (10.0 ** k)[:, None])
+
+    monkeypatch.setattr(verify, "_ensemble", scaled)
+    v = SpectralField(GRID, scaled(verify.DEFAULT_SEED, 70).coeffs[1:60:2])
+    hs, bumped = sobolev_norm(v, 2.0), gevrey_norm(v, GevreyIndex(1.0, 0.25, 3.0))
+    root_max = math.sqrt(np.finfo(float).max)
+    assert np.any((hs < root_max) & (bumped > root_max) & np.isfinite(bumped))
+    report = verify_commutator_estimate(ensemble_size=30)
+    cases, skipped, worst = commutator_scalar(30, verify.DEFAULT_SEED)
+    assert (report.cases, report.skipped) == (cases, skipped)
+    assert report.worst_ratio.hex() == worst.hex()
 
 
 # --- orchestration --------------------------------------------------------------
