@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams, functional_H
+from .model import ModelParams, _functional_H
 from .spectral import (
     GevreyIndex,
     NormOverflowError,
@@ -304,17 +304,18 @@ def ea_norm(
     if not np.any(t_arr < window[0]):
         raise WindowError("no admissible (time, width) pair on the grid")
     live = np.any(fields.coeffs != 0.0, axis=-1)
-    t_live = t_arr[live]
-    widths, rows = np.nonzero(t_live < window[:, None])
+    widths, rows = np.nonzero((t_arr < window[:, None]) & live)
     if rows.size == 0:
         return 0.0
     k2 = fields.grid.wavenumbers**2
     log_w = s * np.log1p(k2) + _log_weight2(k2, sigma, EA_DELTA_GRID[:, None])
+    log_mag2 = np.abs(fields.coeffs)  # -inf on the rows left out, which no pair reads
     with np.errstate(divide="ignore"):
-        log_mag2 = 2.0 * np.log(np.abs(fields.coeffs[live]))
+        np.log(log_mag2, out=log_mag2)
+    log_mag2 *= 2.0
     pair_c = width_c[widths]
-    time_c = 0.5 * np.log1p(-t_live[rows] / shrink[widths])
-    block = max(t_live.size, 1024)
+    time_c = 0.5 * np.log1p(-t_arr[rows] / shrink[widths])
+    block = max(np.count_nonzero(live), 1024)
     upper = 0.5 * _lse_upper(log_mag2, log_w, rows, widths, fields.grid, block) + pair_c + time_c
 
     def score(pairs):
@@ -372,11 +373,15 @@ def _lse_upper(log_mag2, log_w, rows, widths, grid, block) -> np.ndarray:
     rho = np.max(log_mag2, axis=-1)
     omega = np.max(log_w, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.exp(log_mag2 - rho[:, None]) * grid.multiplicity
+        scaled = np.subtract(log_mag2, rho[:, None])
+        np.exp(scaled, out=scaled)
+        scaled *= grid.multiplicity
         sums = (scaled @ np.exp(log_w - omega[:, None]).T)[rows, widths]
         rho += 1e-9 + 2.0**-48 * (np.abs(rho) + n)
         omega += 2.0**-48 * np.abs(omega)
-        bound = np.log(sums) + rho[rows] + omega[widths]
+        bound = np.log(sums)
+        bound += rho[rows]
+        bound += omega[widths]
     tail_max = math.log(n) + 1e-9 + n * 2.0**-52  # log n plus the tail's rounding
     fallback = np.flatnonzero(~(sums >= 2.0**-900))
     for i in range(0, fallback.size, block):
@@ -460,8 +465,10 @@ def _radius_columns(traj, p, sigma, s, delta0) -> tuple:
     if states.coeffs.shape[0] != len(traj.times):
         raise ValueError("trajectory times/states out of step")
     norm0 = gevrey_norm(states[0], GevreyIndex(sigma, delta0, s))
-    b_col = 1.0 + sobolev_norm(states, s)
-    h_col = functional_H(states, p, s)  # finite only where b is
+    if not (s > 1.5):
+        raise ValueError(f"the smallness functional needs s > 3/2, got {s}")
+    norms = sobolev_norm(states, s)
+    b_col, h_col = 1.0 + norms, _functional_H(norms, p)  # h finite only where b is
     if not (math.isfinite(norm0) and np.all(np.isfinite(h_col))):
         raise NormOverflowError(f"the datum's Gevrey norm or the H^{s} functional overflowed")
     fits = estimate_radius(states, sigma).delta_fit.tolist()

@@ -237,7 +237,10 @@ def picard_iterate(
 
     The zeroth iterate is the constant-in-time datum, so F of it is one
     ``rhs`` row broadcast over the nodes; later iterates evaluate F on all
-    nodes as one batch, whose rows are each the one-row call bit for bit.
+    nodes as one batch (in row blocks, see RhsWork), whose rows are each the
+    one-row call bit for bit.  Each iterate is written over its own trapezoid
+    integral and its difference from the last one over F of the nodes, so an
+    iterate holds at most three node arrays besides the plan.
     Integrals use composite trapezoid on ``n_nodes`` uniform nodes.  ``T``
     must sit inside the fixed-point existence window computed from the
     datum, else WindowError is raised (disable with ``enforce_window=False``
@@ -276,14 +279,17 @@ def picard_iterate(
                 f_nodes = np.broadcast_to(rhs(u0, p).coeffs, final.coeffs.shape)
             else:
                 f_nodes = rhs(final, p, work=work).coeffs
-            integral = cumulative_trapezoid(f_nodes, times)
+            coeffs = cumulative_trapezoid(f_nodes, times)
+        coeffs += u0.coeffs  # the iterate, written over its integral
         # one finite check per iterate stands for the check of each node's field
-        coeffs = u0.coeffs + integral
         if not np.all(np.isfinite(coeffs)):
             diverged_at = it
             break
-        d = ea_norm(times, u0.with_coeffs(coeffs - final.coeffs), T, sigma, s)
+        # F of the nodes is dead once integrated; the first iterate's is a broadcast
+        diff = np.subtract(coeffs, final.coeffs, out=None if it == 1 else f_nodes)
         final = u0.with_coeffs(coeffs)
+        d = ea_norm(times, u0.with_coeffs(diff), T, sigma, s)
+        del f_nodes, diff  # freed before the next rhs output is made
         diffs.append(d)
         if converged_at is None and d <= floor:
             converged_at = it

@@ -36,7 +36,7 @@ from chgevrey import (
     to_physical,
     to_spectral,
 )
-from chgevrey.integrate import _monitor_weight
+from chgevrey.integrate import _monitor_weight, cumulative_trapezoid
 from oracles import peakon
 
 GRID = TorusGrid(64)
@@ -212,8 +212,10 @@ def record_buffer_sets(monkeypatch) -> list:
 
 
 def held_buffers(built: list) -> list:
-    """Every array each plan holds, alone or in a tuple: buffers, views and symbols."""
-    values = [v for work in built for v in vars(work).values()]
+    """Every array each plan holds, alone, in a tuple or in its tail scratch:
+    buffers, views and symbols."""
+    plans = [plan for work in built for plan in (work, work.tail) if plan is not None]
+    values = [v for plan in plans for v in vars(plan).values()]
     held = [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
     return [a for a in held if isinstance(a, np.ndarray)]
 
@@ -492,6 +494,28 @@ def test_a_picard_run_builds_one_buffer_set_and_its_iterate_does_not_share_it(mo
     m = GRID.n_points // 2 + 1
     assert [work.stage.shape for work in built] == [(33, m), (m,)]
     assert len(res.diffs) == 4
+    assert not any(np.shares_memory(res.final.coeffs, buf) for buf in held_buffers(built))
+
+
+def test_a_picard_run_over_several_row_blocks_is_the_one_row_loop_bit_for_bit(monkeypatch):
+    # the quartic plan at n = 64 holds 102 rows, so F of 300 nodes runs in
+    # blocks of 102, 102 and 96; the loop below takes F one row at a time and
+    # writes every iterate and difference into fresh arrays
+    u0, T, n_nodes, n_iters = small_datum(), 7e-5, 300, 4
+    built = record_buffer_sets(monkeypatch)
+    res = picard_iterate(u0, BENCH_QUARTIC, 1.0, 2.0, T=T, n_iters=n_iters, n_nodes=n_nodes)
+    nodes = built[0]
+    assert (nodes.tall, nodes.block, nodes.tail.triple.shape[1]) == (True, 102, 96)
+    times = np.linspace(0.0, T, n_nodes)
+    final = np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape)
+    diffs = []
+    for _ in range(n_iters):
+        f_nodes = np.array([rhs(u0.with_coeffs(row), BENCH_QUARTIC).coeffs for row in final])
+        coeffs = u0.coeffs + cumulative_trapezoid(f_nodes, times)
+        diffs.append(ea_norm(times, u0.with_coeffs(coeffs - final), T, 1.0, 2.0))
+        final = coeffs
+    assert [d.hex() for d in res.diffs] == [d.hex() for d in diffs]
+    assert res.final.coeffs.tobytes() == final.tobytes()
     assert not any(np.shares_memory(res.final.coeffs, buf) for buf in held_buffers(built))
 
 

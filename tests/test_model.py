@@ -287,9 +287,16 @@ def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p):
 
 
 def buffers(work: RhsWork) -> list:
-    """Every array the plan holds, alone or in a tuple: buffers, views and symbols."""
-    held = [a for v in vars(work).values() for a in (v if isinstance(v, tuple) else (v,))]
+    """Every array the plan holds, alone, in a tuple or in its tail scratch:
+    buffers, views and symbols."""
+    plans = [work] if work.tail is None else [work, work.tail]
+    held = [a for plan in plans for v in vars(plan).values() for a in (v if isinstance(v, tuple) else (v,))]
     return [a for a in held if isinstance(a, np.ndarray)]
+
+
+def block_rows(n: int, p: ModelParams) -> int:
+    """The rows of one block of the rhs plan at n points and p's padding."""
+    return RhsWork(SpectralField(TorusGrid(n), np.zeros(n // 2 + 1)), p).block
 
 
 def full_band_batch(grid: TorusGrid, rng: np.random.Generator, lead: tuple) -> SpectralField:
@@ -304,19 +311,47 @@ COEFS = st.sampled_from([0.0, 0.3, -1.25])
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([8, 10, 16, 34, 64]),
-    lead=st.sampled_from([(), (1,), (3,)]),
+    lead=st.sampled_from([(), (1,), (3,), "tall"]),
     p=st.builds(ModelParams, COEFS, COEFS, COEFS, COEFS, st.sampled_from([0.5, 1.0])),
     seed=st.integers(0, 2**16),
 )
 def test_one_buffer_set_reused_gives_what_fresh_calls_give(n, lead, p, seed):
     grid = TorusGrid(n)
     rng = np.random.default_rng(seed)
+    if lead == "tall":  # two whole blocks of rows and a ragged one of 3
+        lead = (2 * block_rows(n, p) + 3,)
     inputs = [full_band_batch(grid, rng, lead) for _ in range(3)]
     work = RhsWork(inputs[0], p)
     held = [rhs(u, p, work=work).coeffs for u in inputs]
     for u, out in zip(inputs, held):
         assert out.tobytes() == rhs(u, p).coeffs.tobytes()
         assert not any(np.shares_memory(out, buf) for buf in buffers(work))
+
+
+@pytest.mark.parametrize("p", [FREE, QUARTIC], ids=["3n/2", "5n/2"])
+def test_a_tall_batch_runs_in_blocks_whose_rows_are_single_field_calls_bit_for_bit(p):
+    block = block_rows(GRID.n_points, p)
+    batch = full_band_batch(GRID, np.random.default_rng(11), (2 * block + 3,))
+    work = RhsWork(batch, p)
+    assert block == work.block == model._BLOCK_POINTS // work.samples.shape[-1]
+    assert work.tall and work.triple.shape[1] == block and work.tail.triple.shape[1] == 3
+    for _ in range(2):  # the second call reuses the blocks the first wrote
+        got = rhs(batch, p, work=work).coeffs
+        assert not any(np.shares_memory(got, buf) for buf in buffers(work))
+        for row, c in zip(got, batch.coeffs):
+            assert row.tobytes() == rhs(batch.with_coeffs(c), p).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("p", [FREE, QUARTIC], ids=["3n/2", "5n/2"])
+def test_the_plan_of_a_tall_batch_holds_at_most_two_blocks_of_scratch(p):
+    batch = SpectralField(GRID, np.zeros((4096, GRID.n_points // 2 + 1)))
+    work = RhsWork(batch, p)
+    assert work.stage.shape == batch.coeffs.shape  # step_rk4 stages the whole batch
+    for name in ("triple", "samples", "spectrum"):
+        rows = getattr(work, name).shape[1] + getattr(work.tail, name).shape[1]
+        assert rows <= 2 * work.block < 4096, name
+    single = RhsWork(batch[0], p)
+    assert not single.tall and single.tail is None and single.triple.shape == (3, GRID.n_points // 2 + 1)
 
 
 def test_a_buffer_set_for_another_shape_or_padded_size_is_refused():

@@ -102,6 +102,38 @@ def test_a_traced_simulate_op_sees_every_step_through_the_public_names(tmp_path)
     assert metrics["model.rhs.calls"] == 4 * steps
 
 
+def test_a_traced_picard_op_sees_every_iterate_through_the_public_names(tmp_path):
+    # on the bench shape F of the 512 nodes runs in row blocks inside rhs, so
+    # the tracer must still count one rhs call per iterate (the first on the
+    # datum row) and one ea_norm call per difference plus the scale's
+    from chgevrey import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "subcommand": "picard",
+        "model": {"alpha": 0.1, "beta": 0.3, "gamma": 0.2, "Gamma": 0.05, "lambda": 1.0},
+        "initial_data": {"name": "cosine", "amplitude": 0.01},
+        "grid": {"n_points": 64},
+        "picard": {"n_iters": 8, "n_nodes": 512},
+    }))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        try:
+            code = cli.main(["picard", "--config", str(config), "--out", str(tmp_path / "out")])
+        finally:
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    edges = [(span[0], tracer.spans[span[3]][0]) for span in tracer.spans if span[3] >= 0]
+    assert edges.count(("model.rhs", "integrate.picard_iterate")) == 8
+    assert edges.count(("analyticity.ea_norm", "integrate.picard_iterate")) == 9
+    metrics = tracer.layer_metrics(0)
+    assert (metrics["model.rhs.calls"], metrics["analyticity.ea_norm.calls"]) == (8, 9)
+
+
 def _relative_imports(node, in_function=False):
     """(module, inside a function) for each relative import that runs; an
     ``if TYPE_CHECKING:`` block never does.  ``from . import name`` imports
