@@ -88,17 +88,20 @@ def step_rk4(
     coefficient is made real; slot n/2 stays zero, as rhs writes it.  A batch
     steps row by row.  ``work``, the run's RhsWork plan, is handed to every
     ``rhs`` call of the step; without it the step builds one.  Stages 2-4 are
-    written into the plan's ``stage`` buffer, as h k + c, and passed as one
-    field; the four results of ``rhs`` are fresh, so the step's result shares
-    no memory with the plan.
+    written into the plan's ``stage`` buffer, made of u's shape and dtype on
+    the plan's first step, as h k + c, and passed as one field; the four
+    results of ``rhs`` are fresh, so the step's result shares no memory with
+    the plan.
 
     Nothing is checked here: a non-finite stage propagates into the returned
     state, and the caller's monitor is the one check of the step.
     """
     c = u.coeffs
     work = RhsWork(u, p) if work is None else work
+    ks = [rhs(u, p, work=work).coeffs]  # checks the plan before its stage is made
+    if work.stage is None:  # a plan that only evaluates rhs never holds one
+        work.stage = np.empty(c.shape, dtype=c.dtype)
     stage, staged = work.stage, u.with_coeffs(work.stage)  # stages 2-4, rewritten in place
-    ks = [rhs(u, p, work=work).coeffs]
     for h in (0.5 * dt, 0.5 * dt, dt):  # stage = c + h k, as h * k + c
         np.multiply(ks[-1], h, out=stage)
         stage += c

@@ -52,40 +52,29 @@ class ModelParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
-_BLOCK_POINTS = 1 << 14  # padded points in one block of a tall batch's rows
+_BLOCK_POINTS = 1 << 14  # padded points per row block of a tall batch, before its rows split equally
 
 
-class _Scratch:
-    """The buffers of one padded pass of ``rhs`` over ``lead`` rows, and their views."""
+class RhsWork:
+    """The plan of ``rhs`` for one run: buffers, views and symbols for one grid, shape, dtype and p.
 
-    def __init__(self, lead: tuple, fine: int, half: int):
-        self.triple = np.empty((3,) + lead + (half + 1,), dtype=np.complex128)
-        self.pair, self.linear_c = self.triple[:2], self.triple[2]
-        self.samples = np.empty((4,) + lead + (fine,))
-        self.rows = tuple(self.samples)  # u, u_x, and the temporaries u^2, inner
-        self.first, self.squares, self.odd = self.samples[:2], self.samples[2:], self.samples[1::2]
-        self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=np.complex128)
-        self.fused = self.spectrum[..., : half + 1]
-
-
-class RhsWork(_Scratch):
-    """The plan of ``rhs`` for one run: buffers, views and symbols for one grid, shape of u and p.
-
-    The buffers: a ``stage`` of u's shape for ``step_rk4``; on a leading axis
-    of at most ``block`` = max(1, _BLOCK_POINTS // fine) rows, the triple
-    (fine*c, fine*u_x, L c), the padded samples (u, u_x and two temporary rows)
-    and the spectrum of the odd sample rows.  A single field, or a batch of at
-    most ``block`` rows, keeps them in its own shape.  A taller batch is
-    ``tall``: it runs in blocks, and a ragged last block has a smaller ``tail``
-    set, so the scratch stays under two blocks (0.95 MB at n = 64, quartic,
-    against 4.7 MB for 512 rows: more than a core's L2).  The views of these
-    that a call reads, ``inv_fine`` = 1/fine (the scale of the inverse
-    transform), n/2, the quartic flag and beta/3, gamma/4 are taken once here.
-    The read-only symbols on modes 0 .. n/2: the stacked (fine, fine*ik, L),
-    with L = -(lambda + i Gamma k - (alpha+Gamma) ik/(1+k^2)), that yields the
-    irfft input pair and the linear terms in one multiply; and the back-scaling
-    pair (-1/fine, -ik/(1+k^2)/fine) of the fused rfft output.  No result
-    aliases them.
+    A batch of more than _BLOCK_POINTS padded points is ``tall``: it runs in
+    ceil(rows * fine / _BLOCK_POINTS) equal blocks of ``block`` rows, the last
+    one ending on the last row, so it redoes fewer rows than there are blocks.
+    A single field or a shorter batch is one block of its own shape.  The one
+    buffer set, of one block and in the field's dtype: the triple (fine*c,
+    fine*u_x, L c), the padded samples (u, u_x and two temporary rows) and the
+    spectrum of the odd sample rows; on the bench picard shape (n = 64,
+    quartic, 512 rows: 5 blocks of 103) 0.96 MB against 4.7 MB for the whole
+    batch, more than a core's L2.  ``stage`` is None until ``step_rk4`` makes
+    one of u's shape.  The views of these that a call reads, ``inv_fine`` =
+    1/fine (the scale of the inverse transform), n/2, the quartic flag and
+    beta/3, gamma/4 are taken once here.  The read-only symbols on modes 0 ..
+    n/2, in the field's precision: the stacked (fine, fine*ik, L), with
+    L = -(lambda + i Gamma k - (alpha+Gamma) ik/(1+k^2)), that yields the
+    irfft input pair and the linear terms in one multiply; and the
+    back-scaling pair (-1/fine, -ik/(1+k^2)/fine) of the fused rfft output.
+    No result aliases them.
 
     ``rhs`` calls NumPy's pocketfft gufuncs ``irfft`` and ``rfft_n_even`` (fine
     is even) with the operands and scale ``np.fft`` gives them, so the bits are
@@ -94,39 +83,45 @@ class RhsWork(_Scratch):
     """
 
     def __init__(self, u: SpectralField, p: ModelParams):
-        grid, shape = u.grid, u.coeffs.shape
+        grid, shape, dtype = u.grid, u.coeffs.shape, u.coeffs.dtype
+        real = np.finfo(dtype).dtype
         self.quartic = p.beta != 0.0 or p.gamma != 0.0
         # pad 5/2 keeps quartic powers alias-free, 3/2 quadratic ones (Orszag)
         fine = _padded_size(grid.n_points, 2.5 if self.quartic else 1.5)
         half = grid.n_points // 2
-        self.key, self.half, self.inv_fine = (grid, shape, p), half, 1.0 / fine
+        self.key, self.half, self.stage = (grid, shape, dtype, p), half, None
+        self.inv_fine = np.reciprocal(fine, dtype=real)  # np.fft's scale, in the field's precision
         self.beta3, self.gamma4 = p.beta / 3.0, p.gamma / 4.0
-        self.stage = np.empty(shape, dtype=np.complex128)
-        n_rows, self.block = math.prod(shape[:-1]), max(1, _BLOCK_POINTS // fine)
+        n_rows = math.prod(shape[:-1])
+        self.block = math.ceil(n_rows / max(1, math.ceil(n_rows * fine / _BLOCK_POINTS)))
         self.tall = n_rows > self.block
         lead = (self.block,) if self.tall else shape[:-1]
-        super().__init__(lead, fine, half)
-        ragged = n_rows % self.block if self.tall else 0
-        self.tail = _Scratch((ragged,), fine, half) if ragged else None
-        k = grid.wavenumbers
+        self.triple = np.empty((3,) + lead + (half + 1,), dtype=dtype)
+        self.pair, self.linear_c = self.triple[:2], self.triple[2]
+        self.samples = np.empty((4,) + lead + (fine,), dtype=real)
+        self.rows = tuple(self.samples)  # u, u_x, and the temporaries u^2, inner
+        self.first, self.squares, self.odd = self.samples[:2], self.samples[2:], self.samples[1::2]
+        self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=dtype)
+        self.fused = self.spectrum[..., : half + 1]
+        k = grid.wavenumbers.astype(real)
         ik = 1j * k
         nonlocal_ = ik / (1.0 + k * k)
         stacked = (1,) * len(lead) + (half + 1,)
         linear = -(p.lam + p.Gamma_coef * ik - (p.alpha + p.Gamma_coef) * nonlocal_)
         self.symbol = np.array([np.full_like(ik, fine), fine * ik, linear]).reshape((3,) + stacked)
-        self.back = np.array([np.full_like(ik, -1.0 / fine), -nonlocal_ / fine]).reshape((2,) + stacked)
+        self.back = np.array([np.full_like(ik, -self.inv_fine), -nonlocal_ / fine]).reshape((2,) + stacked)
         for symbol in (self.symbol, self.back):
             symbol.flags.writeable = False
 
 
-def _padded_pass(work: RhsWork, scratch: _Scratch, c: np.ndarray) -> np.ndarray:
-    """rhs's pass over the rows of ``c`` in ``scratch``; returns its ``fused``
-    pair, to be added to its ``linear_c``."""
-    np.multiply(work.symbol, c, out=scratch.triple)  # fine*(c, u_x) and L c
+def _padded_pass(work: RhsWork, c: np.ndarray) -> np.ndarray:
+    """rhs's pass over the rows of ``c`` in the plan's buffers; returns its
+    ``fused`` pair, to be added to its ``linear_c``."""
+    np.multiply(work.symbol, c, out=work.triple)  # fine*(c, u_x) and L c
     # the irfft kernel zero-pads the n/2 + 1 stored modes to fine itself
-    irfft(scratch.pair, work.inv_fine, out=scratch.first)
-    np.multiply(scratch.first, scratch.first, out=scratch.squares)  # u^2, u_x^2
-    w, wx, w2, inner = scratch.rows
+    irfft(work.pair, work.inv_fine, out=work.first)
+    np.multiply(work.first, work.first, out=work.squares)  # u^2, u_x^2
+    w, wx, w2, inner = work.rows
     inner *= 0.5
     inner += w2  # u^2 + u_x^2/2
     wx *= w  # u u_x
@@ -137,8 +132,8 @@ def _padded_pass(work: RhsWork, scratch: _Scratch, c: np.ndarray) -> np.ndarray:
         w2 *= w
         inner -= w2
     # u u_x and the inner term, rows 1 and 3, go back in one rfft
-    rfft_n_even(scratch.odd, 1.0, out=scratch.spectrum)
-    fused = scratch.fused
+    rfft_n_even(work.odd, 1.0, out=work.spectrum)
+    fused = work.fused
     fused *= work.back  # now -u u_x and -(1 - d_xx)^{-1} d_x inner; L c holds the rest of Q
     return fused
 
@@ -157,26 +152,27 @@ def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> Spe
     in product(), and slot n/2 is zeroed.  A batch is evaluated row by row on
     the last axis; a tall one (see RhsWork) block by block, each block's sum
     written into its rows of the result, so a row's bits do not depend on its
-    block.  The result is a fresh array, not revalidated: an overflow shows up
-    as a non-finite coefficient at the caller's next check.  ``work`` is the
-    RhsWork plan for u's grid and shape and this p (else ValueError), or None
-    for a plan of this call alone.
+    block, and the rows the last block redoes are written again with the same
+    bits.  The result is a fresh array in u's dtype, not revalidated: an
+    overflow shows up as a non-finite coefficient at the caller's next check.
+    ``work`` is the RhsWork plan for u's grid, shape and dtype and this p (else
+    ValueError), or None for a plan of this call alone.
     """
     grid, c = u.grid, u.coeffs
     work = RhsWork(u, p) if work is None else work
-    if work.key != (grid, c.shape, p):
-        raise ValueError(f"rhs buffers for (grid, shape, p) {work.key}, not {(grid, c.shape, p)}")
+    key = (grid, c.shape, c.dtype, p)
+    if work.key != key:
+        raise ValueError(f"rhs buffers for (grid, shape, dtype, p) {work.key}, not {key}")
     if work.tall:
-        out = np.empty(c.shape, dtype=np.complex128)
+        out = np.empty(c.shape, dtype=c.dtype)
         rows, out_rows, size = c.reshape(-1, c.shape[-1]), out.reshape(-1, c.shape[-1]), work.block
         for start in range(0, len(rows), size):
-            block = rows[start : start + size]
-            scratch = work if len(block) == size else work.tail
-            fused = _padded_pass(work, scratch, block)
-            summed = np.add(fused[1], scratch.linear_c, out=out_rows[start : start + size])
+            start = min(start, len(rows) - size)  # the last block ends on the last row
+            fused = _padded_pass(work, rows[start : start + size])
+            summed = np.add(fused[1], work.linear_c, out=out_rows[start : start + size])
             summed += fused[0]
     else:
-        fused = _padded_pass(work, work, c)
+        fused = _padded_pass(work, c)
         out = fused[1] + work.linear_c
         out += fused[0]
     out[..., work.half] = 0.0

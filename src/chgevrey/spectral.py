@@ -128,7 +128,9 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)
+        c = np.asarray(self.coeffs)
+        # complex128, or a wider complex dtype (80-bit longdouble) kept as it is
+        c = c.astype(np.result_type(c, np.complex128) if c.dtype.kind in "fc" else np.complex128)
         m = self.grid.n_points // 2 + 1
         if c.ndim not in (1, 2) or c.shape[-1] != m:
             raise ValueError(

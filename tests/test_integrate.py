@@ -37,6 +37,7 @@ from chgevrey import (
     to_spectral,
 )
 from chgevrey.integrate import _monitor_weight, cumulative_trapezoid
+from chgevrey.model import irfft
 from oracles import peakon
 
 GRID = TorusGrid(64)
@@ -212,10 +213,9 @@ def record_buffer_sets(monkeypatch) -> list:
 
 
 def held_buffers(built: list) -> list:
-    """Every array each plan holds, alone, in a tuple or in its tail scratch:
-    buffers, views and symbols."""
-    plans = [plan for work in built for plan in (work, work.tail) if plan is not None]
-    values = [v for plan in plans for v in vars(plan).values()]
+    """Every array each plan holds, alone or in a tuple: its one buffer set,
+    views, symbols, and the stage once a step has made it."""
+    values = [v for work in built for v in vars(work).values()]
     held = [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
     return [a for a in held if isinstance(a, np.ndarray)]
 
@@ -227,6 +227,7 @@ def test_a_march_builds_one_buffer_set_and_no_state_shares_it(monkeypatch, size)
     traj = integrate(u0, P, SolverConfig(dt=0.01, t_end=0.1))
     assert len(built) == 1
     assert len(traj.times) == 11
+    assert built[0].stage.shape == u0.coeffs.shape  # made by the first step, then reused
     for row in traj.states.coeffs:
         assert not any(np.shares_memory(row, buf) for buf in held_buffers(built))
     stepped = step_rk4(u0, P, 0.01, work=built[0]).coeffs
@@ -243,7 +244,7 @@ def test_a_step_without_a_plan_builds_one_for_its_four_stages(monkeypatch, size)
     u0 = 0.1 * random_field(GRID, np.random.default_rng(4), band=12, size=size)
     built = record_buffer_sets(monkeypatch)
     alone = step_rk4(u0, P, 0.01).coeffs
-    assert len(built) == 1
+    assert len(built) == 1 and built[0].stage.shape == u0.coeffs.shape
     assert alone.tobytes() == step_rk4(u0, P, 0.01, work=RhsWork(u0, P)).coeffs.tobytes()
 
 
@@ -262,6 +263,29 @@ def textbook_rk4(u: SpectralField, p: ModelParams, dt: float) -> np.ndarray:
     out = (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6.0) + c
     out.imag[..., 0] = 0.0
     return out
+
+
+@pytest.mark.skipif(
+    not (np.finfo(np.longdouble).eps < 1e-18 and "Gg->g" in irfft.types),
+    reason="np.longdouble is not 80-bit here, or NumPy's irfft kernel has no longdouble loop",
+)
+@pytest.mark.parametrize("p", [ModelParams(lam=1.0), BENCH_QUARTIC], ids=["README", "quartic"])
+def test_an_80_bit_field_keeps_its_dtype_through_rhs_the_step_and_the_march(monkeypatch, p):
+    # the README simulate config's datum, 0.01 cos x on 256 points, for 20 steps
+    double = field_from_modes(TorusGrid(256), {1: 0.005})
+    u = SpectralField(double.grid, double.coeffs.astype(np.clongdouble))
+    assert u.coeffs.dtype == rhs(u, p).coeffs.dtype == np.clongdouble
+    with pytest.raises(ValueError, match="rhs buffers"):  # a float64 plan would narrow it
+        rhs(u, p, work=RhsWork(double, p))
+    built = record_buffer_sets(monkeypatch)
+    cfg = SolverConfig(dt=0.01, t_end=0.2)
+    wide = integrate(u, p, cfg).states.coeffs
+    assert wide.dtype == step_rk4(u, p, 0.01, work=built[0]).coeffs.dtype == np.clongdouble
+    assert {a.dtype for a in held_buffers(built)} == {np.dtype(np.clongdouble), np.dtype(np.longdouble)}
+    narrow = integrate(double, p, cfg).states.coeffs
+    assert len(wide) == 21 and narrow.dtype == np.complex128
+    gap = np.max(np.abs(wide - narrow)) / np.max(np.abs(narrow))
+    assert 0.0 < gap <= 1e-12  # the runs differ: the wide one was not narrowed
 
 
 @pytest.mark.parametrize("p", [ModelParams(lam=0.1), BENCH_QUARTIC], ids=["CH", "quartic"])
@@ -490,22 +514,25 @@ def test_picard_final_iterate_matches_rk4():
 def test_a_picard_run_builds_one_buffer_set_and_its_iterate_does_not_share_it(monkeypatch):
     built = record_buffer_sets(monkeypatch)
     res = picard_iterate(small_datum(), P, sigma=1.0, s=2.0, T=7e-5, n_iters=4, n_nodes=33)
-    # one plan for the nodes, and one for the datum row of the first iterate
+    # one plan for the nodes, and one for the datum row of the first iterate;
+    # neither steps, so neither makes a stage
     m = GRID.n_points // 2 + 1
-    assert [work.stage.shape for work in built] == [(33, m), (m,)]
+    assert [work.triple.shape[1:] for work in built] == [(33, m), (m,)]
+    assert [work.stage for work in built] == [None, None]
     assert len(res.diffs) == 4
     assert not any(np.shares_memory(res.final.coeffs, buf) for buf in held_buffers(built))
 
 
 def test_a_picard_run_over_several_row_blocks_is_the_one_row_loop_bit_for_bit(monkeypatch):
-    # the quartic plan at n = 64 holds 102 rows, so F of 300 nodes runs in
-    # blocks of 102, 102 and 96; the loop below takes F one row at a time and
-    # writes every iterate and difference into fresh arrays
-    u0, T, n_nodes, n_iters = small_datum(), 7e-5, 300, 4
+    # on the bench shape (quartic, n = 64, 512 nodes) F of the nodes runs in
+    # 5 equal blocks of 103 rows, the last redoing 3; the node plan makes no
+    # stage, and the loop below takes F one row at a time and writes every
+    # iterate and difference into fresh arrays
+    u0, T, n_nodes, n_iters = small_datum(), 7e-5, 512, 4
     built = record_buffer_sets(monkeypatch)
     res = picard_iterate(u0, BENCH_QUARTIC, 1.0, 2.0, T=T, n_iters=n_iters, n_nodes=n_nodes)
     nodes = built[0]
-    assert (nodes.tall, nodes.block, nodes.tail.triple.shape[1]) == (True, 102, 96)
+    assert (nodes.tall, nodes.block, nodes.triple.shape[1], nodes.stage) == (True, 103, 103, None)
     times = np.linspace(0.0, T, n_nodes)
     final = np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape)
     diffs = []

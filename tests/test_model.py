@@ -287,16 +287,16 @@ def test_batched_rhs_rows_equal_single_field_calls_bit_for_bit(p):
 
 
 def buffers(work: RhsWork) -> list:
-    """Every array the plan holds, alone, in a tuple or in its tail scratch:
-    buffers, views and symbols."""
-    plans = [work] if work.tail is None else [work, work.tail]
-    held = [a for plan in plans for v in vars(plan).values() for a in (v if isinstance(v, tuple) else (v,))]
+    """Every array the plan holds, alone or in a tuple: its one buffer set,
+    views, symbols, and the stage once a step has made it."""
+    held = [a for v in vars(work).values() for a in (v if isinstance(v, tuple) else (v,))]
     return [a for a in held if isinstance(a, np.ndarray)]
 
 
 def block_rows(n: int, p: ModelParams) -> int:
-    """The rows of one block of the rhs plan at n points and p's padding."""
-    return RhsWork(SpectralField(TorusGrid(n), np.zeros(n // 2 + 1)), p).block
+    """The rows that fill the rhs plan's block budget at n points and p's padding."""
+    fine = RhsWork(SpectralField(TorusGrid(n), np.zeros(n // 2 + 1)), p).samples.shape[-1]
+    return model._BLOCK_POINTS // fine
 
 
 def full_band_batch(grid: TorusGrid, rng: np.random.Generator, lead: tuple) -> SpectralField:
@@ -318,7 +318,7 @@ COEFS = st.sampled_from([0.0, 0.3, -1.25])
 def test_one_buffer_set_reused_gives_what_fresh_calls_give(n, lead, p, seed):
     grid = TorusGrid(n)
     rng = np.random.default_rng(seed)
-    if lead == "tall":  # two whole blocks of rows and a ragged one of 3
+    if lead == "tall":  # past two blocks' budget, so three equal blocks
         lead = (2 * block_rows(n, p) + 3,)
     inputs = [full_band_batch(grid, rng, lead) for _ in range(3)]
     work = RhsWork(inputs[0], p)
@@ -330,11 +330,13 @@ def test_one_buffer_set_reused_gives_what_fresh_calls_give(n, lead, p, seed):
 
 @pytest.mark.parametrize("p", [FREE, QUARTIC], ids=["3n/2", "5n/2"])
 def test_a_tall_batch_runs_in_blocks_whose_rows_are_single_field_calls_bit_for_bit(p):
-    block = block_rows(GRID.n_points, p)
-    batch = full_band_batch(GRID, np.random.default_rng(11), (2 * block + 3,))
+    # the picard node count: 3 blocks of 171 rows at 3n/2 and 5 of 103 at 5n/2,
+    # so the last block redoes 1 and 3 rows
+    batch = full_band_batch(GRID, np.random.default_rng(11), (512,))
     work = RhsWork(batch, p)
-    assert block == work.block == model._BLOCK_POINTS // work.samples.shape[-1]
-    assert work.tall and work.triple.shape[1] == block and work.tail.triple.shape[1] == 3
+    n_blocks = math.ceil(512 * work.samples.shape[-1] / model._BLOCK_POINTS)
+    assert work.tall and work.block == math.ceil(512 / n_blocks) == work.triple.shape[1]
+    assert (n_blocks, n_blocks * work.block - 512) == ((3, 1) if p is FREE else (5, 3))
     for _ in range(2):  # the second call reuses the blocks the first wrote
         got = rhs(batch, p, work=work).coeffs
         assert not any(np.shares_memory(got, buf) for buf in buffers(work))
@@ -343,15 +345,18 @@ def test_a_tall_batch_runs_in_blocks_whose_rows_are_single_field_calls_bit_for_b
 
 
 @pytest.mark.parametrize("p", [FREE, QUARTIC], ids=["3n/2", "5n/2"])
-def test_the_plan_of_a_tall_batch_holds_at_most_two_blocks_of_scratch(p):
+def test_the_plan_of_a_tall_batch_holds_one_buffer_set_of_one_equal_block(p):
     batch = SpectralField(GRID, np.zeros((4096, GRID.n_points // 2 + 1)))
     work = RhsWork(batch, p)
-    assert work.stage.shape == batch.coeffs.shape  # step_rk4 stages the whole batch
-    for name in ("triple", "samples", "spectrum"):
-        rows = getattr(work, name).shape[1] + getattr(work.tail, name).shape[1]
-        assert rows <= 2 * work.block < 4096, name
+    fine = work.samples.shape[-1]
+    assert work.block == math.ceil(4096 / math.ceil(4096 * fine / model._BLOCK_POINTS)) < 4096
+    # the arrays that own their memory are the one set of one block: no second
+    # set, and no stage until step_rk4 makes one
+    owners = [a for a in buffers(work) if a.base is None]
+    assert sorted(map(id, owners)) == sorted(map(id, (work.triple, work.samples, work.spectrum)))
+    assert all(a.shape[1] == work.block for a in owners) and work.stage is None
     single = RhsWork(batch[0], p)
-    assert not single.tall and single.tail is None and single.triple.shape == (3, GRID.n_points // 2 + 1)
+    assert not single.tall and single.triple.shape == (3, GRID.n_points // 2 + 1)
 
 
 def test_a_buffer_set_for_another_shape_or_padded_size_is_refused():

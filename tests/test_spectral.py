@@ -104,6 +104,14 @@ def test_cosine_coefficients():
     assert abs(f.coeff(2)) < 1e-14
 
 
+def test_a_field_is_complex128_or_a_wider_complex_dtype_kept_as_it_is():
+    m = GRID.n_points // 2 + 1
+    narrow = [[0.0] * m, np.zeros(m, np.int64), np.zeros(m, np.float32), np.zeros(m, np.complex64)]
+    assert [SpectralField(GRID, c).coeffs.dtype for c in narrow] == [np.complex128] * 4
+    for wide in (np.longdouble, np.clongdouble):  # the 80-bit rung of x86-64
+        assert SpectralField(GRID, np.zeros(m, wide)).coeffs.dtype == np.clongdouble
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.sampled_from([8, 16, 32, 64, 128, 256, 512, 1024]), data=st.data())
 def test_round_trip(n, data):
