@@ -40,6 +40,7 @@ from .analyticity import (
     CalibrationError,
     RadiusRecord,
     WindowError,
+    _closed_window,
     _log10_window,
     calibrate_radius_constant,
     existence_window,
@@ -94,6 +95,12 @@ class InitialDataSpec:
     center: float | None = None
     path: str | None = None
 
+    def __post_init__(self):
+        if self.name not in GENERATORS:
+            raise ValueError(f"name must be one of {', '.join(GENERATORS)}, got {self.name!r}")
+        if self.name == "coeff_file" and not Path(self.path or "").is_file():
+            raise ValueError(f"path no coefficient file at {self.path!r}")
+
     def build(self, grid: TorusGrid) -> SpectralField:
         if self.name == "cosine":
             # amplitude * cos(k_mode x) <-> half the amplitude on +-mode; the
@@ -128,9 +135,7 @@ class InitialDataSpec:
                 return field_from_modes(grid, amps)
             except (OverflowError, NonFiniteError) as err:
                 raise ConfigError(f"initial_data.rate: {self.rate} overflows the modes") from err
-        if self.name == "coeff_file":
-            return self._from_file(grid)
-        raise ConfigError(f"initial_data.name: unknown generator {self.name!r}")
+        return self._from_file(grid)  # coeff_file
 
     def _from_file(self, grid: TorusGrid) -> SpectralField:
         amps: dict[int, complex] = {}
@@ -209,18 +214,6 @@ _READERS = {
 }
 # JSON keys that differ from their field names
 _RENAMED = {"Gamma_coef": "Gamma", "lam": "lambda"}
-_POSITIVE = (lambda v: v > 0.0, "must be positive")
-# the ranges only the CLI owns, as (predicate, what the value must be); every
-# other range is checked by the dataclass that holds the value.  The subcommand's
-# joins them below the runner table, which lists the subcommands.
-_CHECKS = {
-    "initial_data.name": (lambda v: v in GENERATORS, f"must be one of {', '.join(GENERATORS)}"),
-    "c_prime": _POSITIVE,
-    "picard.n_iters": (lambda v: v >= 1, "must be at least 1"),
-    "picard.n_nodes": (lambda v: v >= 2, "must be at least 2"),
-    "picard.horizon": _POSITIVE,
-    "continuity.budget": (lambda v: v >= 0.0, "must be non-negative"),
-}
 
 
 @dataclass(frozen=True)
@@ -231,6 +224,14 @@ class PicardSpec:
     n_nodes: int = 129
     horizon: float | None = None
 
+    def __post_init__(self):
+        if not self.n_iters >= 1:
+            raise ValueError(f"n_iters must be at least 1, got {self.n_iters!r}")
+        if not self.n_nodes >= 2:
+            raise ValueError(f"n_nodes must be at least 2, got {self.n_nodes!r}")
+        if not (self.horizon is None or self.horizon > 0.0):
+            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+
 
 @dataclass(frozen=True)
 class ContinuitySpec:
@@ -240,11 +241,16 @@ class ContinuitySpec:
     amplitudes: tuple[float, ...] = (0.1, 0.01, 0.001, 0.0001)
     budget: float = 1e-6
 
+    def __post_init__(self):
+        if not self.budget >= 0.0:
+            raise ValueError(f"budget must be non-negative, got {self.budget!r}")
+
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Fully resolved run, and the one description of the config: each field
-    is a key (a dataclass field a section), each default its value when left out."""
+    is a key (a dataclass field a section), each default its value when left out;
+    each dataclass checks its ranges, so one built in code is checked as a parsed one."""
 
     subcommand: str = "simulate"
     model: ModelParams = ModelParams()
@@ -257,6 +263,15 @@ class RunConfig:
     c_prime: float = 1.0
     picard: PicardSpec = PicardSpec()
     continuity: ContinuitySpec = ContinuitySpec()
+
+    def __post_init__(self):
+        if self.subcommand not in _RUNNERS:
+            choices = ", ".join(SUBCOMMANDS)
+            raise ValueError(f"subcommand must be one of {choices}, got {self.subcommand!r}")
+        if not self.c_prime > 0.0:
+            raise ValueError(f"c_prime must be positive, got {self.c_prime!r}")
+        if self.solver.s_monitor is None:
+            object.__setattr__(self, "solver", replace(self.solver, s_monitor=self.gevrey.s))
 
 
 @functools.cache
@@ -286,9 +301,6 @@ def _section(cls, blob, prefix: str, base):
             value = unread.pop(name)
             if value is not None or default is not None:
                 value = _READERS[hint](key, value)
-                check = _CHECKS.get(key)
-                if check is not None and not check[0](value):
-                    raise ConfigError(f"{key}: {check[1]}, got {value!r}")
             kwargs[f.name] = value
         elif default is MISSING:
             raise ConfigError(f"{key}: required key is missing")
@@ -309,7 +321,7 @@ _CSV_FORMAT = ",".join(["%.17g"] * len(fields(RadiusRecord)))
 
 
 def parse_config(path) -> RunConfig:
-    """Read a JSON config into a RunConfig, filling the defaults it declares.
+    """Read a JSON config into a RunConfig, which declares its defaults and ranges.
 
     Missing, ill-typed or out-of-range values raise ConfigError naming the
     dotted key; unknown keys only warn, so configs stay forward compatible.
@@ -323,13 +335,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(blob, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = _section(RunConfig, blob, "", None)
-    if cfg.solver.s_monitor is None:
-        cfg = replace(cfg, solver=replace(cfg.solver, s_monitor=cfg.gevrey.s))
-    data = cfg.initial_data
-    if data.name == "coeff_file" and not Path(data.path or "").is_file():
-        raise ConfigError(f"initial_data.path: no coefficient file at {data.path!r}")
-    return cfg
+    return _section(RunConfig, blob, "", None)
 
 
 # --- artifact writers -----------------------------------------------------------
@@ -446,7 +452,11 @@ def _run_lifespan(cfg: RunConfig, out: Path, pins) -> tuple:
         # the window underflows: its closed form still has a logarithm
         log10_t0 = _log10_window(norm, sigma, cfg.c_prime)
         print(f"T0                = 10^{log10_t0:.6g}, below the float range")
-        print("the datum is far outside the width-1 Gevrey class")
+        try:  # the zero datum's window: does the datum or the closed form underflow?
+            _closed_window(1.0, sigma, cfg.c_prime)
+            print("the datum is far outside the width-1 Gevrey class")
+        except NormOverflowError:
+            print("the closed form underflows at this sigma and c_prime for any datum")
         return 0, {**report, "T0_closed_form": None, "log10_T0": log10_t0}
     print(f"T0                = {bounds.T0_closed_form:.6e}")
     print(
@@ -561,7 +571,7 @@ def _run_picard(cfg: RunConfig, out: Path, pins) -> tuple:
     }
 
 
-# the one list of subcommands: argparse's choices and the config's check read it
+# the one list of subcommands: argparse's choices and RunConfig's check read it
 _RUNNERS = {
     "simulate": _run_simulate,
     "verify": _run_verify,
@@ -571,21 +581,16 @@ _RUNNERS = {
     "picard": _run_picard,
 }
 SUBCOMMANDS = tuple(_RUNNERS)
-_CHECKS["subcommand"] = (lambda v: v in _RUNNERS, f"must be one of {', '.join(SUBCOMMANDS)}")
 
 
 def run(cfg: RunConfig, pins: EmpiricalConstants | None = None) -> int:
-    """Run one subcommand: check its name, write metadata before any long
-    computation, call its runner and write the report it returns."""
-    runner = _RUNNERS.get(cfg.subcommand)
-    if runner is None:  # before anything lands on disk
-        raise ConfigError(f"subcommand: unknown subcommand {cfg.subcommand!r}")
+    """Run a checked RunConfig: write its metadata, call its runner, write its report."""
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     if pins is None:
         pins = load_pins()
     _write_metadata(out, cfg, pins)
-    code, report = runner(cfg, out, pins)
+    code, report = _RUNNERS[cfg.subcommand](cfg, out, pins)
     if report is not None:
         _write_json(out / "report.json", report)
     return code

@@ -212,7 +212,7 @@ def to_spectral(samples, grid: TorusGrid) -> SpectralField:
     arr = np.asarray(samples)
     if np.iscomplexobj(arr):
         raise ValueError("physical samples must be real")
-    arr = arr.astype(np.float64)
+    arr = arr.astype(np.result_type(arr, np.float64))  # float64, or a wider float
     if arr.shape != (grid.n_points,):
         raise ValueError(f"expected {grid.n_points} samples, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

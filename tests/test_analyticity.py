@@ -871,6 +871,22 @@ def test_calibration_fails_when_no_multiplier_reaches_a_negative_fit():
         calibrate_radius_constant(traj, P, sigma=1.0, s=2.0, delta0=0.5, c_algebra=1.0)
 
 
+@pytest.mark.parametrize(
+    "diagnose",
+    [
+        lambda traj: track_radius(traj, P, sigma=1.0, s=1.5, delta0=0.5, c_cal=1.0),
+        lambda traj: calibrate_radius_constant(
+            traj, P, sigma=1.0, s=1.5, delta0=0.5, c_algebra=1.0
+        ),
+    ],
+    ids=["track", "calibrate"],
+)
+def test_the_radius_columns_need_s_above_three_halves(analytic_trajectory, diagnose):
+    # the smallness functional H is stated for s > 3/2; s = 3/2 itself is refused
+    with pytest.raises(ValueError, match=r"needs s > 3/2, got 1\.5$"):
+        diagnose(analytic_trajectory)
+
+
 def test_track_radius_rejects_times_out_of_step_with_the_states():
     states = SpectralField(GRID, [exp_decay_field().coeffs] * 2)
     traj = Trajectory(times=np.array([0.0]), states=states)

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chgevrey import (
+    GevreyIndex,
     ModelParams,
     RadiusRecord,
+    SolverConfig,
     SpectralField,
     TorusGrid,
     Trajectory,
@@ -35,7 +37,9 @@ from chgevrey.cli import (
     GENERATORS,
     SUBCOMMANDS,
     ConfigError,
+    ContinuitySpec,
     InitialDataSpec,
+    PicardSpec,
     RunConfig,
     _config_blob,
     _write_json,
@@ -140,17 +144,54 @@ def test_unknown_generator_rejected(tmp_path):
     path = write_config(tmp_path, initial_data={"name": "sawtooth"})
     with pytest.raises(ConfigError, match="initial_data.name"):
         parse_config(path)
-    # a spec made in code skips that check; its builder refuses the name
-    with pytest.raises(ConfigError, match=r"^initial_data\.name: unknown generator 'sawtooth'"):
-        InitialDataSpec("sawtooth").build(TorusGrid(16))
+    # a spec made in code is refused as it is built, by the same rule
+    with pytest.raises(ValueError, match=r"^name must be one of cosine, .*, got 'sawtooth'$"):
+        InitialDataSpec("sawtooth")
 
 
 def test_run_rejects_an_unknown_subcommand_before_writing_anything(tmp_path):
+    # the config is refused as it is built, so run never sees it
     out = tmp_path / "run"
-    cfg = RunConfig(subcommand="nosuch", initial_data=InitialDataSpec("cosine"), output_dir=out)
-    with pytest.raises(ConfigError, match=r"^subcommand: unknown subcommand 'nosuch'"):
-        run(cfg)
+    with pytest.raises(ValueError, match=r"^subcommand must be one of simulate, .*, got 'nosuch'$"):
+        RunConfig(subcommand="nosuch", initial_data=InitialDataSpec("cosine"), output_dir=out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda tmp: ContinuitySpec(budget=-1.0), "budget"),
+        (lambda tmp: PicardSpec(n_iters=0), "n_iters"),
+        (lambda tmp: PicardSpec(n_nodes=1), "n_nodes"),
+        (lambda tmp: PicardSpec(horizon=0.0), "horizon"),
+        (lambda tmp: RunConfig(c_prime=0.0, initial_data=InitialDataSpec("cosine")), "c_prime"),
+        (lambda tmp: InitialDataSpec("coeff_file", path=str(tmp / "missing.txt")), "path"),
+    ],
+    ids=["budget", "n_iters", "n_nodes", "horizon", "c_prime", "coeff_file"],
+)
+def test_a_config_built_in_code_is_range_checked_naming_the_field(tmp_path, build, field):
+    # the ranges the parser reports under their dotted keys; subcommand and
+    # initial_data.name are the unknown-name tests above
+    with pytest.raises(ValueError, match=f"^{field} "):
+        build(tmp_path)
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_run_takes_a_config_built_in_code(tmp_path, subcommand):
+    # radius needs a datum with decaying modes for its decay fit to use
+    name = "exp_decay_modes" if subcommand == "radius" else "cosine"
+    cfg = RunConfig(
+        subcommand=subcommand,
+        grid=TorusGrid(32),
+        gevrey=GevreyIndex(1.0, 0.5, 2.5),
+        initial_data=InitialDataSpec(name, 0.01, rate=0.8),
+        solver=SolverConfig(0.01, 0.3, s_monitor=None),
+        output_dir=tmp_path / "run",
+    )
+    assert cfg.solver.s_monitor == 2.5  # None resolves to gevrey.s, as a parsed config's does
+    assert run(cfg) == 0
+    metadata = json.loads((tmp_path / "run" / "metadata.json").read_text())
+    assert metadata["config"]["solver"]["s_monitor"] == 2.5
 
 
 # the resolved minimal config {"initial_data": {"name": "cosine"}}: every key
@@ -610,6 +651,19 @@ def test_lifespan_reports_the_log_of_a_window_below_the_float_range(tmp_path, ca
     expected = -(10.0 * math.log10(2.0) + math.log10(math.exp(-1.0) + 2.0) + 4.0 * math.log10(norm))
     assert report["log10_T0"] == pytest.approx(expected, rel=1e-14)
     assert "far outside the width-1 Gevrey class" in capsys.readouterr().out
+
+
+def test_lifespan_blames_the_closed_form_where_even_the_zero_datum_underflows(tmp_path, capsys):
+    # at sigma = 2000 the factor 2^(2 sigma + 8) alone puts T0 below the float
+    # range, so the zero datum's window underflows too: the datum is not the cause
+    cfg = write_config(tmp_path, gevrey={"sigma": 2000.0})
+    assert main(["lifespan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "underflows at this sigma and c_prime for any datum" in out
+    assert "far outside" not in out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["T0_closed_form"] is None
+    assert report["log10_T0"] == pytest.approx(-6940.06, abs=0.01)
 
 
 def test_trajectory_csv_writes_every_value_at_17_significant_digits(tmp_path):

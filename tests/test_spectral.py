@@ -17,7 +17,7 @@ from chgevrey import verify
 from chgevrey.analyticity import window_norm
 from chgevrey.cli import InitialDataSpec
 from chgevrey.integrate import cumulative_trapezoid, step_rk4
-from chgevrey.model import ModelParams, functional_H, rhs
+from chgevrey.model import ModelParams, functional_H, irfft, rhs
 from chgevrey.spectral import (
     GevreyIndex,
     GridMismatchError,
@@ -110,6 +110,21 @@ def test_a_field_is_complex128_or_a_wider_complex_dtype_kept_as_it_is():
     assert [SpectralField(GRID, c).coeffs.dtype for c in narrow] == [np.complex128] * 4
     for wide in (np.longdouble, np.clongdouble):  # the 80-bit rung of x86-64
         assert SpectralField(GRID, np.zeros(m, wide)).coeffs.dtype == np.clongdouble
+
+
+@pytest.mark.skipif(
+    not (np.finfo(np.longdouble).eps < 1e-18 and "Gg->g" in irfft.types),
+    reason="np.longdouble is not 80-bit here, or NumPy's irfft kernel has no longdouble loop",
+)
+def test_80_bit_samples_transform_to_80_bit_coefficients():
+    grid = TorusGrid(16)
+    x = np.arange(16, dtype=np.longdouble) * (2 * np.arccos(np.longdouble(-1.0)) / 16)
+    f = to_spectral(np.cos(x), grid)
+    assert f.coeffs.dtype == np.clongdouble
+    # within 80-bit rounding of cos x's one mode; float64 samples miss by ~5e-17
+    assert np.max(np.abs(f.coeffs - np.eye(9)[1] / 2)) < 1e-18
+    for narrow in (np.arange(16), np.cos(x).astype(np.float32)):
+        assert to_spectral(narrow, grid).coeffs.dtype == np.complex128
 
 
 @settings(max_examples=50, deadline=None)
