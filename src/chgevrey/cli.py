@@ -100,6 +100,12 @@ class InitialDataSpec:
             raise ValueError(f"name must be one of {', '.join(GENERATORS)}, got {self.name!r}")
         if self.name == "coeff_file" and not Path(self.path or "").is_file():
             raise ValueError(f"path no coefficient file at {self.path!r}")
+        for key in ("amplitude", "rate", "width", "center"):
+            value = getattr(self, key)
+            if not (value is None or math.isfinite(value)):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+        if self.name == "gaussian_bump" and not self.width > 0.0:  # the others ignore width
+            raise ValueError(f"width must be positive, got {self.width!r}")
 
     def build(self, grid: TorusGrid) -> SpectralField:
         if self.name == "cosine":
@@ -111,8 +117,6 @@ class InitialDataSpec:
             except ValueError as err:
                 raise ConfigError(f"initial_data.mode: {err}") from err
         if self.name == "gaussian_bump":
-            if not self.width > 0.0:  # checked here: the other generators ignore width
-                raise ConfigError(f"initial_data.width: must be positive, got {self.width}")
             center = self.center if self.center is not None else grid.period / 2.0
             x = grid.x
             samples = np.zeros_like(x)
@@ -174,19 +178,17 @@ class InitialDataSpec:
 
 # --- config ingestion -----------------------------------------------------------
 # One reader per kind of value: each takes the dotted key and the raw JSON value
-# and returns the typed value or raises ConfigError naming the key.
+# and returns the typed value or raises ConfigError naming the key.  A reader
+# checks the JSON type only; the dataclass that holds the value checks its range.
 
 
 def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError:  # an integer literal past the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{key}: must be finite, got {value!r}")
-    return number
+        return math.inf
 
 
 def _integer(key: str, value) -> int:
@@ -202,8 +204,8 @@ def _text(key: str, value) -> str:
 
 
 def _numbers(key: str, value) -> tuple:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key}: expected a non-empty list, got {value!r}")
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
     return tuple(_number(key, v) for v in value)
 
 
@@ -229,8 +231,8 @@ class PicardSpec:
             raise ValueError(f"n_iters must be at least 1, got {self.n_iters!r}")
         if not self.n_nodes >= 2:
             raise ValueError(f"n_nodes must be at least 2, got {self.n_nodes!r}")
-        if not (self.horizon is None or self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if not (self.horizon is None or 0.0 < self.horizon < math.inf):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +244,10 @@ class ContinuitySpec:
     budget: float = 1e-6
 
     def __post_init__(self):
-        if not self.budget >= 0.0:
-            raise ValueError(f"budget must be non-negative, got {self.budget!r}")
+        if not (self.amplitudes and all(map(math.isfinite, self.amplitudes))):
+            raise ValueError(f"amplitudes must be non-empty and finite, got {self.amplitudes!r}")
+        if not 0.0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be non-negative and finite, got {self.budget!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -268,10 +272,18 @@ class RunConfig:
         if self.subcommand not in _RUNNERS:
             choices = ", ".join(SUBCOMMANDS)
             raise ValueError(f"subcommand must be one of {choices}, got {self.subcommand!r}")
-        if not self.c_prime > 0.0:
-            raise ValueError(f"c_prime must be positive, got {self.c_prime!r}")
+        if not 0.0 < self.c_prime < math.inf:
+            raise ValueError(f"c_prime must be positive and finite, got {self.c_prime!r}")
+        sub, delta, s = self.subcommand, self.gevrey.delta, self.gevrey.s
+        if sub == "verify" and self.seed < 0:  # the only subcommand that seeds
+            raise ValueError(f"seed must be nonnegative for verify, got {self.seed!r}")
+        if sub in ("simulate", "radius"):  # width_bound and functional_H need these
+            if not 0.0 < delta < 1.0:
+                raise ValueError(f"gevrey.delta must lie in (0, 1) for {sub}, got {delta!r}")
+            if not s > 1.5:
+                raise ValueError(f"gevrey.s must exceed 3/2 for {sub}, got {s!r}")
         if self.solver.s_monitor is None:
-            object.__setattr__(self, "solver", replace(self.solver, s_monitor=self.gevrey.s))
+            object.__setattr__(self, "solver", replace(self.solver, s_monitor=s))
 
 
 @functools.cache
@@ -320,9 +332,12 @@ _CSV_ROW = attrgetter(*(f.name for f in fields(RadiusRecord)))
 _CSV_FORMAT = ",".join(["%.17g"] * len(fields(RadiusRecord)))
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path, **overrides) -> RunConfig:
     """Read a JSON config into a RunConfig, which declares its defaults and ranges.
 
+    ``overrides`` (the command line's) replace top-level keys of the file
+    before any key is read, so they are checked as the file's values are; a
+    file whose ``subcommand`` they replace warns, unless it names the default.
     Missing, ill-typed or out-of-range values raise ConfigError naming the
     dotted key; unknown keys only warn, so configs stay forward compatible.
     """
@@ -335,7 +350,13 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(blob, dict):
         raise ConfigError("config must be a JSON object")
-    return _section(RunConfig, blob, "", None)
+    named = _text("subcommand", blob.get("subcommand", "simulate"))
+    running = overrides.get("subcommand", named)
+    if named not in (running, "simulate"):  # explicit conflicting value in the file
+        warnings.warn(
+            f"config names subcommand {named!r}; running {running!r} from the command line"
+        )
+    return _section(RunConfig, {**blob, **overrides}, "", None)
 
 
 # --- artifact writers -----------------------------------------------------------
@@ -392,11 +413,6 @@ def _march(cfg: RunConfig, out: Path, pins, diagnose: Callable) -> tuple:
     keep the partial trajectory and stamp the blow-up time into the metadata;
     a nearly blown-up state can overflow the weighted norms, and then the
     diagnostics are None.  Returns (diagnostics, blowup_time)."""
-    # width_bound and functional_H need these; fail before the march
-    if not 0.0 < cfg.gevrey.delta < 1.0:
-        raise ConfigError(f"gevrey.delta: must lie in (0, 1), got {cfg.gevrey.delta!r}")
-    if not cfg.gevrey.s > 1.5:
-        raise ConfigError(f"gevrey.s: must exceed 3/2, got {cfg.gevrey.s!r}")
     u0 = cfg.initial_data.build(cfg.grid)
     try:
         traj, blowup_time = integrate(u0, cfg.model, cfg.solver), None
@@ -625,20 +641,8 @@ def _resolve(args) -> tuple[RunConfig, EmpiricalConstants | None]:
     raises ConfigError, before ``run`` writes anything."""
     if args.update_pins and args.subcommand != "verify":
         raise ConfigError(f"--update-pins is for verify, not {args.subcommand}")
-    cfg = parse_config(args.config)
-    if cfg.subcommand != args.subcommand:
-        if cfg.subcommand != "simulate":  # explicit conflicting value in the file
-            warnings.warn(
-                f"config names subcommand {cfg.subcommand!r}; "
-                f"running {args.subcommand!r} from the command line"
-            )
-        cfg = replace(cfg, subcommand=args.subcommand)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=Path(args.out))
-    if cfg.subcommand == "verify" and cfg.seed < 0:  # the only subcommand that seeds
-        raise ConfigError(f"seed: must be nonnegative, got {cfg.seed}")
+    flags = {"subcommand": args.subcommand, "seed": args.seed, "output_dir": args.out}
+    cfg = parse_config(args.config, **{key: v for key, v in flags.items() if v is not None})
     pins = None
     try:
         if args.update_pins:

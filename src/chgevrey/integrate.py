@@ -70,6 +70,8 @@ class SolverConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not (self.s_monitor is None or math.isfinite(self.s_monitor)):  # None: gevrey.s
+            raise ValueError(f"s_monitor must be finite, got {self.s_monitor}")
 
 
 @dataclass

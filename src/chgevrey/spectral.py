@@ -190,10 +190,10 @@ class GevreyIndex:
     s: float
 
     def __post_init__(self):
-        if not (self.sigma >= 1.0):
-            raise ValueError(f"sigma must be >= 1, got {self.sigma}")
-        if not (self.delta >= 0.0):
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 1.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be >= 1 and finite, got {self.sigma}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
         if not math.isfinite(self.s):
             raise ValueError("s must be finite")
 

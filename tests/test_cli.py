@@ -9,7 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +176,68 @@ def test_a_config_built_in_code_is_range_checked_naming_the_field(tmp_path, buil
         build(tmp_path)
 
 
+def _code_built(subcommand, out, **fields):
+    small = {
+        "grid": TorusGrid(16),
+        "solver": SolverConfig(0.01, 0.02),
+        "initial_data": InitialDataSpec("cosine", 0.01),
+    }
+    return RunConfig(subcommand=subcommand, output_dir=out, **{**small, **fields})
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda out: _code_built("verify", out, seed=-1), "seed"),
+        (lambda out: replace(_code_built("verify", out), seed=-1), "seed"),
+        (
+            lambda out: _code_built("continuity", out, continuity=ContinuitySpec(amplitudes=())),
+            "amplitudes",
+        ),
+        (
+            lambda out: _code_built(
+                "continuity", out, continuity=ContinuitySpec(amplitudes=(0.1, math.inf))
+            ),
+            "amplitudes",
+        ),
+        (
+            lambda out: _code_built(
+                "lifespan", out, initial_data=InitialDataSpec("cosine", math.nan)
+            ),
+            "amplitude",
+        ),
+        (
+            lambda out: _code_built("lifespan", out, gevrey=GevreyIndex(math.inf, 0.5, 2.0)),
+            "sigma",
+        ),
+        *(
+            (
+                lambda out, bad=bad: _code_built(
+                    "simulate", out, solver=SolverConfig(0.01, 0.02, s_monitor=bad)
+                ),
+                "s_monitor",
+            )
+            for bad in (math.inf, math.nan)
+        ),
+        (
+            lambda out: _code_built("continuity", out, continuity=ContinuitySpec(budget=math.inf)),
+            "budget",
+        ),
+    ],
+    ids=[
+        "verify-seed", "verify-seed-by-replace", "no-amplitude", "infinite-perturbation",
+        "nan-datum-amplitude", "infinite-sigma", "infinite-s-monitor", "nan-s-monitor",
+        "infinite-budget",
+    ],
+)
+def test_a_code_built_config_the_parser_refuses_raises_naming_the_field(tmp_path, build, field):
+    # a code-built config meets the rules a parsed one does, before run writes anything
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=f"^{field} "):
+        run(build(out))
+    assert not (out / "metadata.json").exists()
+
+
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 def test_run_takes_a_config_built_in_code(tmp_path, subcommand):
     # radius needs a datum with decaying modes for its decay fit to use
@@ -267,70 +329,86 @@ def test_readme_library_example_runs(capsys):
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
-CONFIGS = st.fixed_dictionaries(
-    {
-        "subcommand": st.sampled_from(SUBCOMMANDS),
-        "model": st.fixed_dictionaries(
-            {},
-            optional={
-                "alpha": finite, "beta": finite, "gamma": finite, "Gamma": finite,
-                "lambda": positive,
-            },
-        ),
-        "grid": st.fixed_dictionaries(
-            {}, optional={"n_points": st.integers(4, 32).map(lambda h: 2 * h), "period": positive}
-        ),
-        "gevrey": st.fixed_dictionaries(
-            {},
-            optional={
-                "sigma": st.floats(1.0, 5.0),
-                "delta": st.floats(0.0, 10.0),
-                "s": finite,
-            },
-        ),
-        "solver": st.fixed_dictionaries(
-            {},
-            optional={
-                "dt": positive,
-                "t_end": st.floats(0.0, 1e6),
-                "record_every": st.integers(1, 1000),
-                "s_monitor": finite,
-            },
-        ),
-        "initial_data": st.fixed_dictionaries(
-            {"name": st.sampled_from([g for g in GENERATORS if g != "coeff_file"])},
-            optional={
-                "amplitude": finite,
-                "mode": st.integers(-100, 100),
-                "rate": finite,
-                "width": finite,
-                "center": st.none() | finite,
-                "path": st.none() | st.text("abc/._-", max_size=8),
-            },
-        ),
-        "picard": st.fixed_dictionaries(
-            {},
-            optional={
-                "n_iters": st.integers(1, 50),
-                "n_nodes": st.integers(2, 1000),
-                "horizon": st.none() | positive,
-            },
-        ),
-        "continuity": st.fixed_dictionaries(
-            {},
-            optional={
-                "mode": st.integers(-100, 100),
-                "amplitudes": st.lists(finite, min_size=1, max_size=5),
-                "budget": st.floats(0.0, 1e6),
-            },
-        ),
-    },
-    optional={
-        "output_dir": st.text("abc/._-", max_size=8),
-        "seed": st.integers(-(2**40), 2**40),
-        "c_prime": positive,
-    },
-)
+MARCHED = ("simulate", "radius")  # RunConfig bounds gevrey.delta and gevrey.s on these
+
+
+def _configs(subcommand: str, generator: str):
+    """Config blobs for one subcommand and generator that every range accepts:
+    a seed may be negative except on verify, gevrey.delta lies in (0, 1) and
+    gevrey.s exceeds 3/2 on the marched subcommands, and a bump's width is positive."""
+    marched = subcommand in MARCHED
+    return st.fixed_dictionaries(
+        {
+            "subcommand": st.just(subcommand),
+            "model": st.fixed_dictionaries(
+                {},
+                optional={
+                    "alpha": finite, "beta": finite, "gamma": finite, "Gamma": finite,
+                    "lambda": positive,
+                },
+            ),
+            "grid": st.fixed_dictionaries(
+                {},
+                optional={"n_points": st.integers(4, 32).map(lambda h: 2 * h), "period": positive},
+            ),
+            "gevrey": st.fixed_dictionaries(
+                {},
+                optional={
+                    "sigma": st.floats(1.0, 5.0),
+                    "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+                    if marched
+                    else st.floats(0.0, 10.0),
+                    "s": st.floats(1.5, 1e6, exclude_min=True) if marched else finite,
+                },
+            ),
+            "solver": st.fixed_dictionaries(
+                {},
+                optional={
+                    "dt": positive,
+                    "t_end": st.floats(0.0, 1e6),
+                    "record_every": st.integers(1, 1000),
+                    "s_monitor": finite,
+                },
+            ),
+            "initial_data": st.fixed_dictionaries(
+                {"name": st.just(generator)},
+                optional={
+                    "amplitude": finite,
+                    "mode": st.integers(-100, 100),
+                    "rate": finite,
+                    "width": positive if generator == "gaussian_bump" else finite,
+                    "center": st.none() | finite,
+                    "path": st.none() | st.text("abc/._-", max_size=8),
+                },
+            ),
+            "picard": st.fixed_dictionaries(
+                {},
+                optional={
+                    "n_iters": st.integers(1, 50),
+                    "n_nodes": st.integers(2, 1000),
+                    "horizon": st.none() | positive,
+                },
+            ),
+            "continuity": st.fixed_dictionaries(
+                {},
+                optional={
+                    "mode": st.integers(-100, 100),
+                    "amplitudes": st.lists(finite, min_size=1, max_size=5),
+                    "budget": st.floats(0.0, 1e6),
+                },
+            ),
+        },
+        optional={
+            "output_dir": st.text("abc/._-", max_size=8),
+            "seed": st.integers(0 if subcommand == "verify" else -(2**40), 2**40),
+            "c_prime": positive,
+        },
+    )
+
+
+CONFIGS = st.tuples(
+    st.sampled_from(SUBCOMMANDS), st.sampled_from([g for g in GENERATORS if g != "coeff_file"])
+).flatmap(lambda pair: _configs(*pair))
 
 
 @settings(max_examples=150, deadline=None)
@@ -343,6 +421,38 @@ def test_config_blob_round_trips_through_parse_config(tmp_path_factory, blob):
     again = directory / "again.json"
     again.write_text(json.dumps(_config_blob(cfg)))
     assert parse_config(again) == cfg
+
+
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# the float keys whose finiteness only the dataclasses check
+FINITE_KEYS = (
+    "gevrey.sigma", "gevrey.delta", "solver.s_monitor", "initial_data.amplitude",
+    "initial_data.rate", "initial_data.width", "initial_data.center", "picard.horizon",
+    "c_prime", "continuity.budget",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blob=CONFIGS, data=st.data())
+def test_a_config_that_breaks_one_range_is_refused_naming_its_key(tmp_path_factory, blob, data):
+    # the mirror of the round trip: break one rule that the readers left to the dataclasses
+    breaks = {key: NON_FINITE for key in FINITE_KEYS}
+    breaks["continuity.amplitudes"] = st.just([]) | NON_FINITE.map(lambda bad: [0.1, bad])
+    if blob["initial_data"]["name"] == "gaussian_bump":
+        breaks["initial_data.width"] = st.floats(max_value=0.0)
+    if blob["subcommand"] == "verify":
+        breaks["seed"] = st.integers(max_value=-1)
+    if blob["subcommand"] in MARCHED:
+        breaks["gevrey.delta"] = st.floats(max_value=0.0) | st.floats(min_value=1.0)
+        breaks["gevrey.s"] = st.floats(max_value=1.5)
+    key = data.draw(st.sampled_from(sorted(breaks)))
+    section, _, name = key.rpartition(".")
+    (blob[section] if section else blob)[name] = data.draw(breaks[key])
+    path = tmp_path_factory.mktemp("broken") / "config.json"
+    path.write_text(json.dumps(blob))  # inf and nan as JSON's Infinity and NaN
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value).startswith(f"{key}: ")
 
 
 def _inf_config(tmp_path, blob) -> Path:
