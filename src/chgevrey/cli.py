@@ -43,7 +43,6 @@ from .analyticity import (
     _closed_window,
     _log10_window,
     calibrate_radius_constant,
-    existence_window,
     lifespan_bounds,
     track_radius,
     window_norm,
@@ -51,6 +50,7 @@ from .analyticity import (
 from .integrate import (
     BlowUpError,
     ExperimentError,
+    PicardSpec,
     SolverConfig,
     continuity_experiment,
     integrate,
@@ -216,23 +216,6 @@ _READERS = {
 }
 # JSON keys that differ from their field names
 _RENAMED = {"Gamma_coef": "Gamma", "lam": "lambda"}
-
-
-@dataclass(frozen=True)
-class PicardSpec:
-    """Picard iterates, quadrature nodes and horizon (None: half the existence window)."""
-
-    n_iters: int = 8
-    n_nodes: int = 129
-    horizon: float | None = None
-
-    def __post_init__(self):
-        if not self.n_iters >= 1:
-            raise ValueError(f"n_iters must be at least 1, got {self.n_iters!r}")
-        if not self.n_nodes >= 2:
-            raise ValueError(f"n_nodes must be at least 2, got {self.n_nodes!r}")
-        if not (self.horizon is None or 0.0 < self.horizon < math.inf):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -556,20 +539,9 @@ def _run_continuity(cfg: RunConfig, out: Path, pins) -> tuple:
 
 def _run_picard(cfg: RunConfig, out: Path, pins) -> tuple:
     u0 = cfg.initial_data.build(cfg.grid)
-    sigma, s = cfg.gevrey.sigma, cfg.gevrey.s
-    horizon = cfg.picard.horizon
-    if horizon is None:
-        horizon = existence_window(u0, sigma, s, cfg.c_prime) / 2.0
     try:
         result = picard_iterate(
-            u0,
-            cfg.model,
-            sigma,
-            s,
-            horizon,
-            cfg.picard.n_iters,
-            n_nodes=cfg.picard.n_nodes,
-            c_prime=cfg.c_prime,
+            u0, cfg.model, cfg.gevrey.sigma, cfg.gevrey.s, cfg.picard, c_prime=cfg.c_prime
         )
     except WindowError as err:
         raise ConfigError(f"picard.horizon: {err}") from err
@@ -578,7 +550,7 @@ def _run_picard(cfg: RunConfig, out: Path, pins) -> tuple:
     if result.converged_at is not None:
         print(f"converged to the difference floor at iterate {result.converged_at}")
     return (0 if result.diverged_at is None else 1), {
-        "horizon": horizon,
+        "horizon": result.horizon,
         "diffs": result.diffs,
         "ratios": result.ratios,
         "floor": result.floor,

@@ -25,6 +25,7 @@ from .spectral import (
 
 __all__ = [
     "SolverConfig",
+    "PicardSpec",
     "Trajectory",
     "BlowUpError",
     "step_rk4",
@@ -72,6 +73,23 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
         if not (self.s_monitor is None or math.isfinite(self.s_monitor)):  # None: gevrey.s
             raise ValueError(f"s_monitor must be finite, got {self.s_monitor}")
+
+
+@dataclass(frozen=True)
+class PicardSpec:
+    """Picard iterates, quadrature nodes and horizon (None: half the existence window)."""
+
+    n_iters: int = 8
+    n_nodes: int = 129
+    horizon: float | None = None
+
+    def __post_init__(self):
+        if not self.n_iters >= 1:
+            raise ValueError(f"n_iters must be at least 1, got {self.n_iters!r}")
+        if not self.n_nodes >= 2:
+            raise ValueError(f"n_nodes must be at least 2, got {self.n_nodes!r}")
+        if not (self.horizon is None or 0.0 < self.horizon < math.inf):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
 
 @dataclass
@@ -156,8 +174,11 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
     After each step the monitored H^s norm (s = cfg.s_monitor) is the one
     check: BlowUpError -- with the partial trajectory and the crossing batch
     rows -- is raised when it exceeds 1e6 or is not finite.  The norm is one
-    reduction of |c|^2 against a weight built once per run.
+    reduction of |c|^2 against a weight built once per run.  An s_monitor
+    of None, RunConfig's placeholder for gevrey.s, raises ValueError.
     """
+    if cfg.s_monitor is None:
+        raise ValueError("s_monitor must be a number to march, got None")
     bound = _advisory_dt_bound(u0, p)
     if cfg.dt > bound:
         warnings.warn(
@@ -210,7 +231,8 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PicardResult:
-    """The last finite iterate as an (n_nodes, n/2 + 1) batch, plus the contraction report.
+    """The last finite iterate as an (n_nodes, n/2 + 1) batch on [0, horizon],
+    plus the contraction report.
 
     ``ratios[k]`` is d_{k+2}/d_{k+1} with d_j the weighted-norm distance
     between iterates j and j-1.  Ratios stop being reported once distances
@@ -219,12 +241,13 @@ class PicardResult:
     """
 
     times: np.ndarray
+    horizon: float
     final: SpectralField
     diffs: list
     ratios: list
     floor: float
-    converged_at: int | None = None
-    diverged_at: int | None = None
+    converged_at: int | None
+    diverged_at: int | None
 
 
 def picard_iterate(
@@ -232,13 +255,13 @@ def picard_iterate(
     p: ModelParams,
     sigma: float,
     s: float,
-    T: float,
-    n_iters: int,
-    n_nodes: int = 512,
+    spec: PicardSpec = PicardSpec(),
     c_prime: float = 1.0,
     enforce_window: bool = True,
 ) -> PicardResult:
-    """Iterate u_{n+1}(t) = u0 + int_0^t F(u_n) dtau on [0, T].
+    """Iterate u_{n+1}(t) = u0 + int_0^t F(u_n) dtau on [0, T], T the
+    horizon of ``spec``, or half the fixed-point existence window of the datum
+    when that is None; ``spec`` also sets the iterate and node counts.
 
     The zeroth iterate is the constant-in-time datum, so F of it is one
     ``rhs`` row broadcast over the nodes; later iterates evaluate F on all
@@ -246,38 +269,33 @@ def picard_iterate(
     one-row call bit for bit.  Each iterate is written over its own trapezoid
     integral and its difference from the last one over F of the nodes, so an
     iterate holds at most three node arrays besides the plan.
-    Integrals use composite trapezoid on ``n_nodes`` uniform nodes.  ``T``
-    must sit inside the fixed-point existence window computed from the
-    datum, else WindowError is raised (disable with ``enforce_window=False``
-    to study divergence).  The convergence floor is 1e3 eps times the
-    weighted sup norm of the zeroth iterate, taken on its t = 0 row, where
-    that sup sits.
+    Integrals use composite trapezoid on uniform nodes.  T must sit inside
+    the existence window, else WindowError is raised (disable with
+    ``enforce_window=False`` to study divergence); the window is evaluated
+    once, and not at all for an explicit horizon that is not enforced.  The
+    convergence floor is 1e3 eps times the weighted sup norm of the zeroth
+    iterate, taken on its t = 0 row, where that sup sits.
     """
-    if n_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
-    if n_iters < 1:
-        raise ValueError(f"need at least 1 iterate, got {n_iters}")
-    if not (T > 0.0):
-        raise ValueError(f"horizon must be positive, got {T}")
-    if enforce_window:
+    T = spec.horizon
+    if T is None or enforce_window:
         window = existence_window(u0, sigma, s, c_prime)
-        if T > window:
+        if T is None:
+            T = window / 2.0
+        elif T > window:
             raise WindowError(
                 f"horizon {T:.3g} exceeds the existence window {window:.3g}; "
                 "pass enforce_window=False to study divergence"
             )
 
-    times = np.linspace(0.0, T, n_nodes)
-    final = u0.with_coeffs(np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))
+    times = np.linspace(0.0, T, spec.n_nodes)
+    final = u0.with_coeffs(np.broadcast_to(u0.coeffs, (spec.n_nodes,) + u0.coeffs.shape))
     scale = ea_norm(times[:1], u0.with_coeffs(u0.coeffs[None]), T, sigma, s)
     floor = 1e3 * np.finfo(float).eps * max(scale, 1e-300)
 
     work = RhsWork(final, p)
     diffs: list = []
-    ratios: list = []
-    converged_at = None
     diverged_at = None
-    for it in range(1, n_iters + 1):
+    for it in range(1, spec.n_iters + 1):
         # an overflowing node turns NaN downstream; diverged_at reports it
         with np.errstate(invalid="ignore"):
             if it == 1:
@@ -293,22 +311,18 @@ def picard_iterate(
         # F of the nodes is dead once integrated; the first iterate's is a broadcast
         diff = np.subtract(coeffs, final.coeffs, out=None if it == 1 else f_nodes)
         final = u0.with_coeffs(coeffs)
-        d = ea_norm(times, u0.with_coeffs(diff), T, sigma, s)
+        diffs.append(ea_norm(times, u0.with_coeffs(diff), T, sigma, s))
         del f_nodes, diff  # freed before the next rhs output is made
-        diffs.append(d)
-        if converged_at is None and d <= floor:
-            converged_at = it
-    for k in range(len(diffs) - 1):
-        if diffs[k] <= floor:
-            break
-        ratios.append(diffs[k + 1] / diffs[k])
+    # the one rule: iterate j converged when d_j is the first distance at the floor
+    above = next((k for k, d in enumerate(diffs) if d <= floor), len(diffs))
     return PicardResult(
         times=times,
+        horizon=T,
         final=final,
         diffs=diffs,
-        ratios=ratios,
+        ratios=[b / a for a, b in zip(diffs[:above], diffs[1:])],
         floor=floor,
-        converged_at=converged_at,
+        converged_at=above + 1 if above < len(diffs) else None,
         diverged_at=diverged_at,
     )
 
@@ -348,8 +362,11 @@ def continuity_experiment(
     sequence of fields.  The limit and the perturbed data march as one
     (K+1, n/2 + 1) batch; the horizon uses the largest datum norm so one window
     serves all runs.  A blow-up raises ExperimentError naming the runs that
-    crossed the limit at the earliest failing step.
+    crossed the limit at the earliest failing step.  A negative or
+    non-finite ``budget`` raises ValueError.
     """
+    if not 0.0 <= budget < math.inf:
+        raise ValueError(f"budget must be non-negative and finite, got {budget!r}")
     grid = u0_limit.grid
     if any(u.grid != grid for u in u0_sequence):
         raise GridMismatchError("perturbed data and the limit datum need one grid")

@@ -13,6 +13,7 @@ import pytest
 from chgevrey import (
     GevreyIndex,
     ModelParams,
+    PicardSpec,
     SolverConfig,
     TorusGrid,
     derivative,
@@ -247,9 +248,7 @@ def test_criterion_09_contraction():
     u0 = field_from_modes(grid, {1: 0.005})  # 0.01 cos x
     norm0 = gevrey_norm(u0, GevreyIndex(1.0, 1.0, 2.0))
     window = lifespan_bounds(norm0, 1.0, 1.0).T0_closed_form / (2.0**1.0 - 1.0)
-    result = picard_iterate(
-        u0, SMALL_DATA, 1.0, 2.0, window / 2.0, n_iters=8, n_nodes=129
-    )
+    result = picard_iterate(u0, SMALL_DATA, 1.0, 2.0, PicardSpec(8, 129, horizon=window / 2.0))
     ok = (
         result.diverged_at is None
         and len(result.ratios) >= 1

@@ -1043,6 +1043,18 @@ def test_continuity_rejects_a_c_prime_that_is_not_positive(c_prime):
         )
 
 
+@pytest.mark.parametrize("budget", [-1.0, math.inf, math.nan])
+def test_continuity_rejects_a_budget_that_is_negative_or_not_finite(budget):
+    # a budget of -1 used to tighten every bound: on this datum the bound read
+    # -0.977, so the verdict failed whatever the distance
+    limit = field_from_modes(TorusGrid(16), {1: 0.01})
+    with pytest.raises(ValueError, match="^budget must be non-negative and finite"):
+        continuity_experiment(
+            [limit * 1.1], limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0),
+            budget=budget,
+        )
+
+
 def test_an_infinite_window_norm_raises_one_message_everywhere():
     # exp(2 * 2000) leaves the float range: the width-1 norm of mode 2000 is inf
     u0 = field_from_modes(TorusGrid(4096), {2000: 1.0})

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from chgevrey import (
     GevreyIndex,
     ModelParams,
+    PicardSpec,
     RadiusRecord,
     SolverConfig,
     SpectralField,
@@ -39,7 +40,6 @@ from chgevrey.cli import (
     ConfigError,
     ContinuitySpec,
     InitialDataSpec,
-    PicardSpec,
     RunConfig,
     _config_blob,
     _write_json,
@@ -1178,6 +1178,36 @@ def test_default_picard_horizon_is_half_the_existence_window(tmp_path):
     assert horizon == existence_window(u0, sigma=1.0, s=2.0, c_prime=1.0) / 2.0
 
 
+def test_picard_iterate_on_the_default_spec_is_the_cli_run_and_evaluates_the_window_once(
+    tmp_path, monkeypatch
+):
+    # the spec (declared once, in integrate) gives the library and the config
+    # one default: 8 iterates on 129 nodes over half the existence window,
+    # which a run evaluates once, not once to pick the horizon and again to check it
+    assert PicardSpec.__module__ == "chgevrey.integrate"
+    analyticity = sys.modules["chgevrey.analyticity"]
+    calls, window_norm_of = [], analyticity.window_norm
+
+    def spy(*args):
+        calls.append(args)
+        return window_norm_of(*args)
+
+    monkeypatch.setattr(analyticity, "window_norm", spy)
+    cfg = write_config(tmp_path, grid={"n_points": 16})
+    for runs in (1, 2):
+        assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / f"run{runs}")]) == 0
+        assert len(calls) == runs
+    report = json.loads((tmp_path / "run1" / "report.json").read_text())
+    u0 = InitialDataSpec("cosine", amplitude=0.01).build(TorusGrid(16))
+    res = picard_iterate(u0, ModelParams(), 1.0, 2.0)
+    assert (len(res.times), len(res.diffs)) == (129, 8)
+    assert res.horizon == existence_window(u0, 1.0, 2.0) / 2.0
+    got = [res.horizon, res.floor, *res.diffs]
+    assert [x.hex() for x in got] == [
+        x.hex() for x in [report["horizon"], report["floor"], *report["diffs"]]
+    ]
+
+
 # --- golden artifacts -------------------------------------------------------------
 
 _QUARTIC = {"alpha": 0.1, "beta": 0.3, "gamma": 0.2, "Gamma": 0.05, "lambda": 1.0}
@@ -1263,7 +1293,6 @@ def test_the_picard_floor_is_scaled_by_the_datum_row_alone(tmp_path, monkeypatch
     cfg = parse_config(write_config(tmp_path, **GOLDEN_CONFIGS["picard"], **gevrey))
     u0 = cfg.initial_data.build(cfg.grid)
     sigma, s, n_nodes = cfg.gevrey.sigma, cfg.gevrey.s, cfg.picard.n_nodes
-    T = existence_window(u0, sigma, s, cfg.c_prime) / 2.0
     scored = []
 
     def spy(times, fields, *args):
@@ -1272,8 +1301,9 @@ def test_the_picard_floor_is_scaled_by_the_datum_row_alone(tmp_path, monkeypatch
 
     # the module, not the function integrate that the package binds over its name
     monkeypatch.setattr(sys.modules["chgevrey.integrate"], "ea_norm", spy)
-    res = picard_iterate(u0, cfg.model, sigma, s, T, 2, n_nodes=n_nodes, c_prime=cfg.c_prime)
+    res = picard_iterate(u0, cfg.model, sigma, s, replace(cfg.picard, n_iters=2), cfg.c_prime)
     assert scored == [1, n_nodes, n_nodes]
+    T = res.horizon
     copies = u0.with_coeffs(np.broadcast_to(u0.coeffs, (n_nodes,) + u0.coeffs.shape))
     times = np.linspace(0.0, T, n_nodes)
     expected = 1e3 * np.finfo(float).eps * ea_norm(times, copies, T, sigma, s)
@@ -1288,8 +1318,7 @@ def test_the_sup_norm_skips_most_pairs_of_picard_differences_past_convergence(
     # is the full unfolded scan's bit for bit
     cfg = parse_config(write_config(tmp_path, **GOLDEN_CONFIGS["picard"]))
     u0 = cfg.initial_data.build(cfg.grid)
-    sigma, s, n_nodes = cfg.gevrey.sigma, cfg.gevrey.s, cfg.picard.n_nodes
-    T = existence_window(u0, sigma, s, cfg.c_prime) / 2.0
+    sigma, s = cfg.gevrey.sigma, cfg.gevrey.s
     batches = []
 
     def spy(times, fields, *args):
@@ -1297,7 +1326,8 @@ def test_the_sup_norm_skips_most_pairs_of_picard_differences_past_convergence(
         return ea_norm(times, fields, *args)
 
     monkeypatch.setattr(sys.modules["chgevrey.integrate"], "ea_norm", spy)
-    res = picard_iterate(u0, cfg.model, sigma, s, T, 8, n_nodes=n_nodes, c_prime=cfg.c_prime)
+    res = picard_iterate(u0, cfg.model, sigma, s, cfg.picard, cfg.c_prime)
+    T = res.horizon
     noise = batches[res.converged_at + 1 :]  # batches[0] is the datum's floor scale
     assert len(noise) == 8 - res.converged_at >= 3
     scored = []

@@ -17,12 +17,16 @@ from chgevrey import (
     BlowUpError,
     GevreyIndex,
     ModelParams,
+    NormOverflowError,
+    PicardSpec,
     RhsWork,
     SolverConfig,
     SpectralField,
     TorusGrid,
+    continuity_experiment,
     ea_norm,
     estimate_radius,
+    existence_window,
     field_from_modes,
     functional_H,
     gevrey_norm,
@@ -485,13 +489,11 @@ def small_datum():
 def test_picard_window_enforced():
     u0 = cos_field(amp=1.0)
     with pytest.raises(ValueError, match="existence window"):
-        picard_iterate(u0, P, sigma=1.0, s=2.0, T=1e-3, n_iters=2, n_nodes=17)
+        picard_iterate(u0, P, sigma=1.0, s=2.0, spec=PicardSpec(2, 17, horizon=1e-3))
 
 
 def test_picard_contracts_inside_the_window():
-    res = picard_iterate(
-        small_datum(), P, sigma=1.0, s=2.0, T=7e-5, n_iters=8, n_nodes=129
-    )
+    res = picard_iterate(small_datum(), P, sigma=1.0, s=2.0, spec=PicardSpec(horizon=7e-5))
     assert res.diverged_at is None
     assert len(res.diffs) == 8
     assert res.diffs[0] > res.floor
@@ -503,9 +505,7 @@ def test_picard_contracts_inside_the_window():
 
 def test_picard_final_iterate_matches_rk4():
     T = 7e-5
-    res = picard_iterate(
-        small_datum(), P, sigma=1.0, s=2.0, T=T, n_iters=8, n_nodes=129
-    )
+    res = picard_iterate(small_datum(), P, sigma=1.0, s=2.0, spec=PicardSpec(horizon=T))
     traj = integrate(small_datum(), P, SolverConfig(dt=T / 64, t_end=T))
     gap = float(np.max(np.abs((res.final[-1] - traj.states[-1]).coeffs)))
     assert gap <= 1e-11
@@ -513,7 +513,7 @@ def test_picard_final_iterate_matches_rk4():
 
 def test_a_picard_run_builds_one_buffer_set_and_its_iterate_does_not_share_it(monkeypatch):
     built = record_buffer_sets(monkeypatch)
-    res = picard_iterate(small_datum(), P, sigma=1.0, s=2.0, T=7e-5, n_iters=4, n_nodes=33)
+    res = picard_iterate(small_datum(), P, sigma=1.0, s=2.0, spec=PicardSpec(4, 33, horizon=7e-5))
     # one plan for the nodes, and one for the datum row of the first iterate;
     # neither steps, so neither makes a stage
     m = GRID.n_points // 2 + 1
@@ -530,7 +530,7 @@ def test_a_picard_run_over_several_row_blocks_is_the_one_row_loop_bit_for_bit(mo
     # iterate and difference into fresh arrays
     u0, T, n_nodes, n_iters = small_datum(), 7e-5, 512, 4
     built = record_buffer_sets(monkeypatch)
-    res = picard_iterate(u0, BENCH_QUARTIC, 1.0, 2.0, T=T, n_iters=n_iters, n_nodes=n_nodes)
+    res = picard_iterate(u0, BENCH_QUARTIC, 1.0, 2.0, PicardSpec(n_iters, n_nodes, horizon=T))
     nodes = built[0]
     assert (nodes.tall, nodes.block, nodes.triple.shape[1], nodes.stage) == (True, 103, 103, None)
     times = np.linspace(0.0, T, n_nodes)
@@ -556,7 +556,7 @@ def test_a_picard_difference_is_scored_in_bounded_memory(monkeypatch):
         return ea_norm(times, fields, *args)
 
     monkeypatch.setattr(sys.modules["chgevrey.integrate"], "ea_norm", spy)
-    picard_iterate(small_datum(), BENCH_QUARTIC, 1.0, 2.0, T=7e-5, n_iters=1, n_nodes=512)
+    picard_iterate(small_datum(), BENCH_QUARTIC, 1.0, 2.0, PicardSpec(1, 512, horizon=7e-5))
     times, diff, args = scored[-1]
     assert diff.coeffs.shape == (512, 33)
     tracemalloc.start()
@@ -585,26 +585,35 @@ def test_picard_diverges_outside_the_window_when_unenforced():
         P,
         sigma=1.0,
         s=2.0,
-        T=2.0,
-        n_iters=15,
-        n_nodes=65,
+        spec=PicardSpec(15, 65, horizon=2.0),
         enforce_window=False,
     )
     assert res.diverged_at is not None
 
 
+def test_an_unenforced_explicit_horizon_runs_where_the_window_underflows():
+    # the window is evaluated only to pick or to check the horizon, so this
+    # datum, whose window underflows, still runs
+    u0 = field_from_modes(TorusGrid(512), {200: 1e-3})
+    with pytest.raises(NormOverflowError, match="underflows"):
+        existence_window(u0, 1.0, 2.0)
+    res = picard_iterate(u0, P, 1.0, 2.0, PicardSpec(2, 9, horizon=1e-9), enforce_window=False)
+    assert res.horizon == 1e-9 and len(res.diffs) == 2 and res.diverged_at is None
+
+
 def test_picard_argument_validation():
-    with pytest.raises(ValueError):
-        picard_iterate(small_datum(), P, 1.0, 2.0, T=0.0, n_iters=2)
-    with pytest.raises(ValueError):
-        picard_iterate(small_datum(), P, 1.0, 2.0, T=1e-6, n_iters=2, n_nodes=1)
+    # the spec holds the horizon and node rules; picard_iterate has none of its own
+    with pytest.raises(ValueError, match="^horizon must be positive"):
+        PicardSpec(2, horizon=0.0)
+    with pytest.raises(ValueError, match="^n_nodes must be at least 2"):
+        PicardSpec(2, 1, horizon=1e-6)
 
 
 @pytest.mark.parametrize("n_iters", [0, -1])
 def test_picard_needs_at_least_one_iterate(n_iters):
     # zero iterates used to return empty diffs and ratios: a silent non-run
-    with pytest.raises(ValueError, match="at least 1 iterate"):
-        picard_iterate(small_datum(), P, 1.0, 2.0, T=1e-6, n_iters=n_iters)
+    with pytest.raises(ValueError, match="^n_iters must be at least 1"):
+        PicardSpec(n_iters, horizon=1e-6)
 
 
 def test_solver_config_validation():
@@ -614,6 +623,19 @@ def test_solver_config_validation():
         SolverConfig(dt=0.1, t_end=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, record_every=0)
+
+
+def test_a_march_needs_a_monitor_order():
+    # s_monitor=None is RunConfig's placeholder for gevrey.s; given straight to
+    # the library it used to die in the monitor weight with a TypeError
+    cfg = SolverConfig(dt=0.01, t_end=0.1, s_monitor=None)
+    u0 = field_from_modes(TorusGrid(16), {1: 0.01})
+    for march in (
+        lambda: integrate(u0, P, cfg),
+        lambda: continuity_experiment([u0 * 1.1], u0, P, 1.0, 2.0, cfg),
+    ):
+        with pytest.raises(ValueError, match="^s_monitor must be a number"):
+            march()
 
 
 def test_integration_is_deterministic():
