@@ -316,7 +316,7 @@ def ea_norm(
     pair_c = width_c[widths]
     time_c = 0.5 * np.log1p(-t_arr[rows] / shrink[widths])
     block = max(np.count_nonzero(live), 1024)
-    upper = 0.5 * _lse_upper(log_mag2, log_w, rows, widths, fields.grid, block) + pair_c + time_c
+    upper = 0.5 * _lse_upper(log_mag2, log_w, rows, widths, fields.grid) + pair_c + time_c
 
     def score(pairs):
         lse = logsumexp_modes(log_mag2[rows[pairs]] + log_w[widths[pairs]])
@@ -340,7 +340,7 @@ def ea_norm(
     return value
 
 
-def _lse_upper(log_mag2, log_w, rows, widths, grid, block) -> np.ndarray:
+def _lse_upper(log_mag2, log_w, rows, widths, grid) -> np.ndarray:
     """Upper bounds on logsumexp_modes(log_mag2[r] + log_w[w]), one per pair
     (r, w) of ``rows`` and ``widths``: the computed value never exceeds them.
 
@@ -365,9 +365,9 @@ def _lse_upper(log_mag2, log_w, rows, widths, grid, block) -> np.ndarray:
 
     In all under 5u (|rho| + |omega|) + (6500 + 2n) u: 2^-48 is 32u, and 1e-9
     is over 1000 times 6500u.  A pair whose P is below 2^-900 (its terms may
-    have underflowed) or NaN (its row holds a NaN or an inf) keeps instead the
-    bracket top + log n of its largest term, which holds in any summation
-    order; it is taken for those pairs alone, ``block`` pairs at a time.
+    have underflowed) gets the bound +inf instead, so ``ea_norm`` scores it
+    exactly.  A NaN P comes from a NaN or an inf in its row, and takes the
+    row maximum rho, NaN or inf, which is then the computed value.
     """
     n = grid.n_points
     rho = np.max(log_mag2, axis=-1)
@@ -382,13 +382,8 @@ def _lse_upper(log_mag2, log_w, rows, widths, grid, block) -> np.ndarray:
         bound = np.log(sums)
         bound += rho[rows]
         bound += omega[widths]
-    tail_max = math.log(n) + 1e-9 + n * 2.0**-52  # log n plus the tail's rounding
-    fallback = np.flatnonzero(~(sums >= 2.0**-900))
-    for i in range(0, fallback.size, block):
-        pairs = fallback[i : i + block]
-        top = (log_mag2[rows[pairs]] + log_w[widths[pairs]]).max(axis=-1)
-        bound[pairs] = top + tail_max
-    return bound
+    bound[sums < 2.0**-900] = np.inf  # terms may have underflowed: score these exactly
+    return np.where(np.isnan(sums), rho[rows], bound)  # a NaN or inf row: rho is its value
 
 
 # --- width lower-bound ODE ----------------------------------------------------

@@ -49,6 +49,7 @@ from .analyticity import (
 )
 from .integrate import (
     BlowUpError,
+    ContinuitySpec,
     ExperimentError,
     PicardSpec,
     SolverConfig,
@@ -218,21 +219,6 @@ _READERS = {
 _RENAMED = {"Gamma_coef": "Gamma", "lam": "lambda"}
 
 
-@dataclass(frozen=True)
-class ContinuitySpec:
-    """Cosine perturbations at ``mode``, one per amplitude, and the distance budget."""
-
-    mode: int = 2
-    amplitudes: tuple[float, ...] = (0.1, 0.01, 0.001, 0.0001)
-    budget: float = 1e-6
-
-    def __post_init__(self):
-        if not (self.amplitudes and all(map(math.isfinite, self.amplitudes))):
-            raise ValueError(f"amplitudes must be non-empty and finite, got {self.amplitudes!r}")
-        if not 0.0 <= self.budget < math.inf:
-            raise ValueError(f"budget must be non-negative and finite, got {self.budget!r}")
-
-
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Fully resolved run, and the one description of the config: each field
@@ -260,6 +246,11 @@ class RunConfig:
         sub, delta, s = self.subcommand, self.gevrey.delta, self.gevrey.s
         if sub == "verify" and self.seed < 0:  # the only subcommand that seeds
             raise ValueError(f"seed must be nonnegative for verify, got {self.seed!r}")
+        mode, half = self.continuity.mode, self.grid.n_points // 2
+        if sub == "continuity" and not abs(mode) < half:  # slot n/2 holds zero
+            raise ValueError(
+                f"continuity.mode must lie in (-{half}, {half}) for continuity, got {mode!r}"
+            )
         if sub in ("simulate", "radius"):  # width_bound and functional_H need these
             if not 0.0 < delta < 1.0:
                 raise ValueError(f"gevrey.delta must lie in (0, 1) for {sub}, got {delta!r}")
@@ -500,37 +491,17 @@ def _run_radius(cfg: RunConfig, out: Path, pins) -> tuple:
 
 def _run_continuity(cfg: RunConfig, out: Path, pins) -> tuple:
     limit = cfg.initial_data.build(cfg.grid)
+    sigma, s, spec = cfg.gevrey.sigma, cfg.gevrey.s, cfg.continuity
     try:
-        bumps = SpectralField(
-            cfg.grid,
-            [
-                InitialDataSpec("cosine", amp, cfg.continuity.mode).build(cfg.grid).coeffs
-                for amp in cfg.continuity.amplitudes
-            ],
-        )
-    except ConfigError as err:  # the cosine generator names initial_data.mode
-        raise ConfigError(f"continuity.mode: {err.__cause__}") from err
-    try:
-        report = continuity_experiment(
-            limit + bumps,
-            limit,
-            cfg.model,
-            cfg.gevrey.sigma,
-            cfg.gevrey.s,
-            cfg.solver,
-            c_prime=cfg.c_prime,
-            budget=cfg.continuity.budget,
-        )
+        report = continuity_experiment(limit, cfg.model, sigma, s, cfg.solver, spec, cfg.c_prime)
     except ExperimentError as err:
         print(f"continuity experiment failed: {err}", file=sys.stderr)
         return 1, None
-    for amp, dist, bound in zip(
-        cfg.continuity.amplitudes, report.distances, report.bounds
-    ):
+    for amp, dist, bound in zip(spec.amplitudes, report.distances, report.bounds):
         print(f"amplitude {amp:.3e}: distance = {dist:.6e} (bound {bound:.6e})")
     return (0 if all(report.within_bounds) else 1), {
         "horizon": report.T,
-        "amplitudes": list(cfg.continuity.amplitudes),
+        "amplitudes": list(spec.amplitudes),
         "distances": report.distances,
         "bounds": report.bounds,
         "within_bounds": report.within_bounds,

@@ -16,16 +16,12 @@ import numpy as np
 
 from .analyticity import WindowError, _closed_window, ea_norm, existence_window, window_norm
 from .model import ModelParams, RhsWork, rhs
-from .spectral import (
-    GridMismatchError,
-    SpectralField,
-    TorusGrid,
-    to_physical,
-)
+from .spectral import SpectralField, TorusGrid, field_from_modes, to_physical
 
 __all__ = [
     "SolverConfig",
     "PicardSpec",
+    "ContinuitySpec",
     "Trajectory",
     "BlowUpError",
     "step_rk4",
@@ -90,6 +86,21 @@ class PicardSpec:
             raise ValueError(f"n_nodes must be at least 2, got {self.n_nodes!r}")
         if not (self.horizon is None or 0.0 < self.horizon < math.inf):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+
+
+@dataclass(frozen=True)
+class ContinuitySpec:
+    """Cosine perturbations at ``mode``, one per amplitude, and the distance budget."""
+
+    mode: int = 2
+    amplitudes: tuple[float, ...] = (0.1, 0.01, 0.001, 0.0001)
+    budget: float = 1e-6
+
+    def __post_init__(self):
+        if not (self.amplitudes and all(map(math.isfinite, self.amplitudes))):
+            raise ValueError(f"amplitudes must be non-empty and finite, got {self.amplitudes!r}")
+        if not 0.0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be non-negative and finite, got {self.budget!r}")
 
 
 @dataclass
@@ -337,7 +348,6 @@ class ContinuityReport:
     T: float
     distances: tuple
     bounds: tuple
-    budget: float
 
     @property
     def within_bounds(self) -> tuple:
@@ -345,33 +355,31 @@ class ContinuityReport:
 
 
 def continuity_experiment(
-    u0_sequence,
     u0_limit: SpectralField,
     p: ModelParams,
     sigma: float,
     s: float,
     cfg: SolverConfig,
+    spec: ContinuitySpec = ContinuitySpec(),
     c_prime: float = 1.0,
-    budget: float = 1e-6,
 ) -> ContinuityReport:
-    """Integrate the perturbed data and the limit datum to the common
+    """Integrate the limit datum and its ``spec`` perturbations to the common
     existence horizon and compare weighted-norm distances against twice the
-    initial-datum distance plus a solver budget.
+    initial-datum distance plus ``spec.budget``.
 
-    ``u0_sequence`` holds the K perturbed data, as a (K, n/2 + 1) batch or a
-    sequence of fields.  The limit and the perturbed data march as one
-    (K+1, n/2 + 1) batch; the horizon uses the largest datum norm so one window
-    serves all runs.  A blow-up raises ExperimentError naming the runs that
-    crossed the limit at the earliest failing step.  A negative or
-    non-finite ``budget`` raises ValueError.
+    Perturbed datum #i is the limit plus amplitudes[i] cos(mode x).  The limit
+    and the perturbed data march as one (K+1, n/2 + 1) batch; the horizon uses
+    the largest datum norm so one window serves all runs.  Of ``cfg`` only dt,
+    capped at T/64, and s_monitor are read: the march ends at the horizon and
+    records every step.  A blow-up raises ExperimentError naming the runs that
+    crossed the limit at the earliest failing step.
     """
-    if not 0.0 <= budget < math.inf:
-        raise ValueError(f"budget must be non-negative and finite, got {budget!r}")
     grid = u0_limit.grid
-    if any(u.grid != grid for u in u0_sequence):
-        raise GridMismatchError("perturbed data and the limit datum need one grid")
+    # cos(mode x) <-> half on +-mode; the constant (mode 0) is the full amplitude
+    unit = field_from_modes(grid, {spec.mode: 1.0 if spec.mode == 0 else 0.5}).coeffs
     # row 0 is the limit, row i + 1 the perturbed datum #i
-    data = SpectralField(grid, np.vstack([u0_limit.coeffs, *(u.coeffs for u in u0_sequence)]))
+    bumps = np.multiply.outer(spec.amplitudes, unit)
+    data = SpectralField(grid, np.vstack([u0_limit.coeffs, u0_limit.coeffs + bumps]))
     worst = float(np.max(window_norm(data, sigma, s)))
     T = _closed_window(2.0 + worst, sigma, c_prime)[2]
     dt = min(cfg.dt, T / 64.0)
@@ -382,7 +390,6 @@ def continuity_experiment(
         raise ExperimentError(f"run {names} blew up at t = {err.time:.4g}") from err
     runs = traj.states.coeffs  # (T, K+1, n/2 + 1)
     diff = data.with_coeffs(runs[:, 1:] - runs[:, :1])
-    k = runs.shape[1] - 1
-    distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(k))
-    bounds = 2.0 * window_norm(data[1:] - data[0], sigma, s) + budget
-    return ContinuityReport(T=T, distances=distances, bounds=tuple(bounds.tolist()), budget=budget)
+    distances = tuple(ea_norm(traj.times, diff[:, i], T, sigma, s) for i in range(len(bumps)))
+    bounds = 2.0 * window_norm(data[1:] - data[0], sigma, s) + spec.budget
+    return ContinuityReport(T=T, distances=distances, bounds=tuple(bounds.tolist()))

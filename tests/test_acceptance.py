@@ -32,7 +32,7 @@ from chgevrey.analyticity import (
     estimate_radius,
     track_radius,
 )
-from chgevrey.integrate import continuity_experiment
+from chgevrey.integrate import ContinuitySpec, continuity_experiment
 from chgevrey.model import SMALL_DATA_EPSILON, functional_H, small_data_check
 from chgevrey.verify import (
     compute_pins,
@@ -266,16 +266,10 @@ def test_criterion_09_contraction():
 def test_criterion_10_continuity_of_the_data_map():
     grid = TorusGrid(32)
     limit = field_from_modes(grid, {1: 0.005})  # 0.01 cos x
-    bumps = [field_from_modes(grid, {2: 10.0**-n / 2.0}) for n in range(1, 5)]
-    sequence = [limit + b for b in bumps]
+    spec = ContinuitySpec(2, tuple(10.0**-n for n in range(1, 5)), budget=1e-6)
+    bumps = [field_from_modes(grid, {2: a / 2.0}) for a in spec.amplitudes]
     report = continuity_experiment(
-        sequence,
-        limit,
-        SMALL_DATA,
-        1.0,
-        2.0,
-        SolverConfig(dt=1e-3, t_end=1.0),
-        budget=1e-6,
+        limit, SMALL_DATA, 1.0, 2.0, SolverConfig(dt=1e-3, t_end=1.0), spec
     )
     index = GevreyIndex(1.0, 1.0, 2.0)
     bounds = [2.0 * gevrey_norm(b, index) + 1e-6 for b in bumps]

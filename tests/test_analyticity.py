@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from chgevrey import analyticity
 from chgevrey import (
     CalibrationError,
+    ContinuitySpec,
     ExperimentError,
     Trajectory,
     GevreyIndex,
-    GridMismatchError,
     ModelParams,
     NormOverflowError,
     SolverConfig,
@@ -645,10 +645,10 @@ def _stress_batch(rng, grid, kind):
 
 
 def test_every_pair_lies_within_its_bound_and_the_sup_is_the_oracles():
-    # the one-product bound, and the top + log n bracket it falls back to, hold
-    # every (width, live row) pair's computed log-sum-exp on batches from n = 8
-    # to 1024 with magnitudes from 1e-320 to 1e100, zero modes and rows, NaN
-    # and inf rows and tied sups; each value is the unfolded oracle's bit for bit
+    # the one-product bound, +inf where its sum underflows, holds every
+    # (width, live row) pair's computed log-sum-exp on batches from n = 8 to
+    # 1024 with magnitudes from 1e-320 to 1e100, zero modes and rows, NaN and
+    # inf rows and tied sups; each value is the unfolded oracle's bit for bit
     rng = np.random.default_rng(53)
     loose = tight = tied = batches = 0
     for n in (8, 16, 64, 256, 1024):
@@ -668,21 +668,21 @@ def test_every_pair_lies_within_its_bound_and_the_sup_is_the_oracles():
                     log_mag2 = 2.0 * np.log(np.abs(live))
                 log_w = s * np.log1p(k2) + (2.0 * analyticity.EA_DELTA_GRID)[:, None] * gevrey_root
                 widths, pair_rows = np.indices((len(log_w), len(live))).reshape(2, -1)
-                bound = analyticity._lse_upper(log_mag2, log_w, pair_rows, widths, grid, 1024)
+                bound = analyticity._lse_upper(log_mag2, log_w, pair_rows, widths, grid)
                 exact = logsumexp_modes(log_mag2[pair_rows] + log_w[widths])
                 assert not np.any(exact > bound)
                 assert np.array_equal(np.isnan(bound), np.isnan(exact))
                 finite = np.isfinite(exact)
                 gap = bound[finite] - exact[finite]
-                loose += np.sum(gap > 1.0)  # the top + log n fallback
+                loose += np.sum(gap > 1.0)  # the infinite bound past underflow
                 tight += np.sum(gap < 1e-6)
     assert loose > 0 and tight > 0 and tied > 0
 
 
 def test_a_datum_past_the_product_bound_scores_no_more_rows_than_the_bracket_did(monkeypatch):
     # at n = 1024 an e^-m datum's wide-width sums underflow below 2^-900, so
-    # those pairs keep the top + log n bracket; the rows scored stay at or
-    # under the counts that pruning by the bracket alone scored
+    # those pairs get an infinite bound and are scored exactly; the rows scored
+    # stay at or under the counts that pruning by a top + log n bracket scored
     calls = []
 
     def spy(terms):
@@ -705,7 +705,7 @@ def test_a_datum_past_the_product_bound_scores_no_more_rows_than_the_bracket_did
         assert 0 < sum(calls) <= rows_by_the_bracket
         log_w = s * np.log1p(k2) + 2.0 * analyticity.EA_DELTA_GRID[:, None] * np.sqrt(1.0 + k2)
         sums = scaled @ np.exp(log_w.T - log_w.max(axis=-1))
-        assert np.any(sums < 2.0**-900)  # the fallback is taken
+        assert np.any(sums < 2.0**-900)  # some pairs take the infinite bound
 
 
 def test_sup_norm_reads_nan_when_an_admissible_row_is_nan():
@@ -982,14 +982,10 @@ def test_calibration_fits_once_and_re_marches_the_width(monkeypatch):
 
 
 def test_perturbed_runs_stay_within_twice_the_datum_distance():
-    grid = TorusGrid(32)
-    limit = field_from_modes(grid, {1: 0.005})
-    seq = [
-        field_from_modes(grid, {1: 0.005, 2: 5e-4}),
-        field_from_modes(grid, {1: 0.005, 2: 5e-5}),
-    ]
+    limit = field_from_modes(TorusGrid(32), {1: 0.005})
     report = continuity_experiment(
-        seq, limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
+        limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0),
+        spec=ContinuitySpec(2, (1e-3, 1e-4)),
     )
     assert report.T > 0.0
     assert all(report.within_bounds)
@@ -998,38 +994,22 @@ def test_perturbed_runs_stay_within_twice_the_datum_distance():
 
 
 def test_continuity_names_the_failing_run():
-    grid = TorusGrid(32)
-    limit = field_from_modes(grid, {1: 0.005})
-    seq = [
-        field_from_modes(grid, {1: 0.005, 2: 5e-4}),
-        field_from_modes(grid, {1: 1e8}),
-    ]
-    with pytest.raises(ExperimentError, match="#1"):
+    limit = field_from_modes(TorusGrid(32), {1: 0.005})
+    with pytest.raises(ExperimentError, match="run #1 blew up"):
         continuity_experiment(
-            seq, limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
+            limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0),
+            spec=ContinuitySpec(2, (1e-3, 2e8)),
         )
 
 
 def test_continuity_names_every_run_that_crosses_at_the_earliest_step():
-    # the limit and run #1 cross together; run #0 stays small
-    grid = TorusGrid(32)
-    limit = field_from_modes(grid, {1: 1e8})
-    seq = [
-        field_from_modes(grid, {1: 0.005, 2: 5e-4}),
-        field_from_modes(grid, {1: 1e8, 2: 1.0}),
-    ]
+    # the limit and run #1 cross together; run #0 cancels the limit's large
+    # mode, leaving 0.01 cos x, and stays small
+    limit = field_from_modes(TorusGrid(32), {1: 0.005, 2: 1e8})
     with pytest.raises(ExperimentError, match=r"run limit, #1 blew up"):
         continuity_experiment(
-            seq, limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
-        )
-
-
-def test_continuity_needs_one_grid_for_all_data():
-    limit = field_from_modes(TorusGrid(32), {1: 0.005})
-    other = field_from_modes(TorusGrid(64), {1: 0.005, 2: 5e-4})
-    with pytest.raises(GridMismatchError, match="one grid"):
-        continuity_experiment(
-            [other], limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
+            limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0),
+            spec=ContinuitySpec(2, (-2e8, 2.0)),
         )
 
 
@@ -1038,21 +1018,16 @@ def test_continuity_rejects_a_c_prime_that_is_not_positive(c_prime):
     limit = field_from_modes(TorusGrid(32), {1: 0.005})
     with pytest.raises(ValueError, match="c_prime must be positive"):
         continuity_experiment(
-            [limit], limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0),
-            c_prime=c_prime,
+            limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0), c_prime=c_prime
         )
 
 
 @pytest.mark.parametrize("budget", [-1.0, math.inf, math.nan])
 def test_continuity_rejects_a_budget_that_is_negative_or_not_finite(budget):
-    # a budget of -1 used to tighten every bound: on this datum the bound read
-    # -0.977, so the verdict failed whatever the distance
-    limit = field_from_modes(TorusGrid(16), {1: 0.01})
+    # a budget of -1 used to tighten every bound, so the verdict failed whatever
+    # the distance; the spec, the experiment's one declaration, refuses it
     with pytest.raises(ValueError, match="^budget must be non-negative and finite"):
-        continuity_experiment(
-            [limit * 1.1], limit, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0),
-            budget=budget,
-        )
+        ContinuitySpec(budget=budget)
 
 
 def test_an_infinite_window_norm_raises_one_message_everywhere():
@@ -1062,9 +1037,7 @@ def test_an_infinite_window_norm_raises_one_message_everywhere():
     calls = (
         lambda: lifespan_bounds(math.inf, 1.0),
         lambda: analyticity.existence_window(u0, 1.0, 2.0),
-        lambda: continuity_experiment(
-            [u0], u0, P, sigma=1.0, s=2.0, cfg=SolverConfig(dt=0.01, t_end=1.0)
-        ),
+        lambda: continuity_experiment(u0, P, sigma=1.0, s=2.0, cfg=SolverConfig(0.01, 1.0)),
     )
     for call in calls:
         with pytest.raises(NormOverflowError) as info:

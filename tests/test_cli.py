@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chgevrey import (
+    ContinuitySpec,
     GevreyIndex,
     ModelParams,
     PicardSpec,
@@ -26,6 +27,7 @@ from chgevrey import (
     SpectralField,
     TorusGrid,
     Trajectory,
+    continuity_experiment,
     ea_norm,
     existence_window,
     field_from_modes,
@@ -38,7 +40,6 @@ from chgevrey.cli import (
     GENERATORS,
     SUBCOMMANDS,
     ConfigError,
-    ContinuitySpec,
     InitialDataSpec,
     RunConfig,
     _config_blob,
@@ -335,7 +336,8 @@ MARCHED = ("simulate", "radius")  # RunConfig bounds gevrey.delta and gevrey.s o
 def _configs(subcommand: str, generator: str):
     """Config blobs for one subcommand and generator that every range accepts:
     a seed may be negative except on verify, gevrey.delta lies in (0, 1) and
-    gevrey.s exceeds 3/2 on the marched subcommands, and a bump's width is positive."""
+    gevrey.s exceeds 3/2 on the marched subcommands, continuity's mode lies in
+    the grid's band, and a bump's width is positive."""
     marched = subcommand in MARCHED
     return st.fixed_dictionaries(
         {
@@ -392,7 +394,9 @@ def _configs(subcommand: str, generator: str):
             "continuity": st.fixed_dictionaries(
                 {},
                 optional={
-                    "mode": st.integers(-100, 100),
+                    # continuity needs |mode| < n/2; 3 fits the smallest grid drawn
+                    "mode": st.integers(-3, 3) if subcommand == "continuity"
+                    else st.integers(-100, 100),
                     "amplitudes": st.lists(finite, min_size=1, max_size=5),
                     "budget": st.floats(0.0, 1e6),
                 },
@@ -1107,8 +1111,8 @@ def test_continuity_exits_one_when_any_bound_breaks(tmp_path, monkeypatch):
     import chgevrey.cli as cli
     from chgevrey.integrate import ContinuityReport
 
-    def one_bound_broken(sequence, *args, **kwargs):
-        return ContinuityReport(T=1e-5, distances=(1e-3, 1.0), bounds=(1e-2, 1e-2), budget=1e-6)
+    def one_bound_broken(*args, **kwargs):
+        return ContinuityReport(T=1e-5, distances=(1e-3, 1.0), bounds=(1e-2, 1e-2))
 
     monkeypatch.setattr(cli, "continuity_experiment", one_bound_broken)
     cfg = write_config(tmp_path, grid={"n_points": 16}, continuity={"amplitudes": [0.1, 0.01]})
@@ -1206,6 +1210,39 @@ def test_picard_iterate_on_the_default_spec_is_the_cli_run_and_evaluates_the_win
     assert [x.hex() for x in got] == [
         x.hex() for x in [report["horizon"], report["floor"], *report["diffs"]]
     ]
+
+
+def test_continuity_experiment_on_the_default_spec_is_the_cli_run(tmp_path):
+    # the spec, declared once in integrate, builds its own perturbed batch, so
+    # the library on the default spec and the CLI give one report
+    assert ContinuitySpec.__module__ == "chgevrey.integrate"
+    cfg = write_config(tmp_path, grid={"n_points": 16})
+    assert main(["continuity", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    u0 = InitialDataSpec("cosine", amplitude=0.01).build(TorusGrid(16))
+    res = continuity_experiment(u0, ModelParams(), 1.0, 2.0, SolverConfig(0.01, 1.0))
+    got = [res.T, *res.distances, *res.bounds]
+    assert len(res.distances) == len(ContinuitySpec().amplitudes) == 4
+    assert [x.hex() for x in got] == [
+        x.hex() for x in [report["horizon"], *report["distances"], *report["bounds"]]
+    ]
+
+
+@pytest.mark.parametrize("mode", [8, -8])
+def test_a_continuity_mode_at_the_nyquist_slot_is_refused_before_anything_is_written(
+    tmp_path, capsys, mode
+):
+    # slot n/2 of the n = 16 grid holds zero: RunConfig refuses the mode as it
+    # refuses any bad value, parsed or built in code, before metadata.json
+    parsed = tmp_path / "parsed"
+    cfg = write_config(tmp_path, grid={"n_points": 16}, continuity={"mode": mode})
+    assert main(["continuity", "--config", str(cfg), "--out", str(parsed)]) == 2
+    assert capsys.readouterr().err.startswith("config error: continuity.mode: must lie in (-8, 8)")
+    assert not (parsed / "metadata.json").exists()
+    built = tmp_path / "built"
+    with pytest.raises(ValueError, match=r"^continuity.mode must lie in \(-8, 8\)"):
+        run(_code_built("continuity", built, continuity=ContinuitySpec(mode)))
+    assert not (built / "metadata.json").exists()
 
 
 # --- golden artifacts -------------------------------------------------------------
