@@ -16,7 +16,7 @@ import numpy as np
 
 from .analyticity import WindowError, _closed_window, ea_norm, existence_window, window_norm
 from .model import ModelParams, RhsWork, rhs
-from .spectral import SpectralField, TorusGrid, field_from_modes, to_physical
+from .spectral import NormOverflowError, SpectralField, TorusGrid, field_from_modes, to_physical
 
 __all__ = [
     "SolverConfig",
@@ -119,10 +119,12 @@ def step_rk4(
     coefficient is made real; slot n/2 stays zero, as rhs writes it.  A batch
     steps row by row.  ``work``, the run's RhsWork plan, is handed to every
     ``rhs`` call of the step; without it the step builds one.  Stages 2-4 are
-    written into the plan's ``stage`` buffer, made of u's shape and dtype on
-    the plan's first step, as h k + c, and passed as one field; the four
-    results of ``rhs`` are fresh, so the step's result shares no memory with
-    the plan.
+    written into the plan's ``stage`` buffer as h k + c and passed as the
+    plan's ``staged`` field over it; both are made, of u's shape and dtype, on
+    the plan's first step and reused by every later one.  The four results of
+    ``rhs`` are fresh, so the step's result is a fresh C-contiguous array
+    that shares no memory with the plan; ``integrate``'s monitor reads it
+    through a real view, which needs that contiguity.
 
     Nothing is checked here: a non-finite stage propagates into the returned
     state, and the caller's monitor is the one check of the step.
@@ -132,7 +134,8 @@ def step_rk4(
     ks = [rhs(u, p, work=work).coeffs]  # checks the plan before its stage is made
     if work.stage is None:  # a plan that only evaluates rhs never holds one
         work.stage = np.empty(c.shape, dtype=c.dtype)
-    stage, staged = work.stage, u.with_coeffs(work.stage)  # stages 2-4, rewritten in place
+        work.staged = u.with_coeffs(work.stage)
+    stage, staged = work.stage, work.staged  # stages 2-4, rewritten in place
     for h in (0.5 * dt, 0.5 * dt, dt):  # stage = c + h k, as h * k + c
         np.multiply(ks[-1], h, out=stage)
         stage += c
@@ -177,6 +180,14 @@ def _monitor_weight(grid: TorusGrid, s: float) -> np.ndarray:
         return grid.multiplicity * (1.0 + grid.wavenumbers**2) ** s
 
 
+def _monitor_norm(c: np.ndarray, w2: np.ndarray) -> np.floating | np.ndarray:
+    """The monitored H^s norm of the coefficients ``c`` (last axis contiguous),
+    one per row of a batch: the real view of c, squared, against ``w2``, the
+    monitor weight with each slot repeated for its real and imaginary part."""
+    v = c.view(np.finfo(c.dtype).dtype)
+    return np.sqrt((v * v) @ w2)
+
+
 def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajectory:
     """March u0 (a field or a batch) to cfg.t_end, recording every
     cfg.record_every steps (plus the initial and final states).  When t_end is
@@ -185,8 +196,10 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
     After each step the monitored H^s norm (s = cfg.s_monitor) is the one
     check: BlowUpError -- with the partial trajectory and the crossing batch
     rows -- is raised when it exceeds 1e6 or is not finite.  The norm is one
-    reduction of |c|^2 against a weight built once per run.  An s_monitor
-    of None, RunConfig's placeholder for gevrey.s, raises ValueError.
+    reduction of the squared real view of the step's result against the
+    monitor weight, each slot repeated for its two parts, built once per run
+    (``_monitor_norm``).  An s_monitor of None, RunConfig's placeholder for
+    gevrey.s, raises ValueError.
     """
     if cfg.s_monitor is None:
         raise ValueError("s_monitor must be a number to march, got None")
@@ -204,19 +217,17 @@ def integrate(u0: SpectralField, p: ModelParams, cfg: SolverConfig) -> Trajector
     def recorded() -> Trajectory:
         return Trajectory(np.array(times), u0.with_coeffs(np.stack(states)))
 
-    u, work, weight = u0, RhsWork(u0, p), _monitor_weight(u0.grid, cfg.s_monitor)
+    u, work, w2 = u0, RhsWork(u0, p), np.repeat(_monitor_weight(u0.grid, cfg.s_monitor), 2)
     for i in range(n_steps):
         dt = cfg.dt
         t_next = (i + 1) * dt
         if i + 1 == n_steps and last_dt is not None:
             dt, t_next = last_dt, cfg.t_end
         u = step_rk4(u, p, dt, work=work)
-        c = u.coeffs
         with np.errstate(over="ignore", invalid="ignore"):  # past ~1e154 the norm reads inf
-            norm = np.sqrt((c.real**2 + c.imag**2) @ weight)
-        below = np.less_equal(norm, BLOWUP_NORM)  # NaN is not below
-        if not below.all():  # the crossing batch rows; () for a single field
-            rows = tuple(np.flatnonzero(~below).tolist()) if below.ndim else ()
+            below = _monitor_norm(u.coeffs, w2) <= BLOWUP_NORM  # NaN is not below
+        if not (below.all() if below.ndim else below):  # a field's 0-d flag needs no reduction
+            rows = tuple(np.flatnonzero(~below).tolist()) if below.ndim else ()  # the crossing rows
             raise BlowUpError(t_next, recorded(), rows)
         if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
             times.append(t_next)
@@ -371,15 +382,22 @@ def continuity_experiment(
     and the perturbed data march as one (K+1, n/2 + 1) batch; the horizon uses
     the largest datum norm so one window serves all runs.  Of ``cfg`` only dt,
     capped at T/64, and s_monitor are read: the march ends at the horizon and
-    records every step.  A blow-up raises ExperimentError naming the runs that
-    crossed the limit at the earliest failing step.
+    records every step.  A perturbed datum past the float range raises
+    NormOverflowError naming it; a blow-up raises ExperimentError naming the
+    runs that crossed the limit at the earliest failing step.
     """
     grid = u0_limit.grid
     # cos(mode x) <-> half on +-mode; the constant (mode 0) is the full amplitude
     unit = field_from_modes(grid, {spec.mode: 1.0 if spec.mode == 0 else 0.5}).coeffs
     # row 0 is the limit, row i + 1 the perturbed datum #i
     bumps = np.multiply.outer(spec.amplitudes, unit)
-    data = SpectralField(grid, np.vstack([u0_limit.coeffs, u0_limit.coeffs + bumps]))
+    with np.errstate(over="ignore"):
+        batch = np.vstack([u0_limit.coeffs, u0_limit.coeffs + bumps])
+    outside = np.flatnonzero(~np.isfinite(batch[1:]).all(axis=-1))
+    if outside.size:
+        names = ", ".join(f"#{i}" for i in outside)
+        raise NormOverflowError(f"perturbed datum {names} leaves the float range")
+    data = SpectralField(grid, batch)
     worst = float(np.max(window_norm(data, sigma, s)))
     T = _closed_window(2.0 + worst, sigma, c_prime)[2]
     dt = min(cfg.dt, T / 64.0)

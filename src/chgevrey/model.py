@@ -66,8 +66,10 @@ class RhsWork:
     fine*u_x, L c), the padded samples (u, u_x and two temporary rows) and the
     spectrum of the odd sample rows; on the bench picard shape (n = 64,
     quartic, 512 rows: 5 blocks of 103) 0.96 MB against 4.7 MB for the whole
-    batch, more than a core's L2.  ``stage`` is None until ``step_rk4`` makes
-    one of u's shape.  The views of these that a call reads, ``inv_fine`` =
+    batch, more than a core's L2.  ``stage`` and ``staged``, the field over it,
+    are None until ``step_rk4`` makes them, of u's shape, on the plan's first
+    step.  The views of these that a call reads (among them ``fused0`` and
+    ``fused1``, the two back-scaled spectra of one block), ``inv_fine`` =
     1/fine (the scale of the inverse transform), n/2, the quartic flag and
     beta/3, gamma/4 are taken once here.  The read-only symbols on modes 0 ..
     n/2, in the field's precision: the stacked (fine, fine*ik, L), with
@@ -89,7 +91,7 @@ class RhsWork:
         # pad 5/2 keeps quartic powers alias-free, 3/2 quadratic ones (Orszag)
         fine = _padded_size(grid.n_points, 2.5 if self.quartic else 1.5)
         half = grid.n_points // 2
-        self.key, self.half, self.stage = (grid, shape, dtype, p), half, None
+        self.key, self.half, self.stage, self.staged = (grid, shape, dtype, p), half, None, None
         self.inv_fine = np.reciprocal(fine, dtype=real)  # np.fft's scale, in the field's precision
         self.beta3, self.gamma4 = p.beta / 3.0, p.gamma / 4.0
         n_rows = math.prod(shape[:-1])
@@ -103,6 +105,7 @@ class RhsWork:
         self.first, self.squares, self.odd = self.samples[:2], self.samples[2:], self.samples[1::2]
         self.spectrum = np.empty((2,) + lead + (fine // 2 + 1,), dtype=dtype)
         self.fused = self.spectrum[..., : half + 1]
+        self.fused0, self.fused1 = self.fused
         k = grid.wavenumbers.astype(real)
         ik = 1j * k
         nonlocal_ = ik / (1.0 + k * k)
@@ -114,9 +117,9 @@ class RhsWork:
             symbol.flags.writeable = False
 
 
-def _padded_pass(work: RhsWork, c: np.ndarray) -> np.ndarray:
-    """rhs's pass over the rows of ``c`` in the plan's buffers; returns its
-    ``fused`` pair, to be added to its ``linear_c``."""
+def _padded_pass(work: RhsWork, c: np.ndarray) -> None:
+    """rhs's pass over the rows of ``c`` in the plan's buffers; leaves the
+    ``fused0`` and ``fused1`` spectra, to be added to its ``linear_c``."""
     np.multiply(work.symbol, c, out=work.triple)  # fine*(c, u_x) and L c
     # the irfft kernel zero-pads the n/2 + 1 stored modes to fine itself
     irfft(work.pair, work.inv_fine, out=work.first)
@@ -135,7 +138,6 @@ def _padded_pass(work: RhsWork, c: np.ndarray) -> np.ndarray:
     rfft_n_even(work.odd, 1.0, out=work.spectrum)
     fused = work.fused
     fused *= work.back  # now -u u_x and -(1 - d_xx)^{-1} d_x inner; L c holds the rest of Q
-    return fused
 
 
 def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> SpectralField:
@@ -168,13 +170,13 @@ def rhs(u: SpectralField, p: ModelParams, *, work: RhsWork | None = None) -> Spe
         rows, out_rows, size = c.reshape(-1, c.shape[-1]), out.reshape(-1, c.shape[-1]), work.block
         for start in range(0, len(rows), size):
             start = min(start, len(rows) - size)  # the last block ends on the last row
-            fused = _padded_pass(work, rows[start : start + size])
-            summed = np.add(fused[1], work.linear_c, out=out_rows[start : start + size])
-            summed += fused[0]
+            _padded_pass(work, rows[start : start + size])
+            summed = np.add(work.fused1, work.linear_c, out=out_rows[start : start + size])
+            summed += work.fused0
     else:
-        fused = _padded_pass(work, c)
-        out = fused[1] + work.linear_c
-        out += fused[0]
+        _padded_pass(work, c)
+        out = work.fused1 + work.linear_c
+        out += work.fused0
     out[..., work.half] = 0.0
     return u.with_coeffs(out)
 

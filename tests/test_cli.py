@@ -1136,6 +1136,21 @@ def test_continuity_exits_one_naming_the_runs_that_blew_up(tmp_path, capsys):
     )
 
 
+def test_a_perturbed_datum_past_the_float_range_exits_two(tmp_path, capsys):
+    # the limit 1.7e308 is finite, but the limit plus the mode-0 bump 1.7e308 is not
+    cfg = write_config(
+        tmp_path,
+        initial_data={"name": "cosine", "amplitude": 1.7e308, "mode": 0},
+        grid={"n_points": 16},
+        continuity={"mode": 0, "amplitudes": [1.7e308]},
+    )
+    out = tmp_path / "run"
+    assert main(["continuity", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: perturbed datum #0 leaves the float range\n"
+    assert not (out / "report.json").exists()
+
+
 def test_radius_without_a_finite_fit_fails_calibration(tmp_path, capsys):
     # cos 2x keeps its odd modes at rounding level, so no record has a decay fit
     cfg = write_config(

@@ -40,7 +40,7 @@ from chgevrey import (
     to_physical,
     to_spectral,
 )
-from chgevrey.integrate import _monitor_weight, cumulative_trapezoid
+from chgevrey.integrate import BLOWUP_NORM, _monitor_norm, _monitor_weight, cumulative_trapezoid
 from chgevrey.model import irfft
 from oracles import peakon
 
@@ -171,16 +171,34 @@ def test_norm_monitor_triggers_before_nonfinite():
 @pytest.mark.parametrize("s", [2.0, 2.5])
 @pytest.mark.parametrize("n", [16, 64, 512])
 def test_the_monitor_weight_gives_the_sobolev_norm(n, s):
-    # the march's monitor is sqrt(|c|^2 @ w) with w built once per run; on a
-    # field and on a batch it is the H^s norm up to rounding
+    # the march's monitor: the squared real view of c against the weight, built
+    # once per run and repeated per part; on a field and on a batch it is the
+    # H^s norm up to rounding
     grid = TorusGrid(n)
-    weight = _monitor_weight(grid, s)
+    w2 = np.repeat(_monitor_weight(grid, s), 2)
     rng = np.random.default_rng(n)
     for u in (random_field(grid, rng), random_field(grid, rng, size=5)):
-        c = u.coeffs
-        monitor = np.sqrt((c.real**2 + c.imag**2) @ weight)
+        monitor = _monitor_norm(u.coeffs, w2)
         assert np.shape(monitor) == np.shape(sobolev_norm(u, s))
         np.testing.assert_allclose(monitor, sobolev_norm(u, s), rtol=1e-13, atol=0.0)
+
+
+def test_the_monitor_finds_exactly_the_nan_and_inf_rows_of_a_batch():
+    w2 = np.repeat(_monitor_weight(GRID, 2.0), 2)
+    u = 0.1 * random_field(GRID, np.random.default_rng(11), band=12, size=4)
+    c = u.coeffs.copy()
+    c[1, 3] = complex(math.nan, 0.0)
+    c[3, 5] = complex(0.0, math.inf)
+    below = _monitor_norm(c, w2) <= BLOWUP_NORM
+    assert np.flatnonzero(~below).tolist() == [1, 3]
+    # the march reports the same rows, and a single NaN field crosses too
+    batch = u.with_coeffs(c)
+    with np.errstate(invalid="ignore"), pytest.raises(BlowUpError) as excinfo:
+        integrate(batch, P, SolverConfig(dt=0.01, t_end=0.02))
+    assert excinfo.value.rows == (1, 3) and excinfo.value.time == 0.01
+    with np.errstate(invalid="ignore"), pytest.raises(BlowUpError) as excinfo:
+        integrate(batch[1], P, SolverConfig(dt=0.01, t_end=0.02))
+    assert excinfo.value.rows == ()
 
 
 @pytest.mark.parametrize("s", [0.0, 2.0, 2.5])
@@ -218,9 +236,11 @@ def record_buffer_sets(monkeypatch) -> list:
 
 def held_buffers(built: list) -> list:
     """Every array each plan holds, alone or in a tuple: its one buffer set,
-    views, symbols, and the stage once a step has made it."""
+    views, symbols, and the stage and its field's coefficients once a step
+    has made them."""
     values = [v for work in built for v in vars(work).values()]
     held = [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
+    held = [a.coeffs if isinstance(a, SpectralField) else a for a in held]
     return [a for a in held if isinstance(a, np.ndarray)]
 
 
@@ -241,6 +261,24 @@ def test_a_march_builds_one_buffer_set_and_no_state_shares_it(monkeypatch, size)
     step_rk4(traj.states[-1], P, 0.02, work=built[0])
     assert stepped.tobytes() == traj.states.coeffs[1].tobytes()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("size", [None, 3])
+def test_two_steps_on_one_plan_reuse_its_stage_and_its_staged_field(size):
+    u0 = 0.1 * random_field(GRID, np.random.default_rng(6), band=12, size=size)
+    work = RhsWork(u0, P)
+    assert work.stage is None and work.staged is None
+    first = step_rk4(u0, P, 0.01, work=work)
+    stage, staged = work.stage, work.staged
+    assert staged.coeffs is stage and stage.shape == u0.coeffs.shape
+    kept = first.coeffs.tobytes()
+    second = step_rk4(first, P, 0.01, work=work)
+    assert work.stage is stage and work.staged is staged
+    assert first.coeffs.tobytes() == kept
+    held = held_buffers([work])
+    assert any(buf is work.fused0 for buf in held) and any(buf is work.fused1 for buf in held)
+    for result in (first, second):
+        assert not any(np.shares_memory(result.coeffs, buf) for buf in held)
 
 
 @pytest.mark.parametrize("size", [None, 3])
